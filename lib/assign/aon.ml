@@ -11,9 +11,13 @@ let c_trees = Obs.counter "assign.dijkstra_trees"
    before the workspace is reused. *)
 let ws_key = Domain.DLS.new_key (fun () -> G.Dijkstra.workspace ())
 
+(* One Dijkstra tree: a distinct commodity source and the sinks of the
+   commodities it serves, which are the tree's targets. *)
+type tree = { source : int; sinks : int array }
+
 type plan = {
-  sources : int array;  (* distinct commodity sources, ascending *)
-  tree_of : int array;  (* commodity index -> index into [sources] *)
+  trees : tree array;  (* by ascending source *)
+  tree_of : int array;  (* commodity index -> index into [trees] *)
 }
 
 let plan (net : Network.t) =
@@ -37,9 +41,13 @@ let plan (net : Network.t) =
     [@lint.allow "cancel-coverage"];
     !lo
   in
-  { sources; tree_of = Array.map index_of srcs }
+  let tree_of = Array.map index_of srcs in
+  let sinks = Array.make (Array.length sources) [] in
+  Array.iteri (fun i c -> sinks.(tree_of.(i)) <- c.Network.dst :: sinks.(tree_of.(i))) ks;
+  let trees = Array.mapi (fun t source -> { source; sinks = Array.of_list sinks.(t) }) sources in
+  { trees; tree_of }
 
-let num_trees p = Array.length p.sources
+let num_trees p = Array.length p.trees
 
 let assign ?jobs ?record p (net : Network.t) ~weights ~into =
   Obs.incr c_calls;
@@ -53,15 +61,19 @@ let assign ?jobs ?record p (net : Network.t) ~weights ~into =
      job count. *)
   let preds =
     Sgr_par.Pool.map ?jobs
-      (fun s ->
+      (fun { source; sinks } ->
         (* Per-tree checkpoint: free on a disarmed domain; on the
            sequential fallback it keeps a large batch pre-emptible
            between Dijkstras. *)
         Sgr_obs.Cancel.check ();
         Obs.incr c_trees;
-        let r = G.Dijkstra.run ~workspace:(Domain.DLS.get ws_key) g ~weights ~source:s in
+        (* The tree stops once its sinks are settled: their predecessor
+           chains, the only entries read below, are then final. *)
+        let r =
+          G.Dijkstra.run ~workspace:(Domain.DLS.get ws_key) ~targets:sinks g ~weights ~source
+        in
         Array.copy r.G.Dijkstra.pred)
-      p.sources
+      p.trees
   in
   (* Phase 2 — sequential accumulation in commodity order: walk the
      predecessor chain from sink to source adding the demand. *)

@@ -28,6 +28,9 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
   let plan = Aon.plan net in
   let grad = Array.make m 0.0 in
   let y = Array.make m 0.0 in
+  (* The direction's support for the line search: edge ids (ascending)
+     and their components of d = y - f. *)
+  let sup_edge = Array.make m 0 and sup_dir = Array.make m 0.0 in
   (* Per-commodity flow tracking (only when the caller wants a
      decomposable answer): every AON routes each commodity down one tree
      path, so the commodity split evolves by the same convex steps as
@@ -98,18 +101,30 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
           | Msa -> 1.0 /. float_of_int (!iterations + 1)
           | Frank_wolfe ->
               Obs.incr c_line_search;
+              (* Collect the support of d once; every probe below then
+                 sums over it alone, in the same edge order as a full
+                 scan, so the sum is the same float. *)
+              let n_sup = ref 0 in
+              for e = 0 to m - 1 do
+                let de = y.(e) -. f.(e) in
+                (* Exact test by design: exact zeros mark edges outside
+                   the direction's support; a tolerance would silently
+                   drop genuinely tiny components. *)
+                if (de <> 0.0) [@lint.allow "float-equality"] then begin
+                  sup_edge.(!n_sup) <- e;
+                  sup_dir.(!n_sup) <- de;
+                  incr n_sup
+                end
+              done;
+              let n_sup = !n_sup in
               (* Exact line search: the directional derivative of the
                  convex objective along d is nondecreasing in gamma. *)
               let dphi gamma =
                 Sgr_obs.Cancel.check_handle cancel;
                 let acc = ref 0.0 in
-                for e = 0 to m - 1 do
-                  let de = y.(e) -. f.(e) in
-                  (* Exact test by design: exact zeros mark edges outside
-                     the direction's support; a tolerance would silently
-                     drop genuinely tiny components. *)
-                  if (de <> 0.0) [@lint.allow "float-equality"] then
-                    acc := !acc +. (de *. value lats.(e) (f.(e) +. (gamma *. de)))
+                for k = 0 to n_sup - 1 do
+                  let e = sup_edge.(k) and de = sup_dir.(k) in
+                  acc := !acc +. (de *. value lats.(e) (f.(e) +. (gamma *. de)))
                 done;
                 !acc
               in

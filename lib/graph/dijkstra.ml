@@ -10,6 +10,7 @@ type workspace = {
   mutable dist : float array;
   mutable pred : int array;
   mutable settled : bool array;
+  mutable target : bool array;  (* all false between runs *)
   heap : Heap.t;
 }
 
@@ -19,6 +20,7 @@ let workspace ?(hint = 0) () =
     dist = [||];
     pred = [||];
     settled = [||];
+    target = [||];
     heap = Heap.create ~hint ();
   }
 
@@ -30,6 +32,7 @@ let prepare ws n =
     ws.dist <- Array.make n Float.infinity;
     ws.pred <- Array.make n (-1);
     ws.settled <- Array.make n false;
+    ws.target <- Array.make n false;
     ws.size <- n
   end
   else begin
@@ -49,11 +52,37 @@ let validate_weights weights =
 (* The kernel, shared by the forward and reverse runs: [off]/[ids] is a
    CSR adjacency (out- or in-) and [other].(e) the endpoint the search
    moves to along edge [e] (dst forward, src reverse). Iterates the flat
-   arrays directly — no list cells or closures per settled node. *)
-let run_dir ws ~off ~ids ~other ~weights ~n ~origin =
+   arrays directly — no list cells or closures per settled node.
+
+   With [targets], the search stops right after settling the last
+   distinct target, before relaxing its edges. Up to that point it has
+   done exactly what the full run does, and settled entries never change
+   afterwards, so everything it settled reads bit-for-bit as in the full
+   tree. The target marks are cleared before returning. *)
+let run_dir ?targets ws ~off ~ids ~other ~weights ~n ~origin =
   Obs.incr c_runs;
   prepare ws n;
   let dist = ws.dist and pred = ws.pred and settled = ws.settled and heap = ws.heap in
+  let target = ws.target in
+  (* Distinct targets not yet settled; a full run starts at -1, which
+     settling never brings to 0. *)
+  let pending =
+    match targets with
+    | None -> ref (-1)
+    | Some ts ->
+        Array.iter
+          (fun t -> if t < 0 || t >= n then invalid_arg "Dijkstra.run: target out of range")
+          ts;
+        ref
+          (Array.fold_left
+             (fun k t ->
+               if target.(t) then k
+               else begin
+                 target.(t) <- true;
+                 k + 1
+               end)
+             0 ts)
+  in
   let relaxations = ref 0 in
   dist.(origin) <- 0.0;
   Heap.insert heap 0.0 origin;
@@ -63,30 +92,35 @@ let run_dir ws ~off ~ids ~other ~weights ~n ~origin =
     (* Lazy deletion: skip stale entries. *)
     if not settled.(u') then begin
       settled.(u') <- true;
-      let du = dist.(u') in
-      for k = off.(u') to off.(u' + 1) - 1 do
-        let e = ids.(k) in
-        let v = other.(e) in
-        incr relaxations;
-        let nd = du +. weights.(e) in
-        if nd < dist.(v) then begin
-          dist.(v) <- nd;
-          pred.(v) <- e;
-          Heap.insert heap nd v
-        end
-      done
+      if target.(u') then decr pending;
+      if !pending = 0 then Heap.clear heap
+      else begin
+        let du = dist.(u') in
+        for k = off.(u') to off.(u' + 1) - 1 do
+          let e = ids.(k) in
+          let v = other.(e) in
+          incr relaxations;
+          let nd = du +. weights.(e) in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            pred.(v) <- e;
+            Heap.insert heap nd v
+          end
+        done
+      end
     end;
     u := Heap.pop heap
   done;
+  Option.iter (Array.iter (fun t -> target.(t) <- false)) targets;
   (* One batched counter update per run keeps the inner loop free of
      atomic traffic while the count stays exact. *)
   Obs.add c_relax !relaxations;
   { dist; pred }
 
-let run ?(validate = false) ?workspace:ws g ~weights ~source =
+let run ?(validate = false) ?workspace:ws ?targets g ~weights ~source =
   if validate then validate_weights weights;
   let ws = match ws with Some ws -> ws | None -> workspace () in
-  run_dir ws
+  run_dir ?targets ws
     ~off:(Digraph.out_offsets g) ~ids:(Digraph.out_edge_ids g)
     ~other:(Digraph.edge_targets g) ~weights ~n:(Digraph.num_nodes g) ~origin:source
 
@@ -98,7 +132,9 @@ let run_reverse ?(validate = false) ?workspace:ws g ~weights ~sink =
     ~other:(Digraph.edge_sources g) ~weights ~n:(Digraph.num_nodes g) ~origin:sink
 
 let shortest_path ?validate ?workspace g ~weights ~src ~dst =
-  let ({ dist; pred } : result) = run ?validate ?workspace g ~weights ~source:src in
+  let ({ dist; pred } : result) =
+    run ?validate ?workspace ~targets:[| dst |] g ~weights ~source:src
+  in
   if dist.(dst) = Float.infinity then None
   else begin
     let sources = Digraph.edge_sources g in

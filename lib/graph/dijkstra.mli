@@ -10,7 +10,11 @@
     {!Digraph.out_offsets}) and can run inside a caller-owned
     {!workspace}, in which case repeated runs on the same graph perform
     no allocation — column-generation pricing does one run per
-    commodity per round, and {!shortest_edge_subgraph} does two. *)
+    commodity per round, and {!shortest_edge_subgraph} does two.
+
+    A forward run may stop early, once a given set of target nodes is
+    settled ({!run}'s [?targets]). {!shortest_edge_subgraph} reads every
+    label, so its two runs are always full. *)
 
 type result = {
   dist : float array;  (** [dist.(v)] — distance from the source; [infinity] if unreachable. *)
@@ -22,7 +26,8 @@ type result = {
 (** {1 Workspaces} *)
 
 type workspace
-(** Reusable scratch state: dist/pred/settled arrays plus the heap.
+(** Reusable scratch state: dist/pred/settled/target-mark arrays plus
+    the heap.
     A workspace adapts to whatever graph it is run on (it reallocates
     when the node count changes); reusing one across runs on the same
     graph allocates nothing. Not domain-safe: use one workspace per
@@ -43,21 +48,46 @@ val workspace : ?hint:int -> unit -> workspace
     Without it a fresh workspace is allocated per call. *)
 
 val run :
-  ?validate:bool -> ?workspace:workspace -> Digraph.t -> weights:float array -> source:int ->
-  result
-(** Dijkstra from [source]. [weights] is indexed by edge id. *)
+  ?validate:bool -> ?workspace:workspace -> ?targets:int array -> Digraph.t ->
+  weights:float array -> source:int -> result
+(** Dijkstra from [source]. [weights] is indexed by edge id.
+
+    Without [targets] the run settles every node reachable from
+    [source], and every entry of the result is final.
+
+    With [targets] the run stops as soon as the last distinct node of
+    [targets] is settled, before relaxing that node's edges (duplicates,
+    the source itself and unreachable nodes are allowed; an unreachable
+    target makes the run a full one, and [[||]] settles only the source).
+    Until it stops, the run does exactly what the full run does, so:
+    - every target's [dist] and [pred] are final, and so are those of
+      every node on its [pred] chain back to [source] — a path read
+      from them is bit-for-bit the one the full tree gives;
+    - so is every node whose distance is below the last target's;
+    - any other entry may be tentative (a finite overestimate) or
+      still [infinity]/[-1].
+
+    The searches behind {!shortest_path}, column-generation pricing,
+    all-or-nothing assignment and [Network.make]'s reachability check
+    pass their sinks here. On the 10^4-edge synthetic city (2,501
+    nodes, 32 commodities with 32 distinct sources) a Frank–Wolfe
+    solve to gap 1e-4 relaxes 8.41M edges instead of 13.12M, and
+    parsing the instance 133k instead of 320k.
+    @raise Invalid_argument when a target is out of range. *)
 
 val run_reverse :
   ?validate:bool -> ?workspace:workspace -> Digraph.t -> weights:float array -> sink:int ->
   result
 (** Distances *to* [sink] (Dijkstra on the reversed graph);
-    [pred.(v)] is the edge leaving [v] on a shortest path to the sink. *)
+    [pred.(v)] is the edge leaving [v] on a shortest path to the sink.
+    Always a full run. *)
 
 val shortest_path :
   ?validate:bool -> ?workspace:workspace -> Digraph.t -> weights:float array -> src:int ->
   dst:int -> int list option
 (** Edge ids of one shortest [src]–[dst] path (in path order), or [None]
-    if unreachable. *)
+    if unreachable. The search stops once [dst] is settled ([run
+    ~targets:[| dst |]]); the path is the one the full tree gives. *)
 
 val shortest_edge_subgraph :
   ?eps:float -> ?validate:bool -> ?workspaces:workspace * workspace -> Digraph.t ->

@@ -29,52 +29,62 @@ let grow h =
     h.payloads <- nd
   end
 
-let swap h i j =
-  let p = h.prios.(i) and d = h.payloads.(i) in
-  h.prios.(i) <- h.prios.(j);
-  h.payloads.(i) <- h.payloads.(j);
-  h.prios.(j) <- p;
-  h.payloads.(j) <- d
-
+(* Both sifts move a hole rather than swapping: the displaced entries
+   shift one level each and the moving entry is written once, at its
+   final slot. The comparisons are exactly those of a swap-based sift,
+   so the heap ends in the same layout and pops ties in the same order. *)
 let insert h prio payload =
   grow h;
+  let prios = h.prios and payloads = h.payloads in
   let i = ref h.len in
   h.len <- h.len + 1;
-  h.prios.(!i) <- prio;
-  h.payloads.(!i) <- payload;
   (* Sift up. *)
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if h.prios.(parent) > h.prios.(!i) then begin
-      swap h parent !i;
+    let pp = prios.(parent) in
+    if pp > prio then begin
+      prios.(!i) <- pp;
+      payloads.(!i) <- payloads.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  prios.(!i) <- prio;
+  payloads.(!i) <- payload
 
 let pop h =
   if h.len = 0 then -1
   else begin
-    let top_payload = h.payloads.(0) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.prios.(0) <- h.prios.(h.len);
-      h.payloads.(0) <- h.payloads.(h.len);
-      (* Sift down. *)
+    let prios = h.prios and payloads = h.payloads in
+    let top_payload = payloads.(0) in
+    let len = h.len - 1 in
+    h.len <- len;
+    if len > 0 then begin
+      (* Sift the last entry down from the root. *)
+      let prio = prios.(len) and payload = payloads.(len) in
       let i = ref 0 in
       let continue = ref true in
       while !continue do
         let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.len && h.prios.(l) < h.prios.(!smallest) then smallest := l;
-        if r < h.len && h.prios.(r) < h.prios.(!smallest) then smallest := r;
+        let smallest = ref !i and sp = ref prio in
+        if l < len && prios.(l) < !sp then begin
+          smallest := l;
+          sp := prios.(l)
+        end;
+        if r < len && prios.(r) < !sp then begin
+          smallest := r;
+          sp := prios.(r)
+        end;
         if !smallest <> !i then begin
-          swap h !smallest !i;
+          prios.(!i) <- !sp;
+          payloads.(!i) <- payloads.(!smallest);
           i := !smallest
         end
         else continue := false
-      done
+      done;
+      prios.(!i) <- prio;
+      payloads.(!i) <- payload
     end;
     top_payload
   end

@@ -23,7 +23,12 @@ val pop : t -> int
 (** Removes the payload with the smallest priority and returns it, or
     [-1] when the heap is empty. Allocation-free — the hot-path variant
     of {!pop_min}. Payloads inserted by well-behaved callers are ids,
-    hence nonnegative, so [-1] is unambiguous. *)
+    hence nonnegative, so [-1] is unambiguous.
+
+    Equal priorities pop in an order fixed by the insert/pop history
+    alone: that of a textbook swap-based binary heap. Dijkstra's
+    tie-breaking, and with it every all-or-nothing flow, depends on
+    it. *)
 
 val pop_min : t -> (float * int) option
 (** Like {!pop}, also reporting the priority. Allocates the returned

@@ -10,23 +10,21 @@ type t = {
   commodities : commodity array;
 }
 
-let reachable g ~src ~dst =
-  let weights = Array.make (G.Digraph.num_edges g) 0.0 in
-  let r = G.Dijkstra.run g ~weights ~source:src in
-  r.dist.(dst) < Float.infinity
-
 let make graph ~latencies ~commodities =
   if Array.length latencies <> G.Digraph.num_edges graph then
     invalid_arg "Network.make: one latency per edge required";
   if Array.length commodities = 0 then invalid_arg "Network.make: no commodities";
+  let weights = Array.make (G.Digraph.num_edges graph) 0.0 in
+  let workspace = G.Dijkstra.workspace () in
   Array.iter
     (fun c ->
-      (* [reachable] is a full Dijkstra per commodity; check between
-         them so validating a large instance respects the deadline. *)
+      (* Check between the searches so validating a large instance
+         respects the deadline. *)
       Sgr_obs.Cancel.check ();
       if c.demand < 0.0 then invalid_arg "Network.make: negative demand";
       if c.src = c.dst then invalid_arg "Network.make: source equals destination";
-      if not (reachable graph ~src:c.src ~dst:c.dst) then
+      let r = G.Dijkstra.run ~workspace ~targets:[| c.dst |] graph ~weights ~source:c.src in
+      if not (r.dist.(c.dst) < Float.infinity) then
         invalid_arg "Network.make: destination unreachable from source")
     commodities;
   { graph; latencies; commodities }

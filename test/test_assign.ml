@@ -83,6 +83,36 @@ let test_solve_flows_same_aggregate () =
   check_true "solve and solve_flows agree bitwise"
     (bitwise_equal a.Solver.edge_flow b.Solver.edge_flow)
 
+(* ---------------- bit-identity golden ---------------- *)
+
+(* MD5 of the IEEE-754 bit patterns of an edge flow, in edge order. *)
+let flow_digest flow =
+  let b = Buffer.create (8 * Array.length flow) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) flow;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Pinned iteration counts and edge-flow digests. Work on the solver
+   kernels (Dijkstra, heap, AON, line search) must reproduce them: a
+   change that alters a single bit of a solve — tie-breaking, summation
+   order, early exit — shows up here. *)
+let golden_solves =
+  [
+    ("FW Wardrop", Obj.Wardrop, Solver.Frank_wolfe, 1e-6, 107, "f0dce9c74aa74764e538ec467853966c");
+    ("FW system optimum", Obj.System_optimum, Solver.Frank_wolfe, 1e-4, 76,
+     "baf8096460c8d136091f212c2f43a9e0");
+    ("MSA Wardrop", Obj.Wardrop, Solver.Msa, 1e-4, 40, "9939e443190a3f17d7960b813a0d8ed3");
+  ]
+
+let test_bit_identity_golden () =
+  (* 4·8·32 = 1024 edges, 12 commodities. *)
+  let net = W.synthetic_city (Prng.create 1_024) ~rings:8 ~radials:32 ~commodities:12 () in
+  List.iter
+    (fun (name, obj, method_, tol, iterations, digest) ->
+      let sol = Solver.solve ~tol ~max_iter:300 ~method_ ~jobs:1 obj net in
+      Alcotest.(check int) (name ^ ": iterations") iterations sol.Solver.iterations;
+      Alcotest.(check string) (name ^ ": edge-flow bits") digest (flow_digest sol.Solver.edge_flow))
+    golden_solves
+
 let test_unreachable_sink_rejected () =
   (* 0 -> 1 only; commodity asks 1 -> 0. *)
   let b = G.Digraph.builder ~num_nodes:2 in
@@ -278,6 +308,7 @@ let suite =
     prop_multicommodity_agreement;
     case "jobs 1 and jobs 4 are byte-identical" test_jobs_byte_identity;
     case "solve_flows preserves the aggregate bitwise" test_solve_flows_same_aggregate;
+    case "FW/MSA edge flows match the recorded bit golden" test_bit_identity_golden;
     case "unreachable sink rejected" test_unreachable_sink_rejected;
     prop_decompose_conserves_and_recomposes;
     prop_decompose_single_commodity_default;

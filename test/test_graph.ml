@@ -80,6 +80,77 @@ let test_heap_clear_reuse () =
   Alcotest.(check int) "pop sentinel on cleared" (-1) (G.Heap.pop h);
   fill_and_drain ()
 
+(* A textbook swap-based binary heap, the pop-order oracle: [Heap]'s
+   hole-moving sifts must make the same comparisons, so they must pop
+   the same (priority, payload) sequence, ties included. *)
+module Swap_heap = struct
+  type t = { mutable prios : float array; mutable payloads : int array; mutable len : int }
+
+  let create () = { prios = Array.make 16 0.0; payloads = Array.make 16 0; len = 0 }
+
+  let swap h i j =
+    let p = h.prios.(i) and d = h.payloads.(i) in
+    h.prios.(i) <- h.prios.(j);
+    h.payloads.(i) <- h.payloads.(j);
+    h.prios.(j) <- p;
+    h.payloads.(j) <- d
+
+  let insert h prio payload =
+    if h.len = Array.length h.prios then begin
+      h.prios <- Array.append h.prios h.prios;
+      h.payloads <- Array.append h.payloads h.payloads
+    end;
+    h.prios.(h.len) <- prio;
+    h.payloads.(h.len) <- payload;
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    while !i > 0 && h.prios.((!i - 1) / 2) > h.prios.(!i) do
+      swap h ((!i - 1) / 2) !i;
+      i := (!i - 1) / 2
+    done
+
+  let pop_min h =
+    if h.len = 0 then None
+    else begin
+      let top = (h.prios.(0), h.payloads.(0)) in
+      h.len <- h.len - 1;
+      h.prios.(0) <- h.prios.(h.len);
+      h.payloads.(0) <- h.payloads.(h.len);
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let s = ref !i in
+        if l < h.len && h.prios.(l) < h.prios.(!s) then s := l;
+        if r < h.len && h.prios.(r) < h.prios.(!s) then s := r;
+        if !s <> !i then (swap h !s !i; i := !s) else continue := false
+      done;
+      Some top
+    end
+end
+
+let prop_heap_matches_swap_oracle =
+  qcheck ~count:200 "heap pops in the swap-based oracle's order, ties included"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 900) in
+      let h = G.Heap.create () and o = Swap_heap.create () in
+      (* Priorities from a five-value set: most inserts tie with others. *)
+      let tie_prio () = float_of_int (Prng.int rng 5) *. 0.5 in
+      let ops = 50 + Prng.int rng 400 in
+      let ok = ref true in
+      for payload = 0 to ops - 1 do
+        if Prng.int rng 10 < 6 then begin
+          let p = tie_prio () in
+          G.Heap.insert h p payload;
+          Swap_heap.insert o p payload
+        end
+        else if G.Heap.pop_min h <> Swap_heap.pop_min o then ok := false
+      done;
+      (* Drain both. *)
+      while not (G.Heap.is_empty h) do
+        if G.Heap.pop_min h <> Swap_heap.pop_min o then ok := false
+      done;
+      !ok && Swap_heap.pop_min o = None)
+
 let test_csr_matches_adjacency_lists () =
   let g = diamond () in
   let off = G.Digraph.out_offsets g and ids = G.Digraph.out_edge_ids g in
@@ -310,6 +381,97 @@ let prop_dijkstra_csr_vs_list_oracle =
          the runs agree bitwise — distances and chosen predecessor edges. *)
       csr.dist = dist && csr.pred = pred)
 
+(* A random digraph with tie-heavy weights in {0, 1, 2} and one extra
+   node that no edge touches, so every target draw can hit an
+   unreachable node. *)
+let random_tie_graph rng =
+  let n = 2 + Prng.int rng 10 in
+  let b = G.Digraph.builder ~num_nodes:(n + 1) in
+  for _ = 1 to Prng.int rng (3 * n) do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v then ignore (G.Digraph.add_edge b ~src:u ~dst:v)
+  done;
+  let g = G.Digraph.freeze b in
+  let weights = Array.init (G.Digraph.num_edges g) (fun _ -> float_of_int (Prng.int rng 3)) in
+  (g, weights)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_result (a : G.Dijkstra.result) (b : G.Dijkstra.result) =
+  Array.for_all2 same_bits a.dist b.dist && a.pred = b.pred
+
+let prop_targeted_dijkstra =
+  qcheck ~count:300 "targeted dijkstra: settled chains, shortest paths and reuse are exact"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 700) in
+      let g, weights = random_tie_graph rng in
+      let n = G.Digraph.num_nodes g in
+      let sources = G.Digraph.edge_sources g in
+      let source = Prng.int rng (n - 1) in
+      (* Random targets, with a duplicate, the source and the isolated
+         (unreachable) node thrown in at random. *)
+      let targets =
+        let ts = List.init (Prng.int rng 4) (fun _ -> Prng.int rng n) in
+        let ts = match ts with t :: _ when Prng.bool rng -> t :: ts | _ -> ts in
+        let ts = if Prng.bool rng then source :: ts else ts in
+        Array.of_list (if Prng.int rng 4 = 0 then (n - 1) :: ts else ts)
+      in
+      let full = G.Dijkstra.run g ~weights ~source in
+      let ws = G.Dijkstra.workspace () in
+      let r = G.Dijkstra.run ~workspace:ws ~targets g ~weights ~source in
+      (* Every node on a target's pred chain is final, bit for bit. *)
+      let chain_ok t =
+        let rec walk v =
+          same_bits r.dist.(v) full.dist.(v)
+          && r.pred.(v) = full.pred.(v)
+          && (r.pred.(v) < 0 || walk sources.(r.pred.(v)))
+        in
+        walk t
+      in
+      let dist, pred = list_dijkstra g ~weights ~source in
+      let oracle_path t =
+        if dist.(t) = Float.infinity then None
+        else
+          let rec walk v acc =
+            if v = source then acc else walk sources.(pred.(v)) (pred.(v) :: acc)
+          in
+          Some (walk t [])
+      in
+      let chains = Array.for_all chain_ok targets in
+      let paths =
+        Array.for_all
+          (fun t -> G.Dijkstra.shortest_path g ~weights ~src:source ~dst:t = oracle_path t)
+          targets
+      in
+      (* Reusing the workspace after the early exit: a full run and a
+         run towards other targets must equal fresh ones — no target
+         mark survives a run. *)
+      let other = [| Prng.int rng n |] in
+      let reused_full = same_result (G.Dijkstra.run ~workspace:ws g ~weights ~source) full in
+      let reused_targeted =
+        same_result
+          (G.Dijkstra.run ~workspace:ws ~targets:other g ~weights ~source)
+          (G.Dijkstra.run ~targets:other g ~weights ~source)
+      in
+      chains && paths && reused_full && reused_targeted)
+
+let test_targeted_dijkstra_stops () =
+  (* A path 0 -> 1 -> 2 -> 3: targeting node 1 settles 0 and 1 and never
+     relaxes 1's edge, so node 2 keeps its initial label. *)
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (2, 3) ] in
+  let weights = [| 1.0; 1.0; 1.0 |] in
+  let r = G.Dijkstra.run ~targets:[| 1; 1 |] g ~weights ~source:0 in
+  approx "target settled" 1.0 r.dist.(1);
+  Alcotest.(check int) "target pred" 0 r.pred.(1);
+  check_true "search stopped before node 2" (r.dist.(2) = Float.infinity);
+  let r = G.Dijkstra.run ~targets:[||] g ~weights ~source:0 in
+  check_true "no targets: only the source is settled" (r.dist.(1) = Float.infinity);
+  let r = G.Dijkstra.run ~targets:[| 3; 0 |] g ~weights ~source:2 in
+  check_true "unreachable target: full run" (r.dist.(3) = 1.0 && r.dist.(0) = Float.infinity);
+  match G.Dijkstra.run ~targets:[| 4 |] g ~weights ~source:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "out-of-range target must be rejected"
+
 let prop_dijkstra_vs_bellman_ford =
   qcheck ~count:50 "dijkstra agrees with bellman-ford" QCheck.small_nat (fun seed ->
       let rng = Prng.create (seed + 300) in
@@ -423,6 +585,7 @@ let suite =
     case "dijkstra: reverse distances" test_dijkstra_reverse;
     case "dijkstra: shortest-edge subgraph" test_shortest_subgraph;
     case "dijkstra: subgraph with ties" test_shortest_subgraph_ties;
+    case "dijkstra: targeted run stops at its targets" test_targeted_dijkstra_stops;
     case "paths: enumerate diamond" test_enumerate_paths;
     case "paths: enumeration limit" test_enumerate_limit;
     case "paths: accessors" test_path_accessors;
@@ -433,6 +596,8 @@ let suite =
     case "flow: feasibility checks" test_flow_feasibility;
     prop_dijkstra_vs_enumeration;
     prop_dijkstra_csr_vs_list_oracle;
+    prop_targeted_dijkstra;
+    prop_heap_matches_swap_oracle;
     prop_dijkstra_vs_bellman_ford;
     prop_maxflow_min_cut_saturation;
     prop_maxflow_has_min_cut_certificate;
