@@ -428,8 +428,9 @@ let e17_solver_ablation () =
   section "E17 (ablation)" "path equilibration vs Frank-Wolfe vs MSA on Fig. 7";
   let net = W.fig7 () in
   let eq = Eq.solve Obj.System_optimum net in
-  let fw = Sgr_network.Frank_wolfe.solve ~tol:1e-9 Obj.System_optimum net in
-  let msa = Sgr_network.Msa.solve ~tol:1e-6 Obj.System_optimum net in
+  let module Solver = Sgr_assign.Solver in
+  let fw = Solver.solve ~tol:1e-9 ~max_iter:100_000 Obj.System_optimum net in
+  let msa = Solver.solve ~method_:Solver.Msa ~tol:1e-6 ~max_iter:200_000 Obj.System_optimum net in
   let c_eq = Net.cost net eq.edge_flow in
   let c_fw = Net.cost net fw.edge_flow in
   let c_msa = Net.cost net msa.edge_flow in

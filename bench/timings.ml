@@ -6,7 +6,7 @@ open Bechamel
 module Links = Sgr_links.Links
 module W = Sgr_workloads.Workloads
 module Eq = Sgr_network.Equilibrate
-module FW = Sgr_network.Frank_wolfe
+module Solver = Sgr_assign.Solver
 module Obj = Sgr_network.Objective
 module Prng = Sgr_numerics.Prng
 
@@ -61,10 +61,13 @@ let t4 =
            Test.make ~name:(Printf.sprintf "equilibrate/l%dw%d" layers width)
              (Staged.stage (fun () -> ignore (Eq.solve Obj.Wardrop net)));
            Test.make ~name:(Printf.sprintf "frank-wolfe/l%dw%d" layers width)
-             (Staged.stage (fun () -> ignore (FW.solve ~tol:1e-6 Obj.Wardrop net)));
+             (Staged.stage (fun () ->
+                  ignore (Solver.solve ~tol:1e-6 ~max_iter:100_000 Obj.Wardrop net)));
            Test.make ~name:(Printf.sprintf "msa/l%dw%d" layers width)
              (Staged.stage (fun () ->
-                  ignore (Sgr_network.Msa.solve ~tol:1e-4 Obj.Wardrop net)));
+                  ignore
+                    (Solver.solve ~method_:Solver.Msa ~tol:1e-4 ~max_iter:200_000 Obj.Wardrop
+                       net)));
          ])
        nets)
 
@@ -207,38 +210,10 @@ let counter_delta before after =
 (* ---------------- T9: CSR kernels and the multicore sweep ----------------
 
    Unlike T1-T8 this group is custom-measured: the interesting outputs
-   are *deltas* — list kernel vs CSR vs CSR + reused workspace on the
-   10x10-grid pricing workload, and the wall clock of the same alpha
+   are *deltas* — the CSR Dijkstra with a fresh vs a reused workspace on
+   the 10x10-grid pricing workload, and the wall clock of the same alpha
    sweep at jobs=1 vs jobs=N together with a byte-identity check — and
    those land as counters in BENCH_obs.json. *)
-
-(* The retired list-based Dijkstra, kept as the baseline under
-   measurement (the library kernel now iterates CSR). *)
-let list_dijkstra g ~weights ~source =
-  let n = Sgr_graph.Digraph.num_nodes g in
-  let dist = Array.make n Float.infinity in
-  let settled = Array.make n false in
-  let heap = Sgr_graph.Heap.create () in
-  dist.(source) <- 0.0;
-  Sgr_graph.Heap.insert heap 0.0 source;
-  let continue = ref true in
-  while !continue do
-    match Sgr_graph.Heap.pop_min heap with
-    | None -> continue := false
-    | Some (d, u) ->
-        if not settled.(u) then begin
-          settled.(u) <- true;
-          List.iter
-            (fun (e : Sgr_graph.Digraph.edge) ->
-              let nd = d +. weights.(e.id) in
-              if nd < dist.(e.dst) then begin
-                dist.(e.dst) <- nd;
-                Sgr_graph.Heap.insert heap nd e.dst
-              end)
-            (Sgr_graph.Digraph.out_edges g u)
-        end
-  done;
-  dist
 
 (* Median ns per call for each kernel, with the kernels' timed samples
    interleaved round-robin so clock drift and GC state hit all of them
@@ -287,12 +262,11 @@ let run_t9 ~grid_n ~repeats ~sweep_samples ~jobs () =
   let medians =
     median_ns_interleaved ~repeats ~batch:50
       [|
-        (fun () -> ignore (list_dijkstra g ~weights ~source:0));
         (fun () -> ignore (Sgr_graph.Dijkstra.run g ~weights ~source:0));
         (fun () -> ignore (Sgr_graph.Dijkstra.run ~workspace:ws g ~weights ~source:0));
       |]
   in
-  let list_ns = medians.(0) and csr_ns = medians.(1) and csr_ws_ns = medians.(2) in
+  let csr_ns = medians.(0) and csr_ws_ns = medians.(1) in
   (* The same alpha sweep sequentially and on the pool; identity of the
      two curves is part of the result. *)
   let sweep = W.random_affine_links (Prng.create 9002) ~m:4 ~demand:1.0 () in
@@ -305,14 +279,12 @@ let run_t9 ~grid_n ~repeats ~sweep_samples ~jobs () =
   let par_curve, par_s = time_sweep jobs in
   let identical = curve_identical seq_curve par_curve in
   let ratio i j = if j > 0 then Printf.sprintf "%.2fx" (float_of_int i /. float_of_int j) else "-" in
-  Format.printf "  %-28s %8.3f µs@." (Printf.sprintf "dijkstra-list/grid%dx%d" grid_n grid_n)
-    (float_of_int list_ns /. 1e3);
-  Format.printf "  %-28s %8.3f µs  (%s vs list)@."
+  Format.printf "  %-28s %8.3f µs@."
     (Printf.sprintf "dijkstra-csr/grid%dx%d" grid_n grid_n)
-    (float_of_int csr_ns /. 1e3) (ratio list_ns csr_ns);
-  Format.printf "  %-28s %8.3f µs  (%s vs list)@."
+    (float_of_int csr_ns /. 1e3);
+  Format.printf "  %-28s %8.3f µs  (%s vs csr)@."
     (Printf.sprintf "dijkstra-csr-ws/grid%dx%d" grid_n grid_n)
-    (float_of_int csr_ws_ns /. 1e3) (ratio list_ns csr_ws_ns);
+    (float_of_int csr_ws_ns /. 1e3) (ratio csr_ns csr_ws_ns);
   Format.printf "  %-28s %8.3f ms@."
     (Printf.sprintf "alpha-sweep-%d/jobs=1" sweep_samples)
     (seq_s *. 1e3);
@@ -327,7 +299,6 @@ let run_t9 ~grid_n ~repeats ~sweep_samples ~jobs () =
       wall_s = Obs.now () -. t0;
       counters =
         [
-          ("t9.dijkstra_list_ns", list_ns);
           ("t9.dijkstra_csr_ns", csr_ns);
           ("t9.dijkstra_csr_workspace_ns", csr_ws_ns);
           ("t9.sweep_samples", sweep_samples);

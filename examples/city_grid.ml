@@ -9,7 +9,7 @@
    enumeration cap — and runs through the column-generation engine. *)
 
 module Net = Sgr_network.Network
-module FW = Sgr_network.Frank_wolfe
+module Solver = Sgr_assign.Solver
 module Eq = Sgr_network.Equilibrate
 module Obj = Sgr_network.Objective
 module Vec = Sgr_numerics.Vec
@@ -21,7 +21,7 @@ let () =
     (Sgr_graph.Digraph.num_edges net.Net.graph);
 
   let nash_pe = Eq.solve Obj.Wardrop net in
-  let nash_fw = FW.solve ~tol:1e-10 Obj.Wardrop net in
+  let nash_fw = Solver.solve ~tol:1e-10 ~max_iter:100_000 Obj.Wardrop net in
   Format.printf "Wardrop flow: path-equilibration (%d sweeps, gap %.2e)@." nash_pe.sweeps
     nash_pe.gap;
   Format.printf "              Frank-Wolfe        (%d iters,  gap %.2e)@." nash_fw.iterations

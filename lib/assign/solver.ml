@@ -7,12 +7,14 @@ type method_ = Frank_wolfe | Msa
 
 let method_name = function Frank_wolfe -> "frank-wolfe" | Msa -> "msa"
 
-type solution = Sgr_network.Solver_types.solution = {
+type trace_point = { k : int; gap : float; objective : float; step : float }
+
+type solution = {
   edge_flow : float array;
   iterations : int;
   relative_gap : float;
   objective : float;
-  trace : Sgr_network.Solver_types.trace_point list;
+  trace : trace_point list;
 }
 
 let c_iters = Obs.counter "assign.iterations"
@@ -143,7 +145,7 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     if tracing then begin
       let solver = "assign." ^ method_name method_ in
       Obs.point ~solver ~k:!iterations ~gap:!relgap ~objective:obj_now ~step;
-      trace := { Sgr_network.Solver_types.k = !iterations; gap = !relgap; objective = obj_now; step } :: !trace
+      trace := { k = !iterations; gap = !relgap; objective = obj_now; step } :: !trace
     end
   done;
   {

@@ -2,25 +2,32 @@
     per-edge [float array]s, with the all-or-nothing subproblem batched
     into pool-parallel Dijkstra trees ({!Aon}).
 
-    Unlike [Sgr_network.Frank_wolfe]/[Msa], which walk one shortest path
-    per commodity per iteration, this solver scales to networks with
-    10^4–10^5 edges: no path is ever enumerated, and the per-iteration
-    cost is a handful of Dijkstra trees plus O(m) vector work. Results
-    are byte-identical at any [--jobs]. Inner loops checkpoint the
-    per-domain deadline ([Sgr_obs.Cancel]), so serving-side requests
-    stay pre-emptible. *)
+    This is the library's one edge-flow engine. It scales to networks
+    with 10^4–10^5 edges: no path is ever enumerated, and the
+    per-iteration cost is a handful of Dijkstra trees plus O(m) vector
+    work. Results are byte-identical at any [--jobs]. Inner loops
+    checkpoint the per-domain deadline ([Sgr_obs.Cancel]), so
+    serving-side requests stay pre-emptible. *)
 
 type method_ = Frank_wolfe | Msa
 
 val method_name : method_ -> string
 (** ["frank-wolfe"] / ["msa"] — stable labels for CLI and protocol. *)
 
-type solution = Sgr_network.Solver_types.solution = {
-  edge_flow : float array;
+type trace_point = { k : int; gap : float; objective : float; step : float }
+(** One solver iteration: the relative gap and objective {e before} the
+    step of size [step] ([0] on the terminating iteration). *)
+
+type solution = {
+  edge_flow : float array;  (** Per-edge flow at termination. *)
   iterations : int;
   relative_gap : float;
-  objective : float;
-  trace : Sgr_network.Solver_types.trace_point list;
+      (** Frank–Wolfe duality gap [∇φ(f)·(f - y) / |∇φ(f)·f|] at
+          termination. *)
+  objective : float;  (** Objective value at [edge_flow]. *)
+  trace : trace_point list;
+      (** Per-iteration convergence trace, oldest first. Empty unless an
+          {!Sgr_obs.Obs} sink was installed during the solve. *)
 }
 
 val solve :

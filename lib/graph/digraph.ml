@@ -3,13 +3,10 @@ type edge = { id : int; src : int; dst : int }
 type t = {
   num_nodes : int;
   edges : edge array;
-  out_adj : edge list array;
-  in_adj : edge list array;
   (* CSR adjacency: [out_ids.(out_off.(v)) .. out_ids.(out_off.(v+1)-1)]
      are the ids of v's outgoing edges in insertion order (same for the
      in-side), and [edge_src]/[edge_dst] are the flat endpoint arrays,
-     indexed by edge id. The hot kernels (Dijkstra, max-flow, path
-     enumeration) iterate these instead of the adjacency lists. *)
+     indexed by edge id. *)
   edge_src : int array;
   edge_dst : int array;
   out_off : int array;
@@ -55,18 +52,11 @@ let csr_of ~n ~m ~key =
 let freeze b =
   let edges = Array.of_list (List.rev b.rev_edges) in
   let m = Array.length edges in
-  let out_adj = Array.make b.n [] and in_adj = Array.make b.n [] in
-  (* Build adjacency in reverse so the lists end up in insertion order. *)
-  for i = m - 1 downto 0 do
-    let e = edges.(i) in
-    out_adj.(e.src) <- e :: out_adj.(e.src);
-    in_adj.(e.dst) <- e :: in_adj.(e.dst)
-  done;
   let edge_src = Array.map (fun e -> e.src) edges in
   let edge_dst = Array.map (fun e -> e.dst) edges in
   let out_off, out_ids = csr_of ~n:b.n ~m ~key:(fun e -> edge_src.(e)) in
   let in_off, in_ids = csr_of ~n:b.n ~m ~key:(fun e -> edge_dst.(e)) in
-  { num_nodes = b.n; edges; out_adj; in_adj; edge_src; edge_dst; out_off; out_ids; in_off; in_ids }
+  { num_nodes = b.n; edges; edge_src; edge_dst; out_off; out_ids; in_off; in_ids }
 
 let of_edges ~num_nodes pairs =
   let b = builder ~num_nodes in
@@ -81,8 +71,6 @@ let edge t i =
   t.edges.(i)
 
 let edges t = t.edges
-let out_edges t v = t.out_adj.(v)
-let in_edges t v = t.in_adj.(v)
 let fold_edges f t init = Array.fold_left (fun acc e -> f e acc) init t.edges
 let edge_sources t = t.edge_src
 let edge_targets t = t.edge_dst

@@ -38,22 +38,15 @@ val edge : t -> int -> edge
 val edges : t -> edge array
 (** All edges by id (do not mutate). *)
 
-val out_edges : t -> int -> edge list
-(** Outgoing edges of a node, in insertion order. *)
-
-val in_edges : t -> int -> edge list
-(** Incoming edges of a node, in insertion order. *)
-
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** {1 CSR adjacency}
 
-    [freeze] also lays the adjacency out in compressed-sparse-row form:
-    flat [int array]s of edge ids with per-node offset indexes, plus
-    flat endpoint arrays indexed by edge id. The solver hot paths
-    (Dijkstra, max-flow, path enumeration) iterate these directly —
-    no list cells, no closure per settled node. All returned arrays are
-    owned by the graph: do not mutate. *)
+    [freeze] lays the adjacency out in compressed-sparse-row form, the
+    graph's only adjacency layout: flat [int array]s of edge ids with
+    per-node offset indexes, plus flat endpoint arrays indexed by edge
+    id. Kernels iterate these directly, without allocating. All
+    returned arrays are owned by the graph: do not mutate. *)
 
 val edge_sources : t -> int array
 (** [edge_sources t].(e) is the source node of edge [e]. *)

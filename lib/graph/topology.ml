@@ -24,27 +24,31 @@ let topological_order g =
 let is_dag g = Option.is_some (topological_order g)
 
 let has_cycle_in_support g ~support =
-  (* DFS with colors restricted to supported edges. *)
+  (* DFS with colors over the supported edges of each CSR slice; the
+     first edge into a grey node is a cycle and ends the search. *)
   let n = Digraph.num_nodes g in
+  let off = Digraph.out_offsets g and ids = Digraph.out_edge_ids g in
+  let dst = Digraph.edge_targets g in
   let color = Array.make n 0 in
   (* 0 white, 1 grey, 2 black *)
   let rec visit v =
-    if color.(v) = 1 then true
-    else if color.(v) = 2 then false
-    else begin
-      color.(v) <- 1;
-      let cyc =
-        List.exists
-          (fun (e : Digraph.edge) -> support.(e.id) && visit e.dst)
-          (Digraph.out_edges g v)
-      in
-      color.(v) <- 2;
-      cyc
-    end
+    color.(v) <- 1;
+    let found = ref false and k = ref off.(v) in
+    while (not !found) && !k < off.(v + 1) do
+      let e = ids.(!k) in
+      if support.(e) then begin
+        let w = dst.(e) in
+        found := color.(w) = 1 || (color.(w) = 0 && visit w)
+      end;
+      incr k
+    done;
+    color.(v) <- 2;
+    !found
   in
-  let found = ref false in
-  for v = 0 to n - 1 do
-    if (not !found) && color.(v) = 0 then found := visit v
+  let found = ref false and v = ref 0 in
+  while (not !found) && !v < n do
+    if color.(!v) = 0 then found := visit !v;
+    incr v
   done;
   !found
 

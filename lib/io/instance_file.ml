@@ -32,7 +32,7 @@ let parse_links lines =
         let keyword, arg = split_first line in
         match String.lowercase_ascii keyword with
         | "demand" -> (
-            match float_of_string_opt arg with
+            match Latency_spec.number arg with
             | Some d when d >= 0.0 ->
                 demand := Some d;
                 go rest
@@ -96,7 +96,7 @@ let parse_network lines =
             let parts = String.split_on_char ' ' arg |> List.filter (fun w -> w <> "") in
             match parts with
             | [ a; b; d ] -> (
-                match (int_of_string_opt a, int_of_string_opt b, float_of_string_opt d) with
+                match (int_of_string_opt a, int_of_string_opt b, Latency_spec.number d) with
                 | Some src, Some dst, Some demand when demand >= 0.0 ->
                     commodities := { Net.src; dst; demand } :: !commodities;
                     go rest

@@ -1,13 +1,16 @@
 module L = Sgr_latency.Latency
 
-let float_of_string_opt' s = float_of_string_opt (String.trim s)
+let number s =
+  match float_of_string_opt (String.trim s) with
+  | Some v when Float.is_finite v -> Some v
+  | _ -> None
 
 let parse_affine s =
   (* Forms accepted: "x", "Ax", "A x", "Ax + B", "x + B", "B". *)
   let compact = String.concat "" (String.split_on_char ' ' s) in
   match String.index_opt compact 'x' with
   | None -> (
-      match float_of_string_opt' compact with
+      match number compact with
       | Some c when c >= 0.0 -> Ok (L.constant c)
       | Some _ -> Error "negative constant latency"
       | None -> Error (Printf.sprintf "cannot parse %S as a number or affine expression" s))
@@ -17,12 +20,12 @@ let parse_affine s =
       let coeff =
         if coeff_str = "" then Some 1.0
         else if coeff_str = "-" then None
-        else float_of_string_opt' coeff_str
+        else number coeff_str
       in
       let intercept =
         if rest = "" then Some 0.0
         else if String.length rest > 1 && rest.[0] = '+' then
-          float_of_string_opt' (String.sub rest 1 (String.length rest - 1))
+          number (String.sub rest 1 (String.length rest - 1))
         else None
       in
       (match (coeff, intercept) with
@@ -36,7 +39,7 @@ let words s =
 let parse_floats ws =
   let rec go acc = function
     | [] -> Some (List.rev acc)
-    | w :: rest -> ( match float_of_string_opt w with Some f -> go (f :: acc) rest | None -> None)
+    | w :: rest -> ( match number w with Some f -> go (f :: acc) rest | None -> None)
   in
   go [] ws
 
@@ -51,7 +54,7 @@ let rec parse s =
            recursive specification, so nesting parses — and [shift]
            canonicalizes it by summing the offsets, so the round trip
            through {!print_canonical} is still a fixed point. *)
-        match float_of_string_opt off with
+        match number off with
         | Some s when s >= 0.0 -> (
             match parse (String.concat " " rest) with
             | Ok base -> Ok (L.shift s base)

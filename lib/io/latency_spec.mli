@@ -17,6 +17,11 @@
       the parsed kind is never doubly shifted.
 *)
 
+val number : string -> float option
+(** The number reader behind {!parse} and {!Instance_file.parse}: a
+    float literal (surrounding blanks allowed) that is finite, else
+    [None] — ["inf"] and ["nan"] are rejected like malformed text. *)
+
 val parse : string -> (Sgr_latency.Latency.t, string) result
 (** Parse a specification; [Error msg] describes the first problem. *)
 

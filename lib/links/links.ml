@@ -7,7 +7,8 @@ type t = { latencies : L.t array; demand : float }
 
 let make latencies ~demand =
   if Array.length latencies = 0 then invalid_arg "Links.make: no links";
-  if demand < 0.0 then invalid_arg "Links.make: negative demand";
+  if not (Float.is_finite demand && demand >= 0.0) then
+    invalid_arg "Links.make: demand must be finite and nonnegative";
   { latencies; demand }
 
 let num_links t = Array.length t.latencies

@@ -14,9 +14,9 @@ type t = private {
 }
 
 val make : Sgr_latency.Latency.t array -> demand:float -> t
-(** @raise Invalid_argument if no links or [demand < 0]. (Zero demand is
-    allowed so that recursive algorithms can reach the empty game; its Nash
-    and optimum are the all-zero assignment.) *)
+(** @raise Invalid_argument if no links, [demand < 0] or [demand] is not
+    finite. (Zero demand is allowed so that recursive algorithms can reach
+    the empty game; its Nash and optimum are the all-zero assignment.) *)
 
 val num_links : t -> int
 

@@ -18,7 +18,7 @@ let c_columns = Obs.counter "column_gen.columns"
    its own scratch arrays across rounds. *)
 let ws_key = Domain.DLS.new_key (fun () -> G.Dijkstra.workspace ())
 
-type solution = Solver_types.path_solution = {
+type solution = {
   edge_flow : float array;
   path_flows : float array array;
   paths : G.Paths.t array array;

@@ -16,13 +16,14 @@
     enumeration-based oracle remains available through
     {!solve_on_paths} for cross-checking on small instances. *)
 
-type solution = Solver_types.path_solution = {
+type solution = {
   edge_flow : float array;
   path_flows : float array array;
   paths : Sgr_graph.Paths.t array array;
   sweeps : int;
   gap : float;
 }
+(** Re-exported, with field documentation, as {!Equilibrate.solution}. *)
 
 val solve :
   ?tol:float ->

@@ -1,6 +1,6 @@
 module Obs = Sgr_obs.Obs
 
-type solution = Solver_types.path_solution = {
+type solution = Column_gen.solution = {
   edge_flow : float array;
   path_flows : float array array;
   paths : Sgr_graph.Paths.t array array;

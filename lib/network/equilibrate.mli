@@ -17,7 +17,7 @@
       for cross-checking on small instances. It inherits
       {!Sgr_graph.Paths.enumerate}'s 20,000-path cap. *)
 
-type solution = Solver_types.path_solution = {
+type solution = Column_gen.solution = {
   edge_flow : float array;  (** Per-edge flow at termination. *)
   path_flows : float array array;
       (** Per-commodity path flows, aligned with [paths]. *)

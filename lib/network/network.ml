@@ -21,7 +21,8 @@ let make graph ~latencies ~commodities =
       (* Check between the searches so validating a large instance
          respects the deadline. *)
       Sgr_obs.Cancel.check ();
-      if c.demand < 0.0 then invalid_arg "Network.make: negative demand";
+      if not (Float.is_finite c.demand && c.demand >= 0.0) then
+        invalid_arg "Network.make: demand must be finite and nonnegative";
       if c.src = c.dst then invalid_arg "Network.make: source equals destination";
       let r = G.Dijkstra.run ~workspace ~targets:[| c.dst |] graph ~weights ~source:c.src in
       if not (r.dist.(c.dst) < Float.infinity) then
@@ -65,7 +66,8 @@ let with_demands t demands =
     Array.mapi
       (fun i c ->
         let d = demands.(i) in
-        if d < 0.0 then invalid_arg "Network.with_demands: negative demand";
+        if not (Float.is_finite d && d >= 0.0) then
+          invalid_arg "Network.with_demands: demand must be finite and nonnegative";
         { c with demand = d })
       t.commodities
   in

@@ -16,8 +16,8 @@ type t = private {
 
 val make :
   Sgr_graph.Digraph.t -> latencies:Sgr_latency.Latency.t array -> commodities:commodity array -> t
-(** @raise Invalid_argument on size mismatch, no commodities, negative
-    demand, or an unreachable commodity pair. *)
+(** @raise Invalid_argument on size mismatch, no commodities, a negative
+    or non-finite demand, or an unreachable commodity pair. *)
 
 val single : Sgr_graph.Digraph.t -> latencies:Sgr_latency.Latency.t array ->
   src:int -> dst:int -> demand:float -> t
@@ -54,7 +54,8 @@ val with_demands : t -> float array -> t
     Topology and endpoints are untouched, so no revalidation runs — this
     is the cheap constructor for inner loops that resize demands, e.g.
     {!Induced.equilibrium}.
-    @raise Invalid_argument on size mismatch or a negative demand. *)
+    @raise Invalid_argument on size mismatch or a negative or non-finite
+    demand. *)
 
 (** {1 Path sets} *)
 

@@ -1,28 +1,18 @@
 (* Kahan compensated summation: the running error term [c] captures the
    low-order bits lost by each addition. *)
-let kahan_fold f n =
+let sum v =
   let s = ref 0.0 and c = ref 0.0 in
-  for i = 0 to n - 1 do
-    let y = f i -. !c in
+  for i = 0 to Array.length v - 1 do
+    let y = v.(i) -. !c in
     let t = !s +. y in
     c := t -. !s -. y;
     s := t
   done;
   !s
 
-let sum v = kahan_fold (fun i -> v.(i)) (Array.length v)
-
-let dot a b =
-  assert (Array.length a = Array.length b);
-  kahan_fold (fun i -> a.(i) *. b.(i)) (Array.length a)
-
 let add a b =
   assert (Array.length a = Array.length b);
   Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
-
-let sub a b =
-  assert (Array.length a = Array.length b);
-  Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
 
 let scale c v = Array.map (fun x -> c *. x) v
 
@@ -40,8 +30,6 @@ let linf_dist a b =
   done;
   !d
 
-let l1_norm v = kahan_fold (fun i -> Float.abs v.(i)) (Array.length v)
-
 let extremum better v =
   if Array.length v = 0 then invalid_arg "Vec: empty array";
   let best = ref v.(0) in
@@ -53,16 +41,13 @@ let extremum better v =
 let max_elt v = extremum (fun a b -> a > b) v
 let min_elt v = extremum (fun a b -> a < b) v
 
-let arg_extremum better v =
+let argmin v =
   if Array.length v = 0 then invalid_arg "Vec: empty array";
   let best = ref 0 in
   for i = 1 to Array.length v - 1 do
-    if better v.(i) v.(!best) then best := i
+    if v.(i) < v.(!best) then best := i
   done;
   !best
-
-let argmax v = arg_extremum (fun a b -> a > b) v
-let argmin v = arg_extremum (fun a b -> a < b) v
 
 let all_nonneg ?(eps = Tolerance.check_eps) v =
   Array.for_all (fun x -> x >= -.eps) v

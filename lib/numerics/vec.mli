@@ -7,14 +7,8 @@
 val sum : float array -> float
 (** Kahan-compensated sum. *)
 
-val dot : float array -> float array -> float
-(** Compensated inner product. Arrays must have equal length. *)
-
 val add : float array -> float array -> float array
 (** Pointwise sum (fresh array). *)
-
-val sub : float array -> float array -> float array
-(** Pointwise difference (fresh array). *)
 
 val scale : float -> float array -> float array
 (** [scale c v] is [c * v] (fresh array). *)
@@ -25,17 +19,11 @@ val axpy : float -> float array -> float array -> unit
 val linf_dist : float array -> float array -> float
 (** Max-norm distance. *)
 
-val l1_norm : float array -> float
-(** Sum of absolute values (compensated). *)
-
 val max_elt : float array -> float
 (** Largest element. Requires a nonempty array. *)
 
 val min_elt : float array -> float
 (** Smallest element. Requires a nonempty array. *)
-
-val argmax : float array -> int
-(** Index of the largest element (first on ties). Requires nonempty. *)
 
 val argmin : float array -> int
 (** Index of the smallest element (first on ties). Requires nonempty. *)

@@ -69,6 +69,13 @@ let c_replies = Obs.counter "serve.replies"
 let run t =
   probe_existing t;
   unlink_quiet t.socket_path;
+  (* The socket is bound under a short temporary sibling name and renamed
+     onto [socket_path] only after listen(2): clients wait for the path
+     to appear, so it must never exist before connects succeed. *)
+  let bound_path =
+    Filename.concat (Filename.dirname t.socket_path) (Printf.sprintf ".sgr%d" (Unix.getpid ()))
+  in
+  unlink_quiet bound_path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* The session table: fd order is accept order; [rr] rotates the
      compute step across sessions so one chatty pipeline cannot starve
@@ -88,11 +95,13 @@ let run t =
       List.iter (fun (fd, _) -> close_quiet fd) !sessions;
       Metrics.clear_session_stats ();
       close_quiet sock;
+      unlink_quiet bound_path;
       unlink_quiet t.socket_path;
       t.log "socket removed; bye")
   @@ fun () ->
-  Unix.bind sock (Unix.ADDR_UNIX t.socket_path);
+  Unix.bind sock (Unix.ADDR_UNIX bound_path);
   Unix.listen sock 64;
+  Unix.rename bound_path t.socket_path;
   Unix.set_nonblock sock;
   Metrics.set_session_stats (fun () ->
       List.map

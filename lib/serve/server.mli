@@ -34,7 +34,10 @@ val run : t -> unit
     file at the path is probed first: if a server answers a [ping]
     there, {!Busy} is raised and nothing is touched; only a stale file
     (connection refused, or a listener that hangs up silently) is
-    unlinked before binding. The file is unlinked again on exit. On
+    unlinked before binding. The socket is bound under a temporary name
+    in the same directory and renamed onto the path after listen(2), so
+    the path appears only once connects succeed. Both names are
+    unlinked on exit. On
     stop the loop logs a final {!Metrics.render} snapshot (one log
     line per exposition line) before closing the remaining sessions.
     The frontend should ignore SIGPIPE so an abruptly-vanishing client

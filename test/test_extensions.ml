@@ -5,8 +5,7 @@
 open Helpers
 module Net = Sgr_network.Network
 module Eq = Sgr_network.Equilibrate
-module Msa = Sgr_network.Msa
-module FW = Sgr_network.Frank_wolfe
+module Solver = Sgr_assign.Solver
 module Obj = Sgr_network.Objective
 module Links = Sgr_links.Links
 module Mop = Stackelberg.Mop
@@ -141,9 +140,11 @@ let test_msa_pigou () =
       ~latencies:[| Sgr_latency.Latency.linear 1.0; Sgr_latency.Latency.constant 1.0 |]
       ~src:0 ~dst:1 ~demand:1.0
   in
-  let nash = Msa.solve ~tol:1e-7 Obj.Wardrop net in
+  let nash = Solver.solve ~method_:Solver.Msa ~tol:1e-7 ~max_iter:200_000 Obj.Wardrop net in
   approx ~eps:1e-3 "nash edge 0" 1.0 nash.edge_flow.(0);
-  let opt = Msa.solve ~tol:1e-7 Obj.System_optimum net in
+  let opt =
+    Solver.solve ~method_:Solver.Msa ~tol:1e-7 ~max_iter:200_000 Obj.System_optimum net
+  in
   approx ~eps:1e-3 "opt split" 0.5 opt.edge_flow.(0)
 
 let prop_msa_agrees_with_equilibrate =
@@ -152,7 +153,9 @@ let prop_msa_agrees_with_equilibrate =
       let net =
         W.random_layered_network rng ~layers:(1 + Prng.int rng 2) ~width:(1 + Prng.int rng 2) ()
       in
-      let a = Msa.solve ~tol:1e-8 Obj.System_optimum net in
+      let a =
+        Solver.solve ~method_:Solver.Msa ~tol:1e-8 ~max_iter:200_000 Obj.System_optimum net
+      in
       let b = Eq.solve Obj.System_optimum net in
       Vec.linf_dist a.edge_flow b.edge_flow <= 5e-3)
 
@@ -160,8 +163,10 @@ let test_fw_faster_than_msa_in_iterations () =
   (* Ablation sanity: on Fig. 7 the exact line search needs far fewer
      iterations than the 1/k step for the same gap. *)
   let net = W.fig7 () in
-  let fw = FW.solve ~tol:1e-8 Obj.System_optimum net in
-  let msa = Msa.solve ~tol:1e-8 ~max_iter:500_000 Obj.System_optimum net in
+  let fw = Solver.solve ~tol:1e-8 ~max_iter:100_000 Obj.System_optimum net in
+  let msa =
+    Solver.solve ~method_:Solver.Msa ~tol:1e-8 ~max_iter:500_000 Obj.System_optimum net
+  in
   check_true
     (Printf.sprintf "fw=%d msa=%d" fw.iterations msa.iterations)
     (fw.iterations <= msa.iterations)

@@ -8,6 +8,20 @@ module Prng = Sgr_numerics.Prng
 (* The Braess diamond used throughout: s=0, v=1, w=2, t=3. *)
 let diamond () = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (0, 2); (1, 2); (1, 3); (2, 3) ]
 
+(* Per-node outgoing and incoming edge lists in insertion order, built
+   from [Digraph.edges] alone so the oracles below stay independent of
+   the CSR layout they check. *)
+let adjacency g =
+  let outs = Array.make (G.Digraph.num_nodes g) [] in
+  let ins = Array.make (G.Digraph.num_nodes g) [] in
+  let edges = G.Digraph.edges g in
+  for i = Array.length edges - 1 downto 0 do
+    let e = edges.(i) in
+    outs.(e.src) <- e :: outs.(e.src);
+    ins.(e.dst) <- e :: ins.(e.dst)
+  done;
+  (outs, ins)
+
 let test_build () =
   let g = diamond () in
   Alcotest.(check int) "nodes" 4 (G.Digraph.num_nodes g);
@@ -15,8 +29,9 @@ let test_build () =
   let e = G.Digraph.edge g 2 in
   Alcotest.(check int) "src" 1 e.src;
   Alcotest.(check int) "dst" 2 e.dst;
-  Alcotest.(check int) "out-degree of v" 2 (List.length (G.Digraph.out_edges g 1));
-  Alcotest.(check int) "in-degree of t" 2 (List.length (G.Digraph.in_edges g 3))
+  let outs, ins = adjacency g in
+  Alcotest.(check int) "out-degree of v" 2 (List.length outs.(1));
+  Alcotest.(check int) "in-degree of t" 2 (List.length ins.(3))
 
 let test_build_rejects_self_loop () =
   match G.Digraph.of_edges ~num_nodes:2 [ (0, 0) ] with
@@ -156,12 +171,13 @@ let test_csr_matches_adjacency_lists () =
   let off = G.Digraph.out_offsets g and ids = G.Digraph.out_edge_ids g in
   Alcotest.(check int) "offset array length" (G.Digraph.num_nodes g + 1) (Array.length off);
   Alcotest.(check int) "flat ids cover all edges" (G.Digraph.num_edges g) (Array.length ids);
+  let outs, ins = adjacency g in
   for v = 0 to G.Digraph.num_nodes g - 1 do
-    let from_list = List.map (fun (e : G.Digraph.edge) -> e.id) (G.Digraph.out_edges g v) in
+    let from_list = List.map (fun (e : G.Digraph.edge) -> e.id) outs.(v) in
     let from_csr = ref [] in
     G.Digraph.iter_out g v (fun e _ -> from_csr := e :: !from_csr);
     Alcotest.(check (list int)) "out edges agree" from_list (List.rev !from_csr);
-    let from_list = List.map (fun (e : G.Digraph.edge) -> e.id) (G.Digraph.in_edges g v) in
+    let from_list = List.map (fun (e : G.Digraph.edge) -> e.id) ins.(v) in
     let from_csr = ref [] in
     G.Digraph.iter_in g v (fun e _ -> from_csr := e :: !from_csr);
     Alcotest.(check (list int)) "in edges agree" from_list (List.rev !from_csr)
@@ -339,10 +355,11 @@ let bellman_ford g ~weights ~source =
   done;
   dist
 
-(* The pre-CSR list-based Dijkstra, kept here verbatim as a test-only
-   oracle: iterate [out_edges] lists with lazy heap deletion. *)
+(* The pre-CSR list-based Dijkstra, kept here as a test-only oracle:
+   iterate per-node edge lists with lazy heap deletion. *)
 let list_dijkstra g ~weights ~source =
   let n = G.Digraph.num_nodes g in
+  let outs, _ = adjacency g in
   let dist = Array.make n Float.infinity in
   let pred = Array.make n (-1) in
   let settled = Array.make n false in
@@ -364,7 +381,7 @@ let list_dijkstra g ~weights ~source =
                 pred.(e.dst) <- e.id;
                 G.Heap.insert heap nd e.dst
               end)
-            (G.Digraph.out_edges g u)
+            outs.(u)
         end
   done;
   (dist, pred)
@@ -499,6 +516,7 @@ let prop_maxflow_has_min_cut_certificate =
       let r = G.Maxflow.solve g ~capacities ~src:0 ~dst:sink in
       (* Residual reachability from the source. *)
       let n = G.Digraph.num_nodes g in
+      let outs, ins = adjacency g in
       let seen = Array.make n false in
       let q = Queue.create () in
       seen.(0) <- true;
@@ -511,14 +529,14 @@ let prop_maxflow_has_min_cut_certificate =
               seen.(e.dst) <- true;
               Queue.push e.dst q
             end)
-          (G.Digraph.out_edges g u);
+          outs.(u);
         List.iter
           (fun (e : G.Digraph.edge) ->
             if (not seen.(e.src)) && r.flow.(e.id) > 1e-9 then begin
               seen.(e.src) <- true;
               Queue.push e.src q
             end)
-          (G.Digraph.in_edges g u)
+          ins.(u)
       done;
       let cut_capacity =
         Array.fold_left
@@ -553,7 +571,7 @@ let prop_maxflow_min_cut_saturation =
       let cap_bound =
         List.fold_left
           (fun acc (e : G.Digraph.edge) -> acc +. capacities.(e.id))
-          0.0 (G.Digraph.out_edges g 0)
+          0.0 (fst (adjacency g)).(0)
       in
       G.Flow.is_feasible g ~flow:r.flow ~src:0 ~dst:sink ~demand:r.value
       && Array.for_all2 (fun f c -> f <= c +. 1e-9) r.flow capacities

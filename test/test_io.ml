@@ -137,6 +137,39 @@ let test_error_line_numbers () =
   | Error m -> check_true "line number mentioned" (String.length m > 0 && String.sub m 0 4 = "line")
   | Ok _ -> Alcotest.fail "should fail"
 
+(* [float_of_string] reads "inf" and "nan"; instance files must reject
+   them like malformed text, on the offending line, before a solver sees
+   them. *)
+let expect_line_error line text =
+  match IF.parse text with
+  | Error m ->
+      let prefix = Printf.sprintf "line %d: " line in
+      if not (String.starts_with ~prefix m) then
+        Alcotest.failf "error %S does not start with %S" m prefix
+  | Ok _ -> Alcotest.failf "parse of %S unexpectedly succeeded" text
+
+let test_rejects_infinite_demand () =
+  List.iter
+    (fun d -> expect_line_error 2 (Printf.sprintf "links\ndemand %s\nlink x\n" d))
+    [ "inf"; "-inf"; "nan"; "infinity" ]
+
+let test_rejects_infinite_commodity_demand () =
+  List.iter
+    (fun d ->
+      expect_line_error 5
+        (Printf.sprintf "network\nnodes 3\nedge 0 1 x\nedge 1 2 x\ncommodity 0 2 %s\n" d))
+    [ "inf"; "nan" ]
+
+let test_rejects_infinite_slope () =
+  List.iter
+    (fun spec -> expect_line_error 3 (Printf.sprintf "links\ndemand 1\nlink %s\n" spec))
+    [ "infx"; "nanx"; "affine inf 0"; "poly 1 inf"; "bpr inf 1"; "mm1 inf"; "const inf" ]
+
+let test_rejects_infinite_intercept () =
+  List.iter
+    (fun spec -> expect_line_error 3 (Printf.sprintf "links\ndemand 1\nlink %s\n" spec))
+    [ "1x + inf"; "x + nan"; "inf"; "affine 1 inf"; "shifted inf x" ]
+
 let test_links_roundtrip () =
   let printed = IF.print_links W.fig456 in
   match IF.parse printed with
@@ -263,6 +296,11 @@ let suite =
     case "instance files: network" test_network_file;
     case "instance files: error cases" test_file_errors;
     case "instance files: errors carry line numbers" test_error_line_numbers;
+    case "instance files: infinite links demand rejected" test_rejects_infinite_demand;
+    case "instance files: infinite commodity demand rejected"
+      test_rejects_infinite_commodity_demand;
+    case "instance files: infinite latency slope rejected" test_rejects_infinite_slope;
+    case "instance files: infinite latency intercept rejected" test_rejects_infinite_intercept;
     case "instance files: links roundtrip" test_links_roundtrip;
     case "instance files: network roundtrip" test_network_roundtrip;
     case "instance files: multicommodity roundtrip" test_two_commodity_roundtrip;

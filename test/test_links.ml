@@ -14,9 +14,12 @@ let test_make_validation () =
   (match Links.make [||] ~demand:1.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty system rejected");
-  match Links.make [| L.linear 1.0 |] ~demand:(-1.0) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative demand rejected"
+  List.iter
+    (fun demand ->
+      match Links.make [| L.linear 1.0 |] ~demand with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "demand %g rejected" demand)
+    [ -1.0; Float.nan; Float.infinity ]
 
 let test_pigou_nash () =
   let n = Links.nash W.pigou in

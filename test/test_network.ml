@@ -5,7 +5,8 @@
 open Helpers
 module Net = Sgr_network.Network
 module Eq = Sgr_network.Equilibrate
-module FW = Sgr_network.Frank_wolfe
+module Solver = Sgr_assign.Solver
+module Aon = Sgr_assign.Aon
 module Obj = Sgr_network.Objective
 module G = Sgr_graph
 module L = Sgr_latency.Latency
@@ -23,9 +24,15 @@ let test_make_validation () =
   (match Net.single g ~latencies:[| L.linear 1.0 |] ~src:0 ~dst:2 ~demand:1.0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unreachable pair rejected");
-  match Net.single g ~latencies:[||] ~src:0 ~dst:1 ~demand:1.0 with
+  (match Net.single g ~latencies:[||] ~src:0 ~dst:1 ~demand:1.0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "latency count mismatch rejected"
+  | _ -> Alcotest.fail "latency count mismatch rejected");
+  List.iter
+    (fun demand ->
+      match Net.single g ~latencies:[| L.linear 1.0 |] ~src:0 ~dst:1 ~demand with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "demand %g rejected" demand)
+    [ -1.0; Float.nan; Float.infinity ]
 
 let test_functionals () =
   let net = pigou_net () in
@@ -100,14 +107,14 @@ let test_two_commodity_solver () =
 
 let test_fw_pigou () =
   let net = pigou_net () in
-  let nash = FW.solve Obj.Wardrop net in
+  let nash = Solver.solve ~tol:1e-8 ~max_iter:100_000 Obj.Wardrop net in
   approx_array ~eps:1e-5 "nash" [| 1.0; 0.0 |] nash.edge_flow;
-  let opt = FW.solve Obj.System_optimum net in
+  let opt = Solver.solve ~tol:1e-8 ~max_iter:100_000 Obj.System_optimum net in
   approx_array ~eps:1e-5 "opt" [| 0.5; 0.5 |] opt.edge_flow
 
 let test_fw_matches_equilibrate_fig7 () =
   let net = W.fig7 () in
-  let a = FW.solve ~tol:1e-10 Obj.System_optimum net in
+  let a = Solver.solve ~tol:1e-10 ~max_iter:100_000 Obj.System_optimum net in
   let b = Eq.solve Obj.System_optimum net in
   check_true "edge flows agree" (Vec.linf_dist a.edge_flow b.edge_flow <= 1e-4)
 
@@ -130,7 +137,8 @@ let test_zero_demand_commodity () =
 
 let test_aon () =
   let net = W.braess_classic () in
-  let flow = FW.all_or_nothing net ~weights:[| 0.0; 1.0; 0.0; 1.0; 0.0 |] in
+  let flow = Array.make 5 0.0 in
+  Aon.assign (Aon.plan net) net ~weights:[| 0.0; 1.0; 0.0; 1.0; 0.0 |] ~into:flow;
   approx_array "all demand on the zero path" [| 1.0; 0.0; 1.0; 0.0; 1.0 |] flow
 
 let random_network seed =
@@ -144,7 +152,7 @@ let prop_solvers_agree =
      pinned down; the objective value is what its duality gap bounds. *)
   qcheck ~count:25 "frank-wolfe and path equilibration agree" QCheck.small_nat (fun seed ->
       let net = random_network (seed + 1) in
-      let a = FW.solve ~tol:1e-8 ~max_iter:100_000 Obj.System_optimum net in
+      let a = Solver.solve ~tol:1e-8 ~max_iter:100_000 Obj.System_optimum net in
       let b = Eq.solve Obj.System_optimum net in
       let fa = Obj.objective Obj.System_optimum net a.edge_flow in
       let fb = Obj.objective Obj.System_optimum net b.edge_flow in
@@ -172,9 +180,12 @@ let test_with_demands () =
   (match Net.with_demands net [| 1.0 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "size mismatch rejected");
-  match Net.with_demands net [| 1.0; -1.0 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative demand rejected"
+  List.iter
+    (fun d ->
+      match Net.with_demands net [| 1.0; d |] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "demand %g rejected" d)
+    [ -1.0; Float.nan; Float.infinity ]
 
 let test_engine_selection () =
   let saved = Eq.default_engine () in

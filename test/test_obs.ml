@@ -2,7 +2,7 @@
 
 module Obs = Sgr_obs.Obs
 module Export = Sgr_obs.Export
-module FW = Sgr_network.Frank_wolfe
+module Solver = Sgr_assign.Solver
 module Obj = Sgr_network.Objective
 module W = Sgr_workloads.Workloads
 
@@ -83,7 +83,7 @@ let test_noop_sink () =
   Obs.point ~solver:"noop" ~k:1 ~gap:0.0 ~objective:0.0 ~step:0.0;
   (* A solve without a sink carries no trace... *)
   let net = W.braess_classic () in
-  let sol = FW.solve Obj.Wardrop net in
+  let sol = Solver.solve ~tol:1e-8 ~max_iter:100_000 Obj.Wardrop net in
   Alcotest.(check int) "no trace without sink" 0 (List.length sol.trace);
   (* ...and a recorder installed afterwards has seen none of the above. *)
   let events = with_recorder (fun () -> ()) in
@@ -94,41 +94,41 @@ let test_fw_convergence_trace () =
   Obs.reset_counters ();
   let sol = ref None in
   let events =
-    with_recorder (fun () -> sol := Some (FW.solve ~tol:1e-3 Obj.System_optimum net))
+    with_recorder (fun () ->
+        sol := Some (Solver.solve ~tol:1e-3 ~max_iter:100_000 Obj.System_optimum net))
   in
   let sol = Option.get !sol in
-  let trace = Array.of_list sol.FW.trace in
-  Alcotest.(check int) "one point per iteration" sol.FW.iterations (Array.length trace);
-  Alcotest.(check bool) "terminated by the gap" true (sol.FW.relative_gap <= 1e-3);
+  let trace = Array.of_list sol.Solver.trace in
+  Alcotest.(check int) "one point per iteration" sol.Solver.iterations (Array.length trace);
+  Alcotest.(check bool) "terminated by the gap" true (sol.Solver.relative_gap <= 1e-3);
   (* The exact line search makes the objective monotone non-increasing;
      the duality gap may rise once while leaving the all-or-nothing
      start vertex, then decreases monotonically. *)
   for i = 0 to Array.length trace - 2 do
     Alcotest.(check bool) "objective non-increasing" true
-      (trace.(i + 1).Sgr_network.Solver_types.objective
-      <= trace.(i).Sgr_network.Solver_types.objective +. 1e-12)
+      (trace.(i + 1).Solver.objective <= trace.(i).Solver.objective +. 1e-12)
   done;
   for i = 1 to Array.length trace - 2 do
     Alcotest.(check bool) "gap monotone decreasing past the transient" true
-      (trace.(i + 1).Sgr_network.Solver_types.gap
-      <= trace.(i).Sgr_network.Solver_types.gap +. 1e-12)
+      (trace.(i + 1).Solver.gap <= trace.(i).Solver.gap +. 1e-12)
   done;
   Alcotest.(check bool) "gap shrank overall" true
-    (trace.(Array.length trace - 1).Sgr_network.Solver_types.gap
-    < trace.(0).Sgr_network.Solver_types.gap);
+    (trace.(Array.length trace - 1).Solver.gap < trace.(0).Solver.gap);
   (* The sink saw the same points, bracketed by the solve span. *)
   let points =
-    List.filter (function Obs.Point { solver = "frank_wolfe"; _ } -> true | _ -> false) events
+    List.filter
+      (function Obs.Point { solver = "assign.frank-wolfe"; _ } -> true | _ -> false)
+      events
   in
-  Alcotest.(check int) "sink saw every point" sol.FW.iterations (List.length points);
+  Alcotest.(check int) "sink saw every point" sol.Solver.iterations (List.length points);
   Alcotest.(check bool) "solve span recorded" true
-    (List.mem_assoc "frank_wolfe.solve" (Export.span_totals events));
+    (List.mem_assoc "assign.solve" (Export.span_totals events));
   (* The hot-path counters ticked underneath. *)
   let counter name = List.assoc name (Obs.counters ()) in
   Alcotest.(check bool) "dijkstra ran" true (counter "dijkstra.runs" > 0);
   Alcotest.(check bool) "bisection ran (line search)" true (counter "bisection.calls" > 0);
   Alcotest.(check int) "one all-or-nothing per iteration plus the start"
-    (sol.FW.iterations + 1) (counter "all_or_nothing.calls")
+    (sol.Solver.iterations + 1) (counter "assign.aon_calls")
 
 let test_mop_spans_and_counters () =
   Obs.reset_counters ();

@@ -448,6 +448,48 @@ let test_server_busy () =
   | () -> Alcotest.fail "a second server must refuse a live socket"
   | exception Server.Busy p -> Alcotest.(check string) "busy reports the path" socket p
 
+(* The socket path appears only after listen(2): the server binds a
+   temporary sibling name and renames it into place. Polling for the
+   path, as every waiter does, must find a socket that already accepts,
+   alone in its directory; stopping removes it. *)
+let test_server_socket_dir () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = Filename.temp_dir "sgr_serve_test" "" in
+  let socket = Filename.concat dir "s.sock" in
+  let server =
+    Server.create ~socket_path:socket ~cache:(Cache.create ~capacity:2) ~log:(fun _ -> ())
+  in
+  let th = Thread.create Server.run server in
+  let running = ref true in
+  let stop () =
+    if !running then begin
+      running := false;
+      Server.request_stop server;
+      Thread.join th
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      stop ();
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+  @@ fun () ->
+  let rec wait n =
+    if Sys.file_exists socket then ()
+    else if n = 0 then Alcotest.fail "server did not come up"
+    else begin
+      Thread.delay 0.001;
+      wait (n - 1)
+    end
+  in
+  wait 5000;
+  let c = Client.connect socket in
+  Alcotest.(check (option string)) "first connect is served" (Some "ok pong") (Client.rpc c "ping");
+  Client.close c;
+  Alcotest.(check (array string)) "only the socket while serving" [| "s.sock" |] (Sys.readdir dir);
+  stop ();
+  Alcotest.(check (array string)) "nothing left after stop" [||] (Sys.readdir dir)
+
 (* ---------------- batch determinism ---------------- *)
 
 (* Random request files over two instances must produce byte-identical
@@ -579,6 +621,7 @@ let suite =
     case "server: two concurrent clients match sequential" test_server_concurrent_clients;
     case "server: pipelined sessions reply in order" test_server_pipelined_sessions;
     case "server: refuses a live socket" test_server_busy;
+    case "server: socket appears after listen, alone, and is removed" test_server_socket_dir;
     prop_batch_jobs_deterministic;
     case "metrics: reply framing" test_metrics_reply_framing;
     prop_metrics_counts_deterministic;

@@ -78,6 +78,24 @@ let prop_optimum_support_acyclic =
       let support = Array.map (fun f -> f > 1e-9) opt.edge_flow in
       not (G.Topology.has_cycle_in_support net.Sgr_network.Network.graph ~support))
 
+let prop_cycle_in_support_vs_topological_order =
+  (* Dense random digraphs (cycles are common) under random supports:
+     the DFS must agree with Kahn's algorithm on the supported
+     subgraph. *)
+  qcheck ~count:200 "support cycle iff the supported subgraph has no topological order"
+    QCheck.(int_bound 100_000) (fun seed ->
+      let rng = Prng.create (seed + 1) in
+      let n = 1 + Prng.int rng 7 in
+      let edges =
+        List.init (Prng.int rng 16) (fun _ -> (Prng.int rng n, Prng.int rng n))
+        |> List.filter (fun (a, b) -> a <> b)
+      in
+      let g = G.Digraph.of_edges ~num_nodes:n edges in
+      let support = Array.init (G.Digraph.num_edges g) (fun _ -> Prng.int rng 4 > 0) in
+      let supported = List.filteri (fun i _ -> support.(i)) edges in
+      let sub = G.Digraph.of_edges ~num_nodes:n supported in
+      G.Topology.has_cycle_in_support g ~support = (G.Topology.topological_order sub = None))
+
 let suite =
   [
     case "topological order on a DAG" test_topological_order_dag;
@@ -88,4 +106,5 @@ let suite =
     case "dot export" test_dot_export;
     prop_random_layered_is_dag;
     prop_optimum_support_acyclic;
+    prop_cycle_in_support_vs_topological_order;
   ]
