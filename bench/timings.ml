@@ -139,16 +139,16 @@ let t8 =
   Test.make_grouped ~name:"T8 column generation"
     [
       Test.make ~name:"column-gen/grid5x5"
-        (Staged.stage (fun () ->
-             ignore (Eq.solve ~engine:Eq.Column_generation Obj.Wardrop g5)));
+        (Staged.stage (fun () -> ignore (Eq.solve Obj.Wardrop g5)));
       Test.make ~name:"exhaustive/grid5x5"
-        (Staged.stage (fun () -> ignore (Eq.solve ~engine:Eq.Exhaustive Obj.Wardrop g5)));
+        (Staged.stage (fun () ->
+             ignore
+               (Sgr_network.Column_gen.solve_on_paths Obj.Wardrop g5
+                  ~paths:(Sgr_network.Network.paths g5))));
       Test.make ~name:"column-gen/grid8x8"
-        (Staged.stage (fun () ->
-             ignore (Eq.solve ~engine:Eq.Column_generation Obj.Wardrop g8)));
+        (Staged.stage (fun () -> ignore (Eq.solve Obj.Wardrop g8)));
       Test.make ~name:"column-gen/grid10x10"
-        (Staged.stage (fun () ->
-             ignore (Eq.solve ~engine:Eq.Column_generation Obj.Wardrop g10)));
+        (Staged.stage (fun () -> ignore (Eq.solve Obj.Wardrop g10)));
       Test.make ~name:"mop/grid10x10"
         (Staged.stage (fun () -> ignore (Stackelberg.Mop.run g10)));
       Test.make ~name:"induced/fig7-no-revalidation"
@@ -430,25 +430,17 @@ let run_t11 ~requests ~instances ~reuse () =
    toll-shifted variants (marginal-cost tolls bump the intercepts and a
    leader-flow [Latency.shift] wraps every latency in a Shifted kind,
    which the engine reduces without leaving closed form). The headline
-   numbers are median ns per nash+opt solve pair for both engines and
-   the speedup, plus the [bisection.iterations] spent by the T1/T3-style
-   workloads under auto dispatch vs forced bisection — the quick gate
-   requires >= 10x on the mid size and a >= 90% iteration drop. *)
+   numbers are median ns per nash+opt solve pair for [Links.nash]/[opt]
+   against the [Links.water_fill] reference and the speedup, plus the
+   [bisection.iterations] spent by the T1/T3-style workloads under the
+   default dispatch — the quick gate requires >= 10x on the mid size and
+   zero iterations. *)
 
-type t12_result = {
-  entry : obs_entry;
-  min_speedup : float;
-  auto_iters : int;
-  bisect_iters : int;
-}
+type t12_result = { entry : obs_entry; min_speedup : float; auto_iters : int }
 
-(* [bisection.iterations] burned by a miniature T1 + T3 workload when the
-   ambient default engine is [engine] — the zero-call-site-change
-   inheritance the dispatch promises. *)
-let t12_iterations_with engine =
-  let prev = Links.default_engine () in
-  Links.set_default_engine engine;
-  Fun.protect ~finally:(fun () -> Links.set_default_engine prev) @@ fun () ->
+(* [bisection.iterations] burned by a miniature T1 + T3 workload under
+   the default dispatch: every latency is affine, so none should run. *)
+let t12_auto_iterations () =
   let before = Obs.counters () in
   List.iter
     (fun m ->
@@ -479,11 +471,11 @@ let run_t12 ~sizes ~repeats () =
       median_ns_interleaved ~repeats ~batch
         [|
           (fun () ->
-            ignore (Links.nash ~engine:`Closed_form t);
-            ignore (Links.opt ~engine:`Closed_form t));
+            ignore (Links.nash t);
+            ignore (Links.opt t));
           (fun () ->
-            ignore (Links.nash ~engine:`Bisection t);
-            ignore (Links.opt ~engine:`Bisection t));
+            ignore (Links.water_fill `Nash t);
+            ignore (Links.water_fill `Opt t));
         |]
     in
     let cf = medians.(0) and bi = medians.(1) in
@@ -505,14 +497,9 @@ let run_t12 ~sizes ~repeats () =
       bench (Printf.sprintf "affine/m=%d" m) (links_instance m);
       bench (Printf.sprintf "tolled/m=%d" m) (tolled_instance m))
     sizes;
-  let auto_iters = t12_iterations_with `Auto in
-  let bisect_iters = t12_iterations_with `Bisection in
-  Format.printf "  %-28s %8d  (auto dispatch, vs %d forced bisection)@."
-    "bisection.iterations" auto_iters bisect_iters;
-  counters :=
-    ("t12.auto.bisection_iterations", auto_iters)
-    :: ("t12.bisection.bisection_iterations", bisect_iters)
-    :: !counters;
+  let auto_iters = t12_auto_iterations () in
+  Format.printf "  %-28s %8d  (default dispatch)@." "bisection.iterations" auto_iters;
+  counters := ("t12.auto.bisection_iterations", auto_iters) :: !counters;
   let entry =
     {
       group = "T12 closed-form water-filling";
@@ -521,7 +508,7 @@ let run_t12 ~sizes ~repeats () =
       spans = [];
     }
   in
-  { entry; min_speedup = !min_speedup; auto_iters; bisect_iters }
+  { entry; min_speedup = !min_speedup; auto_iters }
 
 (* ---------------- T13: city-scale edge-flow assignment ----------------
 
@@ -665,8 +652,8 @@ let run_all () =
    sweep is not byte-identical to the sequential one, the warm serving
    cache is not at least 5x faster than the cold pass, the T11
    latency/throughput/hit-rate gate fails, the closed-form engine loses
-   its T12 speedup, or the T13 city assignment misses gap <= 1e-4 /
-   jobs-identity. *)
+   its T12 speedup or affine links reach bisection, or the T13 city
+   assignment misses gap <= 1e-4 / jobs-identity. *)
 let run_quick () =
   Format.printf "@.=== T9 quick smoke (jobs=1 and jobs=2) ===@.";
   let r1 = run_t9 ~grid_n:6 ~repeats:5 ~sweep_samples:9 ~jobs:1 () in
@@ -683,7 +670,7 @@ let run_quick () =
   let cache_ok = r10.speedup >= 5.0 in
   let latency_ok = r11.gate_failures = [] in
   let closed_form_ok = r12.min_speedup >= 10.0 in
-  let iters_ok = r12.auto_iters * 10 <= r12.bisect_iters in
+  let iters_ok = r12.auto_iters = 0 in
   if not sweep_ok then
     Format.printf "FAIL: pooled alpha sweep diverged from the sequential curve@.";
   if not cache_ok then
@@ -694,9 +681,8 @@ let run_quick () =
     Format.printf "FAIL: closed-form engine only %.2fx faster than bisection (need 10x)@."
       r12.min_speedup;
   if not iters_ok then
-    Format.printf
-      "FAIL: auto dispatch still burned %d bisection iterations (forced bisection: %d; need >= 90%% drop)@."
-      r12.auto_iters r12.bisect_iters;
+    Format.printf "FAIL: default dispatch burned %d bisection iterations on affine links (need 0)@."
+      r12.auto_iters;
   let assign_ok = r13.gate_failures = [] in
   List.iter (fun m -> Format.printf "FAIL: T13 %s@." m) r13.gate_failures;
   sweep_ok && cache_ok && latency_ok && closed_form_ok && iters_ok && assign_ok

@@ -101,33 +101,6 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:"Print the observability summary (counters, span totals) to stderr on exit.")
 
-let solver_arg =
-  let engine =
-    Arg.enum [ ("column-gen", Eq.Column_generation); ("exhaustive", Eq.Exhaustive) ]
-  in
-  Arg.(
-    value
-    & opt engine Eq.Column_generation
-    & info [ "solver" ] ~docv:"ENGINE"
-        ~doc:
-          "Path-equilibration engine: $(b,column-gen) (default) prices paths on demand and \
-           scales to networks with exponentially many paths; $(b,exhaustive) enumerates every \
-           simple path up front (oracle for small instances; capped at 20,000 paths).")
-
-let links_solver_arg =
-  let engine =
-    Arg.enum [ ("auto", `Auto); ("closed-form", `Closed_form); ("bisection", `Bisection) ]
-  in
-  Arg.(
-    value
-    & opt engine `Auto
-    & info [ "links-engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Parallel-links water-filling engine: $(b,auto) (default) solves instances whose \
-           latencies are all affine/constant in closed form (O(m log m), no bisection) and \
-           bisects on the common level otherwise; $(b,closed-form) and $(b,bisection) force one \
-           side (closed-form still falls back on links with no affine reduction).")
-
 let jobs_arg =
   Arg.(
     value
@@ -150,9 +123,7 @@ let fixed_clock_arg =
 
 let obs_term =
   Term.(
-    const (fun trace stats engine links_engine jobs fixed_clock ->
-        Eq.set_default_engine engine;
-        Links.set_default_engine links_engine;
+    const (fun trace stats jobs fixed_clock ->
         Option.iter Sgr_par.Pool.set_default_jobs jobs;
         if fixed_clock then begin
           let ticks = ref 0.0 in
@@ -161,7 +132,7 @@ let obs_term =
               !ticks)
         end;
         (trace, stats))
-    $ trace_arg $ stats_arg $ solver_arg $ links_solver_arg $ jobs_arg $ fixed_clock_arg)
+    $ trace_arg $ stats_arg $ jobs_arg $ fixed_clock_arg)
 
 (* ---------------- solve ---------------- *)
 

@@ -51,7 +51,7 @@ type solution = { assignment : float array; level : float }
    [inverse ℓ l] and a constant link of value [c] absorbs nothing below
    its level and arbitrarily much at it. [value]/[inverse] select the
    criterion: latency for Nash, marginal cost for the optimum. *)
-let water_fill ~value ~inverse t =
+let bisect_level ~value ~inverse t =
   let n = num_links t and r = t.demand in
   let lats = t.latencies in
   let consts = Array.map L.constant_value lats in
@@ -129,34 +129,24 @@ let water_fill ~value ~inverse t =
 
 module Closed_form = Closed_form
 
-type engine = [ `Auto | `Closed_form | `Bisection ]
-
-(* The ambient engine, mirroring [Equilibrate]'s dispatch: [`Auto] takes
-   the closed-form path exactly when every link is affine-reducible, so
-   results are a function of the instance alone. Atomic because solves
-   run on pool worker domains. *)
-let engine_ref : engine Atomic.t = Atomic.make `Auto
-
-let set_default_engine e = Atomic.set engine_ref e
-let default_engine () = Atomic.get engine_ref
+let water_fill criterion t =
+  match criterion with
+  | `Nash -> bisect_level ~value:L.eval ~inverse:L.inverse t
+  | `Opt -> bisect_level ~value:L.marginal ~inverse:L.inverse_marginal t
 
 let c_fallbacks = Sgr_obs.Obs.counter "links.closed_form.fallbacks"
 
-let solve_with ~criterion ~value ~inverse ?engine t =
-  let engine = match engine with Some e -> e | None -> default_engine () in
-  match engine with
-  | `Bisection -> water_fill ~value ~inverse t
-  | `Auto | `Closed_form ->
-      (match Closed_form.solve criterion t.latencies ~demand:t.demand with
-      | Some (assignment, level) -> { assignment; level }
-      | None ->
-          Sgr_obs.Obs.incr c_fallbacks;
-          water_fill ~value ~inverse t)
+(* Closed form exactly when every link reduces to a line, so the engine
+   is a function of the instance alone. *)
+let solve criterion t =
+  match Closed_form.solve criterion t.latencies ~demand:t.demand with
+  | Some (assignment, level) -> { assignment; level }
+  | None ->
+      Sgr_obs.Obs.incr c_fallbacks;
+      water_fill criterion t
 
-let nash ?engine t = solve_with ~criterion:`Nash ~value:L.eval ~inverse:L.inverse ?engine t
-
-let opt ?engine t =
-  solve_with ~criterion:`Opt ~value:L.marginal ~inverse:L.inverse_marginal ?engine t
+let nash t = solve `Nash t
+let opt t = solve `Opt t
 
 let price_of_anarchy t =
   let n = nash t and o = opt t in

@@ -5,8 +5,10 @@
     the Nash/Wardrop equilibrium [N] (all loaded links share a common
     latency [L_N]; unloaded links have latency [>= L_N], Remark 4.1) and the
     Optimum [O] (same condition on *marginal costs*, by convexity of
-    [x·ℓ(x)]). Both are computed by water-filling: bisect on the common
-    level and invert each link's level function. *)
+    [x·ℓ(x)]). Both are computed by water-filling on the common level: in
+    closed form when every link reduces to a line ({!Closed_form}),
+    otherwise by bisecting on the level and inverting each link's level
+    function ({!water_fill}). The instance alone picks the engine. *)
 
 type t = private {
   latencies : Sgr_latency.Latency.t array;  (** One latency per link. *)
@@ -55,26 +57,21 @@ type solution = {
 module Closed_form = Closed_form
 (** The O(m log m) affine fast engine; see {!Closed_form}. *)
 
-type engine = [ `Auto | `Closed_form | `Bisection ]
-(** Which water-filling engine {!nash}/{!opt} run. [`Auto] (the default)
-    dispatches to {!Closed_form} exactly when every link latency is
-    affine-reducible and bisects otherwise; [`Closed_form] and
-    [`Bisection] force one side ([`Closed_form] still falls back — and
-    counts [links.closed_form.fallbacks] — when a link does not
-    reduce). *)
-
-val set_default_engine : engine -> unit
-(** Set the ambient engine used when no [?engine] is passed. *)
-
-val default_engine : unit -> engine
-
-val nash : ?engine:engine -> t -> solution
+val nash : t -> solution
 (** The Wardrop equilibrium of [(M, r)]. Unique for strictly increasing
     latencies; with constant-latency links, ties at the level are split
-    evenly (the cost is invariant to the split). *)
+    evenly (the cost is invariant to the split). Solved by
+    {!Closed_form} when every link latency is affine-reducible, and by
+    {!water_fill} otherwise (counted in [links.closed_form.fallbacks]). *)
 
-val opt : ?engine:engine -> t -> solution
-(** The optimum assignment of [(M, r)]. *)
+val opt : t -> solution
+(** The optimum assignment of [(M, r)], dispatched like {!nash}. *)
+
+val water_fill : [ `Nash | `Opt ] -> t -> solution
+(** The bisection reference that {!nash}/{!opt} fall back to: bisect on
+    the common level and invert each link's latency (Nash) or marginal
+    cost (optimum). Works on every latency kind; tests and bench T12
+    call it directly to check and time the closed form. *)
 
 val price_of_anarchy : t -> float
 (** [C(N)/C(O)]. *)

@@ -1,5 +1,5 @@
 (* Column-generation equilibrium solver, and the path-equalization inner
-   loop it shares with the exhaustive oracle in [Equilibrate].
+   loop it shares with the exhaustive oracle [solve_on_paths].
 
    The active path set per commodity starts as one shortest path and
    grows only when pricing (a Dijkstra on the current edge values) finds

@@ -12,9 +12,9 @@
     column's cost is within [tol] of a network-wide shortest path, i.e.
     the true Wardrop (resp. optimality) gap is at most [tol].
 
-    This is the default engine behind {!Equilibrate.solve}; the
-    enumeration-based oracle remains available through
-    {!solve_on_paths} for cross-checking on small instances. *)
+    This is the engine behind {!Equilibrate.solve}. {!solve_on_paths}
+    over {!Network.paths} is the exhaustive oracle that tests and bench
+    T8 cross-check it against on small instances. *)
 
 type solution = {
   edge_flow : float array;

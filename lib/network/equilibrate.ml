@@ -8,19 +8,8 @@ type solution = Column_gen.solution = {
   gap : float;
 }
 
-type engine = Column_generation | Exhaustive
-
-(* Atomic so a default-engine change is visible to (and well-defined
-   under) concurrent solves from pool workers. *)
-let engine_ref = Atomic.make Column_generation
-let set_default_engine e = Atomic.set engine_ref e
-let default_engine () = Atomic.get engine_ref
-
-let solve ?tol ?max_sweeps ?engine obj net =
-  Obs.span "equilibrate.solve" @@ fun () ->
-  match Option.value engine ~default:(Atomic.get engine_ref) with
-  | Column_generation -> Column_gen.solve ?tol ?max_sweeps obj net
-  | Exhaustive -> Column_gen.solve_on_paths ?tol ?max_sweeps obj net ~paths:(Network.paths net)
+let solve ?tol ?max_sweeps obj net =
+  Obs.span "equilibrate.solve" @@ fun () -> Column_gen.solve ?tol ?max_sweeps obj net
 
 let path_value = Column_gen.path_value
 let commodity_gap = Column_gen.commodity_gap

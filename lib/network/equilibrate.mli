@@ -6,16 +6,14 @@
     matters). Each shift strictly decreases the convex objective, so the
     sweep converges; the stopping rule is the Wardrop gap itself.
 
-    Two engines provide the path sets the sweeps work over:
-
-    - {!Column_generation} (the default) prices paths on demand with
-      Dijkstra and keeps only a small active column set per commodity,
-      so it scales to networks whose simple-path count is exponential
-      (e.g. large grids).
-    - {!Exhaustive} enumerates every simple path up front via
-      {!Network.paths} — the historical behaviour, kept as an oracle
-      for cross-checking on small instances. It inherits
-      {!Sgr_graph.Paths.enumerate}'s 20,000-path cap. *)
+    {!solve} is column generation ({!Column_gen}): it prices paths on
+    demand with Dijkstra and keeps only a small active column set per
+    commodity, so it scales to networks whose simple-path count is
+    exponential (e.g. large grids). The exhaustive oracle that
+    enumerates every simple path up front is
+    [Column_gen.solve_on_paths obj net ~paths:(Network.paths net)];
+    only tests and bench T8 call it, and it inherits
+    {!Sgr_graph.Paths.enumerate}'s 20,000-path cap. *)
 
 type solution = Column_gen.solution = {
   edge_flow : float array;  (** Per-edge flow at termination. *)
@@ -24,28 +22,17 @@ type solution = Column_gen.solution = {
   paths : Sgr_graph.Paths.t array array;
       (** The path sets the solver worked over: the priced active
           columns under column generation, every simple path under the
-          exhaustive engine. *)
+          exhaustive oracle. *)
   sweeps : int;  (** Number of full commodity sweeps performed. *)
   gap : float;
       (** Max over commodities of (costliest used path − cheapest path)
           under the objective's edge values at termination. *)
 }
 
-type engine =
-  | Column_generation  (** Price columns on demand ({!Column_gen}). *)
-  | Exhaustive  (** Enumerate all simple paths up front. *)
-
-val set_default_engine : engine -> unit
-(** Set the ambient engine used when {!solve} is called without
-    [?engine]. Initially {!Column_generation}. *)
-
-val default_engine : unit -> engine
-
-val solve :
-  ?tol:float -> ?max_sweeps:int -> ?engine:engine -> Objective.t -> Network.t -> solution
-(** [solve obj net] runs until [gap <= tol] (default [1e-9]) or
-    [max_sweeps] (default [200_000]) sweeps, using [engine] (default:
-    the ambient {!default_engine}). *)
+val solve : ?tol:float -> ?max_sweeps:int -> Objective.t -> Network.t -> solution
+(** [solve obj net] runs {!Column_gen.solve} until [gap <= tol] (default
+    [1e-9]) or [max_sweeps] (default [200_000]) sweeps, inside an
+    [equilibrate.solve] span. *)
 
 val verify :
   ?eps:float -> Objective.t -> Network.t -> solution -> bool

@@ -1,8 +1,8 @@
 (** Request execution and batch scheduling.
 
-    {b Determinism.} A reply is a pure function of the instance bytes,
-    the request parameters and the ambient solver engine — never of the
-    cache state or the job count. {!run_batch} fans per-instance request
+    {b Determinism.} A reply is a pure function of the instance bytes
+    and the request parameters — never of the cache state or the job
+    count. {!run_batch} fans per-instance request
     groups across {!Sgr_par.Pool} but keeps each group sequential in
     input order and scatters replies back by line index, so its output
     is byte-identical at any [--jobs]. The [stats] and [metrics]

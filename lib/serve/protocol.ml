@@ -110,27 +110,12 @@ let request_kind = function
 
 let float_str = Printf.sprintf "%.9g"
 
-(* Memo keys embed every parameter the reply depends on, including the
-   ambient solver engines — the network engine (a column-gen and an
-   exhaustive solve of the same instance are different cache lines) and
-   the links water-filling engine (a closed-form and a bisection solve
-   must never alias in a warm cache). Parameters are canonical ([%h]) so
+(* Memo keys embed every parameter the reply depends on, and nothing
+   else: each solver's engine follows from the instance, so the request
+   alone determines the reply. Parameters are canonical ([%h]) so
    numerically equal requests share a key. *)
 let memo_key req =
-  let engine =
-    match Sgr_network.Equilibrate.default_engine () with
-    | Sgr_network.Equilibrate.Column_generation -> "cg"
-    | Sgr_network.Equilibrate.Exhaustive -> "ex"
-  in
-  let links_engine =
-    match Sgr_links.Links.default_engine () with
-    | `Auto -> "auto"
-    | `Closed_form -> "cf"
-    | `Bisection -> "bi"
-  in
-  let key fmt =
-    Printf.ksprintf (fun body -> Some (body ^ "|" ^ engine ^ "|" ^ links_engine)) fmt
-  in
+  let key fmt = Printf.ksprintf Option.some fmt in
   match req with
   | Load _ | Stats | Metrics | Ping | Quit -> None
   | Solve { obj = `Nash; _ } -> key "solve|nash"

@@ -57,7 +57,7 @@ val memo_key : request -> string option
 (** Canonical memo key for requests whose reply payload is a pure,
     deterministic function of the instance — [None] for [load] and the
     session-level requests, whose replies depend on cache state. The
-    key embeds the active solver engine. *)
+    key is the request alone: kind and parameters, never the id. *)
 
 val float_str : float -> string
 (** [%.9g] — the reply float format. *)

@@ -251,8 +251,8 @@ let engines_agree t =
     close cf.level bi.level
     && Array.for_all2 (fun x y -> close x y) cf.assignment bi.assignment
   in
-  agree (Links.nash ~engine:`Closed_form t) (Links.nash ~engine:`Bisection t)
-  && agree (Links.opt ~engine:`Closed_form t) (Links.opt ~engine:`Bisection t)
+  agree (Links.nash t) (Links.water_fill `Nash t)
+  && agree (Links.opt t) (Links.water_fill `Opt t)
 
 let prop_closed_form_matches_oracle =
   qcheck "closed form ≍ bisection oracle on reducible games" QCheck.small_nat (fun seed ->
@@ -295,24 +295,44 @@ let test_closed_form_edges () =
   | None -> Alcotest.fail "affine instance must reduce");
   (* Single link takes everything. *)
   let t1 = Links.make [| L.affine ~slope:2.0 ~intercept:1.0 |] ~demand:3.0 in
-  let n1 = Links.nash ~engine:`Closed_form t1 in
+  let n1 = Links.nash t1 in
   approx "single-link flow" 3.0 n1.assignment.(0);
   approx "single-link level" 7.0 n1.level;
   (* All-constant: the reservoir semantics — cheapest constants split. *)
   let tc = Links.make [| L.constant 1.0; L.constant 1.0; L.constant 2.0 |] ~demand:3.0 in
-  let nc = Links.nash ~engine:`Closed_form tc in
+  let nc = Links.nash tc in
   approx_array "constants split evenly" [| 1.5; 1.5; 0.0 |] nc.assignment;
   approx "level pinned at the reservoir" 1.0 nc.level
 
 let test_closed_form_fallback () =
-  (* A forced closed-form engine on an M/M/1 game cannot reduce: it must
-     fall back to bisection, count the fallback, and agree with it. *)
+  (* An M/M/1 game cannot reduce: [nash] must fall back to the bisection
+     reference, count the fallback, and agree with it. *)
   let t = W.mm1_links ~capacities:[| 2.0; 3.0 |] ~demand:1.0 in
   let before = counter_value "links.closed_form.fallbacks" in
-  let forced = Links.nash ~engine:`Closed_form t in
+  let n = Links.nash t in
   check_true "fallback counted" (counter_value "links.closed_form.fallbacks" > before);
   approx_array "fallback result is the bisection result"
-    (Links.nash ~engine:`Bisection t).assignment forced.assignment
+    (Links.water_fill `Nash t).assignment n.assignment
+
+(* [sgr solve]'s parallel-links report: flows through [Vec.pp]; levels,
+   costs and PoA at [%.6g]. *)
+let render_links t (nash : Links.solution) (opt : Links.solution) =
+  let cn = Links.cost t nash.assignment and co = Links.cost t opt.assignment in
+  String.concat "\n"
+    [
+      Format.asprintf "nash     = %a  (common latency %.6g)" Vec.pp nash.assignment nash.level;
+      Format.asprintf "optimum  = %a  (marginal level %.6g)" Vec.pp opt.assignment opt.level;
+      Format.asprintf "C(N) = %.6g, C(O) = %.6g, price of anarchy = %.6g" cn co (cn /. co);
+    ]
+
+let test_solve_output_matches_reference () =
+  List.iter
+    (fun (name, t) ->
+      Alcotest.(check string)
+        name
+        (render_links t (Links.water_fill `Nash t) (Links.water_fill `Opt t))
+        (render_links t (Links.nash t) (Links.opt t)))
+    [ ("pigou", W.pigou); ("fig456", W.fig456); ("pigou-degree-4", W.pigou_degree 4) ]
 
 (* ---------------- Best-response toll pricing ---------------- *)
 
@@ -415,6 +435,8 @@ let suite =
     case "closed form: ladder pruning" test_closed_form_ladder;
     case "closed form: edge cases" test_closed_form_edges;
     case "closed form: non-affine fallback" test_closed_form_fallback;
+    case "solve output: nash/opt print like the water_fill reference"
+      test_solve_output_matches_reference;
     case "pricing: duopoly analytic equilibrium" test_pricing_duopoly_analytic;
     case "pricing: validation" test_pricing_validation;
     prop_closed_form_matches_oracle;

@@ -187,27 +187,43 @@ let test_with_demands () =
       | _ -> Alcotest.failf "demand %g rejected" d)
     [ -1.0; Float.nan; Float.infinity ]
 
-let test_engine_selection () =
-  let saved = Eq.default_engine () in
-  Fun.protect
-    ~finally:(fun () -> Eq.set_default_engine saved)
-    (fun () ->
-      Eq.set_default_engine Eq.Exhaustive;
-      let net = W.fig7 () in
-      let ex = Eq.solve Obj.Wardrop net in
-      Alcotest.(check int) "exhaustive works over all simple paths" 3
-        (Array.length ex.paths.(0));
-      let cg = Eq.solve ~engine:Eq.Column_generation Obj.Wardrop net in
-      check_true "explicit engine overrides the ambient default"
-        (Array.length cg.paths.(0) <= 3);
-      check_true "engines agree" (Vec.linf_dist ex.edge_flow cg.edge_flow <= 1e-6))
+(* The exhaustive oracle: path equilibration over every simple path. *)
+let exhaustive obj net = Sgr_network.Column_gen.solve_on_paths obj net ~paths:(Net.paths net)
+
+let test_exhaustive_oracle () =
+  let net = W.fig7 () in
+  let ex = exhaustive Obj.Wardrop net in
+  Alcotest.(check int) "exhaustive works over all simple paths" 3 (Array.length ex.paths.(0));
+  let cg = Eq.solve Obj.Wardrop net in
+  check_true "column generation prices no more columns" (Array.length cg.paths.(0) <= 3);
+  check_true "engines agree" (Vec.linf_dist ex.edge_flow cg.edge_flow <= 1e-6)
+
+(* [sgr solve]'s network report: edge flows through [Vec.pp]; costs and
+   PoA at [%.6g]. *)
+let render_network net (nash : Eq.solution) (opt : Eq.solution) =
+  let cn = Net.cost net nash.edge_flow and co = Net.cost net opt.edge_flow in
+  String.concat "\n"
+    [
+      Format.asprintf "nash edge flow    = %a" Vec.pp nash.edge_flow;
+      Format.asprintf "optimum edge flow = %a" Vec.pp opt.edge_flow;
+      Format.asprintf "C(N) = %.6g, C(O) = %.6g, price of anarchy = %.6g" cn co (cn /. co);
+    ]
+
+let test_solve_output_matches_oracle () =
+  List.iter
+    (fun (name, net) ->
+      Alcotest.(check string)
+        name
+        (render_network net (exhaustive Obj.Wardrop net) (exhaustive Obj.System_optimum net))
+        (render_network net (Eq.solve Obj.Wardrop net) (Eq.solve Obj.System_optimum net)))
+    [ ("fig7", W.fig7 ()); ("braess", W.braess_classic ()); ("two-commodity", W.two_commodity ()) ]
 
 let test_column_gen_past_enumeration_limit () =
   (* A 10x10 grid has C(18,9) = 48620 s-t paths — the exhaustive engine's
      enumeration hard-fails, column generation prices a handful. *)
   let rng = Prng.create 1 in
   let net = W.grid_network rng ~rows:10 ~cols:10 () in
-  let sol = Eq.solve ~engine:Eq.Column_generation Obj.Wardrop net in
+  let sol = Eq.solve Obj.Wardrop net in
   check_true "wardrop gap closed" (sol.gap <= 1e-6);
   check_true "few columns priced" (Array.length sol.paths.(0) < 100);
   approx "demand routed" net.Net.commodities.(0).Net.demand (Vec.sum sol.path_flows.(0))
@@ -217,8 +233,8 @@ let prop_column_gen_matches_oracle =
     (fun seed ->
       let net = random_network (seed + 200) in
       let obj = if seed mod 2 = 0 then Obj.Wardrop else Obj.System_optimum in
-      let cg = Eq.solve ~engine:Eq.Column_generation obj net in
-      let ex = Eq.solve ~engine:Eq.Exhaustive obj net in
+      let cg = Eq.solve obj net in
+      let ex = exhaustive obj net in
       cg.gap <= 1e-6
       && Eq.verify obj net cg
       && Vec.linf_dist cg.edge_flow ex.edge_flow <= 1e-5)
@@ -250,7 +266,10 @@ let suite =
     case "zero-demand commodity" test_zero_demand_commodity;
     case "all-or-nothing" test_aon;
     case "with_demands: cheap resize" test_with_demands;
-    case "engine selection: default and override" test_engine_selection;
+    case "exhaustive oracle: every simple path, agrees with column generation"
+      test_exhaustive_oracle;
+    case "solve output: column generation prints like the exhaustive oracle"
+      test_solve_output_matches_oracle;
     case "column generation: past the enumeration limit" test_column_gen_past_enumeration_limit;
     prop_solvers_agree;
     prop_column_gen_matches_oracle;

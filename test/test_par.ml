@@ -101,8 +101,7 @@ let prop_alpha_sweep_jobs_identical =
       let par = Stackelberg.Alpha_sweep.run ~jobs:4 ~samples:7 ~grid_resolution:8 t in
       curve_identical seq par)
 
-let solve_with_jobs jobs net =
-  with_jobs jobs @@ fun () -> Eq.solve ~engine:Eq.Column_generation Obj.Wardrop net
+let solve_with_jobs jobs net = with_jobs jobs @@ fun () -> Eq.solve Obj.Wardrop net
 
 let test_column_gen_jobs_identical () =
   let net = W.two_commodity () in

@@ -126,27 +126,26 @@ let test_memo_keys () =
   | None -> ()
   | Some _ -> Alcotest.fail "stats must not be memoized")
 
-let test_memo_keys_links_engine () =
-  (* A closed-form and a bisection solve must never alias in a warm
-     memo: the ambient links engine is part of every key. *)
-  let module Links = Sgr_links.Links in
-  let saved = Links.default_engine () in
-  Fun.protect
-    ~finally:(fun () -> Links.set_default_engine saved)
-    (fun () ->
-      let key_under engine =
-        Links.set_default_engine engine;
-        match P.memo_key (P.Solve { id = "a"; obj = `Nash }) with
-        | Some k -> k
-        | None -> Alcotest.fail "expected a memo key"
-      in
-      let auto = key_under `Auto in
-      let cf = key_under `Closed_form in
-      let bi = key_under `Bisection in
-      check_true "auto and closed-form keys differ" (not (String.equal auto cf));
-      check_true "auto and bisection keys differ" (not (String.equal auto bi));
-      check_true "closed-form and bisection keys differ" (not (String.equal cf bi));
-      Alcotest.(check string) "key is stable under the same engine" cf (key_under `Closed_form))
+let test_memo_keys_request_alone () =
+  (* Each key is the request's kind and parameters and nothing else: an
+     engine tag or config value leaking into keys fails here. *)
+  let key req =
+    match P.memo_key req with Some k -> k | None -> Alcotest.fail "expected a memo key"
+  in
+  List.iter
+    (fun (expected, req) -> Alcotest.(check string) expected expected (key req))
+    [
+      ("solve|nash", P.Solve { id = "a"; obj = `Nash });
+      ("solve|opt", P.Solve { id = "a"; obj = `Opt });
+      ("assign|nash|fw", P.Assign { id = "a"; obj = `Nash; method_ = `Fw });
+      ("assign|opt|msa", P.Assign { id = "a"; obj = `Opt; method_ = `Msa });
+      ("optop", P.Optop { id = "a" });
+      ("mop", P.Mop { id = "a" });
+      (Printf.sprintf "induced|%h" 0.25, P.Induced { id = "a"; alpha = 0.25 });
+      (Printf.sprintf "sweep|%h" 0.5, P.Sweep_point { id = "a"; alpha = 0.5 });
+      ( Printf.sprintf "sweep|%h|%h|%d" 0.0 1.0 5,
+        P.Sweep_range { id = "a"; lo = 0.0; hi = 1.0; samples = 5 } );
+    ]
 
 (* ---------------- engine ---------------- *)
 
@@ -610,7 +609,7 @@ let suite =
     case "fingerprint: FNV-1a test vectors" test_fingerprint_fnv_vector;
     case "protocol: parse" test_protocol_parse;
     case "protocol: memo keys" test_memo_keys;
-    case "protocol: memo keys embed the links engine" test_memo_keys_links_engine;
+    case "protocol: memo keys are the request alone" test_memo_keys_request_alone;
     case "engine: pigou golden replies" test_engine_pigou;
     case "engine: memoization and reload-after-evict" test_engine_memo_and_reload;
     case "engine: pre-emptive deadline cancellation" test_engine_timeout;
