@@ -15,7 +15,7 @@ lint:
 	opam lint stackelberg.opam
 
 bench:
-	dune exec bench/main.exe -- --quick
+	dune exec bench/main.exe -- --timings
 
 fmt:
 	dune build @fmt --auto-promote

@@ -817,215 +817,6 @@ let serve_cmd =
           server answers on).")
     Term.(const run $ socket $ cache_arg $ obs_term)
 
-(* ---------------- bench ---------------- *)
-
-let bench_serve_cmd =
-  let run requests instances reuse seed connect clients quick json cache_cap (trace, stats) =
-    with_obs ~machine:true ~trace ~stats @@ fun () ->
-    let requests, instances = if quick then (300, 6) else (requests, instances) in
-    if clients < 1 then begin
-      Format.eprintf "error: --clients must be >= 1@.";
-      exit 2
-    end;
-    let dir = Filename.temp_dir "sgr_bench_serve" "" in
-    let rm_rf () =
-      (try Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
-       with Sys_error _ -> ());
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    in
-    (* [Stdlib.exit] does not run [Fun.protect] finalizers, so every
-       failure inside the protected region is carried out as a value
-       and the exits below happen only after the scratch directory is
-       removed — gate failures and connect errors included. *)
-    let outcome =
-      Fun.protect ~finally:rm_rf @@ fun () ->
-      let streams =
-        if clients = 1 then
-          [| Sgr_serve.Loadgen.generate ~dir ~seed ~instances ~requests ~reuse |]
-        else Sgr_serve.Loadgen.generate_multi ~dir ~seed ~instances ~requests ~reuse ~clients
-      in
-      let conns = ref [] in
-      let server_thread = ref None in
-      let stop_server () =
-        match !server_thread with
-        | None -> ()
-        | Some (server, th) ->
-            Sgr_serve.Server.request_stop server;
-            Thread.join th;
-            server_thread := None
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          List.iter Sgr_serve.Client.close !conns;
-          stop_server ())
-      @@ fun () ->
-      let connect_clients socket =
-        match
-          Array.init clients (fun _ ->
-              let c = Sgr_serve.Client.connect socket in
-              conns := c :: !conns;
-              c)
-        with
-        | arr -> `Ok (Sgr_serve.Loadgen.Sockets arr)
-        | exception Unix.Unix_error (e, _, _) ->
-            `Error (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e))
-      in
-      let target =
-        match connect with
-        | Some socket ->
-            Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-            connect_clients socket
-        | None when clients = 1 ->
-            `Ok
-              (Sgr_serve.Loadgen.In_process
-                 { cache = Sgr_serve.Cache.create ~capacity:cache_cap; jobs = None })
-        | None ->
-            (* Several clients but no --connect: spin the server up
-               inside this process on a scratch socket so the bench
-               still exercises real concurrent sessions. *)
-            Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-            let socket = Filename.concat dir "bench.sock" in
-            let server =
-              Sgr_serve.Server.create ~socket_path:socket
-                ~cache:(Sgr_serve.Cache.create ~capacity:cache_cap)
-                ~log:(fun _ -> ())
-            in
-            let th = Thread.create Sgr_serve.Server.run server in
-            server_thread := Some (server, th);
-            let rec wait n =
-              if Sys.file_exists socket then connect_clients socket
-              else if n = 0 then `Error "internal server did not come up"
-              else begin
-                Thread.delay 0.01;
-                wait (n - 1)
-              end
-            in
-            wait 500
-      in
-      match target with
-      | `Error _ as e -> e
-      | `Ok target ->
-          let r = Sgr_serve.Loadgen.run target streams in
-          let open Sgr_serve.Loadgen in
-          Format.printf "target        = %s@."
-            (match (connect, !server_thread) with
-            | Some s, _ -> "socket " ^ s
-            | None, Some _ -> "internal server"
-            | None, None -> "in-process");
-          Format.printf "clients       = %d@." clients;
-          Format.printf "requests      = %d  (errors %d)@." r.requests r.errors;
-          Format.printf "wall          = %.6g s@." r.wall_s;
-          Format.printf "throughput    = %.6g req/s@." r.rps;
-          Format.printf "p50 / p95 / p99 = %.6g / %.6g / %.6g ms@." (1e3 *. r.p50_s)
-            (1e3 *. r.p95_s) (1e3 *. r.p99_s);
-          Format.printf "memo hit rate = %.6g@." r.memo_hit_rate;
-          (match json with
-          | None -> ()
-          | Some path ->
-              Out_channel.with_open_text path (fun oc ->
-                  Printf.fprintf oc
-                    "{\"group\":\"T11-serve\",\"requests\":%d,\"errors\":%d,\"wall_s\":%.6g,\
-                     \"rps\":%.6g,\"p50_s\":%.6g,\"p95_s\":%.6g,\"p99_s\":%.6g,\
-                     \"memo_hit_rate\":%.6g}\n"
-                    r.requests r.errors r.wall_s r.rps r.p50_s r.p95_s r.p99_s r.memo_hit_rate);
-              Format.eprintf "bench: wrote %s@." path);
-          if quick then begin
-            (* With N pipelined clients on one engine a request's
-               latency legitimately includes up to N-1 foreign requests
-               of queue wait, so the tail bound scales with N. *)
-            let p99_max_s = 0.25 *. float_of_int clients in
-            match gate r ~p99_max_s ~rps_min:20.0 ~hit_rate_min:0.2 with
-            | [] ->
-                Format.printf "gate          = ok (p99 <= %gms, >= 20 req/s, hit rate >= 0.2)@."
-                  (1e3 *. p99_max_s);
-                `Done
-            | fails -> `Gate_failures fails
-          end
-          else `Done
-    in
-    match outcome with
-    | `Error msg ->
-        Format.eprintf "error: %s@." msg;
-        exit 2
-    | `Done -> ()
-    | `Gate_failures fails ->
-        List.iter (fun m -> Format.eprintf "gate failure: %s@." m) fails;
-        exit 1
-  in
-  let requests =
-    Arg.(
-      value
-      & opt int 2000
-      & info [ "requests" ; "n" ] ~docv:"N" ~doc:"Number of verb requests to replay.")
-  in
-  let instances =
-    Arg.(
-      value
-      & opt int 12
-      & info [ "instances" ] ~docv:"K"
-          ~doc:"Size of the synthetic instance pool (mixed parallel-links and grid networks).")
-  in
-  let reuse =
-    Arg.(
-      value
-      & opt float 0.6
-      & info [ "reuse" ] ~docv:"R"
-          ~doc:
-            "Probability in [0, 1] that a request sticks with the previous instance: high values \
-             hammer the memo, low values churn the LRU.")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed for the stream.")
-  in
-  let connect =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"SOCKET"
-          ~doc:
-            "Replay against a running $(b,sgr serve) on this Unix-domain socket (latency measured \
-             client-side) instead of the in-process engine.")
-  in
-  let clients =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "clients" ] ~docv:"N"
-          ~doc:
-            "Number of concurrent socket clients, each replaying its own deterministic stream \
-             with pipelined requests. With $(b,--connect) they all attach to that server; \
-             without it (and N > 1) an in-process server is spun up on a scratch socket.")
-  in
-  let quick =
-    Arg.(
-      value
-      & flag
-      & info [ "quick" ]
-          ~doc:
-            "CI gate: a small fixed workload (300 requests over 6 instances) that exits 1 unless \
-             p99 latency, throughput and memo hit rate meet the T11 thresholds.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as a JSON object to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Load-generate against the serving layer: replay a deterministic synthetic request \
-          stream (see docs/performance.md, T11) and report p50/p95/p99 latency, throughput and \
-          memo hit rate.")
-    Term.(
-      const run $ requests $ instances $ reuse $ seed $ connect $ clients $ quick $ json
-      $ cache_arg $ obs_term)
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench" ~doc:"Benchmark harnesses (see docs/performance.md).")
-    [ bench_serve_cmd ]
-
 (* ---------------- main ---------------- *)
 
 let () =
@@ -1039,5 +830,4 @@ let () =
             sweep_cmd; profile_cmd;
             bound_cmd; tolls_cmd; pricing_cmd; info_cmd; catalog_cmd; random_cmd; batch_cmd;
             serve_cmd;
-            bench_cmd;
           ]))

@@ -70,7 +70,7 @@ val opt : t -> solution
 val water_fill : [ `Nash | `Opt ] -> t -> solution
 (** The bisection reference that {!nash}/{!opt} fall back to: bisect on
     the common level and invert each link's latency (Nash) or marginal
-    cost (optimum). Works on every latency kind; tests and bench T12
+    cost (optimum). Works on every latency kind; tests and bench T1
     call it directly to check and time the closed form. *)
 
 val price_of_anarchy : t -> float

@@ -122,5 +122,5 @@ val snapshots : unit -> (string * t) list
 
 val reset : unit -> unit
 (** Clear every shard of every registered histogram (handles stay
-    registered). Call at quiescence — e.g. between benchmark passes,
-    not while a pool batch is in flight. *)
+    registered). Call at quiescence — e.g. between test runs, not
+    while a pool batch is in flight. *)

@@ -75,11 +75,11 @@ let now () = !clock ()
 
 (* ---------------- sink, spans, points ---------------- *)
 
-(* The sink, its nesting depth and the recorder/aggregator callbacks
-   behind it are single-domain state: events are only emitted from the
-   domain that installed the sink (the main domain in every current
-   use). Worker domains run spans as plain calls and skip trace points;
-   counters (atomic, above) remain exact everywhere. *)
+(* The sink, its nesting depth and the recorder callback behind it are
+   single-domain state: events are only emitted from the domain that
+   installed the sink (the main domain in every current use). Worker
+   domains run spans as plain calls and skip trace points; counters
+   (atomic, above) remain exact everywhere. *)
 let sink : (event -> unit) option ref =
   ref None
 [@@lint.allow "mutable-global"] [@@lint.allow "lock-discipline"]
@@ -129,28 +129,4 @@ module Recorder = struct
   let install r = set_sink (Some (fun e -> r.rev_events <- e :: r.rev_events))
   let events r = List.rev r.rev_events
   let clear r = r.rev_events <- []
-end
-
-module Agg = struct
-  type t = { spans : (string, (int * float) ref) Hashtbl.t; mutable points : int }
-
-  let create () = { spans = Hashtbl.create 16; points = 0 }
-
-  let feed t = function
-    | Span_begin _ -> ()
-    | Span_end { name; dur; _ } -> (
-        match Hashtbl.find_opt t.spans name with
-        | Some cell ->
-            let count, total = !cell in
-            cell := (count + 1, total +. dur)
-        | None -> Hashtbl.add t.spans name (ref (1, dur)))
-    | Point _ -> t.points <- t.points + 1
-
-  let install t = set_sink (Some (feed t))
-
-  let span_totals t =
-    Hashtbl.fold (fun name cell acc -> (name, !cell) :: acc) t.spans []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let points t = t.points
 end

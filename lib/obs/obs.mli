@@ -111,19 +111,3 @@ module Recorder : sig
 
   val clear : t -> unit
 end
-
-(** Constant-memory aggregation: per-name span totals and a trace-point
-    tally. For long runs (the bench harness) where recording every
-    event would not fit in memory. *)
-module Agg : sig
-  type t
-
-  val create : unit -> t
-  val install : t -> unit
-
-  val span_totals : t -> (string * (int * float)) list
-  (** [(name, (count, total_seconds))], sorted by name. *)
-
-  val points : t -> int
-  (** Number of trace points seen. *)
-end

@@ -17,7 +17,15 @@ type line = { deadline_ms : int option; request : request }
 let words s =
   String.split_on_char ' ' s |> List.map String.trim |> List.filter (fun w -> w <> "")
 
-let float_arg w = float_of_string_opt w
+(* [-0] parses to [+0]: memo keys print parameters with [%h], which
+   tells the two zeros apart, and numerically equal requests must share
+   a key. *)
+let float_arg w = Option.map (fun x -> x +. 0.0) (float_of_string_opt w)
+
+(* The largest [N] in [sweep ID LO HI N]: a 0.001 alpha grid. The
+   single-threaded server answers a request in one reply line, so [N]
+   bounds both its latency and its reply size. *)
+let max_sweep_samples = 1001
 
 let parse_request = function
   | [ "load"; id; path ] -> Ok (Load { id; path })
@@ -55,9 +63,13 @@ let parse_request = function
   | [ "sweep"; id; lo; hi; n ] -> (
       match (float_arg lo, float_arg hi, int_of_string_opt n) with
       | Some lo, Some hi, Some samples
-        when 0.0 <= lo && lo <= hi && hi <= 1.0 && samples >= 2 ->
+        when 0.0 <= lo && lo <= hi && hi <= 1.0 && 2 <= samples && samples <= max_sweep_samples ->
           Ok (Sweep_range { id; lo; hi; samples })
-      | _ -> Error "sweep range expects 'sweep ID LO HI N' with 0 <= LO <= HI <= 1 and N >= 2")
+      | _ ->
+          Error
+            (Printf.sprintf
+               "sweep range expects 'sweep ID LO HI N' with 0 <= LO <= HI <= 1 and 2 <= N <= %d"
+               max_sweep_samples))
   | [ "stats" ] -> Ok Stats
   | [ "metrics" ] -> Ok Metrics
   | [ "ping" ] -> Ok Ping

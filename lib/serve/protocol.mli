@@ -13,12 +13,13 @@
               | mop ID
               | induced ID ALPHA
               | sweep ID ALPHA
-              | sweep ID LO HI N
+              | sweep ID LO HI N               2 <= N <= 1001
               | stats | metrics | ping | quit
     reply    := ok KIND [k=v ...]
               | error (parse|solve|timeout|io): MESSAGE
     v}
 
+    Floats parse with [float_of_string], and [-0] reads as [0].
     Replies are a single line, except [metrics], whose reply is the
     header [ok metrics lines=N] followed by exactly [N] further lines
     of Prometheus-style text exposition (see docs/serving.md); floats

@@ -91,26 +91,43 @@ let flow_digest flow =
   Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) flow;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Pinned iteration counts and edge-flow digests. Work on the solver
-   kernels (Dijkstra, heap, AON, line search) must reproduce them: a
-   change that alters a single bit of a solve — tie-breaking, summation
-   order, early exit — shows up here. *)
+(* 4·8·32 = 1024 edges, 12 commodities. *)
+let city_1e3 () = W.synthetic_city (Prng.create 1_024) ~rings:8 ~radials:32 ~commodities:12 ()
+
+(* 4·25·100 = 10^4 edges, 32 commodities: the city the repo benchmark
+   assigns. *)
+let city_1e4 () = W.synthetic_city (Prng.create 13_025) ~rings:25 ~radials:100 ~commodities:32 ()
+
+(* Pinned iteration counts and edge-flow digests, each reproduced at
+   every listed job count. Work on the solver kernels (Dijkstra, heap,
+   AON, line search) must reproduce them: a change that alters a single
+   bit of a solve — tie-breaking, summation order, early exit, a merge
+   order that depends on the pool width — shows up here. *)
 let golden_solves =
   [
-    ("FW Wardrop", Obj.Wardrop, Solver.Frank_wolfe, 1e-6, 107, "f0dce9c74aa74764e538ec467853966c");
-    ("FW system optimum", Obj.System_optimum, Solver.Frank_wolfe, 1e-4, 76,
+    ("FW Wardrop", city_1e3, Obj.Wardrop, Solver.Frank_wolfe, 1e-6, [ 1 ], 107,
+     "f0dce9c74aa74764e538ec467853966c");
+    ("FW system optimum", city_1e3, Obj.System_optimum, Solver.Frank_wolfe, 1e-4, [ 1 ], 76,
      "baf8096460c8d136091f212c2f43a9e0");
-    ("MSA Wardrop", Obj.Wardrop, Solver.Msa, 1e-4, 40, "9939e443190a3f17d7960b813a0d8ed3");
+    ("MSA Wardrop", city_1e3, Obj.Wardrop, Solver.Msa, 1e-4, [ 1 ], 40,
+     "9939e443190a3f17d7960b813a0d8ed3");
+    ("10^4-edge city FW Wardrop", city_1e4, Obj.Wardrop, Solver.Frank_wolfe, 1e-4, [ 1; 4 ], 40,
+     "a7be88bf0ad91f5a4847d0f4952e0c44");
   ]
 
 let test_bit_identity_golden () =
-  (* 4·8·32 = 1024 edges, 12 commodities. *)
-  let net = W.synthetic_city (Prng.create 1_024) ~rings:8 ~radials:32 ~commodities:12 () in
   List.iter
-    (fun (name, obj, method_, tol, iterations, digest) ->
-      let sol = Solver.solve ~tol ~max_iter:300 ~method_ ~jobs:1 obj net in
-      Alcotest.(check int) (name ^ ": iterations") iterations sol.Solver.iterations;
-      Alcotest.(check string) (name ^ ": edge-flow bits") digest (flow_digest sol.Solver.edge_flow))
+    (fun (name, city, obj, method_, tol, jobs, iterations, digest) ->
+      let net = city () in
+      List.iter
+        (fun jobs ->
+          let name = Printf.sprintf "%s at jobs=%d" name jobs in
+          let sol = Solver.solve ~tol ~max_iter:300 ~method_ ~jobs obj net in
+          Alcotest.(check int) (name ^ ": iterations") iterations sol.Solver.iterations;
+          check_true (name ^ ": gap within tol") (sol.Solver.relative_gap <= tol);
+          Alcotest.(check string) (name ^ ": edge-flow bits") digest
+            (flow_digest sol.Solver.edge_flow))
+        jobs)
     golden_solves
 
 let test_unreachable_sink_rejected () =

@@ -314,6 +314,50 @@ let test_closed_form_fallback () =
   approx_array "fallback result is the bisection result"
     (Links.water_fill `Nash t).assignment n.assignment
 
+(* How far each named counter moves while [f] runs. *)
+let counter_deltas names f =
+  let before = List.map counter_value names in
+  f ();
+  List.map2 (fun name b -> (name, counter_value name - b)) names before
+
+let test_closed_form_dispatch_work () =
+  (* The bench's affine instances: the T1 games at m = 10 and 100, the
+     m = 100 game with marginal-cost tolls and a leader shift on every
+     link, and the T3 Theorem 2.4 game. Every latency reduces to a line,
+     so [nash]/[opt] must answer in closed form: one call each, not a
+     single latency evaluation, and no bisection anywhere. *)
+  let affine m = W.random_affine_links (Prng.create (1000 + m)) ~m ~demand:1.0 () in
+  let tolled =
+    let t = Stackelberg.Tolls.tolled_links (affine 100) in
+    Links.make (Array.map (L.shift 0.125) t.Links.latencies) ~demand:t.Links.demand
+  in
+  let names =
+    [ "links.closed_form.calls"; "latency.evaluations"; "bisection.iterations";
+      "links.closed_form.fallbacks" ]
+  in
+  List.iter
+    (fun (tag, t) ->
+      let deltas =
+        counter_deltas names (fun () ->
+            ignore (Links.nash t);
+            ignore (Links.opt t))
+      in
+      Alcotest.(check (list (pair string int)))
+        (tag ^ ": nash + opt work")
+        (List.combine names [ 2; 0; 0; 0 ])
+        deltas)
+    [ ("affine m=10", affine 10); ("affine m=100", affine 100); ("tolled m=100", tolled) ];
+  let t3 = W.random_common_slope_links (Prng.create 3008) ~m:8 ~demand:1.0 () in
+  let alpha = 0.7 *. Float.max 0.05 (Stackelberg.Optop.beta t3) in
+  let deltas =
+    counter_deltas [ "bisection.iterations"; "links.closed_form.fallbacks" ] (fun () ->
+        ignore (Stackelberg.Linear_exact.solve t3 ~alpha))
+  in
+  Alcotest.(check (list (pair string int)))
+    "thm2.4 m=8: no bisection, no fallback"
+    [ ("bisection.iterations", 0); ("links.closed_form.fallbacks", 0) ]
+    deltas
+
 (* [sgr solve]'s parallel-links report: flows through [Vec.pp]; levels,
    costs and PoA at [%.6g]. *)
 let render_links t (nash : Links.solution) (opt : Links.solution) =
@@ -435,6 +479,7 @@ let suite =
     case "closed form: ladder pruning" test_closed_form_ladder;
     case "closed form: edge cases" test_closed_form_edges;
     case "closed form: non-affine fallback" test_closed_form_fallback;
+    case "closed form: affine bench workloads run no bisection" test_closed_form_dispatch_work;
     case "solve output: nash/opt print like the water_fill reference"
       test_solve_output_matches_reference;
     case "pricing: duopoly analytic equilibrium" test_pricing_duopoly_analytic;

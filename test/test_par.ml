@@ -85,21 +85,23 @@ let curve_identical (a : Stackelberg.Alpha_sweep.curve) (b : Stackelberg.Alpha_s
          p.alpha = q.alpha && p.ratio = q.ratio && p.method_used = q.method_used)
        a.points b.points
 
+(* The sequential sweep and its pooled runs at 2 and 4 domains. *)
+let sweep_jobs_identical sweep =
+  let seq = sweep 1 in
+  List.for_all (fun jobs -> curve_identical seq (sweep jobs)) [ 2; 4 ]
+
 let test_alpha_sweep_jobs_identical () =
-  let seq = Stackelberg.Alpha_sweep.run ~jobs:1 ~samples:9 W.fig456 in
-  let par = Stackelberg.Alpha_sweep.run ~jobs:4 ~samples:9 W.fig456 in
-  check_true "fig456 sweep identical at jobs=1 and jobs=4" (curve_identical seq par);
-  let seq = Stackelberg.Alpha_sweep.run ~jobs:1 ~samples:7 W.pigou in
-  let par = Stackelberg.Alpha_sweep.run ~jobs:4 ~samples:7 W.pigou in
-  check_true "pigou sweep identical at jobs=1 and jobs=4" (curve_identical seq par)
+  check_true "fig456 sweep identical at jobs=1, 2 and 4"
+    (sweep_jobs_identical (fun jobs -> Stackelberg.Alpha_sweep.run ~jobs ~samples:9 W.fig456));
+  check_true "pigou sweep identical at jobs=1, 2 and 4"
+    (sweep_jobs_identical (fun jobs -> Stackelberg.Alpha_sweep.run ~jobs ~samples:7 W.pigou))
 
 let prop_alpha_sweep_jobs_identical =
-  qcheck ~count:10 "random sweeps identical at jobs=1 and jobs=4" QCheck.small_nat (fun seed ->
+  qcheck ~count:10 "random sweeps identical at jobs=1, 2 and 4" QCheck.small_nat (fun seed ->
       let rng = Sgr_numerics.Prng.create (seed + 900) in
       let t = W.random_affine_links rng ~m:4 () in
-      let seq = Stackelberg.Alpha_sweep.run ~jobs:1 ~samples:7 ~grid_resolution:8 t in
-      let par = Stackelberg.Alpha_sweep.run ~jobs:4 ~samples:7 ~grid_resolution:8 t in
-      curve_identical seq par)
+      sweep_jobs_identical (fun jobs ->
+          Stackelberg.Alpha_sweep.run ~jobs ~samples:7 ~grid_resolution:8 t))
 
 let solve_with_jobs jobs net = with_jobs jobs @@ fun () -> Eq.solve Obj.Wardrop net
 
@@ -138,7 +140,7 @@ let suite =
     case "pool: nested maps fall back to sequential" test_nested_map_falls_back;
     case "pool: ambient jobs clamped to [1, 512]" test_jobs_clamped;
     case "pool: create rejects jobs < 1" test_create_rejects;
-    case "alpha-sweep: identical at jobs=1 and jobs=4" test_alpha_sweep_jobs_identical;
+    case "alpha-sweep: identical at jobs=1, 2 and 4" test_alpha_sweep_jobs_identical;
     prop_alpha_sweep_jobs_identical;
     case "column-gen: identical at jobs=1 and jobs=4" test_column_gen_jobs_identical;
     prop_column_gen_jobs_identical;

@@ -102,6 +102,14 @@ let test_protocol_parse () =
   (match P.parse_line "sweep p 0 1 5" with
   | Ok (Some { request = P.Sweep_range { lo = 0.0; hi = 1.0; samples = 5; _ }; _ }) -> ()
   | _ -> Alcotest.fail "sweep range");
+  (match P.parse_line "sweep p 0 1 1001" with
+  | Ok (Some { request = P.Sweep_range { samples = 1001; _ }; _ }) -> ()
+  | _ -> Alcotest.fail "a 0.001 alpha grid is accepted");
+  (match P.parse_line "sweep p 0 1 1002" with
+  | Error m ->
+      Alcotest.(check string) "sample bound message"
+        "sweep range expects 'sweep ID LO HI N' with 0 <= LO <= HI <= 1 and 2 <= N <= 1001" m
+  | Ok _ -> Alcotest.fail "more than 1001 samples are rejected");
   (match P.parse_line "metrics" with
   | Ok (Some { deadline_ms = None; request = P.Metrics }) -> ()
   | _ -> Alcotest.fail "metrics verb");
@@ -145,6 +153,20 @@ let test_memo_keys_request_alone () =
       (Printf.sprintf "sweep|%h" 0.5, P.Sweep_point { id = "a"; alpha = 0.5 });
       ( Printf.sprintf "sweep|%h|%h|%d" 0.0 1.0 5,
         P.Sweep_range { id = "a"; lo = 0.0; hi = 1.0; samples = 5 } );
+    ];
+  (* Parsing maps -0 to 0, so a negative zero shares the zero's key. *)
+  let parsed raw =
+    match P.parse_line raw with
+    | Ok (Some l) -> key l.P.request
+    | _ -> Alcotest.failf "%S must parse" raw
+  in
+  List.iter
+    (fun (expected, raw) -> Alcotest.(check string) raw expected (parsed raw))
+    [
+      (Printf.sprintf "induced|%h" 0.0, "induced a -0");
+      (Printf.sprintf "sweep|%h" 0.0, "sweep a -0");
+      (Printf.sprintf "sweep|%h|%h|%d" 0.0 1.0 3, "sweep a -0 1 3");
+      (Printf.sprintf "sweep|%h|%h|%d" 0.0 0.0 3, "sweep a -0 -0 3");
     ]
 
 (* ---------------- engine ---------------- *)
@@ -173,6 +195,12 @@ let test_engine_pigou () =
   Alcotest.(check string) "opt cost" "ok solve id=p obj=opt cost=0.75" (run "solve p opt");
   Alcotest.(check string) "optop"
     "ok optop id=p beta=0.5 nash_cost=1 opt_cost=0.75 induced_cost=0.75" (run "optop p");
+  Alcotest.(check string) "induced at -0 replies alpha=0"
+    "ok induced id=p alpha=0 cost=1 ratio=1.33333333" (run "induced p -0");
+  Alcotest.(check string) "sweep at -0 replies alpha=0"
+    "ok sweep id=p alpha=0 ratio=1.33333333 method=grid" (run "sweep p -0");
+  Alcotest.(check string) "sweep range from -0 starts at 0"
+    "ok sweep id=p beta=0.5 n=3 points=0:1.33333333,0.5:1,1:1" (run "sweep p -0 1 3");
   Alcotest.(check string) "unknown id"
     "error parse: unknown instance id \"zzz\" (load it first)" (run "solve zzz nash");
   Alcotest.(check string) "wrong kind" "error solve: mop needs a network instance" (run "mop p");
@@ -237,6 +265,39 @@ let test_engine_timeout () =
     (Printf.sprintf "pre-empted in %.1fms, well under the %.1fms cold solve" (1e3 *. cancelled_s)
        (1e3 *. cold_s))
     (cancelled_s < cold_s /. 2.0)
+
+let counter_moves before after =
+  List.filter_map
+    (fun (name, v) ->
+      let v0 = Option.value (List.assoc_opt name before) ~default:0 in
+      if v <> v0 then Some (name, v - v0) else None)
+    after
+
+let test_engine_warm_pass_no_work () =
+  (* A cold batch loads a 6×6 grid and answers 30 solve/mop requests;
+     the same 30 requests again on the same cache must be memo hits
+     alone, with the cold replies. Not one counter outside serve.*
+     moves: no Dijkstra, no latency evaluation, no bisection, no pool
+     batch. The warm pass sends no [load]: re-loading a cached file
+     re-runs the network's reachability check. *)
+  let net = W.grid_network (Sgr_numerics.Prng.create 9003) ~rows:6 ~cols:6 () in
+  with_instance_file (IF.Network net) @@ fun path ->
+  let kinds = [| "solve g nash"; "solve g opt"; "mop g" |] in
+  let verbs = List.init 30 (fun i -> kinds.(i mod Array.length kinds)) in
+  let cache = Cache.create ~capacity:8 in
+  let c0 = Sgr_obs.Obs.counters () in
+  let cold = Engine.run_batch ~jobs:1 cache (Printf.sprintf "load g %s" path :: verbs) in
+  let c1 = Sgr_obs.Obs.counters () in
+  let warm = Engine.run_batch ~jobs:1 cache verbs in
+  let moved = counter_moves c1 (Sgr_obs.Obs.counters ()) in
+  let moved_by name = Option.value (List.assoc_opt name moved) ~default:0 in
+  check_true "the cold pass evaluates latencies"
+    (List.mem_assoc "latency.evaluations" (counter_moves c0 c1));
+  Alcotest.(check (list string)) "warm replies equal the cold ones" (List.tl cold) warm;
+  Alcotest.(check (list (pair string int))) "no counter outside serve.* moves" []
+    (List.filter (fun (name, _) -> not (starts_with name "serve.")) moved);
+  Alcotest.(check int) "serve.memo.hit" 30 (moved_by "serve.memo.hit");
+  Alcotest.(check int) "serve.memo.miss" 0 (moved_by "serve.memo.miss")
 
 (* ---------------- line reader and sessions ---------------- *)
 
@@ -339,8 +400,10 @@ let test_session_quit_eof_abort () =
 module Server = Sgr_serve.Server
 module Client = Sgr_serve.Client
 
-(* An in-process server on a scratch socket, stopped and joined on the
-   way out. *)
+(* An in-process server on a scratch socket. A watchdog thread stops it
+   on the way out, or after 30 s at the latest: a reply that never
+   comes then fails the test (the waiting client sees the connection
+   close) instead of hanging it. *)
 let with_server ?(capacity = 8) f =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let dir = Filename.temp_dir "sgr_serve_test" "" in
@@ -348,9 +411,21 @@ let with_server ?(capacity = 8) f =
   let cache = Cache.create ~capacity in
   let server = Server.create ~socket_path:socket ~cache ~log:(fun _ -> ()) in
   let th = Thread.create Server.run server in
+  let finished = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 30.0 in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        Server.request_stop server)
+      ()
+  in
   Fun.protect
     ~finally:(fun () ->
-      Server.request_stop server;
+      Atomic.set finished true;
+      Thread.join watchdog;
       Thread.join th;
       (try Sys.remove socket with Sys_error _ -> ());
       try Unix.rmdir dir with Unix.Unix_error _ -> ())
@@ -366,45 +441,105 @@ let with_server ?(capacity = 8) f =
   wait 500;
   f socket
 
-let test_server_concurrent_clients () =
-  with_instance_file (IF.Links W.pigou) @@ fun pigou ->
-  with_instance_file (IF.Links W.fig456) @@ fun fig ->
-  let stream1 =
-    [ Printf.sprintf "load a %s" pigou; "solve a nash"; "optop a"; "induced a 0.25" ]
-  in
-  let stream2 = [ Printf.sprintf "load b %s" fig; "solve b nash"; "solve b opt"; "sweep b 0.5" ] in
-  (* Two clients connected at once, their solves interleaved request by
-     request in one server process. *)
-  let inter1, inter2 =
-    with_server @@ fun socket ->
-    let c1 = Client.connect socket and c2 = Client.connect socket in
-    Fun.protect
-      ~finally:(fun () ->
-        Client.close c1;
-        Client.close c2)
-    @@ fun () ->
-    let r1 = ref [] and r2 = ref [] in
-    List.iter2
-      (fun a b ->
-        (match Client.rpc c1 a with Some r -> r1 := r :: !r1 | None -> ());
-        match Client.rpc c2 b with Some r -> r2 := r :: !r2 | None -> ())
-      stream1 stream2;
-    (List.rev !r1, List.rev !r2)
-  in
-  (* The same streams played back to back on a fresh server. Replies
-     are a pure function of (instance, request), so the interleaved run
-     must be byte-identical to the sequential one. *)
-  let seq1, seq2 =
+(* One connection per stream, all open at once, driven in waves: each
+   wave sends every client's next request before reading any reply, so
+   up to one request per client is in flight in the one server process;
+   the replies are then read in client order. *)
+let run_in_waves socket streams =
+  let streams = Array.of_list (List.map Array.of_list streams) in
+  let clients = Array.map (fun _ -> Client.connect socket) streams in
+  Fun.protect ~finally:(fun () -> Array.iter Client.close clients) @@ fun () ->
+  let replies = Array.map (fun _ -> ref []) streams in
+  let waves = Array.fold_left (fun n s -> Int.max n (Array.length s)) 0 streams in
+  for w = 0 to waves - 1 do
+    let sent =
+      Array.mapi (fun c s -> w < Array.length s && Client.send clients.(c) s.(w)) streams
+    in
+    Array.iteri
+      (fun c sent -> if sent then replies.(c) := Client.recv clients.(c) :: !(replies.(c)))
+      sent
+  done;
+  Array.map (fun r -> List.rev !r) replies
+
+(* The streams run concurrently in waves, then back to back on one
+   connection to a fresh server. Both runs first send [setup] on a
+   connection of their own and end with [stats] on it. Replies are a
+   pure function of (instance, request) and the server computes one
+   request at a time, so each client's replies must equal its stream's
+   sequential replies byte for byte, none of them an error, and the
+   two [stats] replies must agree. Returns the sequential [stats]. *)
+let check_concurrent_matches_sequential ~setup streams =
+  let run drive =
     with_server @@ fun socket ->
     let c = Client.connect socket in
     Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-    let play stream = List.filter_map (Client.rpc c) stream in
-    let s1 = play stream1 in
-    let s2 = play stream2 in
-    (s1, s2)
+    List.iter
+      (fun l ->
+        let r = Option.get (Client.rpc c l) in
+        check_true (Printf.sprintf "setup %S: %s" l r) (starts_with r "ok "))
+      setup;
+    let replies = drive socket c in
+    (replies, Option.get (Client.rpc c "stats"))
   in
-  Alcotest.(check (list string)) "client 1 replies byte-identical to sequential" seq1 inter1;
-  Alcotest.(check (list string)) "client 2 replies byte-identical to sequential" seq2 inter2
+  let concurrent, concurrent_stats = run (fun socket _ -> run_in_waves socket streams) in
+  let sequential, sequential_stats =
+    run (fun _ c -> Array.of_list (List.map (List.filter_map (Client.rpc c)) streams))
+  in
+  Array.iteri
+    (fun i replies ->
+      List.iter
+        (fun r ->
+          check_true (Printf.sprintf "client %d: %s" (i + 1) r) (not (starts_with r "error")))
+        replies;
+      Alcotest.(check (list string))
+        (Printf.sprintf "client %d replies byte-identical to sequential" (i + 1))
+        sequential.(i) replies)
+    concurrent;
+  Alcotest.(check string) "stats agree" sequential_stats concurrent_stats;
+  sequential_stats
+
+let test_server_concurrent_clients () =
+  with_instance_file (IF.Links W.pigou) @@ fun pigou ->
+  with_instance_file (IF.Links W.fig456) @@ fun fig ->
+  ignore
+    (check_concurrent_matches_sequential ~setup:[]
+       [
+         [ Printf.sprintf "load a %s" pigou; "solve a nash"; "optop a"; "induced a 0.25" ];
+         [ Printf.sprintf "load b %s" fig; "solve b nash"; "solve b opt"; "sweep b 0.5" ];
+       ])
+
+let test_server_four_clients () =
+  (* Four clients over two link games and a 3×3 grid, mixing every verb
+     a serving workload sends: solve nash|opt, optop, mop, induced on
+     links and on the grid, and sweep at a point and over a range. The
+     instances are loaded once up front, so no reply depends on which
+     client reached a file first; the streams overlap, so some requests
+     are memo hits, and the pinned [stats] fixes how many. *)
+  with_instance_file (IF.Links W.pigou) @@ fun pigou ->
+  with_instance_file (IF.Links W.fig456) @@ fun fig ->
+  let grid = W.grid_network (Sgr_numerics.Prng.create 9011) ~rows:3 ~cols:3 () in
+  with_instance_file (IF.Network grid) @@ fun grid ->
+  let setup =
+    [ Printf.sprintf "load p %s" pigou; Printf.sprintf "load f %s" fig;
+      Printf.sprintf "load g %s" grid ]
+  in
+  let stats =
+    check_concurrent_matches_sequential ~setup
+      [
+        [ "solve p nash"; "solve g opt"; "optop f"; "induced g 0.5"; "sweep p 0.25"; "mop g";
+          "induced p 0.75"; "solve f opt" ];
+        [ "solve g nash"; "optop p"; "induced f 0.25"; "sweep f 0.5"; "mop g"; "solve p nash";
+          "induced g 0.5"; "sweep p 0 1 5" ];
+        [ "mop g"; "solve f nash"; "induced p 0.75"; "optop p"; "solve g nash"; "sweep f 1";
+          "induced g 0"; "solve p opt" ];
+        [ "induced g 0.25"; "sweep p 0.25"; "solve f opt"; "optop f"; "solve g opt";
+          "sweep p 0 1 5"; "induced f 0.25"; "mop g" ];
+      ]
+  in
+  Alcotest.(check string) "stats after the sequential replay"
+    "ok stats entries=3 capacity=8 hits=32 misses=3 evictions=0 memo_hits=14 memo_misses=18 \
+     memo_hit_rate=0.4375 occupancy=0.375"
+    stats
 
 let test_server_pipelined_sessions () =
   with_instance_file (IF.Links W.pigou) @@ fun pigou ->
@@ -613,11 +748,13 @@ let suite =
     case "engine: pigou golden replies" test_engine_pigou;
     case "engine: memoization and reload-after-evict" test_engine_memo_and_reload;
     case "engine: pre-emptive deadline cancellation" test_engine_timeout;
+    case "engine: a warm batch pass does no solver work" test_engine_warm_pass_no_work;
     case "lineio: many lines from one read" test_lineio_many_lines_one_read;
     case "lineio: chunk boundaries and take_rest" test_lineio_chunk_boundaries;
     case "session: pipelining and partial writes" test_session_pipelining;
     case "session: quit, eof, abort" test_session_quit_eof_abort;
     case "server: two concurrent clients match sequential" test_server_concurrent_clients;
+    case "server: four clients over every verb match sequential" test_server_four_clients;
     case "server: pipelined sessions reply in order" test_server_pipelined_sessions;
     case "server: refuses a live socket" test_server_busy;
     case "server: socket appears after listen, alone, and is removed" test_server_socket_dir;
