@@ -228,22 +228,25 @@ let e9_bounds () =
   let affine_instances =
     List.init 40 (fun _ -> W.random_affine_links rng ~m:(2 + Prng.int rng 6) ~demand:1.0 ())
   in
+  (* Each instance with its optimum, solved once for every α. *)
+  let with_optimum = List.map (fun t -> (t, (Links.opt t).assignment)) in
+  let instances = with_optimum instances and affine_instances = with_optimum affine_instances in
   let rows = ref [] in
   List.iter
     (fun alpha ->
       let worst_any =
         List.fold_left
-          (fun acc t -> Float.max acc (S.llf t ~alpha).ratio_to_opt)
+          (fun acc (t, optimum) -> Float.max acc (S.llf t ~optimum ~alpha).ratio_to_opt)
           1.0 instances
       in
       let worst_affine =
         List.fold_left
-          (fun acc t -> Float.max acc (S.llf t ~alpha).ratio_to_opt)
+          (fun acc (t, optimum) -> Float.max acc (S.llf t ~optimum ~alpha).ratio_to_opt)
           1.0 affine_instances
       in
       let worst_scale =
         List.fold_left
-          (fun acc t -> Float.max acc (S.scale t ~alpha).ratio_to_opt)
+          (fun acc (t, optimum) -> Float.max acc (S.scale t ~optimum ~alpha).ratio_to_opt)
           1.0 instances
       in
       rows :=
@@ -461,8 +464,9 @@ let e18_partition_heuristic () =
       let alpha = Prng.uniform rng ~lo:0.05 ~hi:beta in
       let h = Stackelberg.Partition_heuristic.solve t ~alpha in
       let grid = BF.optimal_strategy ~resolution:48 t ~alpha in
-      let llf = (S.llf t ~alpha).induced_cost in
-      let scale = (S.scale t ~alpha).induced_cost in
+      let optimum = (Links.opt t).assignment in
+      let llf = (S.llf t ~optimum ~alpha).induced_cost in
+      let scale = (S.scale t ~optimum ~alpha).induced_cost in
       rows :=
         {
           quantity =

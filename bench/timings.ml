@@ -19,22 +19,28 @@ let mixed_instance m = W.random_polynomial_links (Prng.create (2000 + m)) ~m ~de
 let layered seed ~layers ~width =
   W.random_layered_network (Prng.create seed) ~layers ~width ~extra_edges:width ()
 
-(* T1: water-filling solvers vs system size. [nash]/[opt] answer these
-   affine games in closed form; the [water_fill] rows are the bisection
+(* T1: water-filling solvers vs system size. [nash]/[opt] answer the
+   affine games in closed form and the polynomial (b + c·x^d) games by
+   Newton on the level; the [water_fill] rows are the bisection
    reference on the same instances. *)
 let t1 () =
-  let make name solve =
+  let make family instance name solve =
     List.map
       (fun m ->
-        let t = links_instance m in
-        Test.make ~name:(Printf.sprintf "%s/m=%d" name m) (Staged.stage (fun () -> solve t)))
+        let t = instance m in
+        Test.make
+          ~name:(Printf.sprintf "%s/%s/m=%d" name family m)
+          (Staged.stage (fun () -> solve t)))
       [ 10; 100; 1000 ]
   in
+  let rows family instance =
+    make family instance "nash" (fun t -> ignore (Links.nash t))
+    @ make family instance "opt" (fun t -> ignore (Links.opt t))
+    @ make family instance "water-fill-nash" (fun t -> ignore (Links.water_fill `Nash t))
+    @ make family instance "water-fill-opt" (fun t -> ignore (Links.water_fill `Opt t))
+  in
   Test.make_grouped ~name:"T1 water-filling"
-    (make "nash" (fun t -> ignore (Links.nash t))
-    @ make "opt" (fun t -> ignore (Links.opt t))
-    @ make "water-fill-nash" (fun t -> ignore (Links.water_fill `Nash t))
-    @ make "water-fill-opt" (fun t -> ignore (Links.water_fill `Opt t)))
+    (rows "affine" links_instance @ rows "poly" mixed_instance)
 
 (* T2: OpTop vs system size (the paper's headline polynomial algorithm). *)
 let t2 () =

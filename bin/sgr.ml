@@ -402,12 +402,12 @@ let heuristic_cmd name doc links_play net_play =
 let llf_cmd =
   heuristic_cmd "llf"
     "Play the Largest-Latency-First heuristic with budget ALPHA·r and report the induced cost."
-    Stackelberg.Strategies.llf
+    (fun t ~alpha -> Stackelberg.Strategies.llf t ~optimum:(Links.opt t).assignment ~alpha)
     (fun n ~alpha -> Stackelberg.Net_strategies.llf n ~alpha)
 
 let scale_cmd =
   heuristic_cmd "scale" "Play SCALE (ALPHA times the optimum) and report the induced cost."
-    Stackelberg.Strategies.scale
+    (fun t ~alpha -> Stackelberg.Strategies.scale t ~optimum:(Links.opt t).assignment ~alpha)
     (fun n ~alpha -> Stackelberg.Net_strategies.scale n ~alpha)
 
 (* ---------------- thm24 ---------------- *)

@@ -16,7 +16,7 @@ let ratio_of ~opt_cost cost =
    here: this runs on pool workers, where spans are dropped, so a span
    would make the recorded trace depend on the job count and break PR
    3's jobs-invariant observability guarantee. *)
-let point_of ~beta ~opt_cost ~common_slope ~m ~grid_resolution instance alpha =
+let point_of ~beta ~optimum ~opt_cost ~common_slope ~m ~grid_resolution instance alpha =
   let ratio_of cost = ratio_of ~opt_cost cost in
   if alpha >= beta -. 1e-12 then { alpha; ratio = 1.0; method_used = Exact_threshold }
   else if common_slope then
@@ -26,8 +26,8 @@ let point_of ~beta ~opt_cost ~common_slope ~m ~grid_resolution instance alpha =
     let r = Brute_force.optimal_strategy ~resolution:grid_resolution instance ~alpha in
     { alpha; ratio = ratio_of r.Brute_force.induced_cost; method_used = Grid_search }
   else begin
-    let llf = Strategies.llf instance ~alpha in
-    let scale = Strategies.scale instance ~alpha in
+    let llf = Strategies.llf instance ~optimum ~alpha in
+    let scale = Strategies.scale instance ~optimum ~alpha in
     let best = Float.min llf.Strategies.induced_cost scale.Strategies.induced_cost in
     { alpha; ratio = ratio_of best; method_used = Heuristic_upper_bound }
   end
@@ -35,7 +35,7 @@ let point_of ~beta ~opt_cost ~common_slope ~m ~grid_resolution instance alpha =
 let at ?(grid_resolution = 32) instance ~alpha =
   if not (0.0 <= alpha && alpha <= 1.0) then invalid_arg "Alpha_sweep.at: alpha not in [0, 1]";
   let optop = Optop.run instance in
-  point_of ~beta:optop.Optop.beta ~opt_cost:optop.Optop.optimum_cost
+  point_of ~beta:optop.Optop.beta ~optimum:optop.Optop.optimum ~opt_cost:optop.Optop.optimum_cost
     ~common_slope:(Linear_exact.is_common_slope instance)
     ~m:(Links.num_links instance) ~grid_resolution instance alpha
 
@@ -50,7 +50,8 @@ let range ?jobs ?(grid_resolution = 32) instance ~lo ~hi ~samples =
   let m = Links.num_links instance in
   let common_slope = Linear_exact.is_common_slope instance in
   let point_at alpha =
-    point_of ~beta ~opt_cost ~common_slope ~m ~grid_resolution instance alpha
+    point_of ~beta ~optimum:optop.Optop.optimum ~opt_cost ~common_slope ~m ~grid_resolution
+      instance alpha
   in
   (* Each α point is independent; results are collected by index, so the
      curve is identical at any job count. *)

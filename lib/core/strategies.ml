@@ -3,9 +3,9 @@ module L = Sgr_latency.Latency
 
 type outcome = { strategy : float array; induced_cost : float; ratio_to_opt : float }
 
-let evaluate instance ~strategy =
+let evaluate instance ~optimum ~strategy =
   let induced_cost = Links.stackelberg_cost instance ~strategy in
-  let opt_cost = Links.cost instance (Links.opt instance).assignment in
+  let opt_cost = Links.cost instance optimum in
   (* Same semantics as [Alpha_sweep.ratio_of]: a vanishing optimum with
      a genuinely positive induced cost is an unbounded ratio, not 1; the
      old exact [opt_cost = 0.0] test also exploded on denormal optima. *)
@@ -19,14 +19,17 @@ let evaluate instance ~strategy =
 let check_alpha alpha =
   if not (0.0 <= alpha && alpha <= 1.0) then invalid_arg "Strategies: alpha must be in [0, 1]"
 
-let llf instance ~alpha =
+let llf instance ~optimum:opt ~alpha =
   check_alpha alpha;
   let m = Links.num_links instance in
-  let opt = (Links.opt instance).assignment in
   let order = Array.init m (fun i -> i) in
-  (* Decreasing latency at the optimum; stable on ties by index. *)
-  let lat i = L.eval instance.Links.latencies.(i) opt.(i) in
-  Array.sort (fun i j -> compare (lat j, i) (lat i, j)) order;
+  (* Decreasing latency at the optimum; stable on ties by index. Each
+     latency is evaluated once, so the work does not depend on the
+     order the links come in. *)
+  let lat = Array.init m (fun i -> L.eval instance.Links.latencies.(i) opt.(i)) in
+  Array.sort
+    (fun i j -> match Float.compare lat.(j) lat.(i) with 0 -> Int.compare i j | c -> c)
+    order;
   let budget = ref (alpha *. instance.Links.demand) in
   let strategy = Array.make m 0.0 in
   Array.iter
@@ -35,12 +38,12 @@ let llf instance ~alpha =
       strategy.(i) <- take;
       budget := !budget -. take)
     order;
-  evaluate instance ~strategy
+  evaluate instance ~optimum:opt ~strategy
 
-let scale instance ~alpha =
+let scale instance ~optimum ~alpha =
   check_alpha alpha;
-  let opt = (Links.opt instance).assignment in
-  evaluate instance ~strategy:(Array.map (fun o -> alpha *. o) opt)
+  evaluate instance ~optimum ~strategy:(Array.map (fun o -> alpha *. o) optimum)
 
 let aloof instance =
-  evaluate instance ~strategy:(Array.make (Links.num_links instance) 0.0)
+  evaluate instance ~optimum:(Links.opt instance).assignment
+    ~strategy:(Array.make (Links.num_links instance) 0.0)

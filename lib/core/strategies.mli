@@ -14,11 +14,15 @@ type outcome = {
   ratio_to_opt : float;  (** [C(S+T) / C(O)] — the a-posteriori anarchy cost. *)
 }
 
-val llf : Sgr_links.Links.t -> alpha:float -> outcome
+(** [llf], [scale] and [evaluate] take the instance's optimum
+    assignment ([(Links.opt t).assignment]) as [~optimum], so a caller
+    that plays many budgets on one instance solves it once. *)
+
+val llf : Sgr_links.Links.t -> optimum:float array -> alpha:float -> outcome
 (** @raise Invalid_argument unless [0 <= alpha <= 1]. *)
 
-val scale : Sgr_links.Links.t -> alpha:float -> outcome
+val scale : Sgr_links.Links.t -> optimum:float array -> alpha:float -> outcome
 val aloof : Sgr_links.Links.t -> outcome
 
-val evaluate : Sgr_links.Links.t -> strategy:float array -> outcome
+val evaluate : Sgr_links.Links.t -> optimum:float array -> strategy:float array -> outcome
 (** Wrap an arbitrary feasible Leader assignment. *)

@@ -231,6 +231,9 @@ let rec shift_intercept tau t =
 let rec kind_constant_value = function
   | Constant c -> Some c
   | Affine { slope = 0.0; intercept } -> Some intercept
+  (* t₀·(1 + α(x/k)^β) is the constant t₀ when α or t₀ is 0 (both are
+     nonnegative, so [<= 0.] is the exact zero test). *)
+  | Bpr { free_flow; alpha; _ } when alpha <= 0.0 || free_flow <= 0.0 -> Some free_flow
   | Affine _ | Mm1 _ | Bpr _ | Custom _ -> None
   | Polynomial coeffs ->
       let nonconst = ref false in
@@ -246,6 +249,9 @@ let rec kind_constant_value = function
 let constant_value t = kind_constant_value t.kind
 let is_constant t = Option.is_some (constant_value t)
 
+(* The bracketed bisection every inverse reduces to when its kind has no
+   closed form; [reference_inverse] exposes it as the oracle the closed
+   forms are tested against. *)
 let inverse_of f t y =
   match constant_value t with
   (* [Failure] is the documented contract here; the links water-filling
@@ -277,18 +283,61 @@ let inverse_of f t y =
         Sgr_numerics.Bisection.solve_increasing ~f:g ~y ~lo:0.0 ~hi ()
       end
 
+let reference_inverse criterion t y =
+  match criterion with `Nash -> inverse_of eval t y | `Opt -> inverse_of marginal t y
+
+(* The degree d of a polynomial b + c·x^d with a single nonconstant
+   term, or 0 when it has several (or none). *)
+let single_term coeffs =
+  let d = ref 0 and terms = ref 0 in
+  for i = 1 to Array.length coeffs - 1 do
+    if coeffs.(i) > 0.0 then begin
+      d := i;
+      incr terms
+    end
+  done;
+  if !terms = 1 then !d else 0
+
+(* x >= 0 with b + k·x^p = y, floored at 0: the inverse of every
+   monomial-plus-constant curve (BPR is t₀ + t₀α·(x/cap)^β). *)
+let power_root ~b ~k ~p y = if y <= b then 0.0 else Float.pow ((y -. b) /. k) (1.0 /. p)
+
+(* Nash and optimum inverses of b + c·x^d: the marginal cost is
+   b + (d+1)c·x^d. *)
+let poly_root ~mult coeffs d y =
+  let fd = float_of_int d in
+  power_root ~b:coeffs.(0) ~k:((if mult then fd +. 1.0 else 1.0) *. coeffs.(d)) ~p:fd y
+
+(* Same for BPR: its marginal cost is t₀ + t₀α(1+β)·(x/cap)^β. *)
+let bpr_root ~mult ~free_flow ~capacity ~alpha ~beta y =
+  let k = free_flow *. alpha *. if mult then 1.0 +. beta else 1.0 in
+  capacity *. power_root ~b:free_flow ~k ~p:beta y
+
 let inverse t y =
   match t.kind with
   | Affine { slope; intercept } when slope > 0.0 ->
       Float.max 0.0 ((y -. intercept) /. slope)
   | Shifted { offset; base = Affine { slope; intercept } } when slope > 0.0 ->
       Float.max 0.0 (((y -. intercept) /. slope) -. offset)
+  | Polynomial coeffs when single_term coeffs > 0 ->
+      poly_root ~mult:false coeffs (single_term coeffs) y
+  | Shifted { offset; base = Polynomial coeffs } when single_term coeffs > 0 ->
+      Float.max 0.0 (poly_root ~mult:false coeffs (single_term coeffs) y -. offset)
+  | Bpr { free_flow; capacity; alpha; beta } when alpha > 0.0 && free_flow > 0.0 ->
+      bpr_root ~mult:false ~free_flow ~capacity ~alpha ~beta y
+  | Shifted { offset; base = Bpr { free_flow; capacity; alpha; beta } }
+    when alpha > 0.0 && free_flow > 0.0 ->
+      Float.max 0.0 (bpr_root ~mult:false ~free_flow ~capacity ~alpha ~beta y -. offset)
   | Mm1 { capacity } ->
       if y <= 1.0 /. capacity then 0.0 else capacity -. (1.0 /. y)
   | Shifted { offset; base = Mm1 { capacity } } ->
       if y <= 1.0 /. (capacity -. offset) then 0.0
       else Float.max 0.0 (capacity -. (1.0 /. y) -. offset)
   | _ -> inverse_of eval t y
+
+(* The marginal cost of 1/(c - x) is c/(c - x)², so its inverse is
+   c - √(c/y); a shift by s is the same curve with capacity c - s. *)
+let mm1_marginal_root cap y = if y <= 1.0 /. cap then 0.0 else Float.max 0.0 (cap -. Float.sqrt (cap /. y))
 
 let inverse_marginal t y =
   match t.kind with
@@ -298,7 +347,46 @@ let inverse_marginal t y =
   | Shifted { offset; base = Affine { slope; intercept } } when slope > 0.0 ->
       (* marginal of x ↦ a(s+x)+b is a(s+x)+b + x·a = 2a·x + (a·s + b) *)
       Float.max 0.0 ((y -. intercept -. (slope *. offset)) /. (2.0 *. slope))
+  | Polynomial coeffs when single_term coeffs > 0 ->
+      poly_root ~mult:true coeffs (single_term coeffs) y
+  | Bpr { free_flow; capacity; alpha; beta } when alpha > 0.0 && free_flow > 0.0 ->
+      bpr_root ~mult:true ~free_flow ~capacity ~alpha ~beta y
+  | Mm1 { capacity } -> mm1_marginal_root capacity y
+  | Shifted { offset; base = Mm1 { capacity } } when capacity > offset ->
+      mm1_marginal_root (capacity -. offset) y
   | _ -> inverse_of marginal t y
+
+(* ℓ'' from the kind, for the kinds whose kind carries the whole
+   function (a [Custom] base does not). *)
+let rec closed_deriv2 = function Custom _ -> false | Shifted { base; _ } -> closed_deriv2 base | _ -> true
+
+let rec kind_deriv2 kind x =
+  match kind with
+  | Constant _ | Affine _ | Custom _ -> 0.0
+  | Polynomial coeffs ->
+      (* Σ i(i-1)·cᵢ·x^(i-2), by Horner *)
+      let acc = ref 0.0 in
+      for i = Array.length coeffs - 1 downto 2 do
+        acc := (!acc *. x) +. (float_of_int (i * (i - 1)) *. coeffs.(i))
+      done;
+      !acc
+  | Mm1 { capacity } ->
+      if x >= capacity then Float.infinity
+      else 2.0 /. ((capacity -. x) *. (capacity -. x) *. (capacity -. x))
+  | Bpr { free_flow; capacity; alpha; beta } ->
+      (* β = 1 is linear; β < 2 is infinitely curved at 0. *)
+      if beta <= 1.0 then 0.0
+      else
+        free_flow *. alpha *. beta *. (beta -. 1.0) /. (capacity *. capacity)
+        *. ((x /. capacity) ** (beta -. 2.0))
+  | Shifted { offset; base } -> kind_deriv2 base (offset +. x)
+
+let deriv2 t x =
+  if closed_deriv2 t.kind then kind_deriv2 t.kind x
+  else
+    let h = 1e-6 *. Float.max 1.0 (Float.abs x) in
+    let lo = Float.max 0.0 (x -. h) in
+    (t.deriv (x +. h) -. t.deriv lo) /. (x +. h -. lo)
 
 let pp ppf t = pp_kind ppf t.kind
 let to_string t = Format.asprintf "%a" pp t

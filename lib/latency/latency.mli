@@ -7,8 +7,11 @@
     admitted; the solvers treat them specially.
 
     Values of type {!t} carry closed-form evaluation, derivative, primitive
-    [∫₀ˣ ℓ] (the Beckmann term) and, where available, closed-form inverses;
-    everything else falls back to guarded numerical routines. *)
+    [∫₀ˣ ℓ] (the Beckmann term), a second derivative computed from the
+    {!kind}, and closed-form inverses of the latency and of the marginal
+    cost for every kind that has one (affine, [b + c·xᵈ], BPR, M/M/1 and
+    their [Shifted] forms, see {!inverse}); everything else falls back to
+    guarded numerical routines. *)
 
 type kind =
   | Constant of float  (** [ℓ(x) = c]. *)
@@ -104,20 +107,38 @@ val cost : t -> float -> float
 (** {1 Structure} *)
 
 val constant_value : t -> float option
-(** [Some c] when the latency is constant (including shifted constants and
-    zero-slope affines); [None] otherwise. Solvers use this to give
+(** [Some c] when the latency is constant (including shifted constants,
+    zero-slope affines, and BPR curves with [alpha = 0] or
+    [free_flow = 0]); [None] otherwise. Solvers use this to give
     constant links their special water-filling treatment. *)
 
 val is_constant : t -> bool
 
+val deriv2 : t -> float -> float
+(** [deriv2 ℓ x] is [ℓ''(x)]: closed form for constant, affine,
+    polynomial, M/M/1 and BPR latencies and their [Shifted] forms, a
+    central difference of {!deriv} otherwise. The Newton level solve of
+    the optimum needs it: the slope of the marginal cost is
+    [2ℓ'(x) + xℓ''(x)]. *)
+
 val inverse : t -> float -> float
 (** [inverse ℓ y] is the flow [x >= 0] with [ℓ(x) = y], assuming
     [ℓ(0) <= y] and strictly increasing [ℓ]; returns [0.] when [y <= ℓ(0)].
-    Closed form for affine/shifted-affine/M/M/1, bisection otherwise.
+    Closed form for affine, [b + c·xᵈ] (a polynomial with one nonconstant
+    term), BPR, M/M/1 and the [Shifted] form of each; {!reference_inverse}
+    otherwise.
     @raise Failure when the latency is constant or bounded below [y]. *)
 
 val inverse_marginal : t -> float -> float
-(** Same as {!inverse} for the marginal-cost map [x ↦ ℓ(x) + xℓ'(x)]. *)
+(** Same as {!inverse} for the marginal-cost map [x ↦ ℓ(x) + xℓ'(x)].
+    Closed form for affine, [b + c·xᵈ], BPR and M/M/1, and for shifted
+    affine and shifted M/M/1; {!reference_inverse} otherwise. *)
+
+val reference_inverse : [ `Nash | `Opt ] -> t -> float -> float
+(** The bracketed bisection behind {!inverse} ([`Nash]) and
+    {!inverse_marginal} ([`Opt]) for kinds with no closed form, on any
+    kind: the oracle the closed forms are tested against. Same contract
+    as {!inverse}. *)
 
 (** {1 Misc} *)
 

@@ -47,92 +47,211 @@ let beckmann t x =
 type solution = { assignment : float array; level : float }
 
 (* Water-filling: find the minimal level [l] at which the links can absorb
-   the whole demand, where a strictly-increasing link absorbs
+   the whole demand, where a strictly-increasing ("rigid") link absorbs
    [inverse ℓ l] and a constant link of value [c] absorbs nothing below
-   its level and arbitrarily much at it. [value]/[inverse] select the
-   criterion: latency for Nash, marginal cost for the optimum. *)
-let bisect_level ~value ~inverse t =
+   its level and arbitrarily much at it. The criterion is the latency
+   for Nash and the marginal cost for the optimum. The constant links
+   handle themselves; [solve_rigid] finds the level in [[lo, hi]] at
+   which the rigid links alone absorb the demand, given each link's
+   criterion value at zero flow ([g0]). *)
+let water_level criterion ~solve_rigid t =
+  let value, inverse =
+    match criterion with `Nash -> (L.eval, L.inverse) | `Opt -> (L.marginal, L.inverse_marginal)
+  in
   let n = num_links t and r = t.demand in
   let lats = t.latencies in
   let consts = Array.map L.constant_value lats in
-  let rigid i = Option.is_none consts.(i) in
+  let rigid = Array.map Option.is_none consts in
+  let g0 =
+    Array.mapi (fun i c -> match c with Some c -> c | None -> value lats.(i) 0.0) consts
+  in
   let c_min =
     Array.fold_left
       (fun acc c -> match c with Some c -> Float.min acc c | None -> acc)
       Float.infinity consts
   in
-  (* Aggregate demand the strictly-increasing links absorb at level l. *)
+  (* Aggregate demand the rigid links absorb at level l. *)
   let absorbed l =
     let acc = ref 0.0 in
     for i = 0 to n - 1 do
-      if rigid i then acc := !acc +. inverse lats.(i) l
+      if rigid.(i) then acc := !acc +. inverse lats.(i) l
     done;
     !acc
   in
-  let base_level =
-    Array.to_list lats
-    |> List.mapi (fun i lat -> if rigid i then value lat 0.0 else Option.get consts.(i))
-    |> List.fold_left Float.min Float.infinity
-  in
+  let base_level = Array.fold_left Float.min Float.infinity g0 in
   if r <= 0.0 then { assignment = Array.make n 0.0; level = base_level }
-  else begin
-    let level, flexible_share =
-      if c_min < Float.infinity && absorbed c_min < r then begin
-        (* The constant links act as an infinite reservoir at [c_min]:
-           they soak up whatever the rigid links do not take. *)
-        let remainder = r -. absorbed c_min in
-        (c_min, remainder)
-      end
-      else begin
-        let hi =
-          if c_min < Float.infinity then c_min
-          else
-            Bisection.expand_upper
-              ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
-              ~f:absorbed ~target:r ()
-        in
-        let level =
-          Bisection.solve_increasing ~f:absorbed ~y:r ~lo:base_level ~hi ()
-        in
-        (level, 0.0)
-      end
-    in
+  else if c_min < Float.infinity && absorbed c_min < r then begin
+    (* The constant links act as an infinite reservoir at [c_min]: they
+       soak up whatever the rigid links do not take, split evenly among
+       the constants sitting exactly at the level. *)
     let assignment = Array.make n 0.0 in
     for i = 0 to n - 1 do
-      if rigid i then assignment.(i) <- Tol.clamp_nonneg (inverse lats.(i) level)
+      if rigid.(i) then assignment.(i) <- Tol.clamp_nonneg (inverse lats.(i) c_min)
     done;
-    if flexible_share > 0.0 then begin
-      (* Split evenly among the constant links sitting exactly at the level. *)
-      let at_level =
-        Array.to_list consts
-        |> List.mapi (fun i c -> (i, c))
-        |> List.filter_map (fun (i, c) ->
-               match c with
-               | Some c when Tol.approx ~eps:1e-9 c level -> Some i
-               | _ -> None)
-      in
-      let k = List.length at_level in
-      assert (k > 0);
-      List.iter (fun i -> assignment.(i) <- flexible_share /. float_of_int k) at_level
-    end;
-    (* Absorb residual bisection noise so the assignment is exactly feasible:
-       spread the (tiny) difference over the loaded links proportionally. *)
-    let total = Vec.sum assignment in
-    if total > 0.0 then begin
-      let correction = r /. total in
-      for i = 0 to n - 1 do
-        assignment.(i) <- assignment.(i) *. correction
-      done
-    end;
-    { assignment; level }
+    let remainder = r -. absorbed c_min in
+    let at_level =
+      Array.to_list consts
+      |> List.mapi (fun i c -> (i, c))
+      |> List.filter_map (fun (i, c) ->
+             match c with
+             | Some c when Tol.approx ~eps:1e-9 c c_min -> Some i
+             | _ -> None)
+    in
+    let k = List.length at_level in
+    assert (k > 0);
+    List.iter (fun i -> assignment.(i) <- remainder /. float_of_int k) at_level;
+    { assignment; level = c_min }
+  end
+  else begin
+    let hi =
+      if c_min < Float.infinity then c_min
+      else
+        Bisection.expand_upper
+          ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
+          ~f:absorbed ~target:r ()
+    in
+    solve_rigid t ~inverse ~rigid ~g0 ~absorbed ~lo:base_level ~hi
   end
 
-module Closed_form = Closed_form
+(* The reference: bisect the level, invert every link there, and absorb
+   the bisection residual by rescaling the whole assignment. *)
+let bisect_rigid t ~inverse ~rigid ~g0:_ ~absorbed ~lo ~hi =
+  let level =
+    Bisection.solve_increasing ~tol:(4.0 *. epsilon_float) ~f:absorbed ~y:t.demand ~lo ~hi ()
+  in
+  let assignment =
+    Array.mapi
+      (fun i lat -> if rigid.(i) then Tol.clamp_nonneg (inverse lat level) else 0.0)
+      t.latencies
+  in
+  { assignment; level }
 
 let water_fill criterion t =
+  let sol = water_level criterion ~solve_rigid:bisect_rigid t in
+  (* Spread the (tiny) bisection residual over the loaded links
+     proportionally, so the assignment is exactly feasible. *)
+  let x = sol.assignment in
+  let total = Vec.sum x in
+  if total > 0.0 then begin
+    let correction = t.demand /. total in
+    Array.iteri (fun i xi -> x.(i) <- xi *. correction) x
+  end;
+  sol
+
+let c_level_steps = Sgr_obs.Obs.counter "links.level_iterations"
+let c_safeguard_steps = Sgr_obs.Obs.counter "bisection.iterations"
+
+(* Far more level steps than a solve takes (the worst nash or opt over
+   50,000 random polynomial games takes 39); the loop stops here
+   regardless. *)
+let max_level_steps = 200
+
+(* The engine: safeguarded Newton on the level. The rigid links' total
+   flow Σxᵢ(l) rises with l at rate Σ 1/gᵢ'(xᵢ) over the loaded links,
+   where [slope] is gᵢ' (ℓ' for Nash, 2ℓ' + xℓ'' for the optimum). At
+   [lo] no rigid link is loaded, so the first step is the secant from
+   (lo, -r) to (hi, Σx - r); every later step is a Newton step, or a
+   bisection step when the Newton step leaves the bracket. It stops once
+   the flows sum to the demand within 1e-13 (relative to max(1, r)) or
+   the bracket is a few ulps wide. What is left of the demand is the
+   part float precision cannot resolve the level for: it goes to the
+   links in proportion to dxᵢ/dl, which moves every link's level by the
+   same first-order amount, so no Wardrop (or marginal-cost) equality
+   breaks. *)
+let newton_rigid ~slope t ~inverse ~rigid ~g0 ~absorbed:_ ~lo ~hi =
+  let n = num_links t and r = t.demand and lats = t.latencies in
+  let x = Array.make n 0.0 in
+  (* Σxᵢ(l) - r, leaving the rigid links' flows at level l in [x]. *)
+  let excess l =
+    let s = ref 0.0 in
+    for i = 0 to n - 1 do
+      if rigid.(i) then begin
+        let xi = Tol.clamp_nonneg (inverse lats.(i) l) in
+        x.(i) <- xi;
+        s := !s +. xi
+      end
+    done;
+    !s -. r
+  in
+  (* dΣx/dl at the flows in [x]. *)
+  let flow_rate () =
+    let s = ref 0.0 in
+    for i = 0 to n - 1 do
+      if x.(i) > 0.0 then s := !s +. (1.0 /. slope lats.(i) x.(i))
+    done;
+    !s
+  in
+  let tol = 1e-13 *. Float.max 1.0 r in
+  let narrow lo hi = hi -. lo <= 4.0 *. epsilon_float *. Float.max (Float.abs lo) (Float.abs hi) in
+  let lo = ref lo and hi = ref hi in
+  let l = ref !hi in
+  let f = ref (excess !l) in
+  (* Σx - r at the bracket's ends; at [lo] every rigid flow is 0. *)
+  let f_lo = ref (-.r) and f_hi = ref !f in
+  let steps = ref 0 in
+  let cancel = Sgr_obs.Cancel.handle () in
+  while Float.abs !f > tol && (not (narrow !lo !hi)) && !steps < max_level_steps do
+    Sgr_obs.Cancel.check_handle cancel;
+    Sgr_obs.Obs.incr c_level_steps;
+    let rate = if !steps = 0 then (!f -. !f_lo) /. (!hi -. !lo) else flow_rate () in
+    incr steps;
+    let next = !l -. (!f /. rate) in
+    (* Past the last ulp Newton stands still: take that ulp instead. *)
+    let next =
+      if Float.equal next !l then if !f < 0.0 then Float.succ next else Float.pred next
+      else next
+    in
+    l :=
+      if next > !lo && next < !hi then next
+      else begin
+        Sgr_obs.Obs.incr c_safeguard_steps;
+        0.5 *. (!lo +. !hi)
+      end;
+    f := excess !l;
+    if !f < 0.0 then begin
+      lo := !l;
+      f_lo := !f
+    end
+    else begin
+      hi := !l;
+      f_hi := !f
+    end
+  done;
+  (* [l] is one end of the bracket; settle on the end nearer the demand. *)
+  let other, f_other = if Float.equal !l !lo then (!hi, !f_hi) else (!lo, !f_lo) in
+  if Float.abs f_other < Float.abs !f then begin
+    l := other;
+    f := excess other
+  end;
+  let level = !l and e = -. !f in
+  (* Who takes the residual e = r - Σxᵢ: the loaded links, plus, when
+     flow must be added, the links whose activation point g0 is within a
+     few ulps of the level. A link whose gᵢ' is 0 there takes all of it. *)
+  let w =
+    Array.init n (fun i ->
+        if x.(i) > 0.0 then 1.0 /. slope lats.(i) x.(i)
+        else if
+          e > 0.0 && rigid.(i)
+          && Float.abs (g0.(i) -. level) <= 4.0 *. epsilon_float *. Float.abs level
+        then 1.0 /. slope lats.(i) 0.0
+        else 0.0)
+  in
+  let total = Array.fold_left ( +. ) 0.0 w in
+  (* Some link always counts when e > 0: with nothing loaded, the level
+     sits on the cheapest link's activation point. *)
+  (match Array.find_index (fun wi -> wi = Float.infinity) w with
+  | Some i -> x.(i) <- Tol.clamp_nonneg (x.(i) +. e)
+  | None ->
+      if total > 0.0 then
+        Array.iteri (fun i wi -> x.(i) <- Tol.clamp_nonneg (x.(i) +. (e *. wi /. total))) w);
+  { assignment = x; level }
+
+let slope_of criterion lat x =
   match criterion with
-  | `Nash -> bisect_level ~value:L.eval ~inverse:L.inverse t
-  | `Opt -> bisect_level ~value:L.marginal ~inverse:L.inverse_marginal t
+  | `Nash -> L.deriv lat x
+  | `Opt -> (2.0 *. L.deriv lat x) +. if x > 0.0 then x *. L.deriv2 lat x else 0.0
+
+module Closed_form = Closed_form
 
 let c_fallbacks = Sgr_obs.Obs.counter "links.closed_form.fallbacks"
 
@@ -143,7 +262,7 @@ let solve criterion t =
   | Some (assignment, level) -> { assignment; level }
   | None ->
       Sgr_obs.Obs.incr c_fallbacks;
-      water_fill criterion t
+      water_level criterion ~solve_rigid:(newton_rigid ~slope:(slope_of criterion)) t
 
 let nash t = solve `Nash t
 let opt t = solve `Opt t

@@ -7,8 +7,11 @@
     Optimum [O] (same condition on *marginal costs*, by convexity of
     [x·ℓ(x)]). Both are computed by water-filling on the common level: in
     closed form when every link reduces to a line ({!Closed_form}),
-    otherwise by bisecting on the level and inverting each link's level
-    function ({!water_fill}). The instance alone picks the engine. *)
+    otherwise by safeguarded Newton on the level over each link's
+    (mostly closed-form) inverse, placing the last float-precision
+    residual by each link's sensitivity so the answer passes
+    {!verify_nash}/{!verify_opt}. The instance alone picks the engine;
+    {!water_fill} is the bisection reference. *)
 
 type t = private {
   latencies : Sgr_latency.Latency.t array;  (** One latency per link. *)
@@ -62,16 +65,21 @@ val nash : t -> solution
     latencies; with constant-latency links, ties at the level are split
     evenly (the cost is invariant to the split). Solved by
     {!Closed_form} when every link latency is affine-reducible, and by
-    {!water_fill} otherwise (counted in [links.closed_form.fallbacks]). *)
+    Newton on the level otherwise (counted in
+    [links.closed_form.fallbacks]; each level step counts in
+    [links.level_iterations], each safeguard bisection step also in
+    [bisection.iterations]). *)
 
 val opt : t -> solution
 (** The optimum assignment of [(M, r)], dispatched like {!nash}. *)
 
 val water_fill : [ `Nash | `Opt ] -> t -> solution
-(** The bisection reference that {!nash}/{!opt} fall back to: bisect on
-    the common level and invert each link's latency (Nash) or marginal
-    cost (optimum). Works on every latency kind; tests and bench T1
-    call it directly to check and time the closed form. *)
+(** The bisection reference: bisect on the common level to [4·ε_mach],
+    invert each link's latency (Nash) or marginal cost (optimum), and
+    rescale the assignment to sum to the demand. Works on every latency
+    kind; tests and bench T1 call it directly to check and time
+    {!nash}/{!opt}. The rescale can break the level equality of a steep
+    link, so compare costs and levels with it, not flows. *)
 
 val price_of_anarchy : t -> float
 (** [C(N)/C(O)]. *)

@@ -85,7 +85,7 @@ let payload (entry : Cache.entry) (req : P.request) =
         (fs r.induced.Stackelberg.Induced.cost)
   | P.Mop _, IF.Links _ -> wrong_kind "mop" "network instance"
   | P.Induced { alpha; _ }, IF.Links t ->
-      let o = Stackelberg.Strategies.llf t ~alpha in
+      let o = Stackelberg.Strategies.llf t ~optimum:(Links.opt t).assignment ~alpha in
       Printf.sprintf "alpha=%s cost=%s ratio=%s" (fs alpha)
         (fs o.Stackelberg.Strategies.induced_cost) (fs o.ratio_to_opt)
   | P.Induced { alpha; _ }, IF.Network net ->

@@ -11,11 +11,13 @@ let numeric_deriv f x =
   (f (x +. h) -. f (Float.max 0.0 (x -. h))) /. (x +. h -. Float.max 0.0 (x -. h))
 
 let check_consistency ?(hi = 3.0) name lat =
-  (* Closed-form derivative and primitive must match numerical ones. *)
+  (* Closed-form derivatives and primitive must match numerical ones. *)
   List.iter
     (fun x ->
       approx ~eps:1e-4 (name ^ ": deriv at " ^ string_of_float x)
         (numeric_deriv (L.eval lat) x) (L.deriv lat x);
+      approx ~eps:1e-4 (name ^ ": deriv2 at " ^ string_of_float x)
+        (numeric_deriv (L.deriv lat) x) (L.deriv2 lat x);
       approx ~eps:1e-8 (name ^ ": primitive at " ^ string_of_float x)
         (Integrate.adaptive_simpson ~f:(L.eval lat) ~lo:0.0 ~hi:x ())
         (L.primitive lat x))
@@ -79,9 +81,26 @@ let test_bpr () =
   approx "at capacity" 1.15 (L.eval b 2.0);
   check_consistency "bpr" b
 
+let test_bpr_constant () =
+  (* t₀·(1 + α(x/k)^β) is the constant t₀ when α = 0 or t₀ = 0. *)
+  List.iter
+    (fun (name, lat, c) ->
+      Alcotest.(check (option (float 0.0))) (name ^ ": constant_value") (Some c) (L.constant_value lat);
+      approx (name ^ ": eval") c (L.eval lat 2.0);
+      match L.inverse lat (c +. 1.0) with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "%s: inverse of a constant must fail" name)
+    [
+      ("alpha = 0", L.bpr ~free_flow:1.0 ~capacity:1.0 ~alpha:0.0 ~beta:4.0 (), 1.0);
+      ("t0 = 0", L.bpr ~free_flow:0.0 ~capacity:2.0 (), 0.0);
+      ("shifted, alpha = 0", L.shift 0.5 (L.bpr ~free_flow:2.0 ~capacity:1.0 ~alpha:0.0 ()), 2.0);
+    ];
+  check_true "alpha > 0 is not constant" (not (L.is_constant (L.bpr ~free_flow:1.0 ~capacity:1.0 ())))
+
 let test_custom_numeric_fallbacks () =
   let c = L.custom ~eval:(fun x -> Float.exp x -. 1.0 +. 0.5) () in
   approx ~eps:1e-4 "numeric deriv" (Float.exp 1.0) (L.deriv c 1.0);
+  approx ~eps:1e-3 "numeric deriv2" (Float.exp 1.0) (L.deriv2 c 1.0);
   approx ~eps:1e-8 "numeric primitive" (Float.exp 1.0 -. 1.0 -. 1.0 +. 0.5) (L.primitive c 1.0)
 
 let test_shift () =
@@ -112,6 +131,24 @@ let test_inverse_mm1 () =
   approx "inverse below idle delay" 0.0 (L.inverse q 0.25);
   let s = L.shift 0.5 q in
   approx "shifted inverse" 0.5 (L.inverse s 1.0)
+
+let test_inverse_closed_forms () =
+  (* 1 + 2x³: Nash inverse of 17 is 2; marginal 1 + 8x³ = 65 at x = 2. *)
+  let p = L.polynomial [| 1.0; 0.0; 0.0; 2.0 |] in
+  approx "polynomial inverse" 2.0 (L.inverse p 17.0);
+  approx "polynomial inverse_marginal" 2.0 (L.inverse_marginal p 65.0);
+  approx "polynomial inverse below intercept" 0.0 (L.inverse p 0.5);
+  approx "shifted polynomial inverse" 1.5 (L.inverse (L.shift 0.5 p) 17.0);
+  (* BPR 2(1 + 0.5(x/2)²): ℓ(4) = 6 and marginal(4) = 2 + 3·(x/2)² = 14. *)
+  let b = L.bpr ~free_flow:2.0 ~capacity:2.0 ~alpha:0.5 ~beta:2.0 () in
+  approx "bpr inverse" 4.0 (L.inverse b 6.0);
+  approx "bpr inverse_marginal" 4.0 (L.inverse_marginal b 14.0);
+  approx "shifted bpr inverse" 3.0 (L.inverse (L.shift 1.0 b) 6.0);
+  (* M/M/1 marginal c/(c - x)²: 2/(2 - 1)² = 2, and shifted by 0.5,
+     1.5/(1.5 - 1)² = 6. *)
+  let q = L.mm1 ~capacity:2.0 in
+  approx "mm1 inverse_marginal" 1.0 (L.inverse_marginal q 2.0);
+  approx "shifted mm1 inverse_marginal" 1.0 (L.inverse_marginal (L.shift 0.5 q) 6.0)
 
 let test_inverse_constant_fails () =
   match L.inverse (L.constant 1.0) 2.0 with
@@ -165,6 +202,50 @@ let prop_primitive_matches_quadrature =
       || Float.abs (p -. Integrate.adaptive_simpson ~f:(L.eval lat) ~lo:0.0 ~hi:x ())
          <= 1e-7 *. Float.max 1.0 p)
 
+(* One property per kind with a closed-form inverse: the closed forms
+   of the plain and the shifted curve, Nash and optimum, against the
+   bisection reference at a level 0.01 to 2 above the curve's value at
+   zero flow, and at one below it. (Closer to that value the inverse of
+   a high power is ill-conditioned: one ulp of the level moves the flow
+   by more than 1e-9, in both inverses.) *)
+let prop_inverse_matches_reference name make =
+  qcheck ("closed-form inverse ≍ bisection reference: " ^ name) QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 1) in
+      let base = make rng in
+      let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+      List.for_all
+        (fun lat ->
+          List.for_all
+            (fun (criterion, closed, value) ->
+              let y = value lat 0.0 +. Prng.uniform rng ~lo:0.01 ~hi:2.0 in
+              let below = 0.5 *. value lat 0.0 in
+              close (closed lat y) (L.reference_inverse criterion lat y)
+              && close (closed lat below) 0.0)
+            [ (`Nash, L.inverse, L.eval); (`Opt, L.inverse_marginal, L.marginal) ])
+        [ base; L.shift (Prng.uniform rng ~lo:0.0 ~hi:0.5) base ])
+
+let inverse_properties =
+  [
+    prop_inverse_matches_reference "affine" (fun rng ->
+        L.affine ~slope:(Prng.uniform rng ~lo:0.1 ~hi:3.0)
+          ~intercept:(Prng.uniform rng ~lo:0.0 ~hi:2.0));
+    prop_inverse_matches_reference "b + c·x^d" (fun rng ->
+        let d = 1 + Prng.int rng 6 in
+        let coeffs = Array.make (d + 1) 0.0 in
+        coeffs.(0) <- Prng.uniform rng ~lo:0.0 ~hi:2.0;
+        coeffs.(d) <- Prng.uniform rng ~lo:0.1 ~hi:3.0;
+        L.polynomial coeffs);
+    prop_inverse_matches_reference "bpr" (fun rng ->
+        L.bpr
+          ~free_flow:(Prng.uniform rng ~lo:0.2 ~hi:2.0)
+          ~capacity:(Prng.uniform rng ~lo:0.5 ~hi:3.0)
+          ~alpha:(Prng.uniform rng ~lo:0.05 ~hi:1.0)
+          ~beta:(Prng.uniform rng ~lo:1.0 ~hi:6.0)
+          ());
+    prop_inverse_matches_reference "mm1" (fun rng ->
+        L.mm1 ~capacity:(Prng.uniform rng ~lo:2.0 ~hi:4.0));
+  ]
+
 let suite =
   [
     case "constant" test_constant;
@@ -175,11 +256,13 @@ let suite =
     case "monomial" test_monomial;
     case "mm1" test_mm1;
     case "bpr" test_bpr;
+    case "bpr: alpha = 0 or t0 = 0 is constant" test_bpr_constant;
     case "custom fallbacks" test_custom_numeric_fallbacks;
     case "shift" test_shift;
     case "inverse: affine" test_inverse_affine;
     case "inverse: shifted affine" test_inverse_shifted_affine;
     case "inverse: mm1" test_inverse_mm1;
+    case "inverse: closed forms" test_inverse_closed_forms;
     case "inverse: constant fails" test_inverse_constant_fails;
     case "check_increasing" test_check_increasing;
     case "pretty printing" test_pp;
@@ -187,3 +270,4 @@ let suite =
     prop_marginal_ge_latency;
     prop_primitive_matches_quadrature;
   ]
+  @ inverse_properties

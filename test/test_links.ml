@@ -304,15 +304,94 @@ let test_closed_form_edges () =
   approx_array "constants split evenly" [| 1.5; 1.5; 0.0 |] nc.assignment;
   approx "level pinned at the reservoir" 1.0 nc.level
 
+(* The Newton engine against the bisection reference: same cost (to
+   1e-7) and level. Flows are not compared: where one ulp of the level
+   moves a steep link's flow, the reference's proportional rescale puts
+   its residual elsewhere. *)
+let newton_agrees t =
+  let agree (e : Links.solution) (r : Links.solution) =
+    let ce = Links.cost t e.assignment and cr = Links.cost t r.assignment in
+    Float.abs (ce -. cr) <= 1e-7 *. Float.max 1e-12 cr
+    && Float.abs (e.level -. r.level) <= 1e-9 *. Float.max 1.0 (Float.abs r.level)
+  in
+  agree (Links.nash t) (Links.water_fill `Nash t) && agree (Links.opt t) (Links.water_fill `Opt t)
+
 let test_closed_form_fallback () =
-  (* An M/M/1 game cannot reduce: [nash] must fall back to the bisection
-     reference, count the fallback, and agree with it. *)
+  (* An M/M/1 game cannot reduce: [nash] must fall back to the Newton
+     engine, count the fallback, and agree with the reference. *)
   let t = W.mm1_links ~capacities:[| 2.0; 3.0 |] ~demand:1.0 in
   let before = counter_value "links.closed_form.fallbacks" in
-  let n = Links.nash t in
+  ignore (Links.nash t);
   check_true "fallback counted" (counter_value "links.closed_form.fallbacks" > before);
-  approx_array "fallback result is the bisection result"
-    (Links.water_fill `Nash t).assignment n.assignment
+  check_true "fallback result agrees with the bisection reference" (newton_agrees t)
+
+let prop_newton_matches_reference =
+  qcheck "Newton engine ≍ bisection reference (cost and level)" QCheck.small_nat (fun seed ->
+      newton_agrees (random_instance (seed + 1)))
+
+(* The certificate scan's game for seed k: 2 to 10 random b + c·x^d
+   links (d <= 4) carrying r = 1, and the generator to draw α from. *)
+let scan_instance k =
+  let rng = Prng.create k in
+  let t = W.random_polynomial_links rng ~m:(2 + Prng.int rng 9) () in
+  (t, rng)
+
+(* Each answer passes its own certificate: the Nash flow [verify_nash],
+   the optimum [verify_opt], and the Followers' flow induced by α·O
+   [verify_nash] on the shifted game. *)
+let certificates t ~alpha =
+  let n = (Links.nash t).assignment and o = (Links.opt t).assignment in
+  let strategy = Vec.scale alpha o in
+  let shifted =
+    Links.make
+      (Array.mapi (fun i lat -> L.shift strategy.(i) lat) t.Links.latencies)
+      ~demand:(t.Links.demand -. Vec.sum strategy)
+  in
+  [
+    ("nash", Links.is_feasible t n && Links.verify_nash t n);
+    ("opt", Links.is_feasible t o && Links.verify_opt t o);
+    ("induced", Links.verify_nash shifted (Links.induced t ~strategy).assignment);
+  ]
+
+let test_certificate_scan () =
+  (* Under bisection on the level, 25 of these games failed the nash
+     check and 25 the opt check. *)
+  let failures = ref [] in
+  for k = 1 to 5_000 do
+    let t, rng = scan_instance k in
+    List.iter
+      (fun (what, ok) -> if not ok then failures := Printf.sprintf "seed %d: %s" k what :: !failures)
+      (certificates t ~alpha:(Prng.float rng))
+  done;
+  Alcotest.(check (list string)) "certificate failures" [] (List.rev !failures)
+
+let test_certificate_at_activation () =
+  (* The optimum's level lands on a link's activation point: one ulp of
+     the level moves that link's flow by more than the check allows, so
+     the residual must go to it, not to the loaded links. *)
+  List.iter
+    (fun k ->
+      let t, rng = scan_instance k in
+      List.iter
+        (fun (what, ok) -> check_true (Printf.sprintf "seed %d: %s" k what) ok)
+        (certificates t ~alpha:(Prng.float rng)))
+    [ 9169; 24734 ]
+
+let test_e18_instance_4 () =
+  (* E18's instance 4, whose optimum failed [verify_opt] under bisection
+     on the level; OpTop's β then read 0.454285. *)
+  let poly = L.polynomial in
+  let t =
+    Links.make
+      [|
+        poly [| 0x1.96bc6cfb64246p-1; 0.0; 0.0; 0.0; 0x1.7b154a46e2121p+0 |];
+        poly [| 0x1.d02e612893338p-4; 0.0; 0.0; 0x1.0c3195e6fc07p+0 |];
+        poly [| 0x1.5990b3a00f093p-1; 0.0; 0.0; 0.0; 0x1.265f4f817dd86p-1 |];
+      |]
+      ~demand:1.0
+  in
+  check_true "opt passes verify_opt" (Links.verify_opt t (Links.opt t).assignment);
+  approx ~eps:1e-6 "beta" 0.454271 (Stackelberg.Optop.beta t)
 
 (* How far each named counter moves while [f] runs. *)
 let counter_deltas names f =
@@ -357,6 +436,38 @@ let test_closed_form_dispatch_work () =
     "thm2.4 m=8: no bisection, no fallback"
     [ ("bisection.iterations", 0); ("links.closed_form.fallbacks", 0) ]
     deltas
+
+let test_newton_work () =
+  (* The links-sweep game: ten b + c·x^d links. Every inverse is in
+     closed form, so nash + opt bisect no link's inverse
+     ([bisection.calls]); the two level solves take 16 steps, one of
+     them a safeguard bisection step, and evaluate each link once. *)
+  let t = W.random_polynomial_links (Prng.create 1) ~m:10 ~demand:1.0 () in
+  let names =
+    [ "bisection.calls"; "bisection.iterations"; "links.level_iterations";
+      "links.closed_form.fallbacks"; "latency.evaluations" ]
+  in
+  let deltas =
+    counter_deltas names (fun () ->
+        ignore (Links.nash t);
+        ignore (Links.opt t))
+  in
+  Alcotest.(check (list (pair string int)))
+    "nash + opt work" (List.combine names [ 0; 1; 16; 2; 20 ]) deltas
+
+let test_constant_bpr () =
+  (* A BPR curve with α = 0 is the constant t₀: the game solves as the
+     one with a literal constant link (it used to escape
+     [Bisection.expand_upper]'s [Failure]). *)
+  let with_link l = Links.make [| L.linear 1.0; l |] ~demand:2.0 in
+  let bpr = with_link (L.bpr ~free_flow:1.0 ~capacity:1.0 ~alpha:0.0 ~beta:4.0 ()) in
+  let const = with_link (L.constant 1.0) in
+  List.iter
+    (fun (name, solve) ->
+      let b : Links.solution = solve bpr and c : Links.solution = solve const in
+      approx_array (name ^ " flows") c.assignment b.assignment;
+      approx (name ^ " level") c.level b.level)
+    [ ("nash", Links.nash); ("opt", Links.opt) ]
 
 (* [sgr solve]'s parallel-links report: flows through [Vec.pp]; levels,
    costs and PoA at [%.6g]. *)
@@ -480,6 +591,12 @@ let suite =
     case "closed form: edge cases" test_closed_form_edges;
     case "closed form: non-affine fallback" test_closed_form_fallback;
     case "closed form: affine bench workloads run no bisection" test_closed_form_dispatch_work;
+    case "newton: links-sweep game work" test_newton_work;
+    case "newton: certificates on 5,000 random polynomial games" test_certificate_scan;
+    case "newton: level on an activation point" test_certificate_at_activation;
+    case "newton: E18 instance 4 optimum" test_e18_instance_4;
+    case "constant BPR link" test_constant_bpr;
+    prop_newton_matches_reference;
     case "solve output: nash/opt print like the water_fill reference"
       test_solve_output_matches_reference;
     case "pricing: duopoly analytic equilibrium" test_pricing_duopoly_analytic;

@@ -89,8 +89,9 @@ let prop_not_worse_than_llf_scale =
       else begin
         let alpha = Prng.uniform rng ~lo:0.02 ~hi:beta in
         let h = PH.solve t ~alpha in
-        let llf = (S.llf t ~alpha).induced_cost in
-        let scale = (S.scale t ~alpha).induced_cost in
+        let optimum = (Sgr_links.Links.opt t).assignment in
+        let llf = (S.llf t ~optimum ~alpha).induced_cost in
+        let scale = (S.scale t ~optimum ~alpha).induced_cost in
         h.induced_cost <= Float.min llf scale +. 1e-5
       end)
 

@@ -10,13 +10,15 @@ module Prng = Sgr_numerics.Prng
 module Vec = Sgr_numerics.Vec
 module L = Sgr_latency.Latency
 
+let optimum t = (Links.opt t).assignment
+
 let test_aloof_is_nash () =
   let o = S.aloof W.pigou in
   approx "aloof = C(N)" 1.0 o.induced_cost;
   approx "ratio = PoA" (4.0 /. 3.0) o.ratio_to_opt
 
 let test_llf_budget () =
-  let o = S.llf W.fig456 ~alpha:0.3 in
+  let o = S.llf W.fig456 ~optimum:(optimum W.fig456) ~alpha:0.3 in
   approx "spends αr" 0.3 (Vec.sum o.strategy)
 
 let test_llf_order () =
@@ -26,7 +28,7 @@ let test_llf_order () =
      highest-latency links. *)
   let instance = W.fig456 in
   let opt = (Links.opt instance).assignment in
-  let o = S.llf instance ~alpha:0.2 in
+  let o = S.llf instance ~optimum:opt ~alpha:0.2 in
   (* Budget 0.2 covers the top-latency links first; whatever they are,
      every fully-saturated link must have latency >= any untouched one. *)
   let lat i = Sgr_latency.Latency.eval instance.Links.latencies.(i) opt.(i) in
@@ -42,23 +44,23 @@ let test_llf_order () =
     o.strategy
 
 let test_llf_alpha_one_is_optimum () =
-  let o = S.llf W.fig456 ~alpha:1.0 in
+  let o = S.llf W.fig456 ~optimum:(optimum W.fig456) ~alpha:1.0 in
   approx "full control = optimum" 1.0 o.ratio_to_opt
 
 let test_llf_alpha_beta_reaches_optimum_pigou () =
   (* On Pigou, LLF with α = β = 1/2 already induces the optimum: the
      largest-latency link is the constant one and o2 = 1/2 = αr. *)
-  let o = S.llf W.pigou ~alpha:0.5 in
+  let o = S.llf W.pigou ~optimum:(optimum W.pigou) ~alpha:0.5 in
   approx "ratio 1" 1.0 o.ratio_to_opt
 
 let test_scale_pigou () =
-  let o = S.scale W.pigou ~alpha:0.5 in
+  let o = S.scale W.pigou ~optimum:(optimum W.pigou) ~alpha:0.5 in
   (* SCALE puts 1/4 on each link; followers flood link 1 again. *)
   approx_array "strategy" [| 0.25; 0.25 |] o.strategy;
   check_true "scale does not reach optimum here" (o.ratio_to_opt > 1.0 +. 1e-6)
 
 let test_alpha_validation () =
-  match S.llf W.pigou ~alpha:1.5 with
+  match S.llf W.pigou ~optimum:(optimum W.pigou) ~alpha:1.5 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "alpha > 1 rejected"
 
@@ -124,7 +126,7 @@ let prop_llf_one_over_alpha =
       let t = random_any (seed + 1) in
       List.for_all
         (fun alpha ->
-          let o = S.llf t ~alpha in
+          let o = S.llf t ~optimum:(optimum t) ~alpha in
           o.ratio_to_opt <= Bounds.one_over_alpha alpha +. 1e-6)
         alphas)
 
@@ -133,7 +135,7 @@ let prop_llf_linear_bound =
       let t = random_affine (seed + 1) in
       List.for_all
         (fun alpha ->
-          let o = S.llf t ~alpha in
+          let o = S.llf t ~optimum:(optimum t) ~alpha in
           o.ratio_to_opt <= Bounds.linear_llf alpha +. 1e-6)
         alphas)
 
@@ -142,8 +144,8 @@ let prop_ratio_at_least_one =
       let t = random_any (seed + 1) in
       List.for_all
         (fun alpha ->
-          (S.llf t ~alpha).ratio_to_opt >= 1.0 -. 1e-6
-          && (S.scale t ~alpha).ratio_to_opt >= 1.0 -. 1e-6)
+          (S.llf t ~optimum:(optimum t) ~alpha).ratio_to_opt >= 1.0 -. 1e-6
+          && (S.scale t ~optimum:(optimum t) ~alpha).ratio_to_opt >= 1.0 -. 1e-6)
         [ 0.3; 0.7 ])
 
 let prop_llf_at_least_beta_reaches_optimum =
@@ -153,7 +155,7 @@ let prop_llf_at_least_beta_reaches_optimum =
       (* LLF saturates optimal loads from the largest latency down; with
          budget at least β·r it covers every under-loaded link (they all
          sit at the top of the latency order at the optimum level). *)
-      let o = S.llf t ~alpha:(Float.min 1.0 (beta +. 1e-9)) in
+      let o = S.llf t ~optimum:(optimum t) ~alpha:(Float.min 1.0 (beta +. 1e-9)) in
       Sgr_numerics.Tolerance.approx ~eps:1e-4 o.ratio_to_opt 1.0)
 
 let prop_aloof_matches_nash_cost =
@@ -162,6 +164,34 @@ let prop_aloof_matches_nash_cost =
       let o = S.aloof t in
       let nash_cost = Links.cost t (Links.nash t).assignment in
       Sgr_numerics.Tolerance.approx ~eps:1e-6 o.induced_cost nash_cost)
+
+let test_llf_work_order_free () =
+  (* LLF evaluates each link's latency at the optimum once, before it
+     sorts, so listing the links in another order permutes its strategy
+     and leaves its work unchanged. *)
+  let t = W.random_polynomial_links (Prng.create 1) ~m:10 () in
+  let opt = optimum t in
+  let evaluations = Sgr_obs.Obs.counter "latency.evaluations" in
+  let run t opt =
+    let before = Sgr_obs.Obs.value evaluations in
+    let o = S.llf t ~optimum:opt ~alpha:0.3 in
+    (o.strategy, Sgr_obs.Obs.value evaluations - before)
+  in
+  let strategy, work = run t opt in
+  for seed = 1 to 20 do
+    let perm = Array.init 10 Fun.id in
+    Prng.shuffle (Prng.create seed) perm;
+    let relisted =
+      Links.make (Array.map (fun i -> t.Links.latencies.(i)) perm) ~demand:t.Links.demand
+    in
+    let s, w = run relisted (Array.map (fun i -> opt.(i)) perm) in
+    Alcotest.(check int) "latency evaluations" work w;
+    Array.iteri
+      (fun k i ->
+        check_true "strategy, relisted"
+          (Int64.equal (Int64.bits_of_float s.(k)) (Int64.bits_of_float strategy.(i))))
+      perm
+  done
 
 let suite =
   [
@@ -180,4 +210,5 @@ let suite =
     prop_ratio_at_least_one;
     prop_llf_at_least_beta_reaches_optimum;
     prop_aloof_matches_nash_cost;
+    case "llf: work independent of link order" test_llf_work_order_free;
   ]
