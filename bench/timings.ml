@@ -101,13 +101,24 @@ let t5 () =
     ]
 
 (* T6: substrate microbenchmarks. The [dijkstra-ws] row reuses one
-   workspace across runs, as the solvers do. *)
+   workspace across runs, as the solvers do. The two [city1e4] rows are
+   one all-or-nothing tree of the 10^4-edge city at free flow: a plain
+   point-to-point search, and the goal-directed one on the free-flow
+   potential. *)
 let t6 () =
   let g = (W.grid_network (Prng.create 6001) ~rows:6 ~cols:6 ()).Sgr_network.Network.graph in
   let m = Sgr_graph.Digraph.num_edges g in
   let weights = Array.init m (fun i -> 0.1 +. (0.01 *. float_of_int i)) in
   let caps = Array.make m 1.0 in
   let workspace = Sgr_graph.Dijkstra.workspace () in
+  let city = W.synthetic_city (Prng.create 13_025) ~rings:25 ~radials:100 ~commodities:32 () in
+  let city_g = city.Sgr_network.Network.graph in
+  let free_flow =
+    Sgr_network.Network.edge_latencies city (Array.make (Sgr_graph.Digraph.num_edges city_g) 0.0)
+  in
+  let { Sgr_network.Network.src; dst; _ } = city.Sgr_network.Network.commodities.(0) in
+  let goal = Sgr_graph.Dijkstra.goal city_g ~lower:free_flow ~sink:dst in
+  let city_ws = Sgr_graph.Dijkstra.workspace () in
   Test.make_grouped ~name:"T6 substrates"
     [
       Test.make ~name:"dijkstra/grid6x6"
@@ -115,6 +126,16 @@ let t6 () =
       Test.make ~name:"dijkstra-ws/grid6x6"
         (Staged.stage (fun () ->
              ignore (Sgr_graph.Dijkstra.run ~workspace g ~weights ~source:0)));
+      Test.make ~name:"dijkstra-p2p/city1e4"
+        (Staged.stage (fun () ->
+             ignore
+               (Sgr_graph.Dijkstra.run ~workspace:city_ws ~targets:[| dst |] city_g
+                  ~weights:free_flow ~source:src)));
+      Test.make ~name:"dijkstra-goal/city1e4"
+        (Staged.stage (fun () ->
+             ignore
+               (Sgr_graph.Dijkstra.run ~workspace:city_ws ~goal city_g ~weights:free_flow
+                  ~source:src)));
       Test.make ~name:"maxflow/grid6x6"
         (Staged.stage (fun () -> ignore (Sgr_graph.Maxflow.solve g ~capacities:caps ~src:0 ~dst:35)));
       Test.make ~name:"paths/grid6x6"

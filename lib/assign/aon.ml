@@ -1,4 +1,5 @@
 module G = Sgr_graph
+module L = Sgr_latency.Latency
 module Network = Sgr_network.Network
 module Obs = Sgr_obs.Obs
 
@@ -8,19 +9,46 @@ let c_trees = Obs.counter "assign.dijkstra_trees"
 (* One Dijkstra workspace per domain: tree builds fan over the pool and
    each worker reuses its own scratch arrays across iterations. Results
    alias the workspace, so every tree copies its predecessor array out
-   before the workspace is reused. *)
-let ws_key = Domain.DLS.new_key (fun () -> G.Dijkstra.workspace ())
+   before the workspace is reused. Held as an option so that passing it
+   as [?workspace] allocates nothing. *)
+let ws_key = Domain.DLS.new_key (fun () -> Some (G.Dijkstra.workspace ()))
 
-(* One Dijkstra tree: a distinct commodity source and the sinks of the
-   commodities it serves, which are the tree's targets. *)
-type tree = { source : int; sinks : int array }
+(* One Dijkstra tree: a distinct commodity source and, as its targets,
+   the sinks of the commodities it serves. [goal] is the A* potential
+   toward a tree's only sink. Both are options built once, so that a
+   tree's run allocates nothing. [pred] is the tree's copy of its
+   predecessor edges. *)
+type tree = {
+  source : int;
+  targets : int array option;
+  goal : G.Dijkstra.goal option;
+  pred : int array;
+}
 
 type plan = {
   trees : tree array;  (* by ascending source *)
   tree_of : int array;  (* commodity index -> index into [trees] *)
+  free_flow : float array;  (* ℓₑ(0) when the trees may be goal-directed, else [||] *)
 }
 
+(* The free-flow latencies bound every later AON weight from below only
+   if no latency decreases with flow; [Custom] ones are opaque.
+   [Latency.shift] never nests [Shifted], so one level is all there is. *)
+let nondecreasing l =
+  match L.kind l with L.Custom _ | L.Shifted { base = L.Custom _; _ } -> false | _ -> true
+
+(* ℓₑ(0) for every edge, or [||] when the instance must run plain: some
+   latency is opaque, or some free-flow weight is not positive (the
+   potential's margin is a multiple of it). *)
+let free_flow_weights (net : Network.t) =
+  let lats = net.Network.latencies in
+  if not (Array.for_all nondecreasing lats) then [||]
+  else
+    let w = Array.map (fun l -> L.eval l 0.0) lats in
+    if Array.for_all (fun x -> x > 0.0) w then w else [||]
+
 let plan (net : Network.t) =
+  let g = net.Network.graph in
   let ks = net.Network.commodities in
   let srcs = Array.map (fun c -> c.Network.src) ks in
   let sorted = Array.copy srcs in
@@ -44,10 +72,46 @@ let plan (net : Network.t) =
   let tree_of = Array.map index_of srcs in
   let sinks = Array.make (Array.length sources) [] in
   Array.iteri (fun i c -> sinks.(tree_of.(i)) <- c.Network.dst :: sinks.(tree_of.(i))) ks;
-  let trees = Array.mapi (fun t source -> { source; sinks = Array.of_list sinks.(t) }) sources in
-  { trees; tree_of }
+  let free_flow = free_flow_weights net in
+  let n = G.Digraph.num_nodes g in
+  (* One potential per distinct sink of a single-sink tree. A tree with
+     several sinks runs plain: the nearest-sink bound is weak. *)
+  let ws = G.Dijkstra.workspace () in
+  let goals = Hashtbl.create 16 in
+  let goal_toward sink =
+    match Hashtbl.find_opt goals sink with
+    | Some goal -> goal
+    | None ->
+        let goal = G.Dijkstra.goal ~workspace:ws g ~lower:free_flow ~sink in
+        Hashtbl.replace goals sink goal;
+        goal
+  in
+  let trees =
+    Array.mapi
+      (fun t source ->
+        (* Per-tree checkpoint: a tree may cost a full reverse run. *)
+        Sgr_obs.Cancel.check ();
+        let sinks = Array.of_list sinks.(t) in
+        let goal =
+          if Array.length free_flow > 0 && Array.for_all (fun s -> s = sinks.(0)) sinks then
+            Some (goal_toward sinks.(0))
+          else None
+        in
+        { source; targets = Some sinks; goal; pred = Array.make n (-1) })
+      sources
+  in
+  { trees; tree_of; free_flow }
 
 let num_trees p = Array.length p.trees
+
+(* [true] iff no weight is below its free-flow value: the potentials
+   hold. The solver's weights always pass; a caller's own may not. *)
+let above_free_flow p weights =
+  let ok = ref true in
+  for e = 0 to Array.length p.free_flow - 1 do
+    if weights.(e) < p.free_flow.(e) then ok := false
+  done;
+  !ok
 
 let assign ?jobs ?record p (net : Network.t) ~weights ~into =
   Obs.incr c_calls;
@@ -56,31 +120,36 @@ let assign ?jobs ?record p (net : Network.t) ~weights ~into =
   if Array.length into <> m then invalid_arg "Aon.assign: flow array has the wrong length";
   Array.fill into 0 m 0.0;
   let edge_src = G.Digraph.edge_sources g in
-  (* Phase 1 — trees on the pool: deterministic per source, written into
-     index slots, so the set of predecessor arrays is independent of the
-     job count. *)
-  let preds =
-    Sgr_par.Pool.map ?jobs
-      (fun { source; sinks } ->
-        (* Per-tree checkpoint: free on a disarmed domain; on the
-           sequential fallback it keeps a large batch pre-emptible
-           between Dijkstras. *)
-        Sgr_obs.Cancel.check ();
-        Obs.incr c_trees;
-        (* The tree stops once its sinks are settled: their predecessor
-           chains, the only entries read below, are then final. *)
-        let r =
-          G.Dijkstra.run ~workspace:(Domain.DLS.get ws_key) ~targets:sinks g ~weights ~source
-        in
-        Array.copy r.G.Dijkstra.pred)
-      p.trees
-  in
+  let n = G.Digraph.num_nodes g in
+  let directed = Array.length p.free_flow > 0 && above_free_flow p weights in
+  (* Phase 1 — trees on the pool: deterministic per source, each written
+     into its own tree's buffer, so the predecessor arrays are
+     independent of the job count. Goal-directed and plain runs agree
+     bit for bit on every sink's chain, the only entries read below. *)
+  Sgr_par.Pool.map ?jobs
+    (fun tree ->
+      (* Per-tree checkpoint: free on a disarmed domain; on the
+         sequential fallback it keeps a large batch pre-emptible
+         between Dijkstras. *)
+      Sgr_obs.Cancel.check ();
+      Obs.incr c_trees;
+      let workspace = Domain.DLS.get ws_key in
+      (* The tree stops once its sinks are settled: their predecessor
+         chains are then final. *)
+      let r =
+        if directed && Option.is_some tree.goal then
+          G.Dijkstra.run ?workspace ?goal:tree.goal g ~weights ~source:tree.source
+        else G.Dijkstra.run ?workspace ?targets:tree.targets g ~weights ~source:tree.source
+      in
+      Array.blit r.G.Dijkstra.pred 0 tree.pred 0 n)
+    p.trees
+  |> ignore;
   (* Phase 2 — sequential accumulation in commodity order: walk the
      predecessor chain from sink to source adding the demand. *)
   let cancel = Sgr_obs.Cancel.handle () in
   Array.iteri
     (fun i (c : Network.commodity) ->
-      let pred = preds.(p.tree_of.(i)) in
+      let pred = p.trees.(p.tree_of.(i)).pred in
       let v = ref c.Network.dst in
       let edges = ref [] in
       while !v <> c.Network.src do

@@ -4,6 +4,7 @@ module Obs = Sgr_obs.Obs
 
 let c_runs = Obs.counter "dijkstra.runs"
 let c_relax = Obs.counter "dijkstra.relaxations"
+let c_fallbacks = Obs.counter "dijkstra.goal_fallbacks"
 
 type workspace = {
   mutable size : int;  (* node count the arrays are sized for; 0 = empty *)
@@ -11,6 +12,8 @@ type workspace = {
   mutable pred : int array;
   mutable settled : bool array;
   mutable target : bool array;  (* all false between runs *)
+  mutable key : float array;  (* dist + potential; goal-directed runs only *)
+  mutable result : result;  (* aliases [dist] and [pred], so a run returns without allocating *)
   heap : Heap.t;
 }
 
@@ -21,6 +24,8 @@ let workspace ?(hint = 0) () =
     pred = [||];
     settled = [||];
     target = [||];
+    key = [||];
+    result = { dist = [||]; pred = [||] };
     heap = Heap.create ~hint ();
   }
 
@@ -33,6 +38,7 @@ let prepare ws n =
     ws.pred <- Array.make n (-1);
     ws.settled <- Array.make n false;
     ws.target <- Array.make n false;
+    ws.result <- { dist = ws.dist; pred = ws.pred };
     ws.size <- n
   end
   else begin
@@ -42,50 +48,93 @@ let prepare ws n =
   end;
   Heap.clear ws.heap
 
-let validate_weights weights =
-  Array.iter
-    (fun w ->
-      if not (w >= 0.0) then
-        invalid_arg "Dijkstra: edge weights must be nonnegative (and not NaN)")
-    weights
+(* A goal-directed search toward one sink. [potential] is the distance
+   to the sink under [lower], scaled by (1 - [goal_margin]), so under any
+   weights w >= lower every edge keeps a reduced cost
+   w - potential(u) + potential(v) of at least goal_margin·lower(e) > 0.
+   [targets] is [Some [| sink |]], built once so a run allocates none. *)
+type goal = {
+  lower : float array;
+  potential : float array;
+  key_bound : float;
+  targets : int array option;
+}
 
-(* The kernel, shared by the forward and reverse runs: [off]/[ids] is a
-   CSR adjacency (out- or in-) and [other].(e) the endpoint the search
-   moves to along edge [e] (dst forward, src reverse). Iterates the flat
-   arrays directly — no list cells or closures per settled node.
+(* A plain run is a goal-free one: no potential, no key bound. *)
+let plain =
+  { lower = [||]; potential = [||]; key_bound = Float.infinity; targets = None }
 
-   With [targets], the search stops right after settling the last
+let goal_margin = 1e-9
+
+(* Distinct targets not yet settled, marked in the workspace; a full run
+   counts -1, which settling never brings to 0. Out-of-range targets are
+   rejected before anything is marked. *)
+let mark_targets ws targets n =
+  match targets with
+  | None -> -1
+  | Some ts ->
+      for i = 0 to Array.length ts - 1 do
+        if ts.(i) < 0 || ts.(i) >= n then invalid_arg "Dijkstra.run: target out of range"
+      done;
+      let pending = ref 0 in
+      for i = 0 to Array.length ts - 1 do
+        if not ws.target.(ts.(i)) then begin
+          ws.target.(ts.(i)) <- true;
+          incr pending
+        end
+      done;
+      !pending
+
+let unmark_targets ws = function
+  | None -> ()
+  | Some ts ->
+      for i = 0 to Array.length ts - 1 do
+        ws.target.(ts.(i)) <- false
+      done
+
+(* The kernel, shared by the forward, reverse and goal-directed runs:
+   [off]/[ids] is a CSR adjacency (out- or in-) and [other].(e) the
+   endpoint the search moves to along edge [e] (dst forward, src
+   reverse). Iterates the flat arrays directly — no list cells or
+   closures per settled node, and nothing allocated once the workspace
+   fits the graph.
+
+   The heap key is [dist], or [dist + potential] for a goal-directed
+   run. Keys then rise strictly along every edge while they stay below
+   [goal.key_bound] (see [goal]), so the run settles nodes with the
+   plain run's labels; a node whose potential is infinite cannot reach
+   the sink and is never pushed. A finite key above the bound makes the
+   run give up and return [false].
+
+   Ties: a relaxation that matches [dist(v)] bit for bit, while [v] is
+   not yet settled, moves [pred(v)] to the smaller edge id. With
+   positive weights every tied in-neighbour of [v] is settled before
+   [v] in both modes, so [pred(v)] is the smallest tied edge id whatever
+   order the heap pops equal keys in. The settled guard keeps every
+   [pred] edge pointing back to a node settled earlier: without it, ties
+   across zero-weight edges could close a predecessor cycle.
+
+   With targets, the search stops right after settling the last
    distinct target, before relaxing its edges. Up to that point it has
    done exactly what the full run does, and settled entries never change
    afterwards, so everything it settled reads bit-for-bit as in the full
    tree. The target marks are cleared before returning. *)
-let run_dir ?targets ws ~off ~ids ~other ~weights ~n ~origin =
+let run_dir ?targets ws ~goal ~off ~ids ~other ~weights ~n ~origin =
   Obs.incr c_runs;
   prepare ws n;
   let dist = ws.dist and pred = ws.pred and settled = ws.settled and heap = ws.heap in
-  let target = ws.target in
-  (* Distinct targets not yet settled; a full run starts at -1, which
-     settling never brings to 0. *)
-  let pending =
-    match targets with
-    | None -> ref (-1)
-    | Some ts ->
-        Array.iter
-          (fun t -> if t < 0 || t >= n then invalid_arg "Dijkstra.run: target out of range")
-          ts;
-        ref
-          (Array.fold_left
-             (fun k t ->
-               if target.(t) then k
-               else begin
-                 target.(t) <- true;
-                 k + 1
-               end)
-             0 ts)
-  in
+  let target = ws.target and potential = goal.potential in
+  let directed = Array.length potential > 0 in
+  if directed && Array.length ws.key <> n then ws.key <- Array.make n 0.0;
+  let key = if directed then ws.key else dist in
+  let bound = goal.key_bound in
+  let pending = ref (mark_targets ws targets n) in
+  let within = ref true in
   let relaxations = ref 0 in
   dist.(origin) <- 0.0;
-  Heap.insert heap 0.0 origin;
+  if directed then key.(origin) <- potential.(origin);
+  if key.(origin) <= bound then Heap.insert heap key origin
+  else if key.(origin) < Float.infinity then within := false;
   let u = ref (Heap.pop heap) in
   while !u >= 0 do
     let u' = !u in
@@ -101,35 +150,99 @@ let run_dir ?targets ws ~off ~ids ~other ~weights ~n ~origin =
           let v = other.(e) in
           incr relaxations;
           let nd = du +. weights.(e) in
-          if nd < dist.(v) then begin
+          let dv = dist.(v) in
+          if nd < dv then begin
             dist.(v) <- nd;
             pred.(v) <- e;
-            Heap.insert heap nd v
+            if directed then key.(v) <- nd +. potential.(v);
+            if key.(v) <= bound then Heap.insert heap key v
+            else if key.(v) < Float.infinity then within := false
           end
-        done
+          else if nd = dv && e < pred.(v) && not settled.(v) then pred.(v) <- e
+        done;
+        if not !within then Heap.clear heap
       end
     end;
     u := Heap.pop heap
   done;
-  Option.iter (Array.iter (fun t -> target.(t) <- false)) targets;
+  unmark_targets ws targets;
   (* One batched counter update per run keeps the inner loop free of
      atomic traffic while the count stays exact. *)
   Obs.add c_relax !relaxations;
-  { dist; pred }
+  !within
 
-let run ?(validate = false) ?workspace:ws ?targets g ~weights ~source =
-  if validate then validate_weights weights;
-  let ws = match ws with Some ws -> ws | None -> workspace () in
-  run_dir ?targets ws
+let validate_weights ?goal weights =
+  Array.iter
+    (fun w ->
+      if not (w >= 0.0) then
+        invalid_arg "Dijkstra: edge weights must be nonnegative (and not NaN)")
+    weights;
+  Option.iter
+    (fun goal ->
+      Array.iteri
+        (fun e w ->
+          if w < goal.lower.(e) then
+            invalid_arg "Dijkstra.run: a weight is below the goal's lower bound")
+        weights)
+    goal
+
+let forward ?targets ws g ~goal ~weights ~source =
+  run_dir ?targets ws ~goal
     ~off:(Digraph.out_offsets g) ~ids:(Digraph.out_edge_ids g)
     ~other:(Digraph.edge_targets g) ~weights ~n:(Digraph.num_nodes g) ~origin:source
+
+let run ?(validate = false) ?workspace:ws ?targets ?goal g ~weights ~source =
+  if validate then validate_weights ?goal weights;
+  let ws = match ws with Some ws -> ws | None -> workspace () in
+  (match goal with
+  | None -> ignore (forward ws g ~goal:plain ?targets ~weights ~source)
+  | Some goal ->
+      if Option.is_some targets then invalid_arg "Dijkstra.run: ~goal already names the target";
+      if Array.length goal.potential <> Digraph.num_nodes g then
+        invalid_arg "Dijkstra.run: the goal was built for another graph";
+      if not (forward ws g ~goal ?targets:goal.targets ~weights ~source) then begin
+        Obs.incr c_fallbacks;
+        ignore (forward ws g ~goal:plain ?targets:goal.targets ~weights ~source)
+      end);
+  ws.result
 
 let run_reverse ?(validate = false) ?workspace:ws g ~weights ~sink =
   if validate then validate_weights weights;
   let ws = match ws with Some ws -> ws | None -> workspace () in
-  run_dir ws
-    ~off:(Digraph.in_offsets g) ~ids:(Digraph.in_edge_ids g)
-    ~other:(Digraph.edge_sources g) ~weights ~n:(Digraph.num_nodes g) ~origin:sink
+  ignore
+    (run_dir ws ~goal:plain
+       ~off:(Digraph.in_offsets g) ~ids:(Digraph.in_edge_ids g)
+       ~other:(Digraph.edge_sources g) ~weights ~n:(Digraph.num_nodes g) ~origin:sink);
+  ws.result
+
+(* The key bound. Along an edge u -> v the two keys differ by the
+   reduced cost, at least goal_margin·lower(e), plus the rounding of
+   the two keys, of dist(u) + w(e) and of both potentials, each at most
+   half an ulp of a key (about epsilon_float/2 of it) — under
+   3·epsilon_float·key in all. Below the bound that is at most 3/4 of
+   the smallest margin, so the keys rise strictly along every edge, and
+   dist(u) + w(e) never rounds back to dist(u). *)
+let goal ?workspace g ~lower ~sink =
+  let m = Digraph.num_edges g and n = Digraph.num_nodes g in
+  if Array.length lower <> m then invalid_arg "Dijkstra.goal: one lower bound per edge";
+  (* Loops, not folds and maps: a float returned by a closure is boxed. *)
+  let min_lower = ref Float.infinity in
+  for e = 0 to m - 1 do
+    if not (lower.(e) > 0.0) then invalid_arg "Dijkstra.goal: lower bounds must be positive";
+    if lower.(e) < !min_lower then min_lower := lower.(e)
+  done;
+  let dist = (run_reverse ?workspace g ~weights:lower ~sink).dist in
+  let scale = 1.0 -. goal_margin in
+  let potential = Array.make n 0.0 in
+  for v = 0 to n - 1 do
+    potential.(v) <- scale *. dist.(v)
+  done;
+  {
+    lower;
+    potential;
+    key_bound = goal_margin *. !min_lower /. (4.0 *. epsilon_float);
+    targets = Some [| sink |];
+  }
 
 let shortest_path ?validate ?workspace g ~weights ~src ~dst =
   let ({ dist; pred } : result) =

@@ -13,8 +13,20 @@
     commodity per round, and {!shortest_edge_subgraph} does two.
 
     A forward run may stop early, once a given set of target nodes is
-    settled ({!run}'s [?targets]). {!shortest_edge_subgraph} reads every
-    label, so its two runs are always full. *)
+    settled ({!run}'s [?targets]), and may be goal-directed toward one
+    sink ({!run}'s [?goal]: A* on a potential built by {!goal}).
+    {!shortest_edge_subgraph} reads every label, so its two runs are
+    always full.
+
+    Ties are canonical. When a relaxation reaches [dist(v)] bit for bit
+    while [v] is not yet settled, [pred(v)] moves to the smaller edge
+    id. With positive weights every tied in-neighbour of [v] is settled
+    before [v], so [pred(v)] is the smallest edge id among the tied
+    in-edges, and a tree depends on the graph and the weights alone —
+    not on the order the heap pops equal keys in, nor on whether the run
+    is goal-directed. The "not yet settled" guard keeps every [pred]
+    edge pointing back to an earlier-settled node, so [pred] chains are
+    acyclic even across zero-weight edges. *)
 
 type result = {
   dist : float array;  (** [dist.(v)] — distance from the source; [infinity] if unreachable. *)
@@ -26,15 +38,21 @@ type result = {
 (** {1 Workspaces} *)
 
 type workspace
-(** Reusable scratch state: dist/pred/settled/target-mark arrays plus
-    the heap.
+(** Reusable scratch state: dist/pred/settled/target-mark arrays (and
+    the key array of goal-directed runs) plus the heap.
     A workspace adapts to whatever graph it is run on (it reallocates
     when the node count changes); reusing one across runs on the same
-    graph allocates nothing. Not domain-safe: use one workspace per
-    domain (e.g. via [Domain.DLS]) in parallel code. *)
+    graph allocates nothing, the returned {!result} included. Not
+    domain-safe: use one workspace per domain (e.g. via [Domain.DLS]) in
+    parallel code. *)
 
 val workspace : ?hint:int -> unit -> workspace
 (** Fresh empty workspace; [hint] presizes the heap. *)
+
+type goal
+(** An A* potential toward one sink ({!val-goal}, at the end), valid
+    for every run whose weights are at or above the lower bounds it was
+    built from. *)
 
 (** {1 Runs}
 
@@ -45,10 +63,11 @@ val workspace : ?hint:int -> unit -> workspace
 
     When [?workspace] is supplied, the returned {!result} {e aliases}
     the workspace arrays: it is valid until the workspace's next run.
-    Without it a fresh workspace is allocated per call. *)
+    Without it a fresh workspace is allocated per call. A run on a
+    workspace that already fits the graph allocates nothing. *)
 
 val run :
-  ?validate:bool -> ?workspace:workspace -> ?targets:int array -> Digraph.t ->
+  ?validate:bool -> ?workspace:workspace -> ?targets:int array -> ?goal:goal -> Digraph.t ->
   weights:float array -> source:int -> result
 (** Dijkstra from [source]. [weights] is indexed by edge id.
 
@@ -71,9 +90,22 @@ val run :
     all-or-nothing assignment and [Network.make]'s reachability check
     pass their sinks here. On the 10^4-edge synthetic city (2,501
     nodes, 32 commodities with 32 distinct sources) a Frank–Wolfe
-    solve to gap 1e-4 relaxes 8.41M edges instead of 13.12M, and
-    parsing the instance 133k instead of 320k.
-    @raise Invalid_argument when a target is out of range. *)
+    solve to gap 1e-4 relaxes 8.20M edges with plain targeted trees
+    instead of 12.8M with full ones, and parsing the instance 133k
+    instead of 320k.
+
+    With [goal] (and no [targets]) the run is an A* search toward the
+    goal's sink, keyed on [dist + π]. It stops once the sink is settled,
+    and the sink's chain reads bit for bit as in [run ~targets:[| sink |]]:
+    the same [dist] and [pred] on every node of it. It settles far fewer
+    nodes: on the city above a solve relaxes 1.19M edges. Nodes off that
+    chain may hold other labels. [weights] must be at or above the
+    goal's lower bounds ([~validate:true] checks it); if a key passes
+    the goal's bound the run is redone plain, and counted in the
+    [dijkstra.goal_fallbacks] counter.
+    @raise Invalid_argument when a target is out of range, when both
+    [targets] and [goal] are given, or when [goal] was built for a graph
+    with another node count. *)
 
 val run_reverse :
   ?validate:bool -> ?workspace:workspace -> Digraph.t -> weights:float array -> sink:int ->
@@ -96,3 +128,20 @@ val shortest_edge_subgraph :
     up to additive slack [eps] (default {!Sgr_numerics.Tolerance.check_eps})
     to absorb solver noise in the weights. [workspaces] is the
     (forward, reverse) scratch pair for the two underlying runs. *)
+
+(** {1 Goal-directed search} *)
+
+val goal : ?workspace:workspace -> Digraph.t -> lower:float array -> sink:int -> goal
+(** [goal g ~lower ~sink] runs one full reverse search from [sink] under
+    [lower] and keeps the distances, scaled by (1 − 1e-9), as the
+    potential π. Under weights [w ≥ lower] (edgewise) every edge then
+    keeps a reduced cost [w − π(u) + π(v)] of at least
+    [1e-9·lower(e)] — a consistent potential with a margin. The margin
+    outweighs the rounding of the heap keys [dist + π] while they stay
+    below [K = 1e-9·min lower / (4·epsilon_float)]; a run whose keys
+    pass [K] reruns plain (see {!run}). Latencies that never decrease
+    with flow make the free-flow latencies ℓₑ(0) such a bound for a
+    whole Frank–Wolfe solve, under the Wardrop and the marginal-cost
+    weights alike. Holds [num_nodes g] floats.
+    @raise Invalid_argument unless [lower] has one positive entry per
+    edge. *)

@@ -32,9 +32,15 @@ let grow h =
 (* Both sifts move a hole rather than swapping: the displaced entries
    shift one level each and the moving entry is written once, at its
    final slot. The comparisons are exactly those of a swap-based sift,
-   so the heap ends in the same layout and pops ties in the same order. *)
-let insert h prio payload =
+   so the heap ends in the same layout and pops ties in the same order.
+
+   The priority is read from the caller's array rather than passed as a
+   float: a float argument to another module's function is boxed unless
+   the compiler can inline across modules, which dev builds ([-opaque])
+   never do. *)
+let insert h keys payload =
   grow h;
+  let prio = keys.(payload) in
   let prios = h.prios and payloads = h.payloads in
   let i = ref h.len in
   h.len <- h.len + 1;

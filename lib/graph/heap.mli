@@ -17,7 +17,11 @@ val create : ?hint:int -> unit -> t
 
 val is_empty : t -> bool
 val size : t -> int
-val insert : t -> float -> int -> unit
+val insert : t -> float array -> int -> unit
+(** [insert h keys v] pushes payload [v] at priority [keys.(v)], read
+    once, at the call: later writes to [keys] do not move the entry.
+    Dijkstra passes its distance array (or, goal-directed, its key
+    array), so no priority is ever boxed on the way in. *)
 
 val pop : t -> int
 (** Removes the payload with the smallest priority and returns it, or
@@ -26,9 +30,11 @@ val pop : t -> int
     hence nonnegative, so [-1] is unambiguous.
 
     Equal priorities pop in an order fixed by the insert/pop history
-    alone: that of a textbook swap-based binary heap. Dijkstra's
-    tie-breaking, and with it every all-or-nothing flow, depends on
-    it. *)
+    alone: that of a textbook swap-based binary heap. No flow depends on
+    it: Dijkstra breaks distance ties by edge id (see
+    {!Dijkstra.run}), so with positive weights the shortest-path trees,
+    and every all-or-nothing flow read from them, are functions of the
+    graph and the weights alone. *)
 
 val pop_min : t -> (float * int) option
 (** Like {!pop}, also reporting the priority. Allocates the returned

@@ -14,7 +14,10 @@
     once the out queue drains. EOF on the read side lets the already
     pipelined requests finish first (a client may shut down its write
     side and keep reading replies). {!abort} (write error — the peer
-    vanished) drops everything immediately.
+    vanished) drops everything immediately. A request line that passes
+    {!max_request_line} bytes with no newline is refused: the session
+    stops reading, answers the lines before it, replies
+    [error parse: line too long] and finishes.
 
     This module performs no I/O and never blocks; sgr-lint's
     [no-blocking-in-pool] rule rejects any [Unix]/[Thread] blocking
@@ -25,9 +28,16 @@ type t
 val create : id:int -> t
 val id : t -> int
 
+val max_request_line : int
+(** 65,536: the longest request line a session buffers. Requests are
+    short (the longest is [load ID PATH]). *)
+
 val feed : t -> bytes -> int -> unit
 (** [feed t chunk n] pushes the first [n] bytes just read from the
-    socket; complete lines move to the request queue. *)
+    socket; complete lines move to the request queue. A pending line
+    longer than {!max_request_line} refuses the session (see above), so
+    a session never holds more than {!max_request_line} plus one chunk
+    of unterminated input. *)
 
 val feed_eof : t -> unit
 (** Read side closed. A trailing unterminated line still counts as a
@@ -35,7 +45,8 @@ val feed_eof : t -> unit
 
 val next_request : t -> string option
 (** Pop the oldest pending request line ([None] when none, after a
-    quit, or after {!abort}). *)
+    quit, or after {!abort}). Popping a refused line's turn queues its
+    error reply and returns [None]. *)
 
 val has_work : t -> bool
 (** A request is pending and the session still executes requests. *)
@@ -62,7 +73,11 @@ val finished : t -> bool
     the session. *)
 
 val close_reason : t -> string
-(** ["quit"] or ["disconnected"], for the server log. *)
+(** ["quit"], ["line too long"] or ["disconnected"], for the server
+    log. *)
+
+val buffered : t -> int
+(** Bytes of an unterminated request line held for this session. *)
 
 val lines_in : t -> int
 (** Request lines received (the per-session counter exposed by the

@@ -12,6 +12,8 @@ module Tntp = Sgr_workloads.Tntp
 module Prng = Sgr_numerics.Prng
 module Solver = Sgr_assign.Solver
 module Decompose = Sgr_assign.Decompose
+module Aon = Sgr_assign.Aon
+module L = Sgr_latency.Latency
 
 let small_grid seed =
   let rng = Prng.create (seed + 1) in
@@ -121,8 +123,8 @@ let golden_solves =
      "baf8096460c8d136091f212c2f43a9e0");
     ("MSA Wardrop", city_1e3, Obj.Wardrop, Solver.Msa, 1e-4, [ 1 ], 40,
      "9939e443190a3f17d7960b813a0d8ed3");
-    ("10^4-edge city FW Wardrop", city_1e4, Obj.Wardrop, Solver.Frank_wolfe, 1e-4, [ 1; 4 ], 40,
-     "a7be88bf0ad91f5a4847d0f4952e0c44");
+    ("10^4-edge city FW Wardrop", city_1e4, Obj.Wardrop, Solver.Frank_wolfe, 1e-4, [ 1; 4 ], 39,
+     "37583ab731b6ecb2e7046801bdb847c0");
   ]
 
 let test_bit_identity_golden () =
@@ -328,6 +330,167 @@ let test_count_step_budget () =
   | `At_least n -> check_true "budget bail reports a nonnegative bound" (n >= 0)
   | `Exact _ -> Alcotest.fail "a 10^4-edge cyclic city cannot count exactly in 1e5 steps"
 
+(* ---------------- goal-directed all-or-nothing ---------------- *)
+
+let counter name = Sgr_obs.Obs.value (Sgr_obs.Obs.counter name)
+
+(* Increments of the named counters while [f] runs. *)
+let counting names f =
+  let before = List.map counter names in
+  let r = f () in
+  (r, List.map2 (fun name b -> counter name - b) names before)
+
+(* A network on a two-way ring of n nodes plus random chords, with
+   integer affine latencies: AON weights are integers at or above free
+   flow, so shortest paths tie often. Commodities may share a source
+   (a multi-sink tree, which runs plain) or a whole source-sink pair. *)
+let tie_network rng =
+  let n = 4 + Prng.int rng 20 in
+  let b = G.Digraph.builder ~num_nodes:n in
+  let lats = ref [] in
+  let add u v =
+    ignore (G.Digraph.add_edge b ~src:u ~dst:v);
+    let slope = float_of_int (Prng.int rng 3) and intercept = float_of_int (1 + Prng.int rng 3) in
+    lats := L.affine ~slope ~intercept :: !lats
+  in
+  for v = 0 to n - 1 do
+    add v ((v + 1) mod n);
+    add ((v + 1) mod n) v
+  done;
+  for _ = 1 to Prng.int rng (2 * n) do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v then add u v
+  done;
+  let commodities =
+    Array.init (1 + Prng.int rng 6) (fun _ ->
+        let src = Prng.int rng 4 in
+        let dst = (src + 1 + Prng.int rng (n - 1)) mod n in
+        { Net.src; dst; demand = float_of_int (1 + Prng.int rng 3) })
+  in
+  Net.make (G.Digraph.freeze b) ~latencies:(Array.of_list (List.rev !lats)) ~commodities
+
+(* Test-only oracle: route each commodity, in commodity order, down the
+   path of a plain targeted Dijkstra. *)
+let aon_oracle (net : Net.t) ~weights =
+  let flow = Array.make (G.Digraph.num_edges net.Net.graph) 0.0 in
+  Array.iter
+    (fun (c : Net.commodity) ->
+      match G.Dijkstra.shortest_path net.Net.graph ~weights ~src:c.src ~dst:c.dst with
+      | Some path -> List.iter (fun e -> flow.(e) <- flow.(e) +. c.demand) path
+      | None -> Alcotest.fail "oracle: unreachable sink")
+    net.Net.commodities;
+  flow
+
+let prop_aon_matches_plain_oracle =
+  qcheck ~count:200 "AON flows equal plain per-commodity Dijkstra, bitwise" QCheck.small_nat
+    (fun seed ->
+      let rng = Prng.create (seed + 2_100) in
+      let net = tie_network rng in
+      let m = G.Digraph.num_edges net.Net.graph in
+      let plan = Aon.plan net in
+      let into = Array.make m 0.0 in
+      (* Free flow, then latencies and marginals at integer loads. *)
+      let load = Array.init m (fun _ -> float_of_int (Prng.int rng 3)) in
+      List.for_all
+        (fun weights ->
+          Aon.assign ~jobs:1 plan net ~weights ~into;
+          bitwise_equal into (aon_oracle net ~weights))
+        [
+          Net.edge_latencies net (Array.make m 0.0);
+          Net.edge_latencies net load;
+          Net.edge_marginals net load;
+        ])
+
+(* The same network with every latency behind an opaque [Custom]
+   wrapper: identical values, but the plan cannot trust them to grow. *)
+let opaque (net : Net.t) =
+  let wrap l = L.custom ~eval:(L.eval l) ~deriv:(L.deriv l) ~primitive:(L.primitive l) () in
+  Net.make net.Net.graph ~latencies:(Array.map wrap net.Net.latencies)
+    ~commodities:net.Net.commodities
+
+let with_latency (net : Net.t) e l =
+  let lats = Array.copy net.Net.latencies in
+  lats.(e) <- l;
+  Net.make net.Net.graph ~latencies:lats ~commodities:net.Net.commodities
+
+let test_plain_when_potential_unsafe () =
+  let net = small_city 3 in
+  let reverse_runs net = snd (counting [ "dijkstra.runs" ] (fun () -> Aon.plan net)) in
+  (* One reverse run per distinct sink of a source that serves one sink
+     only; sources serving several run plain. *)
+  let ks = Array.to_list net.Net.commodities in
+  let sinks_of src =
+    List.sort_uniq Int.compare
+      (List.filter_map (fun (c : Net.commodity) -> if c.src = src then Some c.dst else None) ks)
+  in
+  let goal_sinks =
+    List.sort_uniq Int.compare
+      (List.filter_map
+         (fun (c : Net.commodity) ->
+           match sinks_of c.src with [ t ] -> Some t | _ -> None)
+         ks)
+  in
+  check_true "some source serves one sink" (goal_sinks <> []);
+  Alcotest.(check (list int)) "goal-directed plan" [ List.length goal_sinks ]
+    (reverse_runs net);
+  let custom_one = with_latency net 0 (opaque net).Net.latencies.(0) in
+  Alcotest.(check (list int)) "a Custom latency: plain" [ 0 ] (reverse_runs custom_one);
+  let shifted = with_latency net 0 (L.shift 0.5 (opaque net).Net.latencies.(0)) in
+  Alcotest.(check (list int)) "a Shifted Custom latency: plain" [ 0 ] (reverse_runs shifted);
+  let zero = with_latency net 0 (L.linear 1.0) in
+  Alcotest.(check (list int)) "a zero free-flow latency: plain" [ 0 ] (reverse_runs zero);
+  (* Plain or not, the solve is the same. *)
+  let a = Solver.solve ~tol:1e-6 Obj.Wardrop net in
+  let b = Solver.solve ~tol:1e-6 Obj.Wardrop (opaque net) in
+  check_true "opaque latencies solve bitwise alike" (bitwise_equal a.Solver.edge_flow b.Solver.edge_flow);
+  Alcotest.(check int) "same iterations" a.Solver.iterations b.Solver.iterations
+
+let test_margin_guard_trips () =
+  (* One edge 10^7 times lighter at free flow than the rest puts the key
+     bound (1e-9 · 1e-7 / (4·epsilon_float) ≈ 0.11) below every source's
+     key: each goal-directed tree reruns plain, and the solve is the
+     plain one. *)
+  let net = with_latency (small_city 5) 0 (L.affine ~slope:1.0 ~intercept:1e-7) in
+  let sol, moved =
+    counting [ "dijkstra.goal_fallbacks"; "assign.dijkstra_trees" ] (fun () ->
+        Solver.solve ~tol:1e-6 ~jobs:1 Obj.Wardrop net)
+  in
+  (match moved with
+  | [ fallbacks; trees ] ->
+      check_true "the guard fires" (fallbacks > 0);
+      check_true "at most once per tree" (fallbacks <= trees)
+  | _ -> assert false);
+  let plain = Solver.solve ~tol:1e-6 ~jobs:1 Obj.Wardrop (opaque net) in
+  check_true "fallback flows equal the plain solve"
+    (bitwise_equal sol.Solver.edge_flow plain.Solver.edge_flow)
+
+(* ---------------- deterministic performance gates ---------------- *)
+
+(* One Wardrop solve of the 10^4-edge city at jobs 1: 39 iterations, 31
+   free-flow reverse runs (one per distinct sink, 10^4 relaxations each)
+   and goal-directed trees. Plain targeted trees relax 8,203,717 edges
+   here; a change that loses the potential, or breaks a tie differently,
+   moves this count. *)
+let test_city_solve_counts () =
+  let net = city_1e4 () in
+  let _, moved =
+    counting [ "assign.iterations"; "dijkstra.relaxations"; "dijkstra.goal_fallbacks" ] (fun () ->
+        Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
+  in
+  Alcotest.(check (list int)) "iterations, relaxations, fallbacks" [ 39; 1_183_566; 0 ] moved
+
+let test_aon_allocation () =
+  let net = city_1e4 () in
+  let m = G.Digraph.num_edges net.Net.graph in
+  let weights = Net.edge_latencies net (Array.make m 0.0) in
+  let into = Array.make m 0.0 in
+  let plan = Aon.plan net in
+  Aon.assign ~jobs:1 plan net ~weights ~into;
+  let w0 = Gc.minor_words () in
+  Aon.assign ~jobs:1 plan net ~weights ~into;
+  let bytes = (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8) in
+  if bytes >= 1024.0 then Alcotest.failf "Aon.assign allocated %.0f bytes" bytes
+
 let suite =
   [
     prop_fw_matches_column_gen;
@@ -351,4 +514,9 @@ let suite =
     case "Paths.count on cyclic graphs" test_count_cyclic_graph;
     case "Paths.count bounds its DFS work" test_count_step_budget;
     case "edge-flow MSA matches the path-based engine (grid 71)" test_msa_grid_71;
+    prop_aon_matches_plain_oracle;
+    case "AON runs plain when the potential is unsafe" test_plain_when_potential_unsafe;
+    case "AON margin guard reruns plain" test_margin_guard_trips;
+    case "perf gate: 10^4-city solve relaxations and iterations" test_city_solve_counts;
+    case "perf gate: Aon.assign allocates under 1 KB" test_aon_allocation;
   ]

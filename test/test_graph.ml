@@ -51,7 +51,7 @@ let test_heap_sorts () =
   let h = G.Heap.create () in
   let rng = Prng.create 5 in
   let input = Array.init 500 (fun _ -> Prng.float rng) in
-  Array.iteri (fun i x -> G.Heap.insert h x i) input;
+  Array.iteri (fun i _ -> G.Heap.insert h input i) input;
   Alcotest.(check int) "size" 500 (G.Heap.size h);
   let prev = ref Float.neg_infinity in
   let rec drain n =
@@ -69,7 +69,7 @@ let test_heap_clear_reuse () =
   let rng = Prng.create 7 in
   let fill_and_drain () =
     let input = Array.init 100 (fun _ -> Prng.float rng) in
-    Array.iteri (fun i x -> G.Heap.insert h x i) input;
+    Array.iteri (fun i _ -> G.Heap.insert h input i) input;
     Alcotest.(check int) "size after fill" 100 (G.Heap.size h);
     let prev = ref Float.neg_infinity in
     let n = ref 0 in
@@ -86,8 +86,8 @@ let test_heap_clear_reuse () =
   in
   fill_and_drain ();
   (* Refill after clear must behave like a fresh heap. *)
-  G.Heap.insert h 1.0 1;
-  G.Heap.insert h 2.0 2;
+  G.Heap.insert h [| 0.0; 1.0; 2.0 |] 1;
+  G.Heap.insert h [| 0.0; 1.0; 2.0 |] 2;
   G.Heap.clear h;
   Alcotest.(check int) "cleared" 0 (G.Heap.size h);
   check_true "empty after clear" (G.Heap.is_empty h);
@@ -151,11 +151,13 @@ let prop_heap_matches_swap_oracle =
       (* Priorities from a five-value set: most inserts tie with others. *)
       let tie_prio () = float_of_int (Prng.int rng 5) *. 0.5 in
       let ops = 50 + Prng.int rng 400 in
+      let keys = Array.make ops 0.0 in
       let ok = ref true in
       for payload = 0 to ops - 1 do
         if Prng.int rng 10 < 6 then begin
           let p = tie_prio () in
-          G.Heap.insert h p payload;
+          keys.(payload) <- p;
+          G.Heap.insert h keys payload;
           Swap_heap.insert o p payload
         end
         else if G.Heap.pop_min h <> Swap_heap.pop_min o then ok := false
@@ -356,7 +358,9 @@ let bellman_ford g ~weights ~source =
   dist
 
 (* The pre-CSR list-based Dijkstra, kept here as a test-only oracle:
-   iterate per-node edge lists with lazy heap deletion. *)
+   iterate per-node edge lists with lazy heap deletion, and break exact
+   distance ties towards the smaller edge id while the node is not yet
+   settled (the kernel's canonical rule). *)
 let list_dijkstra g ~weights ~source =
   let n = G.Digraph.num_nodes g in
   let outs, _ = adjacency g in
@@ -365,7 +369,7 @@ let list_dijkstra g ~weights ~source =
   let settled = Array.make n false in
   let heap = G.Heap.create () in
   dist.(source) <- 0.0;
-  G.Heap.insert heap 0.0 source;
+  G.Heap.insert heap dist source;
   let continue = ref true in
   while !continue do
     match G.Heap.pop_min heap with
@@ -379,8 +383,10 @@ let list_dijkstra g ~weights ~source =
               if nd < dist.(e.dst) then begin
                 dist.(e.dst) <- nd;
                 pred.(e.dst) <- e.id;
-                G.Heap.insert heap nd e.dst
-              end)
+                G.Heap.insert heap dist e.dst
+              end
+              else if nd = dist.(e.dst) && e.id < pred.(e.dst) && not settled.(e.dst) then
+                pred.(e.dst) <- e.id)
             outs.(u)
         end
   done;
@@ -587,6 +593,141 @@ let prop_decompose_roundtrip =
       let rebuilt = G.Flow.of_paths g (G.Flow.decompose g ~flow ~src:0 ~dst:sink) in
       Sgr_numerics.Vec.linf_dist flow rebuilt <= 1e-7)
 
+(* ---------------- goal-directed runs and the tie rule ---------------- *)
+
+(* Walk [pred] from [t] towards [source] for at most [n] steps; [true]
+   iff the walk arrives. *)
+let chain_reaches (r : G.Dijkstra.result) g ~source t =
+  let sources = G.Digraph.edge_sources g in
+  let rec walk v steps =
+    v = source || (steps > 0 && r.pred.(v) >= 0 && walk sources.(r.pred.(v)) (steps - 1))
+  in
+  walk t (G.Digraph.num_nodes g)
+
+(* [a] and [b] hold the same [dist] bits and [pred] edge on every node
+   of [t]'s chain in [a]. *)
+let same_chain (a : G.Dijkstra.result) (b : G.Dijkstra.result) g t =
+  let sources = G.Digraph.edge_sources g in
+  let rec walk v steps =
+    same_bits a.dist.(v) b.dist.(v)
+    && a.pred.(v) = b.pred.(v)
+    && (a.pred.(v) < 0 || (steps > 0 && walk sources.(a.pred.(v)) (steps - 1)))
+  in
+  walk t (G.Digraph.num_nodes g)
+
+(* A random digraph whose nodes 0 .. n-1 lie on a two-way ring (so every
+   sink is reachable), plus random chords and one isolated node. Free-flow
+   weights come from {1, 2, 3} and the run's weights add {0, 1, 2}, so
+   distances tie often. *)
+let random_goal_instance rng =
+  let n = 3 + Prng.int rng 25 in
+  let b = G.Digraph.builder ~num_nodes:(n + 1) in
+  for v = 0 to n - 1 do
+    ignore (G.Digraph.add_edge b ~src:v ~dst:((v + 1) mod n));
+    ignore (G.Digraph.add_edge b ~src:((v + 1) mod n) ~dst:v)
+  done;
+  for _ = 1 to Prng.int rng (3 * n) do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v then ignore (G.Digraph.add_edge b ~src:u ~dst:v)
+  done;
+  let g = G.Digraph.freeze b in
+  let m = G.Digraph.num_edges g in
+  let lower = Array.init m (fun _ -> float_of_int (1 + Prng.int rng 3)) in
+  let weights = Array.map (fun l -> l +. float_of_int (Prng.int rng 3)) lower in
+  (g, n, lower, weights)
+
+let prop_goal_matches_plain =
+  qcheck ~count:300 "goal-directed and plain runs agree bitwise on the sink's chain"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 1_300) in
+      let g, n, lower, weights = random_goal_instance rng in
+      let source = Prng.int rng n in
+      (* The isolated node [n] now and then: an unreachable sink. *)
+      let sink = if Prng.int rng 8 = 0 then n else Prng.int rng n in
+      let goal = G.Dijkstra.goal g ~lower ~sink in
+      let plain = G.Dijkstra.run ~targets:[| sink |] g ~weights ~source in
+      let full = G.Dijkstra.run g ~weights ~source in
+      let directed = G.Dijkstra.run ~validate:true ~goal g ~weights ~source in
+      (* At free flow too: every weight then sits exactly on its bound. *)
+      let at_lower = G.Dijkstra.run ~goal g ~weights:lower ~source in
+      let plain_lower = G.Dijkstra.run ~targets:[| sink |] g ~weights:lower ~source in
+      same_bits directed.dist.(sink) plain.dist.(sink)
+      && same_chain directed plain g sink
+      && same_chain directed full g sink
+      && same_chain at_lower plain_lower g sink)
+
+let test_zero_weight_ties_stay_acyclic () =
+  (* Nodes 1 and 2 tie at distance 1 and are joined both ways by
+     zero-weight edges 0 and 1. Settling 1 first moves pred(2) to edge
+     0; settling 2 then ties node 1 through edge 1 < pred(1) = 2, and
+     only the settled guard stops pred(1) <- 1, a 1 <-> 2 cycle. *)
+  let g = G.Digraph.of_edges ~num_nodes:3 [ (1, 2); (2, 1); (0, 1); (0, 2) ] in
+  let weights = [| 0.0; 0.0; 1.0; 1.0 |] in
+  let r = G.Dijkstra.run g ~weights ~source:0 in
+  Alcotest.(check (array int)) "preds" [| -1; 2; 0 |] r.pred;
+  List.iter
+    (fun t -> check_true "chain reaches the source" (chain_reaches r g ~source:0 t))
+    [ 1; 2 ];
+  check_true "shortest_path terminates"
+    (G.Dijkstra.shortest_path g ~weights ~src:0 ~dst:2 = Some [ 2; 0 ]);
+  (* Random {0, 1}-weighted graphs: every reachable node's chain, full
+     and targeted, reaches the source within n steps. *)
+  for seed = 0 to 199 do
+    let rng = Prng.create (seed + 1_400) in
+    let g, _ = random_tie_graph rng in
+    let weights = Array.init (G.Digraph.num_edges g) (fun _ -> float_of_int (Prng.int rng 2)) in
+    let n = G.Digraph.num_nodes g in
+    let source = Prng.int rng (n - 1) in
+    let full = G.Dijkstra.run g ~weights ~source in
+    for t = 0 to n - 1 do
+      if full.dist.(t) < Float.infinity then begin
+        check_true "full chain reaches the source" (chain_reaches full g ~source t);
+        let r = G.Dijkstra.run ~targets:[| t |] g ~weights ~source in
+        check_true "targeted chain reaches the source" (chain_reaches r g ~source t)
+      end
+    done
+  done
+
+let fallbacks () = Sgr_obs.Obs.value (Sgr_obs.Obs.counter "dijkstra.goal_fallbacks")
+
+let test_goal_key_bound_falls_back () =
+  (* A path 0 -> 1 -> 2 -> 3 whose middle edge is 10^6 times lighter
+     than the others: the key bound, 1e-9 · 1e-6 / (4·epsilon_float) ≈
+     1.1, sits below the source's key (≈ 2), so the run must redo itself
+     plain. *)
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (2, 3) ] in
+  let lower = [| 1.0; 1e-6; 1.0 |] in
+  let goal = G.Dijkstra.goal g ~lower ~sink:3 in
+  let before = fallbacks () in
+  let r = G.Dijkstra.run ~goal g ~weights:lower ~source:0 in
+  Alcotest.(check int) "one fallback" (before + 1) (fallbacks ());
+  let plain = G.Dijkstra.run ~targets:[| 3 |] g ~weights:lower ~source:0 in
+  check_true "the fallback is the plain run" (same_chain r plain g 3);
+  (* Comparable weights keep every key under the bound. *)
+  let lower = [| 1.0; 1.0; 1.0 |] in
+  let goal = G.Dijkstra.goal g ~lower ~sink:3 in
+  let before = fallbacks () in
+  ignore (G.Dijkstra.run ~goal g ~weights:lower ~source:0);
+  Alcotest.(check int) "no fallback" before (fallbacks ())
+
+let test_goal_rejects_misuse () =
+  let g = diamond () in
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  check_true "zero lower bound"
+    (raises (fun () -> G.Dijkstra.goal g ~lower:[| 1.0; 0.0; 1.0; 1.0; 1.0 |] ~sink:3));
+  check_true "wrong length" (raises (fun () -> G.Dijkstra.goal g ~lower:[| 1.0 |] ~sink:3));
+  let lower = [| 1.0; 1.0; 1.0; 1.0; 1.0 |] in
+  let goal = G.Dijkstra.goal g ~lower ~sink:3 in
+  check_true "weights below the bound"
+    (raises (fun () ->
+         G.Dijkstra.run ~validate:true ~goal g ~weights:[| 1.0; 0.5; 1.0; 1.0; 1.0 |] ~source:0));
+  check_true "goal and targets"
+    (raises (fun () -> G.Dijkstra.run ~goal ~targets:[| 3 |] g ~weights:lower ~source:0));
+  check_true "another graph"
+    (raises (fun () ->
+         G.Dijkstra.run ~goal (G.Digraph.of_edges ~num_nodes:2 [ (0, 1) ]) ~weights:[| 1.0 |]
+           ~source:0))
+
 let suite =
   [
     case "digraph: build + adjacency" test_build;
@@ -620,4 +761,8 @@ let suite =
     prop_maxflow_min_cut_saturation;
     prop_maxflow_has_min_cut_certificate;
     prop_decompose_roundtrip;
+    prop_goal_matches_plain;
+    case "dijkstra: zero-weight ties keep pred chains acyclic" test_zero_weight_ties_stay_acyclic;
+    case "dijkstra: a key past the goal's bound reruns plain" test_goal_key_bound_falls_back;
+    case "dijkstra: goal misuse is rejected" test_goal_rejects_misuse;
   ]

@@ -732,6 +732,71 @@ let test_metrics_reply_framing () =
            body)
   | [] -> Alcotest.fail "empty metrics reply"
 
+(* ---------------- request-line cap ---------------- *)
+
+let test_session_line_cap () =
+  let s = Session.create ~id:9 in
+  (* A line of exactly the cap is a request like any other. *)
+  feed_str s (String.make Session.max_request_line 'y' ^ "\nping\n");
+  Alcotest.(check int) "a cap-long line is accepted" Session.max_request_line
+    (String.length (Option.get (Session.next_request s)));
+  Session.push_reply s "error parse: unknown verb";
+  let chunk = Bytes.make 4096 'x' in
+  let fed = ref 0 in
+  while Session.wants_read s && !fed < 1 lsl 20 do
+    Session.feed s chunk (Bytes.length chunk);
+    fed := !fed + Bytes.length chunk;
+    check_true "held input stays within the cap plus one chunk"
+      (Session.buffered s <= Session.max_request_line + Bytes.length chunk)
+  done;
+  Alcotest.(check int) "reading stops one chunk past the cap" (Session.max_request_line + 4096)
+    !fed;
+  Alcotest.(check int) "the refused tail is dropped" 0 (Session.buffered s);
+  Alcotest.(check (option string)) "the line before still runs" (Some "ping")
+    (Session.next_request s);
+  Session.push_reply s "ok pong";
+  Alcotest.(check (option string)) "the refusal is no request" None (Session.next_request s);
+  let out = Session.pending_out s in
+  check_true "the refusal is the last reply"
+    (String.ends_with ~suffix:"ok pong\nerror parse: line too long\n" out);
+  Session.wrote s (String.length out);
+  check_true "finished once drained" (Session.finished s);
+  Alcotest.(check string) "close reason" "line too long" (Session.close_reason s)
+
+let test_server_line_cap () =
+  with_server @@ fun socket ->
+  let other = Client.connect socket in
+  Fun.protect ~finally:(fun () -> Client.close other) @@ fun () ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  (* 1 MiB with no newline, until the server hangs up; halfway to the
+     cap, the other session pings. *)
+  let chunk = Bytes.make 4096 'x' in
+  let sent = ref 0 and open_ = ref true in
+  while !open_ && !sent < 1 lsl 20 do
+    (match Unix.write fd chunk 0 (Bytes.length chunk) with
+    | n -> sent := !sent + n
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> open_ := false);
+    if !sent = 8 * 4096 then
+      Alcotest.(check (option string)) "a concurrent ping answers" (Some "ok pong")
+        (Client.rpc other "ping")
+  done;
+  let got = Buffer.create 64 and b = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd b 0 (Bytes.length b) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes got b 0 n;
+        drain ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+  in
+  drain ();
+  Alcotest.(check string) "exactly the refusal, then a closed connection"
+    "error parse: line too long\n" (Buffer.contents got);
+  Alcotest.(check (option string)) "the server still answers" (Some "ok pong")
+    (Client.rpc other "ping")
+
 let suite =
   [
     case "lru: capacity one" test_lru_capacity_one;
@@ -761,4 +826,6 @@ let suite =
     prop_batch_jobs_deterministic;
     case "metrics: reply framing" test_metrics_reply_framing;
     prop_metrics_counts_deterministic;
+    case "session: an overlong request line is refused" test_session_line_cap;
+    case "server: a 1 MiB line is refused, other sessions answer" test_server_line_cap;
   ]
