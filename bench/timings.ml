@@ -199,17 +199,23 @@ let t8 () =
 
 (* T13: the edge-flow Frank–Wolfe core (lib/assign) on synthetic
    ring+radial cities at the 10^3 / 10^4 / 10^5-edge tiers, to relative
-   gap 1e-4 on one domain. *)
+   gap 1e-4 on one domain, and the instance reader on the 10^4 city's
+   canonical text (560 KB, the text the benchmark's city-assign op
+   parses before it solves). *)
 let t13 () =
+  let city rings radials =
+    W.synthetic_city (Prng.create (13_000 + rings)) ~rings ~radials ~commodities:32 ()
+  in
+  let text = Sgr_io.Instance_file.to_string (Sgr_io.Instance_file.Network (city 25 100)) in
   Test.make_grouped ~name:"T13 edge-flow assignment"
-    (List.map
-       (fun (tag, rings, radials) ->
-         let net =
-           W.synthetic_city (Prng.create (13_000 + rings)) ~rings ~radials ~commodities:32 ()
-         in
-         Test.make ~name:("frank-wolfe/" ^ tag)
-           (Staged.stage (fun () -> ignore (Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net))))
-       [ ("city1e3", 8, 32); ("city1e4", 25, 100); ("city1e5", 100, 250) ])
+    (Test.make ~name:"io/parse city1e4"
+       (Staged.stage (fun () -> ignore (Sgr_io.Instance_file.parse text)))
+    :: List.map
+         (fun (tag, rings, radials) ->
+           let net = city rings radials in
+           Test.make ~name:("frank-wolfe/" ^ tag)
+             (Staged.stage (fun () -> ignore (Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net))))
+         [ ("city1e3", 8, 32); ("city1e4", 25, 100); ("city1e5", 100, 250) ])
 
 let run_all () =
   Format.printf "@.=== Timing suite (bechamel, monotonic clock, OLS ns/run) ===@.";

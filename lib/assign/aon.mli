@@ -1,11 +1,15 @@
 (** Batched all-or-nothing assignment on the CSR graph.
 
     One Dijkstra tree per *distinct* commodity source (commodities
-    sharing a source share a tree), fanned over the ambient worker pool;
-    demand accumulation walks each commodity's predecessor chain
-    sequentially in commodity order, so the resulting edge flow is
-    byte-identical at any [--jobs]. Paths are never materialized: the
-    whole assignment lives in the predecessor arrays.
+    sharing a source share a tree), fanned over the ambient worker pool.
+    Right after its run, on the domain that ran it, a tree copies out
+    only its sinks' predecessor chains; demand accumulation then adds
+    each commodity's demand along its chain, sequentially in commodity
+    order, so the resulting edge flow is byte-identical at any
+    [--jobs]. Paths are never materialized as lists unless asked for
+    ([?record]). With the workspace resetting only the nodes its
+    previous run labeled, a tree costs the part of the graph it
+    touches, not the node count.
 
     Each tree is a targeted {!Sgr_graph.Dijkstra.run}: it stops once
     the sinks of its source's commodities are settled. The predecessor
@@ -27,16 +31,17 @@
     does a call whose weights dip below ℓₑ(0) somewhere.
 
     Allocation-free per call on a reused plan, apart from a few hundred
-    bytes of fan-out bookkeeping: each tree's predecessor edges land in
-    a buffer the plan holds. The buffers make a plan single-use at a
-    time: two concurrent [assign]s must not share one. *)
+    bytes of fan-out bookkeeping: each tree's chains land in a buffer
+    the plan holds (it grows, rarely, when a longer chain comes along).
+    The buffers make a plan single-use at a time: two concurrent
+    [assign]s must not share one. *)
 
 type plan
 (** Source-grouping of a network's commodities — the distinct sources
     and, per source, the sinks its tree must settle — plus the
-    goal-directed potentials and per-tree predecessor buffers, computed
-    once per solve and reused every iteration. It holds one int per
-    node per tree and one float per node per distinct goal sink. *)
+    goal-directed potentials and per-tree chain buffers, computed once
+    per solve and reused every iteration. It holds one float per node
+    per distinct goal sink, and one int per chain edge. *)
 
 val plan : Sgr_network.Network.t -> plan
 (** Runs one full reverse Dijkstra per distinct sink of a single-sink

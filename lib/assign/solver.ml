@@ -1,4 +1,5 @@
 module G = Sgr_graph
+module L = Sgr_latency.Latency
 module Network = Sgr_network.Network
 module Objective = Sgr_network.Objective
 module Obs = Sgr_obs.Obs
@@ -24,8 +25,10 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     =
   Obs.span "assign.solve" @@ fun () ->
   let m = G.Digraph.num_edges net.Network.graph in
-  let value = Objective.edge_value obj in
-  let lats = net.Network.latencies in
+  (* The latencies as a flat table: the gradient and every line-search
+     probe evaluate through its kernels, which box no float. *)
+  let table = L.Table.make net.Network.latencies in
+  let marginal = match obj with Objective.Wardrop -> false | Objective.System_optimum -> true in
   let ks = net.Network.commodities in
   let plan = Aon.plan net in
   let grad = Array.make m 0.0 in
@@ -62,8 +65,9 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
   (* Dijkstra rejects negative weights; marginals of odd user latencies
      can dip microscopically below zero, so clamp. *)
   let fill_grad f =
+    L.Table.fill table ~marginal ~at:f ~into:grad;
     for e = 0 to m - 1 do
-      grad.(e) <- Float.max 0.0 (value lats.(e) f.(e))
+      grad.(e) <- Float.max 0.0 grad.(e)
     done
   in
   let f = Array.make m 0.0 in
@@ -123,12 +127,8 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
                  convex objective along d is nondecreasing in gamma. *)
               let dphi gamma =
                 Sgr_obs.Cancel.check_handle cancel;
-                let acc = ref 0.0 in
-                for k = 0 to n_sup - 1 do
-                  let e = sup_edge.(k) and de = sup_dir.(k) in
-                  acc := !acc +. (de *. value lats.(e) (f.(e) +. (gamma *. de)))
-                done;
-                !acc
+                L.Table.directional table ~marginal ~base:f ~entries:sup_edge ~dirs:sup_dir
+                  ~len:n_sup gamma
               in
               let gamma = Sgr_numerics.Minimize.line_search_convex ~df:dphi ~lo:0.0 ~hi:1.0 () in
               if gamma <= 0.0 then 1e-12 else gamma

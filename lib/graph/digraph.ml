@@ -17,8 +17,11 @@ type t = {
 
 type builder = { n : int; mutable rev_edges : edge list; mutable count : int }
 
+let max_nodes = 1 lsl 20
+
 let builder ~num_nodes =
   if num_nodes <= 0 then invalid_arg "Digraph.builder: need at least one node";
+  if num_nodes > max_nodes then invalid_arg "Digraph.builder: more nodes than max_nodes";
   { n = num_nodes; rev_edges = []; count = 0 }
 
 let add_edge b ~src ~dst =

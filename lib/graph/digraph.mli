@@ -14,7 +14,8 @@ type t
 type builder
 
 val builder : num_nodes:int -> builder
-(** Fresh builder over nodes [0 .. num_nodes-1]. *)
+(** Fresh builder over nodes [0 .. num_nodes-1].
+    @raise Invalid_argument unless [1 <= num_nodes <= ]{!max_nodes}. *)
 
 val add_edge : builder -> src:int -> dst:int -> int
 (** Adds an edge and returns its id.
@@ -76,3 +77,12 @@ val iter_in : t -> int -> (int -> int -> unit) -> unit
     [v], in insertion order, without allocating. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {1 Limits} *)
+
+val max_nodes : int
+(** The most nodes a graph may have: 2^20. The node arrays of a graph
+    and of every search on it are sized by its node count, so readers
+    of untrusted input check a declared count against this cap before
+    building anything (the 10^5-edge city of the T13 timings has 25,001
+    nodes). *)

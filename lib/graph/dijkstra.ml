@@ -11,6 +11,8 @@ type workspace = {
   mutable dist : float array;
   mutable pred : int array;
   mutable settled : bool array;
+  mutable touched : int array;  (* the nodes the last run labeled, each once *)
+  mutable n_touched : int;
   mutable target : bool array;  (* all false between runs *)
   mutable key : float array;  (* dist + potential; goal-directed runs only *)
   mutable result : result;  (* aliases [dist] and [pred], so a run returns without allocating *)
@@ -23,29 +25,39 @@ let workspace ?(hint = 0) () =
     dist = [||];
     pred = [||];
     settled = [||];
+    touched = [||];
+    n_touched = 0;
     target = [||];
     key = [||];
     result = { dist = [||]; pred = [||] };
     heap = Heap.create ~hint ();
   }
 
-(* Size the scratch arrays for an [n]-node graph and reset them. On the
-   repeated-run path (same graph) this is three [Array.fill]s and a
-   [Heap.clear] — no allocation. *)
+(* Size the scratch arrays for an [n]-node graph and reset them. Only
+   the nodes the previous run labeled hold anything but infinity / -1 /
+   false, and the run listed them in [touched], so on the repeated-run
+   path (same node count) the reset costs what that run touched, not n,
+   and allocates nothing. *)
 let prepare ws n =
   if ws.size <> n then begin
     ws.dist <- Array.make n Float.infinity;
     ws.pred <- Array.make n (-1);
     ws.settled <- Array.make n false;
+    ws.touched <- Array.make n 0;
     ws.target <- Array.make n false;
     ws.result <- { dist = ws.dist; pred = ws.pred };
     ws.size <- n
   end
   else begin
-    Array.fill ws.dist 0 n Float.infinity;
-    Array.fill ws.pred 0 n (-1);
-    Array.fill ws.settled 0 n false
+    let dist = ws.dist and pred = ws.pred and settled = ws.settled and touched = ws.touched in
+    for i = 0 to ws.n_touched - 1 do
+      let v = touched.(i) in
+      dist.(v) <- Float.infinity;
+      pred.(v) <- -1;
+      settled.(v) <- false
+    done
   end;
+  ws.n_touched <- 0;
   Heap.clear ws.heap
 
 (* A goal-directed search toward one sink. [potential] is the distance
@@ -118,11 +130,17 @@ let unmark_targets ws = function
    distinct target, before relaxing its edges. Up to that point it has
    done exactly what the full run does, and settled entries never change
    afterwards, so everything it settled reads bit-for-bit as in the full
-   tree. The target marks are cleared before returning. *)
+   tree. The target marks are cleared before returning.
+
+   A node is labeled when its distance first drops below infinity (a
+   node that is never labeled keeps pred -1 and is never settled), and
+   the run lists it in [touched] right then, so the next [prepare]
+   resets exactly the labeled nodes. *)
 let run_dir ?targets ws ~goal ~off ~ids ~other ~weights ~n ~origin =
   Obs.incr c_runs;
   prepare ws n;
   let dist = ws.dist and pred = ws.pred and settled = ws.settled and heap = ws.heap in
+  let touched = ws.touched in
   let target = ws.target and potential = goal.potential in
   let directed = Array.length potential > 0 in
   if directed && Array.length ws.key <> n then ws.key <- Array.make n 0.0;
@@ -132,6 +150,8 @@ let run_dir ?targets ws ~goal ~off ~ids ~other ~weights ~n ~origin =
   let within = ref true in
   let relaxations = ref 0 in
   dist.(origin) <- 0.0;
+  touched.(0) <- origin;
+  ws.n_touched <- 1;
   if directed then key.(origin) <- potential.(origin);
   if key.(origin) <= bound then Heap.insert heap key origin
   else if key.(origin) < Float.infinity then within := false;
@@ -152,6 +172,10 @@ let run_dir ?targets ws ~goal ~off ~ids ~other ~weights ~n ~origin =
           let nd = du +. weights.(e) in
           let dv = dist.(v) in
           if nd < dv then begin
+            if dv = Float.infinity then begin
+              touched.(ws.n_touched) <- v;
+              ws.n_touched <- ws.n_touched + 1
+            end;
             dist.(v) <- nd;
             pred.(v) <- e;
             if directed then key.(v) <- nd +. potential.(v);

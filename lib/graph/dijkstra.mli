@@ -10,7 +10,9 @@
     {!Digraph.out_offsets}) and can run inside a caller-owned
     {!workspace}, in which case repeated runs on the same graph perform
     no allocation — column-generation pricing does one run per
-    commodity per round, and {!shortest_edge_subgraph} does two.
+    commodity per round, and {!shortest_edge_subgraph} does two — and a
+    run's cost is what it touches: a workspace resets only the nodes
+    its previous run labeled, not all n of them.
 
     A forward run may stop early, once a given set of target nodes is
     settled ({!run}'s [?targets]), and may be goal-directed toward one
@@ -39,12 +41,15 @@ type result = {
 
 type workspace
 (** Reusable scratch state: dist/pred/settled/target-mark arrays (and
-    the key array of goal-directed runs) plus the heap.
+    the key array of goal-directed runs), the list of nodes the last run
+    labeled, plus the heap.
     A workspace adapts to whatever graph it is run on (it reallocates
     when the node count changes); reusing one across runs on the same
-    graph allocates nothing, the returned {!result} included. Not
-    domain-safe: use one workspace per domain (e.g. via [Domain.DLS]) in
-    parallel code. *)
+    graph allocates nothing, the returned {!result} included. Each run
+    first resets the nodes the previous one labeled, and only those, so
+    every entry reads as in a fresh workspace ([infinity] / [-1] where
+    this run did not reach). Not domain-safe: use one workspace per
+    domain (e.g. via [Domain.DLS]) in parallel code. *)
 
 val workspace : ?hint:int -> unit -> workspace
 (** Fresh empty workspace; [hint] presizes the heap. *)

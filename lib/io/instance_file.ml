@@ -4,116 +4,222 @@ module G = Sgr_graph
 
 type t = Links of Links.t | Network of Net.t
 
-let meaningful_lines text =
-  String.split_on_char '\n' text
-  |> List.mapi (fun i line -> (i + 1, String.trim line))
-  |> List.filter (fun (_, line) -> line <> "" && line.[0] <> '#')
+(* The one pass over the text. Lines are read in place: a line is the
+   offsets [lo, hi) of its trimmed bytes, its keyword the bytes up to
+   the first space, and the words after it are cut out as substrings
+   only when a number or a latency spec needs them. *)
 
-let errf lineno fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
+exception Bad of string
 
-let split_first line =
-  match String.index_opt line ' ' with
-  | None -> (line, "")
-  | Some i ->
-      (String.sub line 0 i, String.trim (String.sub line (i + 1) (String.length line - i - 1)))
+let fail lineno fmt =
+  Printf.ksprintf (fun m -> raise (Bad (Printf.sprintf "line %d: %s" lineno m))) fmt
 
-let parse_links lines =
-  let demand = ref None in
-  let latencies = ref [] in
-  let rec go = function
-    | [] -> (
-        match (!demand, List.rev !latencies) with
-        | None, _ -> Error "missing 'demand' line"
-        | _, [] -> Error "no 'link' lines"
-        | Some d, lats -> (
-            try Ok (Links (Links.make (Array.of_list lats) ~demand:d))
-            with Invalid_argument m -> Error m))
-    | (lineno, line) :: rest -> (
-        let keyword, arg = split_first line in
-        match String.lowercase_ascii keyword with
-        | "demand" -> (
-            match Latency_spec.number arg with
-            | Some d when d >= 0.0 ->
-                demand := Some d;
-                go rest
-            | _ -> errf lineno "demand expects a nonnegative number, got %S" arg)
-        | "link" -> (
-            match Latency_spec.parse arg with
+(* [String.trim]'s blanks. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
+
+(* [text.[lo .. hi)] equals the lowercase word [w], ignoring ASCII case. *)
+let keyword_is text lo hi w =
+  hi - lo = String.length w
+  &&
+  let i = ref 0 in
+  while !i < String.length w && Char.lowercase_ascii text.[lo + !i] = w.[!i] do
+    incr i
+  done;
+  !i = String.length w
+
+(* The words of [text.[lo .. hi)] split on ' ', empty ones dropped. *)
+let words text lo hi =
+  let acc = ref [] and j = ref hi in
+  for i = hi - 1 downto lo - 1 do
+    if i < lo || text.[i] = ' ' then begin
+      if !j > i + 1 then acc := String.sub text (i + 1) (!j - i - 1) :: !acc;
+      j := i
+    end
+  done;
+  !acc
+
+(* A growable array. Its first allocation takes [hint] slots: the line
+   count, which bounds every column, so on a real instance no column
+   grows (and leaves its outgrown copies to the collector) after that. *)
+type 'a column = { mutable data : 'a array; mutable len : int; hint : int }
+
+let push col x =
+  if col.len = Array.length col.data then begin
+    let grown = Array.make (max col.hint (2 * col.len)) x in
+    Array.blit col.data 0 grown 0 col.len;
+    col.data <- grown
+  end;
+  col.data.(col.len) <- x;
+  col.len <- col.len + 1
+
+let column hint = { data = [||]; len = 0; hint }
+let contents col = Array.sub col.data 0 col.len
+
+let line_count text =
+  let n = ref 1 in
+  for i = 0 to String.length text - 1 do
+    if text.[i] = '\n' then incr n
+  done;
+  !n
+
+(* Calls [line lineno lo kw_end arg_lo hi] on every line that is not
+   blank or a comment, in order: [lo, kw_end) is its first word (up to
+   the first space), [arg_lo, hi) the trimmed rest. *)
+let iter_lines text line =
+  let len = String.length text in
+  let pos = ref 0 and lineno = ref 0 in
+  while !pos <= len do
+    let stop = ref !pos in
+    while !stop < len && text.[!stop] <> '\n' do
+      incr stop
+    done;
+    incr lineno;
+    let lo = ref !pos and hi = ref !stop in
+    while !lo < !hi && is_blank text.[!lo] do
+      incr lo
+    done;
+    while !hi > !lo && is_blank text.[!hi - 1] do
+      decr hi
+    done;
+    pos := !stop + 1;
+    if !lo < !hi && text.[!lo] <> '#' then begin
+      let kw_end = ref !lo in
+      while !kw_end < !hi && text.[!kw_end] <> ' ' do
+        incr kw_end
+      done;
+      let arg_lo = ref !kw_end in
+      while !arg_lo < !hi && is_blank text.[!arg_lo] do
+        incr arg_lo
+      done;
+      line !lineno !lo !kw_end !arg_lo !hi
+    end
+  done
+
+let lowercase text lo hi = String.lowercase_ascii (String.sub text lo (hi - lo))
+
+(* What the lines after the header have declared so far. *)
+type links_acc = { mutable demand : float option; links : Sgr_latency.Latency.t column }
+
+type network_acc = {
+  mutable nodes : int option;
+  srcs : int column;
+  dsts : int column;
+  lines : int column;  (* the line of each edge *)
+  latencies : Sgr_latency.Latency.t column;
+  commodities : Net.commodity column;
+}
+
+let links_line acc text lineno lo kw_end arg_lo hi =
+  let arg () = String.sub text arg_lo (hi - arg_lo) in
+  if keyword_is text lo kw_end "demand" then
+    match Latency_spec.number (arg ()) with
+    | Some d when d >= 0.0 -> acc.demand <- Some d
+    | _ -> fail lineno "demand expects a nonnegative number, got %S" (arg ())
+  else if keyword_is text lo kw_end "link" then
+    match Latency_spec.parse (arg ()) with
+    | Ok lat -> push acc.links lat
+    | Error m -> fail lineno "%s" m
+  else fail lineno "unexpected keyword %S in a links instance" (lowercase text lo kw_end)
+
+let links_end acc =
+  match (acc.demand, acc.links.len) with
+  | None, _ -> Error "missing 'demand' line"
+  | _, 0 -> Error "no 'link' lines"
+  | Some d, _ -> (
+      try Ok (Links (Links.make (contents acc.links) ~demand:d)) with Invalid_argument m -> Error m)
+
+let network_line acc text lineno lo kw_end arg_lo hi =
+  if keyword_is text lo kw_end "nodes" then begin
+    let arg = String.sub text arg_lo (hi - arg_lo) in
+    match int_of_string_opt arg with
+    | Some n when n > G.Digraph.max_nodes ->
+        fail lineno "nodes %d exceeds the limit of %d" n G.Digraph.max_nodes
+    | Some n when n > 0 -> acc.nodes <- Some n
+    | _ -> fail lineno "nodes expects a positive integer, got %S" arg
+  end
+  else if keyword_is text lo kw_end "edge" then
+    match words text arg_lo hi with
+    | a :: b :: (_ :: _ as spec_words) -> (
+        match (int_of_string_opt a, int_of_string_opt b) with
+        | Some src, Some dst -> (
+            match Latency_spec.parse_words spec_words with
             | Ok lat ->
-                latencies := lat :: !latencies;
-                go rest
-            | Error m -> errf lineno "%s" m)
-        | k -> errf lineno "unexpected keyword %S in a links instance" k)
-  in
-  go lines
+                push acc.srcs src;
+                push acc.dsts dst;
+                push acc.lines lineno;
+                push acc.latencies lat
+            | Error m -> fail lineno "%s" m)
+        | _ -> fail lineno "edge endpoints must be integers")
+    | _ -> fail lineno "edge expects 'edge SRC DST LATENCY-SPEC'"
+  else if keyword_is text lo kw_end "commodity" then
+    match words text arg_lo hi with
+    | [ a; b; d ] -> (
+        match (int_of_string_opt a, int_of_string_opt b, Latency_spec.number d) with
+        | Some src, Some dst, Some demand when demand >= 0.0 ->
+            push acc.commodities { Net.src; dst; demand }
+        | _ -> fail lineno "commodity expects 'commodity SRC DST DEMAND'")
+    | _ -> fail lineno "commodity expects 'commodity SRC DST DEMAND'"
+  else fail lineno "unexpected keyword %S in a network instance" (lowercase text lo kw_end)
 
-let parse_network lines =
-  let nodes = ref None in
-  let edges = ref [] (* (src, dst, latency), reversed *) in
-  let commodities = ref [] in
-  let rec go = function
-    | [] -> (
-        match !nodes with
-        | None -> Error "missing 'nodes' line"
-        | Some n -> (
-            let edges = List.rev !edges in
-            let commodities = List.rev !commodities in
-            if edges = [] then Error "no 'edge' lines"
-            else if commodities = [] then Error "no 'commodity' lines"
-            else
-              try
-                let b = G.Digraph.builder ~num_nodes:n in
-                List.iter (fun (src, dst, _) -> ignore (G.Digraph.add_edge b ~src ~dst)) edges;
-                let g = G.Digraph.freeze b in
-                let latencies = Array.of_list (List.map (fun (_, _, l) -> l) edges) in
-                Ok
-                  (Network
-                     (Net.make g ~latencies ~commodities:(Array.of_list commodities)))
-              with Invalid_argument m -> Error m))
-    | (lineno, line) :: rest -> (
-        let keyword, arg = split_first line in
-        match String.lowercase_ascii keyword with
-        | "nodes" -> (
-            match int_of_string_opt arg with
-            | Some n when n > 0 ->
-                nodes := Some n;
-                go rest
-            | _ -> errf lineno "nodes expects a positive integer, got %S" arg)
-        | "edge" -> (
-            let parts = String.split_on_char ' ' arg |> List.filter (fun w -> w <> "") in
-            match parts with
-            | a :: b :: spec_words when spec_words <> [] -> (
-                match (int_of_string_opt a, int_of_string_opt b) with
-                | Some src, Some dst -> (
-                    match Latency_spec.parse (String.concat " " spec_words) with
-                    | Ok lat ->
-                        edges := (src, dst, lat) :: !edges;
-                        go rest
-                    | Error m -> errf lineno "%s" m)
-                | _ -> errf lineno "edge endpoints must be integers")
-            | _ -> errf lineno "edge expects 'edge SRC DST LATENCY-SPEC'")
-        | "commodity" -> (
-            let parts = String.split_on_char ' ' arg |> List.filter (fun w -> w <> "") in
-            match parts with
-            | [ a; b; d ] -> (
-                match (int_of_string_opt a, int_of_string_opt b, Latency_spec.number d) with
-                | Some src, Some dst, Some demand when demand >= 0.0 ->
-                    commodities := { Net.src; dst; demand } :: !commodities;
-                    go rest
-                | _ -> errf lineno "commodity expects 'commodity SRC DST DEMAND'")
-            | _ -> errf lineno "commodity expects 'commodity SRC DST DEMAND'")
-        | k -> errf lineno "unexpected keyword %S in a network instance" k)
-  in
-  go lines
+let network_end acc =
+  match acc.nodes with
+  | None -> Error "missing 'nodes' line"
+  | Some _ when acc.srcs.len = 0 -> Error "no 'edge' lines"
+  | Some _ when acc.commodities.len = 0 -> Error "no 'commodity' lines"
+  | Some n -> (
+      (* Endpoints are checked once the node count is known: the [nodes]
+         line may come after the edges. *)
+      for e = 0 to acc.srcs.len - 1 do
+        let src = acc.srcs.data.(e) and dst = acc.dsts.data.(e) in
+        if src < 0 || src >= n || dst < 0 || dst >= n then
+          fail acc.lines.data.(e) "edge endpoint out of range [0, %d)" n;
+        if src = dst then fail acc.lines.data.(e) "self loops are not allowed"
+      done;
+      try
+        let b = G.Digraph.builder ~num_nodes:n in
+        for e = 0 to acc.srcs.len - 1 do
+          ignore (G.Digraph.add_edge b ~src:acc.srcs.data.(e) ~dst:acc.dsts.data.(e))
+        done;
+        Ok
+          (Network
+             (Net.make (G.Digraph.freeze b) ~latencies:(contents acc.latencies)
+                ~commodities:(contents acc.commodities)))
+      with Invalid_argument m -> Error m)
+
+type section = Header | Links_body of links_acc | Network_body of network_acc
 
 let parse text =
-  match meaningful_lines text with
-  | [] -> Error "empty instance"
-  | (lineno, header) :: rest -> (
-      match String.lowercase_ascii header with
-      | "links" -> parse_links rest
-      | "network" -> parse_network rest
-      | h -> errf lineno "unknown instance header %S (expected 'links' or 'network')" h)
+  let section = ref Header in
+  let line lineno lo kw_end arg_lo hi =
+    match !section with
+    | Links_body acc -> links_line acc text lineno lo kw_end arg_lo hi
+    | Network_body acc -> network_line acc text lineno lo kw_end arg_lo hi
+    | Header ->
+        let hint = line_count text in
+        if keyword_is text lo hi "links" then
+          section := Links_body { demand = None; links = column hint }
+        else if keyword_is text lo hi "network" then
+          section :=
+            Network_body
+              {
+                nodes = None;
+                srcs = column hint;
+                dsts = column hint;
+                lines = column hint;
+                latencies = column hint;
+                commodities = column hint;
+              }
+        else
+          fail lineno "unknown instance header %S (expected 'links' or 'network')"
+            (lowercase text lo hi)
+  in
+  try
+    iter_lines text line;
+    match !section with
+    | Header -> Error "empty instance"
+    | Links_body acc -> links_end acc
+    | Network_body acc -> network_end acc
+  with Bad m -> Error m
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with

@@ -30,7 +30,11 @@ type t =
   | Network of Sgr_network.Network.t
 
 val parse : string -> (t, string) result
-(** Parse instance text. Errors carry a line number. *)
+(** Parse instance text, in one pass over its lines. Errors carry a
+    line number; so do a [nodes] count past
+    {!Sgr_graph.Digraph.max_nodes}, an edge endpoint outside
+    [\[0, nodes)] and a self loop, all refused before anything is sized
+    by the count. *)
 
 val load : string -> (t, string) result
 (** Read and parse a file. *)

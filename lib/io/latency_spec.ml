@@ -33,9 +33,6 @@ let parse_affine s =
       | Some _, Some _ -> Error "negative coefficient in affine latency"
       | _ -> Error (Printf.sprintf "cannot parse %S as an affine expression" s))
 
-let words s =
-  String.split_on_char ' ' s |> List.map String.trim |> List.filter (fun w -> w <> "")
-
 let parse_floats ws =
   let rec go acc = function
     | [] -> Some (List.rev acc)
@@ -43,55 +40,84 @@ let parse_floats ws =
   in
   go [] ws
 
-let rec parse s =
-  let s = String.trim s in
-  if s = "" then Error "empty latency specification"
-  else
-    match words (String.lowercase_ascii s) with
+(* A word as the grammar reads it: trimmed, lowercased, or [""]. The
+   copy is skipped when there is nothing to lowercase. *)
+let normalize w =
+  let w = String.trim w in
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') w then String.lowercase_ascii w else w
+
+let shifted_usage = "shifted expects 'shifted OFFSET SPEC' with a nonnegative offset"
+
+(* A specification that is not [shifted], from its normalized words. *)
+let base ~text = function
+  | "const" :: rest -> (
+      match parse_floats rest with
+      | Some [ c ] when c >= 0.0 -> Ok (L.constant c)
+      | _ -> Error "const expects one nonnegative number")
+  | "mm1" :: rest -> (
+      match parse_floats rest with
+      | Some [ cap ] when cap > 0.0 -> Ok (L.mm1 ~capacity:cap)
+      | _ -> Error "mm1 expects one positive capacity")
+  | "bpr" :: rest -> (
+      match parse_floats rest with
+      | Some [ t0; cap ] -> (
+          try Ok (L.bpr ~free_flow:t0 ~capacity:cap ()) with Invalid_argument m -> Error m)
+      | Some [ t0; cap; alpha; beta ] -> (
+          try Ok (L.bpr ~free_flow:t0 ~capacity:cap ~alpha ~beta ())
+          with Invalid_argument m -> Error m)
+      | _ -> Error "bpr expects 'bpr T0 CAP [ALPHA BETA]'")
+  | "poly" :: rest -> (
+      match parse_floats rest with
+      | Some (_ :: _ as coeffs) -> (
+          try Ok (L.polynomial (Array.of_list coeffs)) with Invalid_argument m -> Error m)
+      | _ -> Error "poly expects at least one coefficient")
+  | "affine" :: rest -> (
+      (* Keyword form of the [Ax + B] expression. Unlike the expression
+         form it tokenizes on whitespace, so hex float literals
+         (["0x1.8p+0"], whose 'x' would be read as the variable) are
+         accepted — this is what {!print_canonical} emits. *)
+      match parse_floats rest with
+      | Some [ a; b ] when a >= 0.0 && b >= 0.0 -> Ok (L.affine ~slope:a ~intercept:b)
+      | _ -> Error "affine expects 'affine SLOPE INTERCEPT' with nonnegative numbers")
+  | _ -> parse_affine (text ())
+
+(* One specification from its normalized words [lw], none of them
+   empty. [text ()] is the specification as one string, original case,
+   which the affine-expression form parses and quotes; the base of a
+   [shifted] is read from its words joined by single spaces, lowercase,
+   as if re-parsed on its own. A chain of [shifted] heads is walked in
+   one pass, collecting the offsets (innermost first), so a spec nested
+   d deep costs O(d), and an error inside it carries one "shifted: "
+   per level it sits under. *)
+let of_normalized ~text lw =
+  let fail depth m = Error (String.concat "" (List.init depth (fun _ -> "shifted: ")) ^ m) in
+  let rec go depth offsets lw =
+    match lw with
     | "shifted" :: off :: (_ :: _ as rest) -> (
         (* [shifted S SPEC] is x ↦ SPEC(S + x): the a-posteriori latency
            of a link pre-loaded with S units of flow. The base is a full
-           recursive specification, so nesting parses — and [shift]
-           canonicalizes it by summing the offsets, so the round trip
-           through {!print_canonical} is still a fixed point. *)
+           specification, so nesting parses — and [shift] canonicalizes
+           it by summing the offsets, so the round trip through
+           {!print_canonical} is still a fixed point. *)
         match number off with
-        | Some s when s >= 0.0 -> (
-            match parse (String.concat " " rest) with
-            | Ok base -> Ok (L.shift s base)
-            | Error m -> Error (Printf.sprintf "shifted: %s" m))
-        | _ -> Error "shifted expects 'shifted OFFSET SPEC' with a nonnegative offset")
-    | [ "shifted" ] | [ "shifted"; _ ] ->
-        Error "shifted expects 'shifted OFFSET SPEC' with a nonnegative offset"
-    | "const" :: rest -> (
-        match parse_floats rest with
-        | Some [ c ] when c >= 0.0 -> Ok (L.constant c)
-        | _ -> Error "const expects one nonnegative number")
-    | "mm1" :: rest -> (
-        match parse_floats rest with
-        | Some [ cap ] when cap > 0.0 -> Ok (L.mm1 ~capacity:cap)
-        | _ -> Error "mm1 expects one positive capacity")
-    | "bpr" :: rest -> (
-        match parse_floats rest with
-        | Some [ t0; cap ] -> (
-            try Ok (L.bpr ~free_flow:t0 ~capacity:cap ()) with Invalid_argument m -> Error m)
-        | Some [ t0; cap; alpha; beta ] -> (
-            try Ok (L.bpr ~free_flow:t0 ~capacity:cap ~alpha ~beta ())
-            with Invalid_argument m -> Error m)
-        | _ -> Error "bpr expects 'bpr T0 CAP [ALPHA BETA]'")
-    | "poly" :: rest -> (
-        match parse_floats rest with
-        | Some (_ :: _ as coeffs) -> (
-            try Ok (L.polynomial (Array.of_list coeffs)) with Invalid_argument m -> Error m)
-        | _ -> Error "poly expects at least one coefficient")
-    | "affine" :: rest -> (
-        (* Keyword form of the [Ax + B] expression. Unlike the expression
-           form it tokenizes on whitespace, so hex float literals
-           (["0x1.8p+0"], whose 'x' would be read as the variable) are
-           accepted — this is what {!print_canonical} emits. *)
-        match parse_floats rest with
-        | Some [ a; b ] when a >= 0.0 && b >= 0.0 -> Ok (L.affine ~slope:a ~intercept:b)
-        | _ -> Error "affine expects 'affine SLOPE INTERCEPT' with nonnegative numbers")
-    | _ -> parse_affine s
+        | Some s when s >= 0.0 -> go (depth + 1) (s :: offsets) rest
+        | _ -> fail depth shifted_usage)
+    | [ "shifted" ] | [ "shifted"; _ ] -> fail depth shifted_usage
+    | _ -> (
+        let text () = if depth = 0 then text () else String.concat " " lw in
+        match base ~text lw with
+        | Ok l -> Ok (List.fold_left (fun l s -> L.shift s l) l offsets)
+        | Error m -> fail depth m)
+  in
+  go 0 [] lw
+
+let of_words ~text words =
+  match List.filter (fun w -> w <> "") (List.map normalize words) with
+  | [] -> Error "empty latency specification"
+  | lw -> of_normalized ~text lw
+
+let parse s = of_words ~text:(fun () -> String.trim s) (String.split_on_char ' ' s)
+let parse_words words = of_words ~text:(fun () -> String.trim (String.concat " " words)) words
 
 let parse_exn s =
   match parse s with Ok l -> l | Error m -> invalid_arg ("Latency_spec.parse: " ^ m)

@@ -15,6 +15,10 @@
       [S >= 0] units of flow; [SPEC] is any specification, recursively.
       Nested shifts are canonicalized on construction (offsets sum), so
       the parsed kind is never doubly shifted.
+
+    A specification is split into words and lowercased once. A chain of
+    [shifted] heads is read in one pass over its words, so a spec nested
+    d levels deep parses in time and space linear in its length.
 *)
 
 val number : string -> float option
@@ -24,6 +28,11 @@ val number : string -> float option
 
 val parse : string -> (Sgr_latency.Latency.t, string) result
 (** Parse a specification; [Error msg] describes the first problem. *)
+
+val parse_words : string list -> (Sgr_latency.Latency.t, string) result
+(** [parse_words ws] is [parse (String.concat " " ws)] for words [ws]
+    split on [' '] (so none contains a space), without the join: the
+    instance reader hands over the words it already split. *)
 
 val parse_exn : string -> Sgr_latency.Latency.t
 (** @raise Invalid_argument on a malformed specification. *)

@@ -35,6 +35,23 @@ let constant c =
   if c < 0.0 then invalid_arg "Latency.constant: negative delay";
   { kind = Constant c; eval = (fun _ -> c); deriv = (fun _ -> 0.0); primitive = (fun x -> c *. x) }
 
+(* The formulas of the closed-form kinds. Each has this one definition:
+   the constructors' closures and the flat tables at the end of this
+   file both call it, so the two evaluate bit for bit alike. Inlined, so
+   a table kernel boxes no float. *)
+let[@inline] affine_value slope intercept x = (slope *. x) +. intercept
+
+let[@inline] mm1_value capacity x = if x >= capacity then Float.infinity else 1.0 /. (capacity -. x)
+
+let[@inline] mm1_slope capacity x =
+  if x >= capacity then Float.infinity else 1.0 /. ((capacity -. x) *. (capacity -. x))
+
+let[@inline] bpr_value free_flow capacity alpha beta x =
+  free_flow *. (1.0 +. (alpha *. ((x /. capacity) ** beta)))
+
+let[@inline] bpr_slope free_flow capacity alpha beta x =
+  free_flow *. alpha *. beta /. capacity *. ((x /. capacity) ** (beta -. 1.0))
+
 let affine ~slope ~intercept =
   if slope < 0.0 || intercept < 0.0 then invalid_arg "Latency.affine: negative coefficient";
   (* Exact test by design: only a literal zero slope normalizes to the
@@ -43,7 +60,7 @@ let affine ~slope ~intercept =
   else
     {
       kind = Affine { slope; intercept };
-      eval = (fun x -> (slope *. x) +. intercept);
+      eval = (fun x -> affine_value slope intercept x);
       deriv = (fun _ -> slope);
       primitive = (fun x -> (0.5 *. slope *. x *. x) +. (intercept *. x));
     }
@@ -51,12 +68,16 @@ let affine ~slope ~intercept =
 let linear a = affine ~slope:a ~intercept:0.0
 
 (* Horner evaluation. *)
-let horner coeffs x =
+let[@inline] horner coeffs x =
   let acc = ref 0.0 in
   for i = Array.length coeffs - 1 downto 0 do
     acc := (!acc *. x) +. coeffs.(i)
   done;
   !acc
+
+(* The coefficients of Σ cᵢ xⁱ's derivative, by ascending degree. *)
+let derivative_coeffs coeffs =
+  Array.init (max 0 (Array.length coeffs - 1)) (fun i -> float_of_int (i + 1) *. coeffs.(i + 1))
 
 let polynomial coeffs =
   if Array.exists (fun c -> c < 0.0) coeffs then
@@ -70,7 +91,7 @@ let polynomial coeffs =
   if n = 0 then constant 0.0
   else if not !nonconst then constant coeffs.(0)
   else
-    let dcoeffs = Array.init (max 0 (n - 1)) (fun i -> float_of_int (i + 1) *. coeffs.(i + 1)) in
+    let dcoeffs = derivative_coeffs coeffs in
     let pcoeffs = Array.init (n + 1) (fun i -> if i = 0 then 0.0 else coeffs.(i - 1) /. float_of_int i) in
     {
       kind = Polynomial coeffs;
@@ -87,10 +108,8 @@ let monomial ~coeff ~degree =
 
 let mm1 ~capacity =
   if capacity <= 0.0 then invalid_arg "Latency.mm1: capacity must be positive";
-  let eval x = if x >= capacity then Float.infinity else 1.0 /. (capacity -. x) in
-  let deriv x =
-    if x >= capacity then Float.infinity else 1.0 /. ((capacity -. x) *. (capacity -. x))
-  in
+  let eval x = mm1_value capacity x in
+  let deriv x = mm1_slope capacity x in
   let primitive x =
     if x >= capacity then Float.infinity else Float.log (capacity /. (capacity -. x))
   in
@@ -99,10 +118,8 @@ let mm1 ~capacity =
 let bpr ~free_flow ~capacity ?(alpha = 0.15) ?(beta = 4.0) () =
   if free_flow < 0.0 || capacity <= 0.0 || alpha < 0.0 || beta < 1.0 then
     invalid_arg "Latency.bpr: bad parameter";
-  let eval x = free_flow *. (1.0 +. (alpha *. ((x /. capacity) ** beta))) in
-  let deriv x =
-    free_flow *. alpha *. beta /. capacity *. ((x /. capacity) ** (beta -. 1.0))
-  in
+  let eval x = bpr_value free_flow capacity alpha beta x in
+  let deriv x = bpr_slope free_flow capacity alpha beta x in
   let primitive x =
     free_flow *. (x +. (alpha *. capacity /. (beta +. 1.0) *. ((x /. capacity) ** (beta +. 1.0))))
   in
@@ -401,3 +418,104 @@ let check_increasing ?(samples = 64) ?(hi = 10.0) t =
     prev := v
   done;
   !ok
+
+module Table = struct
+  (* What an entry evaluates: a closed-form kind from its parameters, or
+     the latency's own closures ([Custom], and [Shifted], whose nested
+     offsets chain their additions in the closures; the summed offset of
+     its kind would not reproduce those bits). *)
+  type entry = Constant_entry | Affine_entry | Poly_entry | Mm1_entry | Bpr_entry | Closure_entry
+
+  type latency = t
+
+  (* Up to four coefficients per entry: c; slope, intercept; capacity;
+     or t₀, capacity, α, β. [c] and [d] are allocated only when a BPR
+     entry needs them, [coeffs] and [dcoeffs] (a polynomial's
+     coefficients and its derivative's) only when a polynomial does. *)
+  type t = {
+    entries : entry array;
+    a : float array;
+    b : float array;
+    c : float array;
+    d : float array;
+    coeffs : float array array;
+    dcoeffs : float array array;
+    lats : latency array;
+  }
+
+  let make (lats : latency array) =
+    let n = Array.length lats in
+    let sized p x = if Array.exists (fun l -> p l.kind) lats then Array.make n x else [||] in
+    let bpr = function Bpr _ -> true | _ -> false in
+    let poly = function Polynomial _ -> true | _ -> false in
+    let entries = Array.make n Closure_entry in
+    let a = Array.make n 0.0 and b = Array.make n 0.0 in
+    let c = sized bpr 0.0 and d = sized bpr 0.0 in
+    let coeffs = sized poly [||] and dcoeffs = sized poly [||] in
+    Array.iteri
+      (fun i l ->
+        match l.kind with
+        | Constant k ->
+            entries.(i) <- Constant_entry;
+            a.(i) <- k
+        | Affine { slope; intercept } ->
+            entries.(i) <- Affine_entry;
+            a.(i) <- slope;
+            b.(i) <- intercept
+        | Polynomial cs ->
+            entries.(i) <- Poly_entry;
+            coeffs.(i) <- cs;
+            dcoeffs.(i) <- derivative_coeffs cs
+        | Mm1 { capacity } ->
+            entries.(i) <- Mm1_entry;
+            a.(i) <- capacity
+        | Bpr { free_flow; capacity; alpha; beta } ->
+            entries.(i) <- Bpr_entry;
+            a.(i) <- free_flow;
+            b.(i) <- capacity;
+            c.(i) <- alpha;
+            d.(i) <- beta
+        | Shifted _ | Custom _ -> ())
+      lats;
+    { entries; a; b; c; d; coeffs; dcoeffs; lats }
+
+  (* Entry [i] at [x]: ℓ(x), or with [marginal] ℓ(x) + x·ℓ'(x), the sum
+     {!marginal} forms. Inlined into both kernels, so no float is boxed
+     on a closed-form entry. *)
+  let[@inline] value t ~marginal i x =
+    match t.entries.(i) with
+    | Constant_entry -> if marginal then t.a.(i) +. (x *. 0.0) else t.a.(i)
+    | Affine_entry ->
+        let v = affine_value t.a.(i) t.b.(i) x in
+        if marginal then v +. (x *. t.a.(i)) else v
+    | Poly_entry ->
+        let v = horner t.coeffs.(i) x in
+        if marginal then v +. (x *. horner t.dcoeffs.(i) x) else v
+    | Mm1_entry ->
+        let v = mm1_value t.a.(i) x in
+        if marginal then v +. (x *. mm1_slope t.a.(i) x) else v
+    | Bpr_entry ->
+        let v = bpr_value t.a.(i) t.b.(i) t.c.(i) t.d.(i) x in
+        if marginal then v +. (x *. bpr_slope t.a.(i) t.b.(i) t.c.(i) t.d.(i) x) else v
+    | Closure_entry ->
+        let l = t.lats.(i) in
+        if marginal then l.eval x +. (x *. l.deriv x) else l.eval x
+
+  let fill t ~marginal ~at ~into =
+    let n = Array.length t.entries in
+    if Array.length at < n || Array.length into < n then
+      invalid_arg "Latency.Table.fill: arrays shorter than the table";
+    Sgr_obs.Obs.add c_evals n;
+    for i = 0 to n - 1 do
+      into.(i) <- value t ~marginal i at.(i)
+    done
+
+  let directional t ~marginal ~base ~entries ~dirs ~len gamma =
+    Sgr_obs.Obs.add c_evals len;
+    let acc = ref 0.0 in
+    for k = 0 to len - 1 do
+      let i = entries.(k) and d = dirs.(k) in
+      acc := !acc +. (d *. value t ~marginal i (base.(i) +. (gamma *. d)))
+    done;
+    !acc
+end

@@ -11,7 +11,12 @@
     {!kind}, and closed-form inverses of the latency and of the marginal
     cost for every kind that has one (affine, [b + c·xᵈ], BPR, M/M/1 and
     their [Shifted] forms, see {!inverse}); everything else falls back to
-    guarded numerical routines. *)
+    guarded numerical routines.
+
+    Loops that evaluate many latencies at once use a {!Table}: the
+    closed-form kinds laid out flat, evaluated by the same formulas
+    inside the loop, without boxing a float or calling a closure per
+    entry. *)
 
 type kind =
   | Constant of float  (** [ℓ(x) = c]. *)
@@ -152,3 +157,44 @@ val check_increasing : ?samples:int -> ?hi:float -> t -> bool
 (** Sampled sanity check that [eval] is nondecreasing on [[0, hi]]
     (default [hi = 10.], 64 samples). Used by validation code and tests;
     not a proof. *)
+
+(** {1 Flat tables}
+
+    A latency array laid out flat for loops that evaluate every entry,
+    such as Frank–Wolfe's gradient and line search. Each closed-form
+    entry (constant, affine, polynomial, M/M/1, BPR) is a kind tag and
+    its coefficients, evaluated by the same formula as {!eval} and
+    {!marginal}, inside the kernel's loop: no float is boxed and no
+    closure is called. [Shifted] and [Custom] entries call the latency's
+    own closures. Every value equals {!eval} or {!marginal} bit for bit,
+    and each kernel call adds the number of entries it evaluates to the
+    [latency.evaluations] counter, once. *)
+module Table : sig
+  type latency := t
+  type t
+
+  val make : latency array -> t
+  (** [make lats]: entry [i] is [lats.(i)]. The table keeps [lats]; do
+      not mutate it while the table is in use. *)
+
+  val fill : t -> marginal:bool -> at:float array -> into:float array -> unit
+  (** [fill t ~marginal ~at ~into] sets [into.(i)] to ℓᵢ(at.(i)), or with
+      [marginal] to ℓᵢ(x) + x·ℓᵢ'(x) at [x = at.(i)], for every entry.
+      @raise Invalid_argument when [at] or [into] is shorter than [t]. *)
+
+  val directional :
+    t ->
+    marginal:bool ->
+    base:float array ->
+    entries:int array ->
+    dirs:float array ->
+    len:int ->
+    float ->
+    float
+  (** [directional t ~marginal ~base ~entries ~dirs ~len γ] is
+      Σₖ dₖ·vₑ(base.(e) + γ·dₖ) over [k < len], with [e = entries.(k)],
+      [dₖ = dirs.(k)] and vₑ the latency (or with [marginal] the
+      marginal cost) of entry [e], summed in [k] order: the derivative
+      along a direction [d] with support [entries] of the Beckmann
+      potential (or of the total cost) at [base + γ·d]. *)
+end

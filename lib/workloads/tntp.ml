@@ -61,8 +61,12 @@ let parse_net text =
           match metadata line with
           | Some ("NUMBER OF NODES", v) ->
               int_field ln "node count" v (fun n ->
-                  nodes := Some n;
-                  scan (ln + 1) rest)
+                  if n < 1 || n > G.Digraph.max_nodes then
+                    err ln "node count %d outside [1, %d]" n G.Digraph.max_nodes
+                  else begin
+                    nodes := Some n;
+                    scan (ln + 1) rest
+                  end)
           | Some ("NUMBER OF LINKS", v) ->
               int_field ln "link count" v (fun n ->
                   links := Some n;
@@ -108,6 +112,7 @@ let build_net (n, rows) =
     | (ln, src, dst, cap, t0, alpha, beta) :: rest ->
         if src < 1 || src > n || dst < 1 || dst > n then
           err ln "node id out of range [1, %d]" n
+        else if src = dst then err ln "self loops are not allowed"
         else begin
           ignore (G.Digraph.add_edge b ~src:(src - 1) ~dst:(dst - 1));
           add (L.bpr ~free_flow:t0 ~capacity:cap ~alpha ~beta:beta () :: lats) rest

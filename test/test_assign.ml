@@ -464,6 +464,50 @@ let test_margin_guard_trips () =
   check_true "fallback flows equal the plain solve"
     (bitwise_equal sol.Solver.edge_flow plain.Solver.edge_flow)
 
+(* A sink that a call's weights cut off raises, even right after a call
+   that reached it: the chains a tree keeps are read from its own run,
+   never from an earlier one. Node 3 is entered only through the M/M/1
+   edge 2 -> 3, whose latency is infinite at capacity. Sources 0 and 1
+   each serve one sink (goal-directed trees); source 0 serving sinks 3
+   and 2 runs plain, and so does the whole network behind a Custom
+   latency. *)
+let test_aon_cut_off_sink_raises () =
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (0, 2); (2, 3) ] in
+  let lats =
+    [| L.affine ~slope:1.0 ~intercept:1.0; L.affine ~slope:1.0 ~intercept:1.0; L.constant 3.0;
+       L.mm1 ~capacity:2.0 |]
+  in
+  let commodity src dst = { Net.src; dst; demand = 1.0 } in
+  List.iter
+    (fun (name, lats, commodities) ->
+      let net = Net.make g ~latencies:lats ~commodities in
+      let plan = Aon.plan net in
+      let into = Array.make 4 0.0 in
+      let open_road = Net.edge_latencies net (Array.make 4 0.0) in
+      let cut = Net.edge_latencies net [| 0.0; 0.0; 0.0; 2.0 |] in
+      check_true (name ^ ": the cut is infinite") (cut.(3) = Float.infinity);
+      List.iter
+        (fun jobs ->
+          Aon.assign ~jobs plan net ~weights:open_road ~into;
+          let reached = Array.copy into in
+          check_true (name ^ ": flows match the oracle")
+            (bitwise_equal reached (aon_oracle net ~weights:open_road));
+          (match Aon.assign ~jobs plan net ~weights:cut ~into with
+          | exception Invalid_argument m ->
+              Alcotest.(check string) (name ^ ": message")
+                "Aon.assign: commodity 0 cannot reach node 3 from node 0" m
+          | () -> Alcotest.failf "%s: a cut-off sink was routed at jobs %d" name jobs);
+          Aon.assign ~jobs plan net ~weights:open_road ~into;
+          check_true (name ^ ": the next call reaches it again") (bitwise_equal reached into))
+        [ 1; 2 ])
+    [
+      ("goal-directed", lats, [| commodity 0 3; commodity 1 3 |]);
+      ("multi-sink", lats, [| commodity 0 3; commodity 0 2 |]);
+      ( "opaque",
+        Array.map (fun l -> L.custom ~eval:(L.eval l) ~deriv:(L.deriv l) ()) lats,
+        [| commodity 0 3; commodity 1 3 |] );
+    ]
+
 (* ---------------- deterministic performance gates ---------------- *)
 
 (* One Wardrop solve of the 10^4-edge city at jobs 1: 39 iterations, 31
@@ -490,6 +534,33 @@ let test_aon_allocation () =
   Aon.assign ~jobs:1 plan net ~weights ~into;
   let bytes = (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8) in
   if bytes >= 1024.0 then Alcotest.failf "Aon.assign allocated %.0f bytes" bytes
+
+(* One Wardrop solve of the 10^4-edge city at jobs 1, after a warm-up
+   solve, allocates 1.6 MB: the plan's potentials, the latency table and
+   the solver's arrays. A float boxed around each latency evaluation of
+   the gradient and the line search would add about 38 MB. Emptying the
+   minor heap first keeps a minor collection out of the window, so the
+   count repeats. *)
+let test_city_solve_allocation () =
+  let net = city_1e4 () in
+  let solve () = ignore (Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net) in
+  solve ();
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  solve ();
+  let bytes = Gc.allocated_bytes () -. a0 in
+  if bytes >= 4e6 then Alcotest.failf "a 10^4-city solve allocated %.0f bytes" bytes
+
+(* The same solve evaluates 1,222,736 latencies: 40 gradients of 10^4
+   edges, 10^4 free-flow values in the plan, and the line-search
+   probes over each direction's support. The array kernels count every
+   entry they evaluate, once per call. *)
+let test_city_solve_evaluations () =
+  let net = city_1e4 () in
+  let _, moved =
+    counting [ "latency.evaluations" ] (fun () -> Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
+  in
+  Alcotest.(check (list int)) "latency evaluations" [ 1_222_736 ] moved
 
 let suite =
   [
@@ -519,4 +590,7 @@ let suite =
     case "AON margin guard reruns plain" test_margin_guard_trips;
     case "perf gate: 10^4-city solve relaxations and iterations" test_city_solve_counts;
     case "perf gate: Aon.assign allocates under 1 KB" test_aon_allocation;
+    case "AON raises for a sink its weights cut off" test_aon_cut_off_sink_raises;
+    case "perf gate: 10^4-city solve allocates under 4 MB" test_city_solve_allocation;
+    case "perf gate: 10^4-city solve latency evaluations" test_city_solve_evaluations;
   ]

@@ -728,6 +728,43 @@ let test_goal_rejects_misuse () =
          G.Dijkstra.run ~goal (G.Digraph.of_edges ~num_nodes:2 [ (0, 1) ]) ~weights:[| 1.0 |]
            ~source:0))
 
+(* One workspace reused across a random sequence of runs — full,
+   targeted (early exits, duplicate and unreachable targets), goal-directed
+   and reverse, on graphs whose node count changes now and then — must
+   read like a fresh workspace on every node after every run: a run
+   resets only what the previous one labeled, and that is all it may
+   leave behind. *)
+let prop_reused_workspace_reads_fresh =
+  qcheck ~count:200 "a reused workspace reads bitwise like a fresh one on every node"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 1_500) in
+      let ws = G.Dijkstra.workspace () in
+      let instance = ref (random_goal_instance rng) in
+      let same (a : G.Dijkstra.result) (b : G.Dijkstra.result) =
+        Array.length a.dist = Array.length b.dist
+        && Array.for_all2 same_bits a.dist b.dist
+        && Array.for_all2 Int.equal a.pred b.pred
+      in
+      List.for_all
+        (fun _ ->
+          if Prng.int rng 4 = 0 then instance := random_goal_instance rng;
+          let g, n, lower, weights = !instance in
+          let source = Prng.int rng (n + 1) in
+          let mode = Prng.int rng 4 in
+          let targets = Array.init (Prng.int rng 4) (fun _ -> Prng.int rng (n + 1)) in
+          let goal = G.Dijkstra.goal g ~lower ~sink:(Prng.int rng (n + 1)) in
+          let run ?workspace () =
+            match mode with
+            | 0 -> G.Dijkstra.run ?workspace g ~weights ~source
+            | 1 -> G.Dijkstra.run ?workspace ~targets g ~weights ~source
+            | 2 -> G.Dijkstra.run ?workspace ~goal g ~weights ~source
+            | _ -> G.Dijkstra.run_reverse ?workspace g ~weights ~sink:source
+          in
+          let reused = run ~workspace:ws () in
+          let fresh = run () in
+          same reused fresh)
+        (List.init 12 Fun.id))
+
 let suite =
   [
     case "digraph: build + adjacency" test_build;
@@ -765,4 +802,5 @@ let suite =
     case "dijkstra: zero-weight ties keep pred chains acyclic" test_zero_weight_ties_stay_acyclic;
     case "dijkstra: a key past the goal's bound reruns plain" test_goal_key_bound_falls_back;
     case "dijkstra: goal misuse is rejected" test_goal_rejects_misuse;
+    prop_reused_workspace_reads_fresh;
   ]

@@ -284,6 +284,205 @@ let prop_canonical_instance_roundtrip =
       | Error _ -> false
       | Ok inst' -> String.equal printed (IF.to_string inst'))
 
+(* ---------------- bounds: node count, endpoints, nesting ---------------- *)
+
+let expect_exact text expected =
+  match IF.parse text with
+  | Error m -> Alcotest.(check string) (Printf.sprintf "error of %S" text) expected m
+  | Ok _ -> Alcotest.failf "parse of %S unexpectedly succeeded" text
+
+let test_node_count_cap () =
+  let net nodes = Printf.sprintf "network\nnodes %s\nedge 0 1 x\ncommodity 0 1 1\n" nodes in
+  expect_exact (net "100000000000") "line 2: nodes 100000000000 exceeds the limit of 1048576";
+  expect_exact (net "4611686018427387903")
+    "line 2: nodes 4611686018427387903 exceeds the limit of 1048576";
+  expect_exact (net (string_of_int (Sgr_graph.Digraph.max_nodes + 1)))
+    "line 2: nodes 1048577 exceeds the limit of 1048576";
+  expect_exact (net "0") "line 2: nodes expects a positive integer, got \"0\"";
+  (match Sgr_graph.Digraph.builder ~num_nodes:(Sgr_graph.Digraph.max_nodes + 1) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "the builder must refuse more than max_nodes nodes");
+  match IF.parse (net "25001") with
+  | Ok (IF.Network n) ->
+      Alcotest.(check int) "T13's node count" 25_001 (Sgr_graph.Digraph.num_nodes n.Net.graph)
+  | _ -> Alcotest.fail "25,001 nodes must parse"
+
+let test_bad_edges_name_their_line () =
+  expect_exact "network\nnodes 2\nedge 0 1 x\nedge 0 5 x\ncommodity 0 1 1\n"
+    "line 4: edge endpoint out of range [0, 2)";
+  expect_exact "network\nnodes 2\nedge -1 1 x\ncommodity 0 1 1\n"
+    "line 3: edge endpoint out of range [0, 2)";
+  expect_exact "network\nnodes 2\n# a loop\nedge 1 1 x\nedge 0 1 x\ncommodity 0 1 1\n"
+    "line 4: self loops are not allowed";
+  (* The endpoints are checked against the last [nodes] line, wherever
+     it sits. *)
+  (match IF.parse "network\nedge 0 2 x\nnodes 3\nedge 2 1 x\ncommodity 0 1 1\n" with
+  | Ok (IF.Network n) ->
+      Alcotest.(check int) "nodes after edges" 3 (Sgr_graph.Digraph.num_nodes n.Net.graph)
+  | _ -> Alcotest.fail "a nodes line after the edges must parse");
+  expect_exact "network\nedge 0 2 x\nnodes 2\ncommodity 0 1 1\n"
+    "line 2: edge endpoint out of range [0, 2)"
+
+let test_tntp_bounds_name_their_line () =
+  let tntp ~nodes ~row = Printf.sprintf "<NUMBER OF NODES> %s\n~ comment\n%s\n" nodes row in
+  let trips = "Origin 1\n2 : 1.0;\n" in
+  let check name net expected =
+    match Sgr_workloads.Tntp.parse ~net ~trips with
+    | Error m -> Alcotest.(check string) name expected m
+    | Ok _ -> Alcotest.failf "%s: parsed" name
+  in
+  check "huge" (tntp ~nodes:"100000000000" ~row:"1 2 1 1 1 0.15 4 0 0 1 ;")
+    "line 1: node count 100000000000 outside [1, 1048576]";
+  check "zero" (tntp ~nodes:"0" ~row:"1 2 1 1 1 0.15 4 0 0 1 ;")
+    "line 1: node count 0 outside [1, 1048576]";
+  check "self loop" (tntp ~nodes:"2" ~row:"2 2 1 1 1 0.15 4 0 0 1 ;")
+    "line 3: self loops are not allowed"
+
+let deep_shift depth = String.concat "" (List.init depth (fun _ -> "shifted 1 ")) ^ "x"
+
+(* Bytes allocated by [f ()], with the minor heap emptied first so that
+   no collection inside the window skews the count. *)
+let allocated f =
+  Gc.minor ();
+  let a0 = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. a0)
+
+let test_deep_shift_is_linear () =
+  let spec = deep_shift 20_000 in
+  let lat, bytes = allocated (fun () -> LS.parse spec) in
+  (match lat with
+  | Ok l -> (
+      match L.kind l with
+      | L.Shifted { offset; base = L.Affine { slope; intercept } } ->
+          approx "offsets sum" 20_000.0 offset;
+          approx "slope" 1.0 slope;
+          approx "intercept" 0.0 intercept
+      | _ -> Alcotest.fail "expected one Shifted over the affine x")
+  | Error m -> Alcotest.failf "the deep spec failed: %s" m);
+  let limit = 100.0 *. float_of_int (String.length spec) in
+  if bytes >= limit then Alcotest.failf "%.0f bytes for a %d-byte spec" bytes (String.length spec);
+  (* Through the reader, and with an error at the bottom: one
+     "shifted: " per level, still in linear space. *)
+  let text = "links\ndemand 1\nlink " ^ deep_shift 20_000 ^ "\n" in
+  (match allocated (fun () -> IF.parse text) with
+  | Ok (IF.Links _), bytes ->
+      check_true "reader within 100x" (bytes < 100.0 *. float_of_int (String.length text))
+  | _ -> Alcotest.fail "the deep link must parse");
+  match allocated (fun () -> LS.parse (deep_shift 2_000 ^ " + frogs")) with
+  | Error m, bytes ->
+      check_true "one prefix per level"
+        (String.starts_with ~prefix:(String.concat "" (List.init 2_000 (fun _ -> "shifted: "))) m
+         && String.ends_with ~suffix:"cannot parse \"x + frogs\" as an affine expression" m);
+      check_true "error within 100x" (bytes < 100.0 *. float_of_int (String.length m))
+  | Ok _, _ -> Alcotest.fail "frogs must not parse"
+
+(* ---------------- the reader under mutation ---------------- *)
+
+(* The largest node count a [nodes] line declares, within the cap: the
+   reader sizes arrays by it, so it counts toward the input's size. *)
+let declared_nodes text =
+  List.fold_left
+    (fun acc line ->
+      match String.split_on_char ' ' (String.trim line) with
+      | kw :: rest when String.lowercase_ascii kw = "nodes" -> (
+          match int_of_string_opt (String.trim (String.concat " " rest)) with
+          | Some n when n > 0 && n <= Sgr_graph.Digraph.max_nodes -> max acc n
+          | _ -> acc)
+      | _ -> acc)
+    0 (String.split_on_char '\n' text)
+
+(* Catalog instances, a small city, the spec kinds, and two seeds that
+   broke the reader before it had bounds: a node count past the cap and
+   a 1,000-deep shift chain. *)
+let fuzz_corpus =
+  lazy
+    [
+      IF.print_links W.pigou;
+      IF.to_string (IF.Links W.fig456);
+      IF.print_network (W.fig7 ());
+      IF.to_string (IF.Network (W.braess_classic ()));
+      IF.print_network (W.two_commodity ());
+      IF.to_string
+        (IF.Network
+           (W.synthetic_city (Sgr_numerics.Prng.create 3) ~rings:2 ~radials:4 ~commodities:3 ()));
+      "links\ndemand 1\nlink shifted 0.5 mm1 4\nlink bpr 1 2 0.15 4\nlink poly 1 0 3\n\
+       link 2.5x + 0.5\n";
+      "network\nnodes 100000000000\nedge 0 1 x\ncommodity 0 1 1\n";
+      "links\ndemand 1\nlink " ^ deep_shift 1_000 ^ "\n";
+    ]
+
+let specials =
+  [| "100000000000"; "4611686018427387903"; "99999999999999999999"; "1e300"; "-1"; "-0"; "-1e-300";
+     "nan"; "inf"; "-inf"; "0x10"; "0x1p-3"; "0X1.8P+1" |]
+
+let is_sep c = c = ' ' || c = '\n' || c = '\t' || c = '\r'
+
+(* Start and end offsets of the text's tokens. *)
+let tokens s =
+  let acc = ref [] and i = ref 0 and n = String.length s in
+  while !i < n do
+    if is_sep s.[!i] then incr i
+    else begin
+      let j = ref !i in
+      while !j < n && not (is_sep s.[!j]) do
+        incr j
+      done;
+      acc := (!i, !j) :: !acc;
+      i := !j
+    end
+  done;
+  Array.of_list (List.rev !acc)
+
+let splice s lo hi mid = String.sub s 0 lo ^ mid ^ String.sub s hi (String.length s - hi)
+
+let mutate rng s =
+  let module P = Sgr_numerics.Prng in
+  let n = String.length s and toks = tokens s in
+  let k = Array.length toks in
+  match P.int rng 5 with
+  | 0 when n > 0 ->
+      let i = P.int rng n in
+      splice s i (i + 1) (String.make 1 (Char.chr (P.int rng 256)))
+  | 1 when k > 0 ->
+      let lo, hi = toks.(P.int rng k) in
+      splice s lo hi ""
+  | 2 when k > 0 ->
+      (* Repeat a span of one or two tokens: a deep shift chain, a
+         repeated keyword, a long line. *)
+      let t = P.int rng k in
+      let lo = fst toks.(t) and hi = snd toks.(min (k - 1) (t + P.int rng 2)) in
+      let reps = [| 1; 2; 10; 100; 500 |].(P.int rng 5) in
+      let span = String.sub s lo (hi - lo) in
+      splice s lo hi (String.concat " " (List.init (reps + 1) (fun _ -> span)))
+  | 3 -> String.sub s 0 (P.int rng (n + 1))
+  | _ -> (
+      let number (lo, hi) = float_of_string_opt (String.sub s lo (hi - lo)) <> None in
+      let numbers = List.filter number (Array.to_list toks) in
+      match numbers with
+      | [] -> s
+      | _ ->
+          let lo, hi = List.nth numbers (P.int rng (List.length numbers)) in
+          splice s lo hi specials.(P.int rng (Array.length specials)))
+
+let prop_reader_fuzz =
+  Helpers.qcheck ~count:400 "instance reader: mutated inputs parse or fail, in bounded space"
+    QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Sgr_numerics.Prng.create (seed + 7) in
+      let corpus = Lazy.force fuzz_corpus in
+      let text = ref (List.nth corpus (Sgr_numerics.Prng.int rng (List.length corpus))) in
+      for _ = 1 to Sgr_numerics.Prng.int rng 4 do
+        text := mutate rng !text
+      done;
+      let text = !text in
+      match allocated (fun () -> IF.parse text) with
+      | exception e -> QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e)
+      | (Ok _ | Error _), bytes ->
+          let size = String.length text + declared_nodes text in
+          bytes <= 65_536.0 +. (400.0 *. float_of_int size)
+          || QCheck.Test.fail_reportf "%d-byte input (size %d) allocated %.0f bytes"
+               (String.length text) size bytes)
+
 let suite =
   [
     case "latency specs: affine forms" test_affine_specs;
@@ -309,4 +508,9 @@ let suite =
     prop_random_networks_roundtrip;
     prop_canonical_spec_roundtrip;
     prop_canonical_instance_roundtrip;
+    case "instance files: node count is capped" test_node_count_cap;
+    case "instance files: bad edges name their line" test_bad_edges_name_their_line;
+    case "tntp: node cap and self loops name their line" test_tntp_bounds_name_their_line;
+    case "latency specs: a 20,000-deep shift parses in linear space" test_deep_shift_is_linear;
+    prop_reader_fuzz;
   ]

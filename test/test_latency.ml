@@ -246,6 +246,105 @@ let inverse_properties =
         L.mm1 ~capacity:(Prng.uniform rng ~lo:2.0 ~hi:4.0));
   ]
 
+(* ---------------- flat tables ---------------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let evaluations () = Sgr_obs.Obs.value (Sgr_obs.Obs.counter "latency.evaluations")
+
+(* One latency of every kind a table entry can hold, with the corners
+   the kernels must reproduce: BPR with α = 0 and with t₀ = 0, M/M/1 loaded at or past
+   capacity (x up to 4.5 > 4, and x = ∞, where 0·x is NaN), single and
+   nested shifts, tolled kinds (constant-shifted polynomials, Custom
+   wrappers) and a bare Custom. *)
+let every_kind rng =
+  let u lo hi = Prng.uniform rng ~lo ~hi in
+  let closed =
+    [
+      L.constant (u 0.0 2.0);
+      L.affine ~slope:(u 0.01 3.0) ~intercept:(u 0.0 2.0);
+      L.polynomial (Array.init (2 + Prng.int rng 4) (fun _ -> u 0.0 2.0));
+      L.mm1 ~capacity:(u 0.5 4.0);
+      L.bpr ~free_flow:(u 0.1 2.0) ~capacity:(u 0.5 3.0) ~alpha:(u 0.0 1.0) ~beta:(u 1.0 6.0) ();
+      L.bpr ~free_flow:(u 0.1 2.0) ~capacity:(u 0.5 3.0) ~alpha:0.0 ();
+      L.bpr ~free_flow:0.0 ~capacity:(u 0.5 3.0) ();
+      L.monomial ~coeff:(u 0.1 2.0) ~degree:(Prng.int rng 4);
+    ]
+  in
+  let pick () = List.nth closed (Prng.int rng (List.length closed)) in
+  closed
+  @ [
+      L.shift (u 0.0 1.0) (pick ());
+      L.shift (u 0.0 1.0) (L.shift (u 0.0 1.0) (pick ()));
+      L.shift_intercept (u 0.0 1.0) (pick ());
+      L.custom ~eval:(fun x -> 1.0 +. (x *. x)) ();
+    ]
+
+let prop_table_kernels_bitwise =
+  qcheck ~count:300 "table kernels equal eval/marginal bit for bit, counted once each"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 4_100) in
+      let lats = Array.of_list (every_kind rng) in
+      Prng.shuffle rng lats;
+      let n = Array.length lats in
+      let at =
+        Array.init n (fun _ ->
+            match Prng.int rng 10 with
+            | 0 | 1 -> 0.0
+            | 2 -> Float.infinity
+            | _ -> Prng.uniform rng ~lo:0.0 ~hi:4.5)
+      in
+      let t = L.Table.make lats in
+      let into = Array.make n Float.nan in
+      let len = Prng.int rng (n + 1) in
+      let entries = Array.init len (fun _ -> Prng.int rng n) in
+      let dirs = Array.init len (fun _ -> Prng.uniform rng ~lo:(-1.0) ~hi:1.0) in
+      let gamma = Prng.uniform rng ~lo:0.0 ~hi:1.0 in
+      List.for_all
+           (fun (marginal, value) ->
+             let e0 = evaluations () in
+             L.Table.fill t ~marginal ~at ~into;
+             let e1 = evaluations () in
+             let d = L.Table.directional t ~marginal ~base:at ~entries ~dirs ~len gamma in
+             let e2 = evaluations () in
+             let reference = ref 0.0 in
+             for k = 0 to len - 1 do
+               let i = entries.(k) and dk = dirs.(k) in
+               reference := !reference +. (dk *. value lats.(i) (at.(i) +. (gamma *. dk)))
+             done;
+             e1 - e0 = n
+             && e2 - e1 = len
+             && Array.for_all Fun.id
+                  (Array.mapi (fun i l -> same_bits into.(i) (value l at.(i))) lats)
+             && same_bits d !reference)
+           [ (false, L.eval); (true, L.marginal) ])
+
+let test_table_kernels_allocate_nothing () =
+  let rng = Prng.create 4_200 in
+  let lats =
+    Array.init 64 (fun i ->
+        match i mod 5 with
+        | 0 -> L.constant 1.0
+        | 1 -> L.affine ~slope:0.5 ~intercept:1.0
+        | 2 -> L.polynomial [| 1.0; 0.5; 0.25 |]
+        | 3 -> L.mm1 ~capacity:5.0
+        | _ -> L.bpr ~free_flow:1.0 ~capacity:2.0 ())
+  in
+  let at = Array.init 64 (fun _ -> Prng.uniform rng ~lo:0.0 ~hi:4.0) in
+  let into = Array.make 64 0.0 in
+  let entries = Array.init 64 Fun.id in
+  let t = L.Table.make lats in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    L.Table.fill t ~marginal:false ~at ~into;
+    L.Table.fill t ~marginal:true ~at ~into;
+    ignore
+      (Sys.opaque_identity
+         (L.Table.directional t ~marginal:true ~base:at ~entries ~dirs:at ~len:64 0.5))
+  done;
+  (* The one boxed result of [directional] per call: 2 words each. *)
+  let words = Gc.minor_words () -. w0 in
+  if words > 40.0 then Alcotest.failf "closed-form kernels allocated %.0f words" words
+
 let suite =
   [
     case "constant" test_constant;
@@ -271,3 +370,7 @@ let suite =
     prop_primitive_matches_quadrature;
   ]
   @ inverse_properties
+  @ [
+      prop_table_kernels_bitwise;
+      case "table: closed-form kernels box no float" test_table_kernels_allocate_nothing;
+    ]

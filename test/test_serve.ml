@@ -797,6 +797,23 @@ let test_server_line_cap () =
   Alcotest.(check (option string)) "the server still answers" (Some "ok pong")
     (Client.rpc other "ping")
 
+(* A [load] whose file declares more nodes than the cap gets a parse
+   error naming the line, and the server goes on answering. *)
+let test_engine_load_node_cap () =
+  let path = Filename.temp_file "sgr_serve_test" ".inst" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "network\nnodes 100000000000\nedge 0 1 x\ncommodity 0 1 1\n");
+      let cache = Cache.create ~capacity:2 in
+      let run raw = Option.get (Engine.execute_raw cache raw) in
+      let reply = run (Printf.sprintf "load big %s" path) in
+      check_true ("a parse error: " ^ reply)
+        (starts_with reply "error parse:"
+        && contains reply "line 2: nodes 100000000000 exceeds the limit of 1048576");
+      Alcotest.(check string) "still serving" "ok pong" (run "ping"))
+
 let suite =
   [
     case "lru: capacity one" test_lru_capacity_one;
@@ -828,4 +845,5 @@ let suite =
     prop_metrics_counts_deterministic;
     case "session: an overlong request line is refused" test_session_line_cap;
     case "server: a 1 MiB line is refused, other sessions answer" test_server_line_cap;
+    case "engine: load past the node cap is a parse error" test_engine_load_node_cap;
   ]
