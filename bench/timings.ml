@@ -19,10 +19,11 @@ let mixed_instance m = W.random_polynomial_links (Prng.create (2000 + m)) ~m ~de
 let layered seed ~layers ~width =
   W.random_layered_network (Prng.create seed) ~layers ~width ~extra_edges:width ()
 
-(* T1: water-filling solvers vs system size. [nash]/[opt] answer the
-   affine games in closed form and the polynomial (b + c·x^d) games by
-   Newton on the level; the [water_fill] rows are the bisection
-   reference on the same instances. *)
+(* T1: water-filling solvers vs system size. [nash]/[opt] run the one
+   engine, Newton on the level: on the affine games it starts at the
+   all-active line root and each step is one pass over the lines, on the
+   polynomial (b + c·x^d) games each step inverts every link. The
+   [water_fill] rows are the bisection reference on the same instances. *)
 let t1 () =
   let make family instance name solve =
     List.map
@@ -142,11 +143,17 @@ let t6 () =
         (Staged.stage (fun () -> ignore (Sgr_graph.Paths.enumerate g ~src:0 ~dst:35)));
     ]
 
-(* T7: the extension modules. *)
+(* T7: the extension modules. The pricing rows run best-response toll
+   dynamics, thousands of water-fills of tolled lines each: on the
+   ℓ₁ = x, ℓ₂ = 2x duopoly and on eight random affine links. *)
 let t7 () =
   let module A = Sgr_atomic.Atomic_links in
   let pigou_lats = W.pigou.Sgr_links.Links.latencies in
   let mono = Sgr_latency.Latency.monomial ~coeff:1.0 ~degree:4 in
+  let duopoly =
+    Links.make [| Sgr_latency.Latency.linear 1.0; Sgr_latency.Latency.linear 2.0 |] ~demand:1.0
+  in
+  let affine8 = W.random_affine_links (Prng.create 1008) ~m:8 () in
   Test.make_grouped ~name:"T7 extensions"
     [
       Test.make ~name:"atomic-links/pigou-n8"
@@ -159,6 +166,10 @@ let t7 () =
       Test.make ~name:"alpha-sweep/pigou-11"
         (Staged.stage (fun () ->
              ignore (Stackelberg.Alpha_sweep.run ~samples:11 ~grid_resolution:16 W.pigou)));
+      Test.make ~name:"pricing/duopoly"
+        (Staged.stage (fun () -> ignore (Sgr_links.Pricing.best_response duopoly)));
+      Test.make ~name:"pricing/affine-m8"
+        (Staged.stage (fun () -> ignore (Sgr_links.Pricing.best_response affine8)));
     ]
 
 (* T8: column generation vs exhaustive enumeration. The 5x5 grid (70

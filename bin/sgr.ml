@@ -583,22 +583,18 @@ let pricing_cmd =
   let run path rounds (trace, stats) =
     with_obs ~trace ~stats @@ fun () ->
     let t = require_links (load_instance path) in
-    match Sgr_links.Pricing.best_response ~max_rounds:rounds t with
-    | r ->
-        Format.printf "%a@." Sgr_links.Pricing.pp r;
-        Format.printf "optimum C(O)    = %.9g@." (Links.cost t (Links.opt t).assignment);
-        Format.printf "price of pricing = %.6g@." (Sgr_links.Pricing.price_of_pricing t r)
-    | exception Invalid_argument m ->
-        Format.eprintf "error: %s@." m;
-        exit 2
+    let r = Sgr_links.Pricing.best_response ~max_rounds:rounds t in
+    Format.printf "%a@." Sgr_links.Pricing.pp r;
+    Format.printf "optimum C(O)    = %.9g@." (Links.cost t (Links.opt t).assignment);
+    Format.printf "price of pricing = %.6g@." (Sgr_links.Pricing.price_of_pricing t r)
   in
   Cmd.v
     (Cmd.info "pricing"
        ~doc:
          "Best-response toll pricing on parallel affine links: each link's profit-maximizing \
           owner sets a toll, users route selfishly under latency + toll, and the dynamics run \
-          to a pricing equilibrium (Goldberg-Polpinit) — every payoff probe is one closed-form \
-          water-fill.")
+          to a pricing equilibrium (Goldberg-Polpinit) — every payoff probe is one water-fill \
+          of the tolled lines.")
     Term.(const run $ file_arg $ rounds_arg $ obs_term)
 
 (* ---------------- bound ---------------- *)
@@ -819,15 +815,28 @@ let serve_cmd =
 
 (* ---------------- main ---------------- *)
 
+(* A solve that cannot answer its input (M/M/1 links that cannot carry
+   the demand, a bad option value) raises [Invalid_argument] or
+   [Failure]: report it as one [error:] line and exit 2, as the serve
+   engine replies [error solve], rather than as an internal error. *)
 let () =
   let doc = "Stackelberg routing: the price of optimum (Kaporis & Spirakis, SPAA'06)" in
   let info = Cmd.info "sgr" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        solve_cmd; assign_cmd; tntp_cmd; optop_cmd; mop_cmd; llf_cmd; scale_cmd; thm24_cmd;
+        sweep_cmd; profile_cmd;
+        bound_cmd; tolls_cmd; pricing_cmd; info_cmd; catalog_cmd; random_cmd; batch_cmd;
+        serve_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            solve_cmd; assign_cmd; tntp_cmd; optop_cmd; mop_cmd; llf_cmd; scale_cmd; thm24_cmd;
-            sweep_cmd; profile_cmd;
-            bound_cmd; tolls_cmd; pricing_cmd; info_cmd; catalog_cmd; random_cmd; batch_cmd;
-            serve_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception (Invalid_argument m | Failure m) ->
+        Format.eprintf "error: %s@." m;
+        2
+    | exception e ->
+        Format.eprintf "sgr: internal error, uncaught exception:@\n%s@." (Printexc.to_string e);
+        Cmd.Exit.internal_error)

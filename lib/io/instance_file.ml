@@ -107,6 +107,7 @@ type network_acc = {
   lines : int column;  (* the line of each edge *)
   latencies : Sgr_latency.Latency.t column;
   commodities : Net.commodity column;
+  commodity_lines : int column;  (* the line of each commodity *)
 }
 
 let links_line acc text lineno lo kw_end arg_lo hi =
@@ -156,7 +157,8 @@ let network_line acc text lineno lo kw_end arg_lo hi =
     | [ a; b; d ] -> (
         match (int_of_string_opt a, int_of_string_opt b, Latency_spec.number d) with
         | Some src, Some dst, Some demand when demand >= 0.0 ->
-            push acc.commodities { Net.src; dst; demand }
+            push acc.commodities { Net.src; dst; demand };
+            push acc.commodity_lines lineno
         | _ -> fail lineno "commodity expects 'commodity SRC DST DEMAND'")
     | _ -> fail lineno "commodity expects 'commodity SRC DST DEMAND'"
   else fail lineno "unexpected keyword %S in a network instance" (lowercase text lo kw_end)
@@ -174,6 +176,12 @@ let network_end acc =
         if src < 0 || src >= n || dst < 0 || dst >= n then
           fail acc.lines.data.(e) "edge endpoint out of range [0, %d)" n;
         if src = dst then fail acc.lines.data.(e) "self loops are not allowed"
+      done;
+      for k = 0 to acc.commodities.len - 1 do
+        let { Net.src; dst; _ } = acc.commodities.data.(k) in
+        if src < 0 || src >= n || dst < 0 || dst >= n then
+          fail acc.commodity_lines.data.(k) "commodity endpoint out of range [0, %d)" n;
+        if src = dst then fail acc.commodity_lines.data.(k) "commodity source equals destination"
       done;
       try
         let b = G.Digraph.builder ~num_nodes:n in
@@ -208,6 +216,7 @@ let parse text =
                 lines = column hint;
                 latencies = column hint;
                 commodities = column hint;
+                commodity_lines = column hint;
               }
         else
           fail lineno "unknown instance header %S (expected 'links' or 'network')"

@@ -46,6 +46,54 @@ let beckmann t x =
 
 type solution = { assignment : float array; level : float }
 
+(* The line test: true when [kind] is exactly ℓ(x) = a·x + b on x >= 0
+   (a = 0 for constants), writing a and b into slot [i] (no allocation
+   per link). [Shifted] composes: base(s + x) = a·x + (a·s + b). A
+   polynomial is a line when no stored coefficient past the linear one
+   is nonzero, however small. *)
+let rec line_into kind (slopes : float array) (intercepts : float array) i =
+  match kind with
+  | L.Constant c ->
+      slopes.(i) <- 0.0;
+      intercepts.(i) <- c;
+      true
+  | L.Affine { slope; intercept } ->
+      slopes.(i) <- slope;
+      intercepts.(i) <- intercept;
+      true
+  | L.Polynomial coeffs ->
+      let m = Array.length coeffs and higher = ref false in
+      for j = 2 to m - 1 do
+        if (coeffs.(j) <> 0.0) [@lint.allow "float-equality"] then higher := true
+      done;
+      slopes.(i) <- (if m > 1 then coeffs.(1) else 0.0);
+      intercepts.(i) <- (if m > 0 then coeffs.(0) else 0.0);
+      not !higher
+  | L.Shifted { offset; base } ->
+      line_into base slopes intercepts i
+      && begin
+           intercepts.(i) <- intercepts.(i) +. (slopes.(i) *. offset);
+           true
+         end
+  | L.Mm1 _ | L.Bpr _ | L.Custom _ -> false
+(* why: structural recursion on the [Shifted] nesting of one latency
+   kind — depth is fixed by the instance description, not the demand,
+   so the recursion terminates in a handful of frames. *)
+[@@lint.allow "cancel-coverage"]
+
+let line lat =
+  let a = [| 0.0 |] and b = [| 0.0 |] in
+  if line_into (L.kind lat) a b 0 then Some (a.(0), b.(0)) else None
+
+(* The constant links at the reservoir's level [c_min] split [remainder]
+   evenly ([value i] is link i's constant). *)
+let share_reservoir x ~is_constant ~value ~c_min remainder =
+  let at_level i = is_constant i && Tol.approx ~eps:1e-9 (value i) c_min in
+  let k = ref 0 in
+  Array.iteri (fun i _ -> if at_level i then incr k) x;
+  assert (!k > 0);
+  Array.iteri (fun i _ -> if at_level i then x.(i) <- remainder /. float_of_int !k) x
+
 (* Water-filling: find the minimal level [l] at which the links can absorb
    the whole demand, where a strictly-increasing ("rigid") link absorbs
    [inverse ℓ l] and a constant link of value [c] absorbs nothing below
@@ -53,8 +101,9 @@ type solution = { assignment : float array; level : float }
    for Nash and the marginal cost for the optimum. The constant links
    handle themselves; [solve_rigid] finds the level in [[lo, hi]] at
    which the rigid links alone absorb the demand, given each link's
-   criterion value at zero flow ([g0]). *)
-let water_level criterion ~solve_rigid t =
+   criterion value at zero flow ([g0]); [line_b], when given, holds each
+   line's intercept (nan for the curves), its g0 with no evaluation. *)
+let water_level criterion ~line_b ~solve_rigid t =
   let value, inverse =
     match criterion with `Nash -> (L.eval, L.inverse) | `Opt -> (L.marginal, L.inverse_marginal)
   in
@@ -63,7 +112,13 @@ let water_level criterion ~solve_rigid t =
   let consts = Array.map L.constant_value lats in
   let rigid = Array.map Option.is_none consts in
   let g0 =
-    Array.mapi (fun i c -> match c with Some c -> c | None -> value lats.(i) 0.0) consts
+    Array.mapi
+      (fun i c ->
+        match (c, line_b) with
+        | Some c, _ -> c
+        | None, Some b when not (Float.is_nan b.(i)) -> b.(i)
+        | None, _ -> value lats.(i) 0.0)
+      consts
   in
   let c_min =
     Array.fold_left
@@ -82,33 +137,32 @@ let water_level criterion ~solve_rigid t =
   if r <= 0.0 then { assignment = Array.make n 0.0; level = base_level }
   else if c_min < Float.infinity && absorbed c_min < r then begin
     (* The constant links act as an infinite reservoir at [c_min]: they
-       soak up whatever the rigid links do not take, split evenly among
-       the constants sitting exactly at the level. *)
+       soak up whatever the rigid links do not take. *)
     let assignment = Array.make n 0.0 in
     for i = 0 to n - 1 do
       if rigid.(i) then assignment.(i) <- Tol.clamp_nonneg (inverse lats.(i) c_min)
     done;
-    let remainder = r -. absorbed c_min in
-    let at_level =
-      Array.to_list consts
-      |> List.mapi (fun i c -> (i, c))
-      |> List.filter_map (fun (i, c) ->
-             match c with
-             | Some c when Tol.approx ~eps:1e-9 c c_min -> Some i
-             | _ -> None)
-    in
-    let k = List.length at_level in
-    assert (k > 0);
-    List.iter (fun i -> assignment.(i) <- remainder /. float_of_int k) at_level;
+    share_reservoir assignment
+      ~is_constant:(fun i -> not rigid.(i))
+      ~value:(fun i -> g0.(i))
+      ~c_min (r -. absorbed c_min);
     { assignment; level = c_min }
   end
   else begin
     let hi =
       if c_min < Float.infinity then c_min
       else
-        Bisection.expand_upper
-          ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
-          ~f:absorbed ~target:r ()
+        match
+          Bisection.expand_upper
+            ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
+            ~f:absorbed ~target:r ()
+        with
+        | hi -> hi
+        (* No level up to 1e18 absorbs the demand (or a link's inverse failed). *)
+        | exception Failure _ ->
+            (failwith
+               (Printf.sprintf "Links: the links cannot carry demand %g at any finite level" r))
+            [@lint.allow "no-untyped-failure"]
     in
     solve_rigid t ~inverse ~rigid ~g0 ~absorbed ~lo:base_level ~hi
   end
@@ -127,7 +181,7 @@ let bisect_rigid t ~inverse ~rigid ~g0:_ ~absorbed ~lo ~hi =
   { assignment; level }
 
 let water_fill criterion t =
-  let sol = water_level criterion ~solve_rigid:bisect_rigid t in
+  let sol = water_level criterion ~line_b:None ~solve_rigid:bisect_rigid t in
   (* Spread the (tiny) bisection residual over the loaded links
      proportionally, so the assignment is exactly feasible. *)
   let x = sol.assignment in
@@ -141,59 +195,42 @@ let water_fill criterion t =
 let c_level_steps = Sgr_obs.Obs.counter "links.level_iterations"
 let c_safeguard_steps = Sgr_obs.Obs.counter "bisection.iterations"
 
-(* Far more level steps than a solve takes (the worst nash or opt over
-   50,000 random polynomial games takes 39); the loop stops here
-   regardless. *)
+(* Far more level steps than a curve solve takes (the worst nash or opt
+   over 50,000 random polynomial games takes 39); a solve on lines may
+   take one more per rigid link. *)
 let max_level_steps = 200
 
+(* The loop stops once the flows sum to the demand within this. *)
+let level_tol r = if r > 1.0 then 1e-13 *. r else 1e-13
+
+(* Within a few ulps of [level]. *)
+let near_level g0 level = Float.abs (g0 -. level) <= 4.0 *. epsilon_float *. Float.abs level
+
 (* The engine: safeguarded Newton on the level. The rigid links' total
-   flow Σxᵢ(l) rises with l at rate Σ 1/gᵢ'(xᵢ) over the loaded links,
-   where [slope] is gᵢ' (ℓ' for Nash, 2ℓ' + xℓ'' for the optimum). At
-   [lo] no rigid link is loaded, so the first step is the secant from
-   (lo, -r) to (hi, Σx - r); every later step is a Newton step, or a
-   bisection step when the Newton step leaves the bracket. It stops once
-   the flows sum to the demand within 1e-13 (relative to max(1, r)) or
-   the bracket is a few ulps wide. What is left of the demand is the
-   part float precision cannot resolve the level for: it goes to the
-   links in proportion to dxᵢ/dl, which moves every link's level by the
-   same first-order amount, so no Wardrop (or marginal-cost) equality
-   breaks. *)
-let newton_rigid ~slope t ~inverse ~rigid ~g0 ~absorbed:_ ~lo ~hi =
-  let n = num_links t and r = t.demand and lats = t.latencies in
-  let x = Array.make n 0.0 in
-  (* Σxᵢ(l) - r, leaving the rigid links' flows at level l in [x]. *)
-  let excess l =
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      if rigid.(i) then begin
-        let xi = Tol.clamp_nonneg (inverse lats.(i) l) in
-        x.(i) <- xi;
-        s := !s +. xi
-      end
-    done;
-    !s -. r
+   flow Σxᵢ(l) rises with l at rate Σ 1/gᵢ'(xᵢ) over the loaded links
+   (gᵢ' is ℓ' for Nash, 2ℓ' + xℓ'' for the optimum). [pass ~top l]
+   leaves the flows at level l in the caller's array and returns
+   Σxᵢ(l) - r, given the bracket's top; [rate ()] is dΣx/dl there. No
+   rigid link is loaded at [lo]. Each step is a Newton step (with
+   [~secant:true] the first is the secant from (lo, -r) to (hi, Σx - r)),
+   or bisection when it leaves the bracket. It stops once the flows sum
+   to the demand within [level_tol] or the bracket is a few ulps wide,
+   and returns the level and Σx - r there. *)
+let newton_level ~r ~pass ~rate ~secant ~max_steps ~lo ~hi =
+  let tol = level_tol r in
+  let narrow lo hi =
+    let a = Float.abs lo and b = Float.abs hi in
+    hi -. lo <= 4.0 *. epsilon_float *. if a >= b then a else b
   in
-  (* dΣx/dl at the flows in [x]. *)
-  let flow_rate () =
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      if x.(i) > 0.0 then s := !s +. (1.0 /. slope lats.(i) x.(i))
-    done;
-    !s
-  in
-  let tol = 1e-13 *. Float.max 1.0 r in
-  let narrow lo hi = hi -. lo <= 4.0 *. epsilon_float *. Float.max (Float.abs lo) (Float.abs hi) in
   let lo = ref lo and hi = ref hi in
   let l = ref !hi in
-  let f = ref (excess !l) in
+  let f = ref (pass ~top:!hi !l) in
   (* Σx - r at the bracket's ends; at [lo] every rigid flow is 0. *)
   let f_lo = ref (-.r) and f_hi = ref !f in
-  let steps = ref 0 in
-  let cancel = Sgr_obs.Cancel.handle () in
-  while Float.abs !f > tol && (not (narrow !lo !hi)) && !steps < max_level_steps do
-    Sgr_obs.Cancel.check_handle cancel;
-    Sgr_obs.Obs.incr c_level_steps;
-    let rate = if !steps = 0 then (!f -. !f_lo) /. (!hi -. !lo) else flow_rate () in
+  let steps = ref 0 and safeguards = ref 0 in
+  while Float.abs !f > tol && (not (narrow !lo !hi)) && !steps < max_steps do
+    Sgr_obs.Cancel.check ();
+    let rate = if secant && !steps = 0 then (!f -. !f_lo) /. (!hi -. !lo) else rate () in
     incr steps;
     let next = !l -. (!f /. rate) in
     (* Past the last ulp Newton stands still: take that ulp instead. *)
@@ -204,65 +241,191 @@ let newton_rigid ~slope t ~inverse ~rigid ~g0 ~absorbed:_ ~lo ~hi =
     l :=
       if next > !lo && next < !hi then next
       else begin
-        Sgr_obs.Obs.incr c_safeguard_steps;
+        incr safeguards;
         0.5 *. (!lo +. !hi)
       end;
-    f := excess !l;
-    if !f < 0.0 then begin
-      lo := !l;
-      f_lo := !f
-    end
-    else begin
-      hi := !l;
-      f_hi := !f
-    end
+    f := pass ~top:!hi !l;
+    if !f < 0.0 then (lo := !l; f_lo := !f) else (hi := !l; f_hi := !f)
   done;
+  if !steps > 0 then Sgr_obs.Obs.add c_level_steps !steps;
+  if !safeguards > 0 then Sgr_obs.Obs.add c_safeguard_steps !safeguards;
   (* [l] is one end of the bracket; settle on the end nearer the demand. *)
   let other, f_other = if Float.equal !l !lo then (!hi, !f_hi) else (!lo, !f_lo) in
   if Float.abs f_other < Float.abs !f then begin
     l := other;
-    f := excess other
+    f := pass ~top:!hi other
   end;
-  let level = !l and e = -. !f in
-  (* Who takes the residual e = r - Σxᵢ: the loaded links, plus, when
-     flow must be added, the links whose activation point g0 is within a
-     few ulps of the level. A link whose gᵢ' is 0 there takes all of it. *)
+  (!l, !f)
+
+(* [Tol.clamp_nonneg], inlined: a cross-module call boxes the float. *)
+let[@inline] clamp v = if v > 0.0 || Float.is_nan v then v else 0.0
+
+(* What is left of the demand, e = r - Σxᵢ, is the part float precision
+   cannot resolve the level for. It goes to the links [idx.(0 .. k-1)]
+   by their weights [w] (dxᵢ/dl: the loaded links and, when flow must be
+   added, those whose activation point is within a few ulps of the
+   level), which moves every link's level alike, so no Wardrop (or
+   marginal-cost) equality breaks. A link whose gᵢ' is 0 takes all of
+   it. With nothing loaded the level sits on the cheapest activation
+   point, so some link always counts when e > 0. *)
+let place_residual x (w : float array) e idx k =
+  let total = ref 0.0 and steep = ref (-1) in
+  for j = 0 to k - 1 do
+    let wi = w.(idx.(j)) in
+    total := !total +. wi;
+    if !steep < 0 && wi = Float.infinity then steep := idx.(j)
+  done;
+  if !steep >= 0 then x.(!steep) <- clamp (x.(!steep) +. e)
+  else if !total > 0.0 then
+    for j = 0 to k - 1 do
+      let i = idx.(j) in
+      if w.(i) > 0.0 then x.(i) <- clamp (x.(i) +. (e *. w.(i) /. !total))
+    done
+
+(* Newton on curves: each pass inverts every rigid link's latency (or
+   marginal cost) at the level. *)
+let newton_rigid ~slope t ~inverse ~rigid ~g0 ~absorbed:_ ~lo ~hi =
+  let n = num_links t and r = t.demand and lats = t.latencies in
+  let x = Array.make n 0.0 in
+  let pass ~top:_ l =
+    let s = ref 0.0 in
+    for i = 0 to n - 1 do
+      if rigid.(i) then begin
+        let xi = Tol.clamp_nonneg (inverse lats.(i) l) in
+        x.(i) <- xi;
+        s := !s +. xi
+      end
+    done;
+    !s -. r
+  in
+  let rate () =
+    let s = ref 0.0 in
+    for i = 0 to n - 1 do
+      if x.(i) > 0.0 then s := !s +. (1.0 /. slope lats.(i) x.(i))
+    done;
+    !s
+  in
+  let level, f = newton_level ~r ~pass ~rate ~secant:true ~max_steps:max_level_steps ~lo ~hi in
+  let e = -.f in
   let w =
     Array.init n (fun i ->
         if x.(i) > 0.0 then 1.0 /. slope lats.(i) x.(i)
-        else if
-          e > 0.0 && rigid.(i)
-          && Float.abs (g0.(i) -. level) <= 4.0 *. epsilon_float *. Float.abs level
-        then 1.0 /. slope lats.(i) 0.0
+        else if e > 0.0 && rigid.(i) && near_level g0.(i) level then 1.0 /. slope lats.(i) 0.0
         else 0.0)
   in
-  let total = Array.fold_left ( +. ) 0.0 w in
-  (* Some link always counts when e > 0: with nothing loaded, the level
-     sits on the cheapest link's activation point. *)
-  (match Array.find_index (fun wi -> wi = Float.infinity) w with
-  | Some i -> x.(i) <- Tol.clamp_nonneg (x.(i) +. e)
-  | None ->
-      if total > 0.0 then
-        Array.iteri (fun i wi -> x.(i) <- Tol.clamp_nonneg (x.(i) +. (e *. wi /. total))) w);
+  place_residual x w e (Array.init n Fun.id) n;
   { assignment = x; level }
 
-let slope_of criterion lat x =
-  match criterion with
-  | `Nash -> L.deriv lat x
-  | `Opt -> (2.0 *. L.deriv lat x) +. if x > 0.0 then x *. L.deriv2 lat x else 0.0
+(* Newton on lines gᵢ(x) = bᵢ + aᵢx/k (k = 1 for latencies, 1/2 for
+   marginal costs): [w] holds the slopes aᵢ (0 for a constant of value
+   bᵢ) and is overwritten with the rates wᵢ = k/aᵢ = 1/gᵢ'. The solve
+   starts at the all-active root L₀ = (r + Σ bᵢwᵢ) / Σ wᵢ, or at the
+   reservoir's level when lower; each pass runs over the candidates,
+   the rigid links with bᵢ below the bracket's top (or a few ulps above,
+   so they hold every link the residual may load), and drops the rest
+   for good. A Newton step from l is then the water level of the links
+   loaded at l, so the steps fall until the loaded set holds. A demand
+   within the tolerance stays at the cheapest activation point, where
+   the residual placement loads it (L₀ can round a few ulps under it). *)
+let fill_lines ~k ~w ~b r =
+  let n = Array.length w in
+  let x = Array.make n 0.0 and idx = Array.make n 0 in
+  let base = ref Float.infinity and c_min = ref Float.infinity in
+  let sw = ref 0.0 and sbw = ref 0.0 and nr = ref 0 in
+  for i = 0 to n - 1 do
+    let bi = b.(i) in
+    if bi < !base then base := bi;
+    if w.(i) > 0.0 then begin
+      let wi = k /. w.(i) in
+      w.(i) <- wi;
+      idx.(!nr) <- i;
+      incr nr;
+      sw := !sw +. wi;
+      sbw := !sbw +. (bi *. wi)
+    end
+    else if bi < !c_min then c_min := bi
+  done;
+  let base = !base and c_min = !c_min in
+  let candidates = ref !nr and rate = ref 0.0 in
+  let pass ~top l =
+    let cut = top +. (4.0 *. epsilon_float *. Float.abs top) in
+    let s = ref 0.0 and dl = ref 0.0 and k = ref 0 in
+    for j = 0 to !candidates - 1 do
+      let i = idx.(j) in
+      let bi = b.(i) in
+      if bi <= cut then begin
+        idx.(!k) <- i;
+        incr k;
+        let xi = (l -. bi) *. w.(i) in
+        if xi > 0.0 then begin
+          x.(i) <- xi;
+          s := !s +. xi;
+          dl := !dl +. w.(i)
+        end
+        else x.(i) <- 0.0
+      end
+      else x.(i) <- 0.0
+    done;
+    candidates := !k;
+    rate := !dl;
+    !s -. r
+  in
+  if r <= 0.0 then { assignment = x; level = base }
+  else
+    let f_reservoir = if c_min < Float.infinity then pass ~top:Float.infinity c_min else 0.0 in
+    if f_reservoir < 0.0 then begin
+      share_reservoir x
+        ~is_constant:(fun i -> not (w.(i) > 0.0))
+        ~value:(fun i -> b.(i))
+        ~c_min (-.f_reservoir);
+      { assignment = x; level = c_min }
+    end
+    else begin
+      let root = (r +. !sbw) /. !sw in
+      let hi = if r <= level_tol r || root < base then base else Float.min root c_min in
+      let level, f =
+        newton_level ~r ~pass
+          ~rate:(fun () -> !rate)
+          ~secant:false ~max_steps:(max_level_steps + !nr) ~lo:base ~hi
+      in
+      let e = -.f in
+      for j = 0 to !candidates - 1 do
+        let i = idx.(j) in
+        if not (x.(i) > 0.0 || (e > 0.0 && near_level b.(i) level)) then w.(i) <- 0.0
+      done;
+      place_residual x w e idx !candidates;
+      { assignment = x; level }
+    end
 
-module Closed_form = Closed_form
+let solve_lines ~slopes ~intercepts ~demand =
+  fill_lines ~k:1.0 ~w:(Array.copy slopes) ~b:intercepts demand
 
-let c_fallbacks = Sgr_obs.Obs.counter "links.closed_form.fallbacks"
-
-(* Closed form exactly when every link reduces to a line, so the engine
-   is a function of the instance alone. *)
+(* The instance picks the passes: lines when every link is one, so the
+   engine is a function of the instance alone. In a game with a curve
+   the line links keep their [Latency.inverse] entries, whose last bit
+   differs from (l - b)·(1/a); only their activation points come from
+   the line. *)
 let solve criterion t =
-  match Closed_form.solve criterion t.latencies ~demand:t.demand with
-  | Some (assignment, level) -> { assignment; level }
-  | None ->
-      Sgr_obs.Obs.incr c_fallbacks;
-      water_level criterion ~solve_rigid:(newton_rigid ~slope:(slope_of criterion)) t
+  let n = num_links t in
+  let w = Array.make n 0.0 and b = Array.make n 0.0 in
+  let curves = ref 0 in
+  for i = 0 to n - 1 do
+    if not (line_into (L.kind t.latencies.(i)) w b i) then begin
+      b.(i) <- Float.nan;
+      incr curves
+    end
+  done;
+  if !curves = 0 then
+    (* The optimum's marginal cost 2a·x + b has the latency's intercept
+       on twice its slope. *)
+    fill_lines ~k:(match criterion with `Nash -> 1.0 | `Opt -> 0.5) ~w ~b t.demand
+  else
+    let slope lat x =
+      match criterion with
+      | `Nash -> L.deriv lat x
+      | `Opt -> (2.0 *. L.deriv lat x) +. if x > 0.0 then x *. L.deriv2 lat x else 0.0
+    in
+    water_level criterion ~line_b:(Some b) ~solve_rigid:(newton_rigid ~slope) t
 
 let nash t = solve `Nash t
 let opt t = solve `Opt t

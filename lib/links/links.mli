@@ -5,13 +5,13 @@
     the Nash/Wardrop equilibrium [N] (all loaded links share a common
     latency [L_N]; unloaded links have latency [>= L_N], Remark 4.1) and the
     Optimum [O] (same condition on *marginal costs*, by convexity of
-    [x·ℓ(x)]). Both are computed by water-filling on the common level: in
-    closed form when every link reduces to a line ({!Closed_form}),
-    otherwise by safeguarded Newton on the level over each link's
-    (mostly closed-form) inverse, placing the last float-precision
-    residual by each link's sensitivity so the answer passes
-    {!verify_nash}/{!verify_opt}. The instance alone picks the engine;
-    {!water_fill} is the bisection reference. *)
+    [x·ℓ(x)]). Both are computed by water-filling on the common level with
+    one engine, safeguarded Newton on the level, placing the last
+    float-precision residual by each link's sensitivity so the answer
+    passes {!verify_nash}/{!verify_opt}. When every link is a line
+    ({!line}) the solve starts at the all-active line root and each step
+    is one pass over the lines; otherwise each step inverts every link
+    (mostly in closed form). {!water_fill} is the bisection reference. *)
 
 type t = private {
   latencies : Sgr_latency.Latency.t array;  (** One latency per link. *)
@@ -57,21 +57,28 @@ type solution = {
           (optimum). *)
 }
 
-module Closed_form = Closed_form
-(** The O(m log m) affine fast engine; see {!Closed_form}. *)
-
 val nash : t -> solution
 (** The Wardrop equilibrium of [(M, r)]. Unique for strictly increasing
     latencies; with constant-latency links, ties at the level are split
-    evenly (the cost is invariant to the split). Solved by
-    {!Closed_form} when every link latency is affine-reducible, and by
-    Newton on the level otherwise (counted in
-    [links.closed_form.fallbacks]; each level step counts in
-    [links.level_iterations], each safeguard bisection step also in
-    [bisection.iterations]). *)
+    evenly (the cost is invariant to the split). Each level step counts
+    in [links.level_iterations], each safeguard bisection step also in
+    [bisection.iterations].
+    @raise Failure when no finite level carries the demand (M/M/1 links
+    whose capacities sum below it). *)
 
 val opt : t -> solution
-(** The optimum assignment of [(M, r)], dispatched like {!nash}. *)
+(** The optimum assignment of [(M, r)], solved like {!nash} on the
+    marginal costs. *)
+
+val line : Sgr_latency.Latency.t -> (float * float) option
+(** [Some (a, b)] when [ℓ(x) = a·x + b] exactly on [x >= 0]: constants,
+    affine, degree-[<= 1] polynomials and their [Shifted] (intercept
+    [b + a·s]) and toll-shifted forms. [None] for every curve. *)
+
+val solve_lines : slopes:float array -> intercepts:float array -> demand:float -> solution
+(** Water-fills the criterion lines [yᵢ(x) = slopesᵢ·x + interceptsᵢ]
+    (a zero slope is a constant link) with the loop behind {!nash}; the
+    arrays are left as they were. *)
 
 val water_fill : [ `Nash | `Opt ] -> t -> solution
 (** The bisection reference: bisect on the common level to [4·ε_mach],

@@ -3,8 +3,8 @@
 
    Each link is owned by a distinct profit-maximizing firm that charges a
    toll τᵢ >= 0; the infinite population of users then splits the demand
-   selfishly under the tolled latencies ℓᵢ(x) + τᵢ, which stay affine, so
-   every probe is one closed-form water-fill. Owner i's payoff is the
+   selfishly under the tolled latencies ℓᵢ(x) + τᵢ, which stay lines, so
+   every probe is one [Links.solve_lines]. Owner i's payoff is the
    revenue τᵢ·xᵢ(τ). The solver runs cyclic best-response dynamics: each
    owner in turn maximizes its revenue against the others' current tolls
    (coarse grid scan + golden-section refinement over [0, τᵢᵐᵃˣ], where
@@ -38,7 +38,7 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
   let slopes = Array.make n 0.0 and intercepts = Array.make n 0.0 in
   Array.iteri
     (fun i lat ->
-      match Closed_form.reduce lat with
+      match Links.line lat with
       | Some (a, b) when a > 0.0 ->
           slopes.(i) <- a;
           intercepts.(i) <- b
@@ -50,12 +50,12 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
   let r = t.Links.demand in
   let tolls = Array.make n 0.0 in
   let equilibrium () =
-    Closed_form.solve_lines ~slopes
+    Links.solve_lines ~slopes
       ~intercepts:(Array.mapi (fun i b -> b +. tolls.(i)) intercepts)
       ~demand:r
   in
   if r <= 0.0 then begin
-    let flow, level = equilibrium () in
+    let { Links.assignment = flow; level } = equilibrium () in
     {
       tolls;
       flow;
@@ -70,8 +70,7 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
     let revenue i tau =
       Obs.incr c_probes;
       let b = Array.mapi (fun j bj -> bj +. if j = i then tau else tolls.(j)) intercepts in
-      let x, _ = Closed_form.solve_lines ~slopes ~intercepts:b ~demand:r in
-      tau *. x.(i)
+      tau *. (Links.solve_lines ~slopes ~intercepts:b ~demand:r).assignment.(i)
     in
     (* The level of the market without link i (under the others' current
        tolls): any toll pushing bᵢ + τ to that level prices the link out,
@@ -86,8 +85,8 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
           incr k
         end
       done;
-      let _, level_rest = Closed_form.solve_lines ~slopes:ss ~intercepts:bs ~demand:r in
-      Tol.clamp_nonneg (level_rest -. intercepts.(i))
+      let rest = Links.solve_lines ~slopes:ss ~intercepts:bs ~demand:r in
+      Tol.clamp_nonneg (rest.level -. intercepts.(i))
     in
     let best_toll i =
       let hi = toll_ceiling i in
@@ -146,7 +145,7 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
       let scale = Array.fold_left Float.max 1.0 tolls in
       if !moved <= tol *. scale then converged := true
     done;
-    let flow, level = equilibrium () in
+    let { Links.assignment = flow; level } = equilibrium () in
     let revenues = Array.mapi (fun i x -> tolls.(i) *. x) flow in
     { tolls; flow; level; revenues; user_cost = Links.cost t flow; rounds = !rounds; converged = !converged }
   end

@@ -5,9 +5,9 @@
     each link belongs to a profit-maximizing owner charging a toll
     [τᵢ >= 0]; users split the demand selfishly under the tolled
     latencies [ℓᵢ(x) + τᵢ]; owner [i] collects [τᵢ·xᵢ]. Tolled affine
-    latencies stay affine, so every payoff probe is one closed-form
-    water-fill ({!Closed_form.solve_lines}) — this module is the
-    engine's first workload beyond the benchmarks. *)
+    latencies stay lines, so every payoff probe is one water-fill of the
+    slopes and the tolled intercepts ({!Links.solve_lines}), the engine
+    behind {!Links.nash}, with no latency value rebuilt. *)
 
 type result = {
   tolls : float array;  (** One toll per link at the fixed point. *)

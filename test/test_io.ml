@@ -323,6 +323,17 @@ let test_bad_edges_name_their_line () =
   expect_exact "network\nedge 0 2 x\nnodes 2\ncommodity 0 1 1\n"
     "line 2: edge endpoint out of range [0, 2)"
 
+let test_bad_commodities_name_their_line () =
+  expect_exact "network\nnodes 3\nedge 0 1 x\nedge 1 2 x\ncommodity 0 5 1\n"
+    "line 5: commodity endpoint out of range [0, 3)";
+  expect_exact "network\nnodes 3\nedge 0 1 x\ncommodity -1 2 1\nedge 1 2 x\n"
+    "line 4: commodity endpoint out of range [0, 3)";
+  expect_exact "network\nnodes 3\nedge 0 1 x\nedge 1 2 x\ncommodity 0 2 1\ncommodity 1 1 1\n"
+    "line 6: commodity source equals destination";
+  (* Checked against the last [nodes] line, wherever it sits. *)
+  expect_exact "network\ncommodity 0 2 1\nnodes 2\nedge 0 1 x\n"
+    "line 2: commodity endpoint out of range [0, 2)"
+
 let test_tntp_bounds_name_their_line () =
   let tntp ~nodes ~row = Printf.sprintf "<NUMBER OF NODES> %s\n~ comment\n%s\n" nodes row in
   let trips = "Origin 1\n2 : 1.0;\n" in
@@ -510,6 +521,7 @@ let suite =
     prop_canonical_instance_roundtrip;
     case "instance files: node count is capped" test_node_count_cap;
     case "instance files: bad edges name their line" test_bad_edges_name_their_line;
+    case "instance files: bad commodities name their line" test_bad_commodities_name_their_line;
     case "tntp: node cap and self loops name their line" test_tntp_bounds_name_their_line;
     case "latency specs: a 20,000-deep shift parses in linear space" test_deep_shift_is_linear;
     prop_reader_fuzz;

@@ -216,13 +216,18 @@ let prop_induced_is_wardrop_on_shifted =
       in
       Links.verify_nash shifted ind.assignment)
 
-(* ---------------- Closed-form engine vs the bisection oracle ---------------- *)
+(* ---------------- Games of lines vs the bisection oracle ---------------- *)
 
-module CF = Sgr_links.Closed_form
 module Pricing = Sgr_links.Pricing
 
 let counter_value name =
   match List.assoc_opt name (Sgr_obs.Obs.counters ()) with Some v -> v | None -> 0
+
+(* How far each named counter moves while [f] runs. *)
+let counter_deltas names f =
+  let before = List.map counter_value names in
+  f ();
+  List.map2 (fun name b -> (name, counter_value name - b)) names before
 
 (* Random games on which every latency reduces to a line: plain affine,
    constants, [Shifted]-of-affine (leader flow via [L.shift]) and
@@ -254,26 +259,61 @@ let engines_agree t =
   agree (Links.nash t) (Links.water_fill `Nash t)
   && agree (Links.opt t) (Links.water_fill `Opt t)
 
+(* [s] is a finite level on which the flows sum to the demand (1e-12
+   relative). *)
+let fills_demand t (s : Links.solution) =
+  let r = t.Links.demand in
+  Float.is_finite s.level && Float.abs (Vec.sum s.assignment -. r) <= 1e-12 *. r
+
+(* A demand log-uniform in [1e-300, 1e3]. *)
+let log_uniform_demand rng = 10.0 ** Prng.uniform rng ~lo:(-300.0) ~hi:3.0
+
 let prop_closed_form_matches_oracle =
   qcheck "closed form ≍ bisection oracle on reducible games" QCheck.small_nat (fun seed ->
-      let fallbacks = counter_value "links.closed_form.fallbacks" in
-      engines_agree (random_reducible_instance seed)
-      (* ... and the fast path really ran: nothing fell back. *)
-      && counter_value "links.closed_form.fallbacks" = fallbacks)
+      let t = random_reducible_instance seed in
+      let t = Links.with_demand t (log_uniform_demand (Prng.create (seed + 5003))) in
+      engines_agree t && fills_demand t (Links.nash t) && fills_demand t (Links.opt t))
 
 let prop_shifted_reduce_exact =
   qcheck "Shifted-of-affine reduction is exact" QCheck.small_nat (fun seed ->
       let rng = Prng.create (seed + 11) in
       let a = Prng.uniform rng ~lo:0.1 ~hi:5.0 and b = Prng.uniform rng ~lo:0.0 ~hi:5.0 in
       let s = Prng.uniform rng ~lo:0.0 ~hi:3.0 in
-      match CF.reduce (L.shift s (L.affine ~slope:a ~intercept:b)) with
+      match Links.line (L.shift s (L.affine ~slope:a ~intercept:b)) with
       | Some (a', b') -> Float.equal a' a && Float.equal b' (b +. (a *. s))
       | None -> false)
 
+(* SNIPPETS.md snippet 1's [get_flow], the test oracle for games of
+   lines aᵢx + bᵢ with every aᵢ > 0: over the links in [keep],
+   xᵢ = (r + Σⱼ (bⱼ - bᵢ)/aⱼ) / (aᵢ·Σⱼ 1/aⱼ); the links whose flow comes
+   out negative are dropped and the rest solved again. *)
+let rec get_flow ~a ~b ~r keep =
+  let inv = List.fold_left (fun s j -> s +. (1.0 /. a.(j))) 0.0 keep in
+  let x = Array.make (Array.length a) 0.0 in
+  List.iter
+    (fun i ->
+      let spread = List.fold_left (fun s j -> s +. ((b.(j) -. b.(i)) /. a.(j))) 0.0 keep in
+      x.(i) <- (r +. spread) /. (a.(i) *. inv))
+    keep;
+  let kept = List.filter (fun i -> x.(i) >= 0.0) keep in
+  if List.length kept = List.length keep then x else get_flow ~a ~b ~r kept
+
+(* [nash] and [opt] against [get_flow] on the latency lines and on the
+   doubled-slope marginal lines. *)
+let matches_get_flow t =
+  let lines = Array.map (fun lat -> Option.get (Links.line lat)) t.Links.latencies in
+  let a = Array.map fst lines and b = Array.map snd lines in
+  let r = t.Links.demand in
+  let keep = List.init (Array.length a) Fun.id in
+  let close x y = Float.abs (x -. y) <= 1e-9 *. Float.max 1.0 r in
+  Array.for_all2 close (Links.nash t).assignment (get_flow ~a ~b ~r keep)
+  && Array.for_all2 close (Links.opt t).assignment
+       (get_flow ~a:(Array.map (fun ai -> 2.0 *. ai) a) ~b ~r keep)
+
 let test_closed_form_ladder () =
-  (* Adversarial spread: geometrically growing intercepts leave the
-     fixed-point restriction only one or two survivors per pass; it must
-     still terminate on the oracle's answer and report its pruning. *)
+  (* Adversarial spread: geometrically growing intercepts leave each
+     Newton step on the lines only one or two fewer loaded links; it must
+     still end on the oracles' answer, in a pinned number of steps. *)
   let m = 24 in
   let lats =
     Array.init m (fun i ->
@@ -282,17 +322,70 @@ let test_closed_form_ladder () =
           ~intercept:(1.5 ** float_of_int i))
   in
   let t = Links.make lats ~demand:0.5 in
-  let prunes = counter_value "links.closed_form.prunes" in
-  check_true "ladder agrees with oracle" (engines_agree t);
-  check_true "pruning was observed" (counter_value "links.closed_form.prunes" > prunes)
+  check_true "ladder agrees with the bisection oracle" (engines_agree t);
+  check_true "ladder agrees with get_flow" (matches_get_flow t);
+  let steps =
+    counter_deltas [ "links.level_iterations" ] (fun () ->
+        ignore (Links.nash t);
+        ignore (Links.opt t))
+  in
+  Alcotest.(check (list (pair string int)))
+    "nash + opt level steps" [ ("links.level_iterations", 6) ] steps
+
+(* Random games of lines with no constant: affine, degree-1 polynomial,
+   leader-shifted affine and toll-shifted affine links. *)
+let random_line_game seed =
+  let rng = Prng.create (seed + 9001) in
+  let m = 2 + Prng.int rng 8 in
+  let u lo hi = Prng.uniform rng ~lo ~hi in
+  let lats =
+    Array.init m (fun _ ->
+        let affine () = L.affine ~slope:(u 0.1 3.0) ~intercept:(u 0.0 2.0) in
+        match Prng.int rng 4 with
+        | 0 -> affine ()
+        | 1 -> L.polynomial [| u 0.0 2.0; u 0.1 3.0 |]
+        | 2 -> L.shift (u 0.0 1.0) (affine ())
+        | _ -> L.shift_intercept (u 0.01 1.0) (affine ()))
+  in
+  Links.make lats ~demand:(u 0.2 4.0)
+
+let prop_lines_match_get_flow =
+  qcheck "lines: nash/opt ≍ get_flow" QCheck.small_nat (fun seed ->
+      matches_get_flow (random_line_game seed))
+
+let test_tiny_demands_and_ties () =
+  (* A demand below the loop's tolerance, and 1,000 lines on one
+     intercept whose all-active root rounds under it: the level sits on
+     the activation point and the flows still carry the demand. *)
+  let rng = Prng.create 24 in
+  let ties =
+    Array.init 1_000 (fun _ -> L.affine ~slope:(Prng.uniform rng ~lo:0.5 ~hi:3.0) ~intercept:0.3)
+  in
+  List.iter
+    (fun (name, lats, r, activation) ->
+      let t = Links.make lats ~demand:r in
+      List.iter
+        (fun (what, (s : Links.solution)) ->
+          let tag = Printf.sprintf "%s %s" name what in
+          check_true (tag ^ ": finite level") (Float.is_finite s.level);
+          approx ~eps:1e-12 (tag ^ ": level on the activation point") activation s.level;
+          approx ~eps:1e-12 (tag ^ ": flows sum to the demand") 1.0 (Vec.sum s.assignment /. r))
+        [ ("nash", Links.nash t); ("opt", Links.opt t) ])
+    [
+      ( "x + 1, 2x + 1",
+        [| L.affine ~slope:1.0 ~intercept:1.0; L.affine ~slope:2.0 ~intercept:1.0 |],
+        1e-20,
+        1.0 );
+      ("x + 1", [| L.affine ~slope:1.0 ~intercept:1.0 |], 1e-20, 1.0);
+      ("1,000 ties", ties, 1e-13, 0.3);
+    ]
 
 let test_closed_form_edges () =
   (* Zero demand: no flow, level at the cheapest empty link. *)
-  (match CF.solve `Nash [| L.linear 1.0; L.constant 2.0 |] ~demand:0.0 with
-  | Some (x, level) ->
-      approx_array "zero-demand flows" [| 0.0; 0.0 |] x;
-      approx "zero-demand level" 0.0 level
-  | None -> Alcotest.fail "affine instance must reduce");
+  let t0 = Links.make [| L.linear 1.0; L.constant 2.0 |] ~demand:0.0 in
+  let n0 = Links.nash t0 in
+  approx_array "zero-demand flows" [| 0.0; 0.0 |] n0.assignment;
+  approx "zero-demand level" 0.0 n0.level;
   (* Single link takes everything. *)
   let t1 = Links.make [| L.affine ~slope:2.0 ~intercept:1.0 |] ~demand:3.0 in
   let n1 = Links.nash t1 in
@@ -317,13 +410,10 @@ let newton_agrees t =
   agree (Links.nash t) (Links.water_fill `Nash t) && agree (Links.opt t) (Links.water_fill `Opt t)
 
 let test_closed_form_fallback () =
-  (* An M/M/1 game cannot reduce: [nash] must fall back to the Newton
-     engine, count the fallback, and agree with the reference. *)
+  (* An M/M/1 game has no line: the engine inverts each link's latency
+     at every step, and must agree with the reference. *)
   let t = W.mm1_links ~capacities:[| 2.0; 3.0 |] ~demand:1.0 in
-  let before = counter_value "links.closed_form.fallbacks" in
-  ignore (Links.nash t);
-  check_true "fallback counted" (counter_value "links.closed_form.fallbacks" > before);
-  check_true "fallback result agrees with the bisection reference" (newton_agrees t)
+  check_true "curve result agrees with the bisection reference" (newton_agrees t)
 
 let prop_newton_matches_reference =
   qcheck "Newton engine ≍ bisection reference (cost and level)" QCheck.small_nat (fun seed ->
@@ -393,29 +483,20 @@ let test_e18_instance_4 () =
   check_true "opt passes verify_opt" (Links.verify_opt t (Links.opt t).assignment);
   approx ~eps:1e-6 "beta" 0.454271 (Stackelberg.Optop.beta t)
 
-(* How far each named counter moves while [f] runs. *)
-let counter_deltas names f =
-  let before = List.map counter_value names in
-  f ();
-  List.map2 (fun name b -> (name, counter_value name - b)) names before
-
 let test_closed_form_dispatch_work () =
   (* The bench's affine instances: the T1 games at m = 10 and 100, the
      m = 100 game with marginal-cost tolls and a leader shift on every
-     link, and the T3 Theorem 2.4 game. Every latency reduces to a line,
-     so [nash]/[opt] must answer in closed form: one call each, not a
-     single latency evaluation, and no bisection anywhere. *)
+     link, and the T3 Theorem 2.4 game. Every latency is a line, so
+     [nash]/[opt] run on the lines: not a single latency evaluation, no
+     bisection anywhere, and a pinned number of level steps. *)
   let affine m = W.random_affine_links (Prng.create (1000 + m)) ~m ~demand:1.0 () in
   let tolled =
     let t = Stackelberg.Tolls.tolled_links (affine 100) in
     Links.make (Array.map (L.shift 0.125) t.Links.latencies) ~demand:t.Links.demand
   in
-  let names =
-    [ "links.closed_form.calls"; "latency.evaluations"; "bisection.iterations";
-      "links.closed_form.fallbacks" ]
-  in
+  let names = [ "latency.evaluations"; "bisection.iterations"; "links.level_iterations" ] in
   List.iter
-    (fun (tag, t) ->
+    (fun (tag, t, steps) ->
       let deltas =
         counter_deltas names (fun () ->
             ignore (Links.nash t);
@@ -423,29 +504,35 @@ let test_closed_form_dispatch_work () =
       in
       Alcotest.(check (list (pair string int)))
         (tag ^ ": nash + opt work")
-        (List.combine names [ 2; 0; 0; 0 ])
+        (List.combine names [ 0; 0; steps ])
         deltas)
-    [ ("affine m=10", affine 10); ("affine m=100", affine 100); ("tolled m=100", tolled) ];
+    [
+      ("affine m=10", affine 10, 3);
+      ("affine m=100", affine 100, 8);
+      ("tolled m=100", tolled, 8);
+    ];
   let t3 = W.random_common_slope_links (Prng.create 3008) ~m:8 ~demand:1.0 () in
   let alpha = 0.7 *. Float.max 0.05 (Stackelberg.Optop.beta t3) in
   let deltas =
-    counter_deltas [ "bisection.iterations"; "links.closed_form.fallbacks" ] (fun () ->
-        ignore (Stackelberg.Linear_exact.solve t3 ~alpha))
+    counter_deltas names (fun () -> ignore (Stackelberg.Linear_exact.solve t3 ~alpha))
   in
+  (* Theorem 2.4's own cost sums evaluate the latencies; the water-fills
+     inside it evaluate none. *)
   Alcotest.(check (list (pair string int)))
-    "thm2.4 m=8: no bisection, no fallback"
-    [ ("bisection.iterations", 0); ("links.closed_form.fallbacks", 0) ]
+    "thm2.4 m=8: no bisection"
+    (List.combine names [ 2300; 0; 1033 ])
     deltas
 
 let test_newton_work () =
   (* The links-sweep game: ten b + c·x^d links. Every inverse is in
      closed form, so nash + opt bisect no link's inverse
      ([bisection.calls]); the two level solves take 16 steps, one of
-     them a safeguard bisection step, and evaluate each link once. *)
+     them a safeguard bisection step, and evaluate each curve once at
+     zero flow (a degree-1 link's activation point is its intercept). *)
   let t = W.random_polynomial_links (Prng.create 1) ~m:10 ~demand:1.0 () in
   let names =
     [ "bisection.calls"; "bisection.iterations"; "links.level_iterations";
-      "links.closed_form.fallbacks"; "latency.evaluations" ]
+      "latency.evaluations" ]
   in
   let deltas =
     counter_deltas names (fun () ->
@@ -453,7 +540,7 @@ let test_newton_work () =
         ignore (Links.opt t))
   in
   Alcotest.(check (list (pair string int)))
-    "nash + opt work" (List.combine names [ 0; 1; 16; 2; 20 ]) deltas
+    "nash + opt work" (List.combine names [ 0; 1; 16; 16 ]) deltas
 
 let test_constant_bpr () =
   (* A BPR curve with α = 0 is the constant t₀: the game solves as the
@@ -561,6 +648,87 @@ let prop_pricing_fixed_point =
           res.Pricing.tolls;
       feasible && !best)
 
+
+(* ---------------- Bits of non-line games ---------------- *)
+
+(* A random game with at least one rigid link that is not a line: link 0
+   is a multi-term quadratic, b + c·xᵈ with d >= 2, or a BPR curve; the
+   others mix lines (affine, degree-1 polynomials, constants) with
+   b + c·xᵈ, quadratics, M/M/1 and BPR, and a third are leader-shifted. *)
+let random_curve_game seed =
+  let rng = Prng.create (seed + 77) in
+  let u lo hi = Prng.uniform rng ~lo ~hi in
+  let power d =
+    L.polynomial
+      (Array.init (d + 1) (fun i -> if i = 0 then u 0.0 1.0 else if i = d then u 0.5 2.0 else 0.0))
+  in
+  let quadratic () = L.polynomial [| u 0.0 1.0; u 0.0 1.0; u 0.1 2.0 |] in
+  let bpr () = L.bpr ~free_flow:(u 0.2 2.0) ~capacity:(u 0.5 3.0) () in
+  let curve () =
+    match Prng.int rng 3 with 0 -> quadratic () | 1 -> power (2 + Prng.int rng 3) | _ -> bpr ()
+  in
+  let m = 2 + Prng.int rng 9 in
+  let lats =
+    Array.init m (fun i ->
+        let lat =
+          if i = 0 then curve ()
+          else
+            match Prng.int rng 7 with
+            | 0 -> L.affine ~slope:(u 0.1 3.0) ~intercept:(u 0.0 2.0)
+            | 1 -> power 1
+            | 2 -> power (1 + Prng.int rng 4)
+            | 3 -> quadratic ()
+            | 4 -> L.mm1 ~capacity:(u 1.0 3.0)
+            | 5 -> bpr ()
+            | _ -> L.constant (u 0.5 3.0)
+        in
+        if Prng.int rng 3 = 0 then L.shift (u 0.0 0.5) lat else lat)
+  in
+  Links.make lats ~demand:(10.0 ** u (-6.0) 1.5)
+
+let add_bits buf v = Buffer.add_string buf (Int64.to_string (Int64.bits_of_float v))
+
+(* The links-sweep benchmark game at seed 1: ten b + c·xᵈ links, the
+   link lines of its instance text shuffled by [Prng.create 1]. *)
+let links_sweep_game () =
+  let module IF = Sgr_io.Instance_file in
+  let t = W.random_polynomial_links (Prng.create 1) ~m:10 ~demand:1.0 () in
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (IF.to_string (IF.Links t)))
+  in
+  let fixed, links = List.partition (fun l -> not (String.starts_with ~prefix:"link " l)) lines in
+  let links = Array.of_list links in
+  Prng.shuffle (Prng.create 1) links;
+  match IF.parse (String.concat "\n" (fixed @ Array.to_list links) ^ "\n") with
+  | Ok (IF.Links t) -> t
+  | _ -> Alcotest.fail "links-sweep game must parse"
+
+let test_curve_game_bits () =
+  (* MD5s recorded before the line engine moved into the Newton loop:
+     the games with a rigid link that is not a line keep every bit. *)
+  let buf = Buffer.create (1 lsl 16) in
+  for seed = 1 to 2_500 do
+    let t = random_curve_game seed in
+    List.iter
+      (fun (s : Links.solution) ->
+        Array.iter (add_bits buf) s.assignment;
+        add_bits buf s.level)
+      [ Links.nash t; Links.opt t ]
+  done;
+  let curve = Stackelberg.Alpha_sweep.run ~jobs:1 ~samples:41 (links_sweep_game ()) in
+  let cbuf = Buffer.create 4096 in
+  add_bits cbuf curve.beta;
+  List.iter
+    (fun (p : Stackelberg.Alpha_sweep.point) ->
+      add_bits cbuf p.alpha;
+      add_bits cbuf p.ratio)
+    curve.points;
+  Alcotest.(check (pair string string))
+    "nash/opt bits of 2,500 games, links-sweep curve bits"
+    ("b30f422933daa8aeb604d32ac3e400cc", "d0792125ae77d389f74785a959e7a9f4")
+    ( Digest.to_hex (Digest.string (Buffer.contents buf)),
+      Digest.to_hex (Digest.string (Buffer.contents cbuf)) )
+
 let suite =
   [
     case "make: validation" test_make_validation;
@@ -604,4 +772,7 @@ let suite =
     prop_closed_form_matches_oracle;
     prop_shifted_reduce_exact;
     prop_pricing_fixed_point;
+    case "newton: bits of games with a curve" test_curve_game_bits;
+    prop_lines_match_get_flow;
+    case "lines: tiny demands and ties" test_tiny_demands_and_ties;
   ]

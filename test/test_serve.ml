@@ -814,6 +814,42 @@ let test_engine_load_node_cap () =
         && contains reply "line 2: nodes 100000000000 exceeds the limit of 1048576");
       Alcotest.(check string) "still serving" "ok pong" (run "ping"))
 
+(* Links that cannot carry the demand: the solve's failure names the
+   demand in an [error solve] reply. *)
+let test_engine_overloaded_links () =
+  let mm1 = Sgr_latency.Latency.mm1 ~capacity:1.0 in
+  with_instance_file (IF.Links (Sgr_links.Links.make [| mm1; mm1 |] ~demand:3.0)) @@ fun path ->
+  let cache = Cache.create ~capacity:2 in
+  let run raw = Option.get (Engine.execute_raw cache raw) in
+  check_true "load ok" (starts_with (run (Printf.sprintf "load m %s" path)) "ok load");
+  List.iter
+    (fun verb ->
+      Alcotest.(check string) verb
+        "error solve: Links: the links cannot carry demand 3 at any finite level" (run verb))
+    [ "solve m nash"; "solve m opt"; "optop m" ]
+
+(* A [load] whose commodity names a node outside the instance, or the
+   same node twice, gets a parse error naming the line. *)
+let test_engine_load_bad_commodity () =
+  let path = Filename.temp_file "sgr_serve_test" ".inst" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let cache = Cache.create ~capacity:2 in
+      let run raw = Option.get (Engine.execute_raw cache raw) in
+      List.iter
+        (fun (commodity, expected) ->
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc ("network\nnodes 3\nedge 0 1 x\nedge 1 2 x\n" ^ commodity ^ "\n"));
+          Alcotest.(check string) commodity ("error parse: " ^ path ^ ": " ^ expected)
+            (run (Printf.sprintf "load c %s" path)))
+        [
+          ("commodity 0 5 1", "line 5: commodity endpoint out of range [0, 3)");
+          ("commodity -1 2 1", "line 5: commodity endpoint out of range [0, 3)");
+          ("commodity 1 1 1", "line 5: commodity source equals destination");
+        ];
+      Alcotest.(check string) "still serving" "ok pong" (run "ping"))
+
 let suite =
   [
     case "lru: capacity one" test_lru_capacity_one;
@@ -828,6 +864,8 @@ let suite =
     case "protocol: memo keys" test_memo_keys;
     case "protocol: memo keys are the request alone" test_memo_keys_request_alone;
     case "engine: pigou golden replies" test_engine_pigou;
+    case "engine: links that cannot carry the demand" test_engine_overloaded_links;
+    case "engine: load names a bad commodity's line" test_engine_load_bad_commodity;
     case "engine: memoization and reload-after-evict" test_engine_memo_and_reload;
     case "engine: pre-emptive deadline cancellation" test_engine_timeout;
     case "engine: a warm batch pass does no solver work" test_engine_warm_pass_no_work;
