@@ -864,8 +864,6 @@ let suite =
     case "protocol: memo keys" test_memo_keys;
     case "protocol: memo keys are the request alone" test_memo_keys_request_alone;
     case "engine: pigou golden replies" test_engine_pigou;
-    case "engine: links that cannot carry the demand" test_engine_overloaded_links;
-    case "engine: load names a bad commodity's line" test_engine_load_bad_commodity;
     case "engine: memoization and reload-after-evict" test_engine_memo_and_reload;
     case "engine: pre-emptive deadline cancellation" test_engine_timeout;
     case "engine: a warm batch pass does no solver work" test_engine_warm_pass_no_work;
@@ -884,4 +882,6 @@ let suite =
     case "session: an overlong request line is refused" test_session_line_cap;
     case "server: a 1 MiB line is refused, other sessions answer" test_server_line_cap;
     case "engine: load past the node cap is a parse error" test_engine_load_node_cap;
+    case "engine: links that cannot carry the demand" test_engine_overloaded_links;
+    case "engine: load names a bad commodity's line" test_engine_load_bad_commodity;
   ]
