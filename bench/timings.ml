@@ -22,23 +22,27 @@ let layered seed ~layers ~width =
 (* T1: water-filling solvers vs system size. [nash]/[opt] run the one
    engine, Newton on the level: on the affine games it starts at the
    all-active line root and each step is one pass over the lines, on the
-   polynomial (b + c·x^d) games each step inverts every link. The
-   [water_fill] rows are the bisection reference on the same instances. *)
+   polynomial (b + c·x^d) games each step is one pass of the level
+   table's kernels. The [induced] rows solve the followers' equilibrium
+   under a leader holding 0.37 of each link's optimal flow, the shifted
+   solve LLF and SCALE repeat per α. The [water_fill] rows are the
+   bisection reference on the same instances. *)
 let t1 () =
-  let make family instance name solve =
+  let make family instance name prepare =
     List.map
       (fun m ->
-        let t = instance m in
-        Test.make
-          ~name:(Printf.sprintf "%s/%s/m=%d" name family m)
-          (Staged.stage (fun () -> solve t)))
+        let solve = prepare (instance m) in
+        Test.make ~name:(Printf.sprintf "%s/%s/m=%d" name family m) (Staged.stage solve))
       [ 10; 100; 1000 ]
   in
   let rows family instance =
-    make family instance "nash" (fun t -> ignore (Links.nash t))
-    @ make family instance "opt" (fun t -> ignore (Links.opt t))
-    @ make family instance "water-fill-nash" (fun t -> ignore (Links.water_fill `Nash t))
-    @ make family instance "water-fill-opt" (fun t -> ignore (Links.water_fill `Opt t))
+    make family instance "nash" (fun t () -> ignore (Links.nash t))
+    @ make family instance "opt" (fun t () -> ignore (Links.opt t))
+    @ make family instance "induced" (fun t ->
+          let strategy = Array.map (fun o -> 0.37 *. o) (Links.opt t).assignment in
+          fun () -> ignore (Links.induced t ~strategy))
+    @ make family instance "water-fill-nash" (fun t () -> ignore (Links.water_fill `Nash t))
+    @ make family instance "water-fill-opt" (fun t () -> ignore (Links.water_fill `Opt t))
   in
   Test.make_grouped ~name:"T1 water-filling"
     (rows "affine" links_instance @ rows "poly" mixed_instance)
@@ -145,7 +149,9 @@ let t6 () =
 
 (* T7: the extension modules. The pricing rows run best-response toll
    dynamics, thousands of water-fills of tolled lines each: on the
-   ℓ₁ = x, ℓ₂ = 2x duopoly and on eight random affine links. *)
+   ℓ₁ = x, ℓ₂ = 2x duopoly and on eight random affine links. The
+   links-sweep row is the benchmark's C(α) curve: 41 α on its ten
+   b + c·xᵈ links. *)
 let t7 () =
   let module A = Sgr_atomic.Atomic_links in
   let pigou_lats = W.pigou.Sgr_links.Links.latencies in
@@ -154,6 +160,7 @@ let t7 () =
     Links.make [| Sgr_latency.Latency.linear 1.0; Sgr_latency.Latency.linear 2.0 |] ~demand:1.0
   in
   let affine8 = W.random_affine_links (Prng.create 1008) ~m:8 () in
+  let links_sweep = W.random_polynomial_links (Prng.create 1) ~m:10 ~demand:1.0 () in
   Test.make_grouped ~name:"T7 extensions"
     [
       Test.make ~name:"atomic-links/pigou-n8"
@@ -166,6 +173,9 @@ let t7 () =
       Test.make ~name:"alpha-sweep/pigou-11"
         (Staged.stage (fun () ->
              ignore (Stackelberg.Alpha_sweep.run ~samples:11 ~grid_resolution:16 W.pigou)));
+      Test.make ~name:"alpha-sweep/links-sweep-41"
+        (Staged.stage (fun () ->
+             ignore (Stackelberg.Alpha_sweep.run ~jobs:1 ~samples:41 links_sweep)));
       Test.make ~name:"pricing/duopoly"
         (Staged.stage (fun () -> ignore (Sgr_links.Pricing.best_response duopoly)));
       Test.make ~name:"pricing/affine-m8"

@@ -66,13 +66,17 @@ let run ?(eps = 1e-8) instance =
   loop (Array.init m (fun i -> i)) r0;
   let controlled = Vec.sum strategy in
   let beta = if r0 > 0.0 then controlled /. r0 else 0.0 in
+  let rounds = List.rev !rounds in
+  (* Round 1, when it runs, solves every link at demand r₀: the whole
+     game, whose Nash it already holds. *)
+  let nash = match rounds with first :: _ -> first.nash | [] -> (Links.nash instance).assignment in
   {
     beta;
     strategy;
-    rounds = List.rev !rounds;
+    rounds;
     optimum = opt;
     optimum_cost = Links.cost instance opt;
-    nash_cost = Links.cost instance (Links.nash instance).assignment;
+    nash_cost = Links.cost instance nash;
     induced_cost = Links.stackelberg_cost instance ~strategy;
   }
 

@@ -75,9 +75,22 @@ let[@inline] horner coeffs x =
   done;
   !acc
 
+(* The coefficient i·cᵢ of x^(i-1) in the derivative of Σ cᵢ xⁱ. *)
+let[@inline] deriv_coeff coeffs i = float_of_int i *. coeffs.(i)
+
 (* The coefficients of Σ cᵢ xⁱ's derivative, by ascending degree. *)
 let derivative_coeffs coeffs =
-  Array.init (max 0 (Array.length coeffs - 1)) (fun i -> float_of_int (i + 1) *. coeffs.(i + 1))
+  Array.init (max 0 (Array.length coeffs - 1)) (fun i -> deriv_coeff coeffs (i + 1))
+
+(* [horner (derivative_coeffs coeffs) x], forming each coefficient as
+   the loop reaches it: the same products and sums, so the same bits,
+   with no array built. *)
+let[@inline] poly_deriv coeffs x =
+  let acc = ref 0.0 in
+  for i = Array.length coeffs - 1 downto 1 do
+    acc := (!acc *. x) +. deriv_coeff coeffs i
+  done;
+  !acc
 
 let polynomial coeffs =
   if Array.exists (fun c -> c < 0.0) coeffs then
@@ -317,25 +330,37 @@ let single_term coeffs =
 
 (* x >= 0 with b + k·x^p = y, floored at 0: the inverse of every
    monomial-plus-constant curve (BPR is t₀ + t₀α·(x/cap)^β). *)
-let power_root ~b ~k ~p y = if y <= b then 0.0 else Float.pow ((y -. b) /. k) (1.0 /. p)
+let[@inline] power_root ~b ~k ~p y = if y <= b then 0.0 else Float.pow ((y -. b) /. k) (1.0 /. p)
 
 (* Nash and optimum inverses of b + c·x^d: the marginal cost is
    b + (d+1)c·x^d. *)
-let poly_root ~mult coeffs d y =
+let[@inline] poly_root ~mult coeffs d y =
   let fd = float_of_int d in
   power_root ~b:coeffs.(0) ~k:((if mult then fd +. 1.0 else 1.0) *. coeffs.(d)) ~p:fd y
 
 (* Same for BPR: its marginal cost is t₀ + t₀α(1+β)·(x/cap)^β. *)
-let bpr_root ~mult ~free_flow ~capacity ~alpha ~beta y =
+let[@inline] bpr_root ~mult ~free_flow ~capacity ~alpha ~beta y =
   let k = free_flow *. alpha *. if mult then 1.0 +. beta else 1.0 in
   capacity *. power_root ~b:free_flow ~k ~p:beta y
+
+(* The inverses of x ↦ ℓ(s + x) for a line ℓ = a·x + b (latency, and
+   marginal cost 2a·x + (a·s + b), given a·s) and for M/M/1, before
+   the floor at 0. At s = 0 each is the unshifted inverse bit for bit:
+   v -. 0.0 is v for every float v. *)
+let[@inline] affine_root slope intercept s y = ((y -. intercept) /. slope) -. s
+
+let[@inline] affine_marginal_root slope intercept slope_s y =
+  (y -. intercept -. slope_s) /. (2.0 *. slope)
+
+let[@inline] mm1_root capacity s y =
+  if y <= 1.0 /. (capacity -. s) then 0.0 else capacity -. (1.0 /. y) -. s
 
 let inverse t y =
   match t.kind with
   | Affine { slope; intercept } when slope > 0.0 ->
-      Float.max 0.0 ((y -. intercept) /. slope)
+      Float.max 0.0 (affine_root slope intercept 0.0 y)
   | Shifted { offset; base = Affine { slope; intercept } } when slope > 0.0 ->
-      Float.max 0.0 (((y -. intercept) /. slope) -. offset)
+      Float.max 0.0 (affine_root slope intercept offset y)
   | Polynomial coeffs when single_term coeffs > 0 ->
       poly_root ~mult:false coeffs (single_term coeffs) y
   | Shifted { offset; base = Polynomial coeffs } when single_term coeffs > 0 ->
@@ -345,25 +370,23 @@ let inverse t y =
   | Shifted { offset; base = Bpr { free_flow; capacity; alpha; beta } }
     when alpha > 0.0 && free_flow > 0.0 ->
       Float.max 0.0 (bpr_root ~mult:false ~free_flow ~capacity ~alpha ~beta y -. offset)
-  | Mm1 { capacity } ->
-      if y <= 1.0 /. capacity then 0.0 else capacity -. (1.0 /. y)
-  | Shifted { offset; base = Mm1 { capacity } } ->
-      if y <= 1.0 /. (capacity -. offset) then 0.0
-      else Float.max 0.0 (capacity -. (1.0 /. y) -. offset)
+  | Mm1 { capacity } -> mm1_root capacity 0.0 y
+  | Shifted { offset; base = Mm1 { capacity } } -> Float.max 0.0 (mm1_root capacity offset y)
   | _ -> inverse_of eval t y
 
 (* The marginal cost of 1/(c - x) is c/(c - x)², so its inverse is
    c - √(c/y); a shift by s is the same curve with capacity c - s. *)
-let mm1_marginal_root cap y = if y <= 1.0 /. cap then 0.0 else Float.max 0.0 (cap -. Float.sqrt (cap /. y))
+let[@inline] mm1_marginal_root cap y =
+  if y <= 1.0 /. cap then 0.0 else Float.max 0.0 (cap -. Float.sqrt (cap /. y))
 
 let inverse_marginal t y =
   match t.kind with
   (* marginal of a·x + b is 2a·x + b *)
   | Affine { slope; intercept } when slope > 0.0 ->
-      Float.max 0.0 ((y -. intercept) /. (2.0 *. slope))
+      Float.max 0.0 (affine_marginal_root slope intercept 0.0 y)
   | Shifted { offset; base = Affine { slope; intercept } } when slope > 0.0 ->
       (* marginal of x ↦ a(s+x)+b is a(s+x)+b + x·a = 2a·x + (a·s + b) *)
-      Float.max 0.0 ((y -. intercept -. (slope *. offset)) /. (2.0 *. slope))
+      Float.max 0.0 (affine_marginal_root slope intercept (slope *. offset) y)
   | Polynomial coeffs when single_term coeffs > 0 ->
       poly_root ~mult:true coeffs (single_term coeffs) y
   | Bpr { free_flow; capacity; alpha; beta } when alpha > 0.0 && free_flow > 0.0 ->
@@ -377,25 +400,31 @@ let inverse_marginal t y =
    function (a [Custom] base does not). *)
 let rec closed_deriv2 = function Custom _ -> false | Shifted { base; _ } -> closed_deriv2 base | _ -> true
 
+(* Σ i(i-1)·cᵢ·x^(i-2), by Horner *)
+let[@inline] poly_deriv2 coeffs x =
+  let acc = ref 0.0 in
+  for i = Array.length coeffs - 1 downto 2 do
+    acc := (!acc *. x) +. (float_of_int (i * (i - 1)) *. coeffs.(i))
+  done;
+  !acc
+
+let[@inline] mm1_deriv2 capacity x =
+  if x >= capacity then Float.infinity
+  else 2.0 /. ((capacity -. x) *. (capacity -. x) *. (capacity -. x))
+
+(* β = 1 is linear; β < 2 is infinitely curved at 0. *)
+let[@inline] bpr_deriv2 free_flow capacity alpha beta x =
+  if beta <= 1.0 then 0.0
+  else
+    free_flow *. alpha *. beta *. (beta -. 1.0) /. (capacity *. capacity)
+    *. ((x /. capacity) ** (beta -. 2.0))
+
 let rec kind_deriv2 kind x =
   match kind with
   | Constant _ | Affine _ | Custom _ -> 0.0
-  | Polynomial coeffs ->
-      (* Σ i(i-1)·cᵢ·x^(i-2), by Horner *)
-      let acc = ref 0.0 in
-      for i = Array.length coeffs - 1 downto 2 do
-        acc := (!acc *. x) +. (float_of_int (i * (i - 1)) *. coeffs.(i))
-      done;
-      !acc
-  | Mm1 { capacity } ->
-      if x >= capacity then Float.infinity
-      else 2.0 /. ((capacity -. x) *. (capacity -. x) *. (capacity -. x))
-  | Bpr { free_flow; capacity; alpha; beta } ->
-      (* β = 1 is linear; β < 2 is infinitely curved at 0. *)
-      if beta <= 1.0 then 0.0
-      else
-        free_flow *. alpha *. beta *. (beta -. 1.0) /. (capacity *. capacity)
-        *. ((x /. capacity) ** (beta -. 2.0))
+  | Polynomial coeffs -> poly_deriv2 coeffs x
+  | Mm1 { capacity } -> mm1_deriv2 capacity x
+  | Bpr { free_flow; capacity; alpha; beta } -> bpr_deriv2 free_flow capacity alpha beta x
   | Shifted { offset; base } -> kind_deriv2 base (offset +. x)
 
 let deriv2 t x =
@@ -423,7 +452,8 @@ module Table = struct
   (* What an entry evaluates: a closed-form kind from its parameters, or
      the latency's own closures ([Custom], and [Shifted], whose nested
      offsets chain their additions in the closures; the summed offset of
-     its kind would not reproduce those bits). *)
+     its kind would not reproduce those bits). In a level table (below)
+     a [Poly_entry] is b + c·xᵈ and a [Constant_entry] takes no flow. *)
   type entry = Constant_entry | Affine_entry | Poly_entry | Mm1_entry | Bpr_entry | Closure_entry
 
   type latency = t
@@ -518,4 +548,202 @@ module Table = struct
       acc := !acc +. (d *. value t ~marginal i (base.(i) +. (gamma *. d)))
     done;
     !acc
+
+  (* Level tables: the two kernels of a water-fill pass. *)
+
+  (* An entry at a level does nothing (a constant, the water-fill's
+     reservoir), runs a closed form from its parameters at the entry's
+     offset s, or calls the closures of [shift s] of its latency. The
+     closure arm takes the kinds with no closed-form inverse (at s, for
+     the criterion), [Custom], and every [Shifted] latency. Per entry:
+     the constant c; a line's slope, intercept and the shift a·s of its
+     marginal cost; BPR's t₀, capacity, α and β; M/M/1's capacity; a
+     polynomial's coefficients and its degree d. [shifted.(i)] is
+     [shift s ℓ] on the closure arm. *)
+  type curves = {
+    marginal : bool;
+    curves : entry array;
+    offsets : float array;
+    p : float array;
+    q : float array;
+    u : float array;
+    v : float array;
+    poly : float array array;
+    degree : int array;
+    shifted : latency array;
+  }
+
+  let curves ~marginal (lats : latency array) ~offsets =
+    let n = Array.length lats in
+    if Array.length offsets <> n then invalid_arg "Latency.Table.curves: offsets of another length";
+    let tags = Array.make n Constant_entry in
+    let p = Array.make n 0.0 and q = Array.make n 0.0 in
+    let u = Array.make n 0.0 and v = Array.make n 0.0 in
+    let poly = Array.make n [||] and degree = Array.make n 0 in
+    (* The closure arm's latencies: [lats] itself until [shift] moves one. *)
+    let shifted = ref lats in
+    for i = 0 to n - 1 do
+      let s = offsets.(i) and l = lats.(i) in
+      if s < 0.0 then invalid_arg "Latency.Table.curves: negative offset";
+      (* The dispatch of [inverse] (or [inverse_marginal]) on the kind of
+         [shift s ℓ]. Exact test by design: [shift 0.] is the identity. *)
+      let unshifted = (s = 0.0) [@lint.allow "float-equality"] in
+      let d = match l.kind with Polynomial cs -> single_term cs | _ -> 0 in
+      tags.(i) <-
+        (match (kind_constant_value l.kind, l.kind) with
+        | Some c, _ ->
+            p.(i) <- c;
+            Constant_entry
+        | None, Affine { slope; intercept } when slope > 0.0 ->
+            p.(i) <- slope;
+            q.(i) <- intercept;
+            if not unshifted then u.(i) <- slope *. s;
+            Affine_entry
+        | None, Polynomial cs when d > 0 && (unshifted || not marginal) ->
+            poly.(i) <- cs;
+            degree.(i) <- d;
+            Poly_entry
+        | None, Bpr { free_flow; capacity; alpha; beta }
+          when alpha > 0.0 && free_flow > 0.0 && (unshifted || not marginal) ->
+            p.(i) <- free_flow;
+            q.(i) <- capacity;
+            u.(i) <- alpha;
+            v.(i) <- beta;
+            Bpr_entry
+        | None, Mm1 { capacity } when unshifted || (not marginal) || capacity > s ->
+            p.(i) <- capacity;
+            Mm1_entry
+        | None, _ ->
+            if not unshifted then begin
+              if !shifted == lats then shifted := Array.copy lats;
+              !shifted.(i) <- shift s l
+            end;
+            Closure_entry)
+    done;
+    { marginal; curves = tags; offsets; p; q; u; v; poly; degree; shifted = !shifted }
+
+  let rigid c i = match c.curves.(i) with Constant_entry -> false | _ -> true
+
+  (* [Tol.clamp_nonneg] (Float.max 0.), inlined. *)
+  let[@inline] clamp_nonneg v = if v > 0.0 || Float.is_nan v then v else 0.0
+
+  (* ℓ(z), ℓ'(z) and ℓ''(z) of a closed-form entry's latency, by the
+     formulas of its constructor's closures and of [deriv2]. *)
+  let[@inline] value_of c i z =
+    match c.curves.(i) with
+    | Affine_entry -> affine_value c.p.(i) c.q.(i) z
+    | Poly_entry -> horner c.poly.(i) z
+    | Bpr_entry -> bpr_value c.p.(i) c.q.(i) c.u.(i) c.v.(i) z
+    | Mm1_entry -> mm1_value c.p.(i) z
+    | Constant_entry | Closure_entry -> 0.0
+
+  let[@inline] deriv_of c i z =
+    match c.curves.(i) with
+    | Affine_entry -> c.p.(i)
+    | Poly_entry -> poly_deriv c.poly.(i) z
+    | Bpr_entry -> bpr_slope c.p.(i) c.q.(i) c.u.(i) c.v.(i) z
+    | Mm1_entry -> mm1_slope c.p.(i) z
+    | Constant_entry | Closure_entry -> 0.0
+
+  let[@inline] deriv2_of c i z =
+    match c.curves.(i) with
+    | Poly_entry -> poly_deriv2 c.poly.(i) z
+    | Bpr_entry -> bpr_deriv2 c.p.(i) c.q.(i) c.u.(i) c.v.(i) z
+    | Mm1_entry -> mm1_deriv2 c.p.(i) z
+    | Constant_entry | Affine_entry | Closure_entry -> 0.0
+
+  let activations c ~lines ~into =
+    let n = Array.length c.curves in
+    if Array.length lines < n || Array.length into < n then
+      invalid_arg "Latency.Table.activations: arrays shorter than the table";
+    let evals = ref 0 in
+    for i = 0 to n - 1 do
+      into.(i) <-
+        (match c.curves.(i) with
+        | Constant_entry -> c.p.(i)
+        | _ when not (Float.is_nan lines.(i)) -> lines.(i)
+        | Closure_entry ->
+            let l = c.shifted.(i) in
+            if c.marginal then marginal l 0.0 else eval l 0.0
+        | _ ->
+            (* [shift s ℓ] at 0 is ℓ at s +. 0., and its marginal cost
+               adds 0 times the slope there. *)
+            incr evals;
+            let z = c.offsets.(i) +. 0.0 in
+            let v = value_of c i z in
+            if c.marginal then v +. (0.0 *. deriv_of c i z) else v)
+    done;
+    if !evals > 0 then Sgr_obs.Obs.add c_evals !evals
+
+  (* A closed-form entry's flow at level [y] before the floor: [inverse]
+     (or [inverse_marginal]) of [shift s ℓ], whose arms float-reduce to
+     these at s (at s = 0, v -. 0. is v). Every arm is float arithmetic,
+     so the result stays unboxed. *)
+  let[@inline] flow_of c i y =
+    let s = c.offsets.(i) in
+    match c.curves.(i) with
+    | Affine_entry ->
+        if c.marginal then affine_marginal_root c.p.(i) c.q.(i) c.u.(i) y
+        else affine_root c.p.(i) c.q.(i) s y
+    | Poly_entry -> poly_root ~mult:c.marginal c.poly.(i) c.degree.(i) y -. s
+    | Bpr_entry ->
+        bpr_root ~mult:c.marginal ~free_flow:c.p.(i) ~capacity:c.q.(i) ~alpha:c.u.(i)
+          ~beta:c.v.(i) y
+        -. s
+    | Mm1_entry -> if c.marginal then mm1_marginal_root (c.p.(i) -. s) y else mm1_root c.p.(i) s y
+    | Constant_entry | Closure_entry -> 0.0
+
+  let flows c y ~into =
+    let n = Array.length c.curves in
+    if Array.length into < n then invalid_arg "Latency.Table.flows: array shorter than the table";
+    let sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      match c.curves.(i) with
+      | Constant_entry -> ()
+      | Closure_entry ->
+          let l = c.shifted.(i) in
+          let x = clamp_nonneg (if c.marginal then inverse_marginal l y else inverse l y) in
+          into.(i) <- x;
+          sum := !sum +. x
+      | _ ->
+          let x = clamp_nonneg (flow_of c i y) in
+          into.(i) <- x;
+          sum := !sum +. x
+    done;
+    !sum
+
+  (* 1/gᵢ'(x) with gᵢ' = ℓ' (Nash) or 2ℓ' + x·ℓ'' (optimum) of
+     [shift s ℓ], whose deriv closure reads ℓ' at s +. x. *)
+  let[@inline] rate_of c i x =
+    let slope =
+      match c.curves.(i) with
+      | Closure_entry ->
+          let l = c.shifted.(i) in
+          if c.marginal then (2.0 *. l.deriv x) +. if x > 0.0 then x *. deriv2 l x else 0.0
+          else l.deriv x
+      | _ ->
+          let z = c.offsets.(i) +. x in
+          if c.marginal then
+            (2.0 *. deriv_of c i z) +. if x > 0.0 then x *. deriv2_of c i z else 0.0
+          else deriv_of c i z
+    in
+    1.0 /. slope
+
+  let rates c x ~into =
+    let n = Array.length c.curves in
+    if Array.length x < n || Array.length into < n then
+      invalid_arg "Latency.Table.rates: arrays shorter than the table";
+    let sum = ref 0.0 in
+    for i = 0 to n - 1 do
+      let xi = x.(i) in
+      if xi > 0.0 then begin
+        let w = rate_of c i xi in
+        into.(i) <- w;
+        sum := !sum +. w
+      end
+      else into.(i) <- 0.0
+    done;
+    !sum
+
+  let rate = rate_of
 end

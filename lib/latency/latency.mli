@@ -13,10 +13,10 @@
     their [Shifted] forms, see {!inverse}); everything else falls back to
     guarded numerical routines.
 
-    Loops that evaluate many latencies at once use a {!Table}: the
-    closed-form kinds laid out flat, evaluated by the same formulas
-    inside the loop, without boxing a float or calling a closure per
-    entry. *)
+    Loops that evaluate or invert many latencies at once use a {!Table}:
+    the closed-form kinds laid out flat, evaluated and inverted by the
+    same formulas inside the loop, without boxing a float or calling a
+    closure per entry. *)
 
 type kind =
   | Constant of float  (** [ℓ(x) = c]. *)
@@ -160,15 +160,16 @@ val check_increasing : ?samples:int -> ?hi:float -> t -> bool
 
 (** {1 Flat tables}
 
-    A latency array laid out flat for loops that evaluate every entry,
-    such as Frank–Wolfe's gradient and line search. Each closed-form
-    entry (constant, affine, polynomial, M/M/1, BPR) is a kind tag and
-    its coefficients, evaluated by the same formula as {!eval} and
-    {!marginal}, inside the kernel's loop: no float is boxed and no
-    closure is called. [Shifted] and [Custom] entries call the latency's
-    own closures. Every value equals {!eval} or {!marginal} bit for bit,
-    and each kernel call adds the number of entries it evaluates to the
-    [latency.evaluations] counter, once. *)
+    A latency array laid out flat for loops that run over every entry:
+    Frank–Wolfe's gradient and line search ({!Table.make}), and the
+    parallel-links water-fill's level passes ({!Table.curves}). Each
+    closed-form entry is a kind tag and its coefficients, evaluated by
+    the same formula as {!eval} and {!marginal} (or inverted as by
+    {!inverse}), inside the kernel's loop: no float is boxed and no
+    closure is called. The other entries call the latency's own
+    closures. Every value equals the closure path's bit for bit; each
+    evaluating kernel call adds the number of entries it evaluates to
+    the [latency.evaluations] counter, once. *)
 module Table : sig
   type latency := t
   type t
@@ -197,4 +198,54 @@ module Table : sig
       marginal cost) of entry [e], summed in [k] order: the derivative
       along a direction [d] with support [entries] of the Beckmann
       potential (or of the total cost) at [base + γ·d]. *)
+
+  (** {2 Level tables}
+
+      The two kernels of a water-fill pass on the common level l: every
+      entry's flow at l, and the Newton rate of their sum. Entry [i] is
+      the criterion curve gᵢ of [shift offsets.(i) lats.(i)]: its latency,
+      or with [marginal] its marginal cost. A constant entry is the
+      water-fill's reservoir and takes no flow; every other entry is
+      rigid. Affine, [b + c·xᵈ], BPR and M/M/1 latencies with the closed
+      forms of {!inverse} (or {!inverse_marginal}) at their offset run
+      inside the kernels' loops, by the formulas that {!inverse},
+      {!inverse_marginal}, {!deriv} and {!deriv2} use: no float is boxed
+      and no closure called. Every other entry (a kind with no closed
+      form, [Custom], and any [Shifted] latency, whose derivative chains
+      its offsets through closures) calls the closures of its shifted
+      latency. Every value equals the closure path's bit for bit. *)
+
+  type curves
+
+  val curves : marginal:bool -> latency array -> offsets:float array -> curves
+  (** [curves ~marginal lats ~offsets]. The table keeps both arrays; do
+      not mutate them while it is in use.
+      @raise Invalid_argument on arrays of different lengths or a
+      negative offset. *)
+
+  val rigid : curves -> int -> bool
+  (** [false] for a constant entry ({!constant_value}). *)
+
+  val activations : curves -> lines:float array -> into:float array -> unit
+  (** [activations c ~lines ~into] sets [into.(i)] to gᵢ(0): a constant's
+      value, [lines.(i)] when it is not nan (a line's intercept, known
+      without evaluation), and otherwise the curve evaluated at zero
+      flow, which counts one [latency.evaluations]. *)
+
+  val flows : curves -> float -> into:float array -> float
+  (** [flows c l ~into] sets [into.(i)] to the flow of every rigid entry
+      at level [l], gᵢ⁻¹(l) by {!inverse} (or {!inverse_marginal})
+      clamped at 0, and returns their sum in index order. Constant
+      entries are left as they are. Counts no evaluation, as {!inverse}
+      counts none. *)
+
+  val rates : curves -> float array -> into:float array -> float
+  (** [rates c x ~into] sets [into.(i)] to 1/gᵢ'(xᵢ) (gᵢ' is ℓ' for a
+      latency, 2ℓ' + xℓ'' for a marginal cost) on every entry with
+      [xᵢ > 0] and to 0 elsewhere, and returns their sum in index order:
+      the rate dΣx/dl at which the loaded entries' flows rise with the
+      level. *)
+
+  val rate : curves -> int -> float -> float
+  (** [rate c i x] is 1/gᵢ'(x) for one entry, at any [x >= 0]. *)
 end

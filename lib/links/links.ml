@@ -81,9 +81,29 @@ let rec line_into kind (slopes : float array) (intercepts : float array) i =
    so the recursion terminates in a handful of frames. *)
 [@@lint.allow "cancel-coverage"]
 
+(* The line test of [Latency.shift offsets.(i)] of a latency of kind
+   [kind], with no latency built: [shift] is the identity at 0 and
+   otherwise sums the offsets into one [Shifted] node. *)
+let line_at kind offsets slopes intercepts i =
+  let s = offsets.(i) in
+  (* Exact test by design, as [shift]'s. *)
+  if (s = 0.0) [@lint.allow "float-equality"] then line_into kind slopes intercepts i
+  else
+    let base = match kind with L.Shifted { base; _ } -> base | _ -> kind in
+    let offset = match kind with L.Shifted { offset; _ } -> s +. offset | _ -> s in
+    line_into base slopes intercepts i
+    && begin
+         intercepts.(i) <- intercepts.(i) +. (slopes.(i) *. offset);
+         true
+       end
+
 let line lat =
   let a = [| 0.0 |] and b = [| 0.0 |] in
   if line_into (L.kind lat) a b 0 then Some (a.(0), b.(0)) else None
+
+let cannot_carry r =
+  (failwith (Printf.sprintf "Links: the links cannot carry demand %g at any finite level" r))
+  [@lint.allow "no-untyped-failure"]
 
 (* The constant links at the reservoir's level [c_min] split [remainder]
    evenly ([value i] is link i's constant). *)
@@ -94,16 +114,15 @@ let share_reservoir x ~is_constant ~value ~c_min remainder =
   assert (!k > 0);
   Array.iteri (fun i _ -> if at_level i then x.(i) <- remainder /. float_of_int !k) x
 
-(* Water-filling: find the minimal level [l] at which the links can absorb
-   the whole demand, where a strictly-increasing ("rigid") link absorbs
-   [inverse ℓ l] and a constant link of value [c] absorbs nothing below
-   its level and arbitrarily much at it. The criterion is the latency
-   for Nash and the marginal cost for the optimum. The constant links
-   handle themselves; [solve_rigid] finds the level in [[lo, hi]] at
-   which the rigid links alone absorb the demand, given each link's
-   criterion value at zero flow ([g0]); [line_b], when given, holds each
-   line's intercept (nan for the curves), its g0 with no evaluation. *)
-let water_level criterion ~line_b ~solve_rigid t =
+(* The reference water-fill: find the minimal level [l] at which the
+   links can absorb the whole demand, where a strictly-increasing
+   ("rigid") link absorbs [inverse ℓ l] and a constant link of value [c]
+   absorbs nothing below its level and arbitrarily much at it. The
+   criterion is the latency for Nash and the marginal cost for the
+   optimum. The constant links act as a reservoir; otherwise bisect the
+   level to [4·ε_mach] between the cheapest activation point and an
+   expanded top and invert every link there. *)
+let water_level criterion t =
   let value, inverse =
     match criterion with `Nash -> (L.eval, L.inverse) | `Opt -> (L.marginal, L.inverse_marginal)
   in
@@ -111,15 +130,7 @@ let water_level criterion ~line_b ~solve_rigid t =
   let lats = t.latencies in
   let consts = Array.map L.constant_value lats in
   let rigid = Array.map Option.is_none consts in
-  let g0 =
-    Array.mapi
-      (fun i c ->
-        match (c, line_b) with
-        | Some c, _ -> c
-        | None, Some b when not (Float.is_nan b.(i)) -> b.(i)
-        | None, _ -> value lats.(i) 0.0)
-      consts
-  in
+  let g0 = Array.mapi (fun i c -> match c with Some c -> c | None -> value lats.(i) 0.0) consts in
   let c_min =
     Array.fold_left
       (fun acc c -> match c with Some c -> Float.min acc c | None -> acc)
@@ -136,8 +147,6 @@ let water_level criterion ~line_b ~solve_rigid t =
   let base_level = Array.fold_left Float.min Float.infinity g0 in
   if r <= 0.0 then { assignment = Array.make n 0.0; level = base_level }
   else if c_min < Float.infinity && absorbed c_min < r then begin
-    (* The constant links act as an infinite reservoir at [c_min]: they
-       soak up whatever the rigid links do not take. *)
     let assignment = Array.make n 0.0 in
     for i = 0 to n - 1 do
       if rigid.(i) then assignment.(i) <- Tol.clamp_nonneg (inverse lats.(i) c_min)
@@ -159,29 +168,21 @@ let water_level criterion ~line_b ~solve_rigid t =
         with
         | hi -> hi
         (* No level up to 1e18 absorbs the demand (or a link's inverse failed). *)
-        | exception Failure _ ->
-            (failwith
-               (Printf.sprintf "Links: the links cannot carry demand %g at any finite level" r))
-            [@lint.allow "no-untyped-failure"]
+        | exception Failure _ -> cannot_carry r
     in
-    solve_rigid t ~inverse ~rigid ~g0 ~absorbed ~lo:base_level ~hi
+    let level =
+      Bisection.solve_increasing ~tol:(4.0 *. epsilon_float) ~f:absorbed ~y:r ~lo:base_level ~hi ()
+    in
+    let assignment =
+      Array.mapi
+        (fun i lat -> if rigid.(i) then Tol.clamp_nonneg (inverse lat level) else 0.0)
+        lats
+    in
+    { assignment; level }
   end
 
-(* The reference: bisect the level, invert every link there, and absorb
-   the bisection residual by rescaling the whole assignment. *)
-let bisect_rigid t ~inverse ~rigid ~g0:_ ~absorbed ~lo ~hi =
-  let level =
-    Bisection.solve_increasing ~tol:(4.0 *. epsilon_float) ~f:absorbed ~y:t.demand ~lo ~hi ()
-  in
-  let assignment =
-    Array.mapi
-      (fun i lat -> if rigid.(i) then Tol.clamp_nonneg (inverse lat level) else 0.0)
-      t.latencies
-  in
-  { assignment; level }
-
 let water_fill criterion t =
-  let sol = water_level criterion ~line_b:None ~solve_rigid:bisect_rigid t in
+  let sol = water_level criterion t in
   (* Spread the (tiny) bisection residual over the loaded links
      proportionally, so the assignment is exactly feasible. *)
   let x = sol.assignment in
@@ -210,13 +211,14 @@ let near_level g0 level = Float.abs (g0 -. level) <= 4.0 *. epsilon_float *. Flo
    flow Σxᵢ(l) rises with l at rate Σ 1/gᵢ'(xᵢ) over the loaded links
    (gᵢ' is ℓ' for Nash, 2ℓ' + xℓ'' for the optimum). [pass ~top l]
    leaves the flows at level l in the caller's array and returns
-   Σxᵢ(l) - r, given the bracket's top; [rate ()] is dΣx/dl there. No
+   Σxᵢ(l) - r, given the bracket's top; [rate ()] is dΣx/dl there. The
+   caller has run the pass at [hi], whose Σx - r is [f_hi]. No
    rigid link is loaded at [lo]. Each step is a Newton step (with
    [~secant:true] the first is the secant from (lo, -r) to (hi, Σx - r)),
    or bisection when it leaves the bracket. It stops once the flows sum
    to the demand within [level_tol] or the bracket is a few ulps wide,
    and returns the level and Σx - r there. *)
-let newton_level ~r ~pass ~rate ~secant ~max_steps ~lo ~hi =
+let newton_level ~r ~pass ~rate ~secant ~max_steps ~lo ~hi ~f_hi =
   let tol = level_tol r in
   let narrow lo hi =
     let a = Float.abs lo and b = Float.abs hi in
@@ -224,7 +226,7 @@ let newton_level ~r ~pass ~rate ~secant ~max_steps ~lo ~hi =
   in
   let lo = ref lo and hi = ref hi in
   let l = ref !hi in
-  let f = ref (pass ~top:!hi !l) in
+  let f = ref f_hi in
   (* Σx - r at the bracket's ends; at [lo] every rigid flow is 0. *)
   let f_lo = ref (-.r) and f_hi = ref !f in
   let steps = ref 0 and safeguards = ref 0 in
@@ -282,39 +284,82 @@ let place_residual x (w : float array) e idx k =
       if w.(i) > 0.0 then x.(i) <- clamp (x.(i) +. (e *. w.(i) /. !total))
     done
 
-(* Newton on curves: each pass inverts every rigid link's latency (or
-   marginal cost) at the level. *)
-let newton_rigid ~slope t ~inverse ~rigid ~g0 ~absorbed:_ ~lo ~hi =
-  let n = num_links t and r = t.demand and lats = t.latencies in
+let c_expansions = Sgr_obs.Obs.counter "bisection.expansions"
+
+(* [Bisection.expand_upper] on the rigid entries' flows: double the top
+   from [start] until they absorb [r], up to 1e18. Returns the top and
+   the flows' sum there, with the flows in [x]. *)
+let expand_top tbl x ~r ~start =
+  let hi = ref (Float.max start 1e-12) in
+  match
+    let absorbed = ref (L.Table.flows tbl !hi ~into:x) in
+    while !absorbed < r && !hi < 1e18 do
+      Sgr_obs.Cancel.check ();
+      Sgr_obs.Obs.incr c_expansions;
+      hi := !hi *. 2.0;
+      absorbed := L.Table.flows tbl !hi ~into:x
+    done;
+    !absorbed
+  with
+  | absorbed -> if absorbed < r then cannot_carry r else (!hi, absorbed)
+  (* A closure entry's inverse failed. *)
+  | exception Failure _ -> cannot_carry r
+
+(* Newton on curves, on a level table of the latencies at [offsets]:
+   a pass is [Latency.Table.flows] at the level, the rate
+   [Latency.Table.rates]. [b] holds the line links' intercepts (nan for
+   the curves), their activation points with no evaluation; the line
+   links keep their [Latency.inverse] entries, whose last bit differs
+   from (l - b)·(1/a). [w] is scratch. The constant links act as a
+   reservoir at the cheapest one's level [c_min]: when the rigid links
+   absorb less than [r] there, the constants soak up the rest. *)
+let newton_curves criterion lats ~offsets ~w ~b r =
+  let n = Array.length lats in
+  let marginal = match criterion with `Nash -> false | `Opt -> true in
+  let tbl = L.Table.curves ~marginal lats ~offsets in
+  let g0 = Array.make n 0.0 in
+  L.Table.activations tbl ~lines:b ~into:g0;
+  let c_min = ref Float.infinity and base_level = ref Float.infinity in
+  for i = 0 to n - 1 do
+    if not (L.Table.rigid tbl i) then c_min := Float.min !c_min g0.(i);
+    base_level := Float.min !base_level g0.(i)
+  done;
+  let c_min = !c_min and base_level = !base_level in
   let x = Array.make n 0.0 in
-  let pass ~top:_ l =
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      if rigid.(i) then begin
-        let xi = Tol.clamp_nonneg (inverse lats.(i) l) in
-        x.(i) <- xi;
-        s := !s +. xi
-      end
-    done;
-    !s -. r
-  in
-  let rate () =
-    let s = ref 0.0 in
-    for i = 0 to n - 1 do
-      if x.(i) > 0.0 then s := !s +. (1.0 /. slope lats.(i) x.(i))
-    done;
-    !s
-  in
-  let level, f = newton_level ~r ~pass ~rate ~secant:true ~max_steps:max_level_steps ~lo ~hi in
-  let e = -.f in
-  let w =
-    Array.init n (fun i ->
-        if x.(i) > 0.0 then 1.0 /. slope lats.(i) x.(i)
-        else if e > 0.0 && rigid.(i) && near_level g0.(i) level then 1.0 /. slope lats.(i) 0.0
-        else 0.0)
-  in
-  place_residual x w e (Array.init n Fun.id) n;
-  { assignment = x; level }
+  if r <= 0.0 then { assignment = x; level = base_level }
+  else
+    (* The rigid links' flows at the reservoir's level; nan, which is no
+       reservoir, when there is no constant link. *)
+    let absorbed = if c_min < Float.infinity then L.Table.flows tbl c_min ~into:x else Float.nan in
+    if absorbed < r then begin
+      share_reservoir x
+        ~is_constant:(fun i -> not (L.Table.rigid tbl i))
+        ~value:(fun i -> g0.(i))
+        ~c_min (r -. absorbed);
+      { assignment = x; level = c_min }
+    end
+    else begin
+      (* The top of the bracket, with the flows there in [x]. *)
+      let hi, absorbed =
+        if c_min < Float.infinity then (c_min, absorbed)
+        else expand_top tbl x ~r ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
+      in
+      let pass ~top:_ l = L.Table.flows tbl l ~into:x -. r in
+      let rate () = L.Table.rates tbl x ~into:w in
+      let level, f =
+        newton_level ~r ~pass ~rate ~secant:true ~max_steps:max_level_steps ~lo:base_level ~hi
+          ~f_hi:(absorbed -. r)
+      in
+      let e = -.f in
+      ignore (L.Table.rates tbl x ~into:w);
+      if e > 0.0 then
+        for i = 0 to n - 1 do
+          if (not (x.(i) > 0.0)) && L.Table.rigid tbl i && near_level g0.(i) level then
+            w.(i) <- L.Table.rate tbl i 0.0
+        done;
+      place_residual x w e (Array.init n Fun.id) n;
+      { assignment = x; level }
+    end
 
 (* Newton on lines gᵢ(x) = bᵢ + aᵢx/k (k = 1 for latencies, 1/2 for
    marginal costs): [w] holds the slopes aᵢ (0 for a constant of value
@@ -386,7 +431,7 @@ let fill_lines ~k ~w ~b r =
       let level, f =
         newton_level ~r ~pass
           ~rate:(fun () -> !rate)
-          ~secant:false ~max_steps:(max_level_steps + !nr) ~lo:base ~hi
+          ~secant:false ~max_steps:(max_level_steps + !nr) ~lo:base ~hi ~f_hi:(pass ~top:hi hi)
       in
       let e = -.f in
       for j = 0 to !candidates - 1 do
@@ -397,20 +442,25 @@ let fill_lines ~k ~w ~b r =
       { assignment = x; level }
     end
 
-let solve_lines ~slopes ~intercepts ~demand =
-  fill_lines ~k:1.0 ~w:(Array.copy slopes) ~b:intercepts demand
+let solve_lines ~slopes ~intercepts ~demand = fill_lines ~k:1.0 ~w:slopes ~b:intercepts demand
 
 (* The instance picks the passes: lines when every link is one, so the
-   engine is a function of the instance alone. In a game with a curve
-   the line links keep their [Latency.inverse] entries, whose last bit
-   differs from (l - b)·(1/a); only their activation points come from
-   the line. *)
-let solve criterion t =
-  let n = num_links t in
+   engine is a function of the instance alone, and the level table of
+   the curves otherwise. Link i is [Latency.shift offsets.(i)] of
+   [lats.(i)] (the latency itself with no [offsets]), with no shifted
+   latency built. *)
+let solve criterion lats ?offsets r =
+  let n = Array.length lats in
   let w = Array.make n 0.0 and b = Array.make n 0.0 in
   let curves = ref 0 in
   for i = 0 to n - 1 do
-    if not (line_into (L.kind t.latencies.(i)) w b i) then begin
+    let kind = L.kind lats.(i) in
+    let line =
+      match offsets with
+      | None -> line_into kind w b i
+      | Some offsets -> line_at kind offsets w b i
+    in
+    if not line then begin
       b.(i) <- Float.nan;
       incr curves
     end
@@ -418,17 +468,13 @@ let solve criterion t =
   if !curves = 0 then
     (* The optimum's marginal cost 2a·x + b has the latency's intercept
        on twice its slope. *)
-    fill_lines ~k:(match criterion with `Nash -> 1.0 | `Opt -> 0.5) ~w ~b t.demand
+    fill_lines ~k:(match criterion with `Nash -> 1.0 | `Opt -> 0.5) ~w ~b r
   else
-    let slope lat x =
-      match criterion with
-      | `Nash -> L.deriv lat x
-      | `Opt -> (2.0 *. L.deriv lat x) +. if x > 0.0 then x *. L.deriv2 lat x else 0.0
-    in
-    water_level criterion ~line_b:(Some b) ~solve_rigid:(newton_rigid ~slope) t
+    let offsets = match offsets with Some o -> o | None -> Array.make n 0.0 in
+    newton_curves criterion lats ~offsets ~w ~b r
 
-let nash t = solve `Nash t
-let opt t = solve `Opt t
+let nash t = solve `Nash t.latencies t.demand
+let opt t = solve `Opt t.latencies t.demand
 
 let price_of_anarchy t =
   let n = nash t and o = opt t in
@@ -470,15 +516,17 @@ let induced t ~strategy =
   if used > t.demand +. (Tol.check_eps *. Float.max 1.0 t.demand) then
     invalid_arg "Links.induced: strategy exceeds total demand";
   let remaining = Tol.clamp_nonneg (t.demand -. used) in
-  let shifted =
-    Array.mapi (fun i lat -> L.shift (Tol.clamp_nonneg strategy.(i)) lat) t.latencies
-  in
-  nash (make shifted ~demand:remaining)
+  let offsets = Array.make (num_links t) 0.0 in
+  Array.iteri (fun i s -> offsets.(i) <- clamp s) strategy;
+  solve `Nash t.latencies ~offsets remaining
 
 let stackelberg_cost t ~strategy =
   let induced_eq = induced t ~strategy in
-  let combined = Vec.add strategy induced_eq.assignment in
-  cost t combined
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i lat -> acc := !acc +. L.cost lat (strategy.(i) +. induced_eq.assignment.(i)))
+    t.latencies;
+  !acc
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%d parallel links, r = %.6g" (num_links t) t.demand;

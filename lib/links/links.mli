@@ -10,8 +10,12 @@
     float-precision residual by each link's sensitivity so the answer
     passes {!verify_nash}/{!verify_opt}. When every link is a line
     ({!line}) the solve starts at the all-active line root and each step
-    is one pass over the lines; otherwise each step inverts every link
-    (mostly in closed form). {!water_fill} is the bisection reference. *)
+    is one pass over the lines; otherwise the solve builds one level
+    table ({!Sgr_latency.Latency.Table.curves}) and each step is one pass
+    of its kernels, which invert every link (mostly in closed form) and
+    sum the Newton rate. {!induced} hands the table the base latencies
+    with the leader's flows as offsets. {!water_fill} is the bisection
+    reference, on {!Sgr_latency.Latency.inverse}. *)
 
 type t = private {
   latencies : Sgr_latency.Latency.t array;  (** One latency per link. *)
@@ -77,8 +81,10 @@ val line : Sgr_latency.Latency.t -> (float * float) option
 
 val solve_lines : slopes:float array -> intercepts:float array -> demand:float -> solution
 (** Water-fills the criterion lines [yᵢ(x) = slopesᵢ·x + interceptsᵢ]
-    (a zero slope is a constant link) with the loop behind {!nash}; the
-    arrays are left as they were. *)
+    (a zero slope is a constant link) with the loop behind {!nash}.
+    [slopes] is scratch: the call overwrites it, so a caller that probes
+    many tolls refills one buffer instead of allocating a copy per call.
+    [intercepts] is left as it was. *)
 
 val water_fill : [ `Nash | `Opt ] -> t -> solution
 (** The bisection reference: bisect on the common level to [4·ε_mach],

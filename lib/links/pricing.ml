@@ -49,11 +49,18 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
     t.Links.latencies;
   let r = t.Links.demand in
   let tolls = Array.make n 0.0 in
-  let equilibrium () =
-    Links.solve_lines ~slopes
-      ~intercepts:(Array.mapi (fun i b -> b +. tolls.(i)) intercepts)
-      ~demand:r
+  (* The lines under the current tolls, with link i's toll at [tau]
+     (i = -1: every toll current). Every probe reuses two buffers: the
+     tolled intercepts, and the slopes [Links.solve_lines] overwrites. *)
+  let tolled = Array.make n 0.0 and scratch = Array.make n 0.0 in
+  let solve_tolled i tau =
+    for j = 0 to n - 1 do
+      tolled.(j) <- (intercepts.(j) +. if j = i then tau else tolls.(j))
+    done;
+    Array.blit slopes 0 scratch 0 n;
+    Links.solve_lines ~slopes:scratch ~intercepts:tolled ~demand:r
   in
+  let equilibrium () = solve_tolled (-1) 0.0 in
   if r <= 0.0 then begin
     let { Links.assignment = flow; level } = equilibrium () in
     {
@@ -69,8 +76,7 @@ let best_response ?(max_rounds = 64) ?(tol = 1e-9) (t : Links.t) =
   else begin
     let revenue i tau =
       Obs.incr c_probes;
-      let b = Array.mapi (fun j bj -> bj +. if j = i then tau else tolls.(j)) intercepts in
-      tau *. (Links.solve_lines ~slopes ~intercepts:b ~demand:r).assignment.(i)
+      tau *. (solve_tolled i tau).assignment.(i)
     in
     (* The level of the market without link i (under the others' current
        tolls): any toll pushing bᵢ + τ to that level prices the link out,

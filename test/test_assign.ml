@@ -536,19 +536,15 @@ let test_aon_allocation () =
   if bytes >= 1024.0 then Alcotest.failf "Aon.assign allocated %.0f bytes" bytes
 
 (* One Wardrop solve of the 10^4-edge city at jobs 1, after a warm-up
-   solve, allocates 1.6 MB: the plan's potentials, the latency table and
+   solve, allocates 2.4 MB: the plan's potentials, the latency table and
    the solver's arrays. A float boxed around each latency evaluation of
-   the gradient and the line search would add about 38 MB. Emptying the
-   minor heap first keeps a minor collection out of the window, so the
-   count repeats. *)
+   the gradient and the line search would add about 38 MB. The count is
+   exact ([allocated_bytes]), so it repeats. *)
 let test_city_solve_allocation () =
   let net = city_1e4 () in
   let solve () = ignore (Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net) in
   solve ();
-  Gc.minor ();
-  let a0 = Gc.allocated_bytes () in
-  solve ();
-  let bytes = Gc.allocated_bytes () -. a0 in
+  let (), bytes = allocated_bytes solve in
   if bytes >= 4e6 then Alcotest.failf "a 10^4-city solve allocated %.0f bytes" bytes
 
 (* The same solve evaluates 1,222,736 latencies: 40 gradients of 10^4

@@ -351,17 +351,9 @@ let test_tntp_bounds_name_their_line () =
 
 let deep_shift depth = String.concat "" (List.init depth (fun _ -> "shifted 1 ")) ^ "x"
 
-(* Bytes allocated by [f ()], with the minor heap emptied first so that
-   no collection inside the window skews the count. *)
-let allocated f =
-  Gc.minor ();
-  let a0 = Gc.allocated_bytes () in
-  let r = f () in
-  (r, Gc.allocated_bytes () -. a0)
-
 let test_deep_shift_is_linear () =
   let spec = deep_shift 20_000 in
-  let lat, bytes = allocated (fun () -> LS.parse spec) in
+  let lat, bytes = allocated_bytes (fun () -> LS.parse spec) in
   (match lat with
   | Ok l -> (
       match L.kind l with
@@ -376,11 +368,11 @@ let test_deep_shift_is_linear () =
   (* Through the reader, and with an error at the bottom: one
      "shifted: " per level, still in linear space. *)
   let text = "links\ndemand 1\nlink " ^ deep_shift 20_000 ^ "\n" in
-  (match allocated (fun () -> IF.parse text) with
+  (match allocated_bytes (fun () -> IF.parse text) with
   | Ok (IF.Links _), bytes ->
       check_true "reader within 100x" (bytes < 100.0 *. float_of_int (String.length text))
   | _ -> Alcotest.fail "the deep link must parse");
-  match allocated (fun () -> LS.parse (deep_shift 2_000 ^ " + frogs")) with
+  match allocated_bytes (fun () -> LS.parse (deep_shift 2_000 ^ " + frogs")) with
   | Error m, bytes ->
       check_true "one prefix per level"
         (String.starts_with ~prefix:(String.concat "" (List.init 2_000 (fun _ -> "shifted: "))) m
@@ -486,7 +478,7 @@ let prop_reader_fuzz =
         text := mutate rng !text
       done;
       let text = !text in
-      match allocated (fun () -> IF.parse text) with
+      match allocated_bytes (fun () -> IF.parse text) with
       | exception e -> QCheck.Test.fail_reportf "%S raised %s" text (Printexc.to_string e)
       | (Ok _ | Error _), bytes ->
           let size = String.length text + declared_nodes text in

@@ -318,6 +318,116 @@ let prop_table_kernels_bitwise =
              && same_bits d !reference)
            [ (false, L.eval); (true, L.marginal) ])
 
+(* The level kernels against the closure path they replace: entry i of
+   [Table.curves ~offsets] is [shift offsets.(i) lats.(i)], so its flow
+   at a level is [inverse] (or [inverse_marginal]) of that latency
+   floored at 0, its rate 1/ℓ' (or 1/(2ℓ' + xℓ'')) from its [deriv] and
+   [deriv2], and its activation point its value at zero flow. Offsets
+   are 0, random, and for M/M/1 below, at and past the capacity; the
+   bases include b + c·xᵈ, multi-term polynomials, constants, BPR with
+   α = 0 and t₀ = 0, pre-shifted and nested-shifted latencies, tolled
+   kinds and [Custom]. A level where some entry's inverse fails must
+   fail the kernel too. *)
+let prop_level_kernels_bitwise =
+  qcheck ~count:300 "level tables: flows, rates and activations equal the closure path bit for bit"
+    QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Prng.create (seed + 4_300) in
+      let u lo hi = Prng.uniform rng ~lo ~hi in
+      let power () =
+        let d = 1 + Prng.int rng 4 in
+        L.polynomial
+          (Array.init (d + 1) (fun i -> if i = 0 then u 0.0 1.0 else if i = d then u 0.5 2.0 else 0.0))
+      in
+      let cubic =
+        L.custom ~eval:(fun x -> 1.0 +. x +. (x *. x *. x)) ~deriv:(fun x -> 1.0 +. (3.0 *. x *. x)) ()
+      in
+      let lats = Array.of_list (power () :: power () :: cubic :: every_kind rng) in
+      Prng.shuffle rng lats;
+      let n = Array.length lats in
+      let offsets =
+        Array.map
+          (fun l ->
+            match (Prng.int rng 3, L.kind l) with
+            | 0, _ -> 0.0
+            | _, L.Mm1 { capacity } -> (
+                match Prng.int rng 3 with
+                | 0 -> u 0.0 capacity
+                | 1 -> capacity
+                | _ -> capacity +. u 0.0 1.0)
+            | _ -> u 0.0 1.5)
+          lats
+      in
+      let shifted = Array.mapi (fun i l -> L.shift offsets.(i) l) lats in
+      let rigid i = not (L.is_constant shifted.(i)) in
+      let x = Array.init n (fun i -> if rigid i && Prng.int rng 4 > 0 then u 0.0 2.0 else 0.0) in
+      let levels = 0.0 :: List.init 6 (fun _ -> u 0.0 6.0) in
+      let counted f =
+        let e0 = evaluations () in
+        let r = match f () with v -> Ok v | exception Failure _ -> Error () in
+        (r, evaluations () - e0)
+      in
+      List.for_all
+        (fun marginal ->
+          let c = L.Table.curves ~marginal lats ~offsets in
+          let value, inverse =
+            if marginal then (L.marginal, L.inverse_marginal) else (L.eval, L.inverse)
+          in
+          let slope l x =
+            if marginal then (2.0 *. L.deriv l x) +. if x > 0.0 then x *. L.deriv2 l x else 0.0
+            else L.deriv l x
+          in
+          let g0 = Array.make n Float.nan and want_g0 = Array.make n Float.nan in
+          let (_ : (unit, unit) result), kernel_evals =
+            counted (fun () -> L.Table.activations c ~lines:(Array.make n Float.nan) ~into:g0)
+          in
+          let (_ : (unit, unit) result), closure_evals =
+            counted (fun () ->
+                Array.iteri
+                  (fun i l ->
+                    want_g0.(i) <- (match L.constant_value l with Some k -> k | None -> value l 0.0))
+                  shifted)
+          in
+          let activations_ok =
+            kernel_evals = closure_evals && Array.for_all2 same_bits g0 want_g0
+          in
+          let flows_ok y =
+            let into = Array.make n Float.nan and want = Array.make n Float.nan in
+            let got, kernel_evals = counted (fun () -> L.Table.flows c y ~into) in
+            let sum, closure_evals =
+              counted (fun () ->
+                  let sum = ref 0.0 in
+                  for i = 0 to n - 1 do
+                    if rigid i then begin
+                      want.(i) <- Float.max 0.0 (inverse shifted.(i) y);
+                      sum := !sum +. want.(i)
+                    end
+                  done;
+                  !sum)
+            in
+            kernel_evals = closure_evals
+            &&
+            match (got, sum) with
+            | Ok a, Ok b -> same_bits a b && Array.for_all2 same_bits into want
+            | Error (), Error () -> true
+            | _ -> false
+          in
+          let w = Array.make n Float.nan in
+          let rate = L.Table.rates c x ~into:w in
+          let want_w = Array.mapi (fun i l -> if x.(i) > 0.0 then 1.0 /. slope l x.(i) else 0.0) shifted in
+          let want_rate = ref 0.0 in
+          Array.iteri (fun i wi -> if x.(i) > 0.0 then want_rate := !want_rate +. wi) want_w;
+          let rates_ok =
+            same_bits rate !want_rate
+            && Array.for_all2 same_bits w want_w
+            && Array.for_all Fun.id
+                 (Array.mapi
+                    (fun i l -> same_bits (L.Table.rate c i 0.0) (1.0 /. slope l 0.0))
+                    shifted)
+          in
+          Array.for_all Fun.id (Array.init n (fun i -> L.Table.rigid c i = rigid i))
+          && activations_ok && List.for_all flows_ok levels && rates_ok)
+        [ false; true ])
+
 let test_table_kernels_allocate_nothing () =
   let rng = Prng.create 4_200 in
   let lats =
@@ -373,4 +483,5 @@ let suite =
   @ [
       prop_table_kernels_bitwise;
       case "table: closed-form kernels box no float" test_table_kernels_allocate_nothing;
+      prop_level_kernels_bitwise;
     ]

@@ -729,6 +729,64 @@ let test_curve_game_bits () =
     ( Digest.to_hex (Digest.string (Buffer.contents buf)),
       Digest.to_hex (Digest.string (Buffer.contents cbuf)) )
 
+(* A feasible leader strategy for [random_curve_game seed]: a random
+   share of the demand spread over a random subset of the links, so
+   some links keep offset 0 and the leader-shifted ones get a second
+   offset. *)
+let random_strategy seed (t : Links.t) =
+  let rng = Prng.create (seed + 4242) in
+  let w =
+    Array.init (Links.num_links t) (fun _ -> if Prng.int rng 4 = 0 then 0.0 else Prng.float rng)
+  in
+  let budget = t.Links.demand *. Prng.float rng and total = Vec.sum w in
+  if total > 0.0 then Array.map (fun wi -> budget *. wi /. total) w else w
+
+let test_induced_bits () =
+  (* MD5s recorded before the level solve read a flat table: the
+     induced equilibrium (flows and level) and the Stackelberg cost of
+     2,000 games with a curve under random strategies keep every bit. A
+     solve that fails records its message. *)
+  let ibuf = Buffer.create (1 lsl 16) and cbuf = Buffer.create (1 lsl 14) in
+  let guard buf f =
+    try f () with Failure m | Invalid_argument m -> Buffer.add_string buf m
+  in
+  for seed = 1 to 2_000 do
+    let t = random_curve_game seed in
+    let strategy = random_strategy seed t in
+    guard ibuf (fun () ->
+        let s = Links.induced t ~strategy in
+        Array.iter (add_bits ibuf) s.assignment;
+        add_bits ibuf s.level);
+    guard cbuf (fun () -> add_bits cbuf (Links.stackelberg_cost t ~strategy))
+  done;
+  Alcotest.(check (pair string string))
+    "induced bits of 2,000 games, stackelberg cost bits"
+    ("dc8dea114848ba8a25723d218199fa4f", "bb5fa6fbb7ed00b38de11de9f5d2ffc7")
+    ( Digest.to_hex (Digest.string (Buffer.contents ibuf)),
+      Digest.to_hex (Digest.string (Buffer.contents cbuf)) )
+
+let test_sweep_gate () =
+  (* One links-sweep sweep (41 α on the benchmark game, jobs 1): OpTop,
+     then LLF and SCALE's induced equilibria at every α below β. Every
+     curve inverts in closed form, so no link bisects ([bisection.calls];
+     one level step is a safeguard bisection step); each solve evaluates
+     each curve once at zero flow. Before the level table a sweep made
+     695 evaluations and 348 level steps (OpTop solved the whole game's
+     Nash twice) and allocated 659,696 bytes, three closures per link
+     per induced solve among them. *)
+  let t = links_sweep_game () in
+  let sweep () = ignore (Stackelberg.Alpha_sweep.run ~jobs:1 ~samples:41 t) in
+  sweep ();
+  let names =
+    [ "latency.evaluations"; "links.level_iterations"; "bisection.iterations";
+      "bisection.calls"; "bisection.expansions" ]
+  in
+  let bytes = ref 0.0 in
+  let deltas = counter_deltas names (fun () -> bytes := snd (allocated_bytes sweep)) in
+  Alcotest.(check (list (pair string int)))
+    "sweep work" (List.combine names [ 687; 342; 1; 0; 0 ]) deltas;
+  if !bytes >= 330_000.0 then Alcotest.failf "a links-sweep sweep allocated %.0f bytes" !bytes
+
 let suite =
   [
     case "make: validation" test_make_validation;
@@ -775,4 +833,6 @@ let suite =
     case "newton: bits of games with a curve" test_curve_game_bits;
     prop_lines_match_get_flow;
     case "lines: tiny demands and ties" test_tiny_demands_and_ties;
+    case "induced: bits of games with a curve" test_induced_bits;
+    case "perf gate: a links-sweep sweep's work and allocation" test_sweep_gate;
   ]
