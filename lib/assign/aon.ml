@@ -15,16 +15,18 @@ let ws_key = Domain.DLS.new_key (fun () -> Some (G.Dijkstra.workspace ()))
 
 (* One Dijkstra tree: a distinct commodity source and, as its targets,
    the sinks of the commodities it serves. [goal] is the A* potential
-   toward a tree's only sink. Both are options built once, so that a
-   tree's run allocates nothing. [sinks] lists the sink of each
-   commodity the tree serves, in commodity order; after a run, sink j's
-   chain (its path's edge ids, sink to source) is [chain.(start.(j))
-   .. chain.(stop.(j) - 1)], or [stop.(j) = -1] when the run did not
-   reach it. [chain] grows on demand and is reused across calls. *)
+   toward a tree's only sink, and [upper] holds the bound its next run
+   prunes on. All three are options built once, so that a tree's run
+   allocates nothing. [sinks] lists the sink of each commodity the tree
+   serves, in commodity order; after a run, sink j's chain (its path's
+   edge ids, sink to source) is [chain.(start.(j)) .. chain.(stop.(j) -
+   1)], or [stop.(j) = -1] when the run did not reach it. [chain] grows
+   on demand and is reused across calls. *)
 type tree = {
   source : int;
   targets : int array option;
   goal : G.Dijkstra.goal option;
+  upper : float array option;
   sinks : int array;
   start : int array;
   stop : int array;
@@ -54,29 +56,33 @@ let free_flow_weights (net : Network.t) =
     let w = Array.map (fun l -> L.eval l 0.0) lats in
     if Array.for_all (fun x -> x > 0.0) w then w else [||]
 
+(* The index of the first entry of the ascending array [sorted] at or
+   above [x]. *)
+let search sorted x =
+  (* why: binary search — the window halves every pass, so the loop is
+     log-bounded. *)
+  let lo = ref 0 and hi = ref (Array.length sorted - 1) in
+  (while !lo < !hi do
+     let mid = (!lo + !hi) / 2 in
+     if sorted.(mid) < x then lo := mid + 1 else hi := mid
+   done)
+  [@lint.allow "cancel-coverage"];
+  !lo
+
+(* The distinct values of [xs], ascending. *)
+let distinct xs =
+  let sorted = Array.copy xs in
+  Array.sort Int.compare sorted;
+  let acc = ref [] in
+  Array.iteri (fun i x -> if i = 0 || sorted.(i - 1) <> x then acc := x :: !acc) sorted;
+  Array.of_list (List.rev !acc)
+
 let plan (net : Network.t) =
   let g = net.Network.graph in
   let ks = net.Network.commodities in
   let srcs = Array.map (fun c -> c.Network.src) ks in
-  let sorted = Array.copy srcs in
-  Array.sort Int.compare sorted;
-  let distinct = ref [] in
-  Array.iteri
-    (fun i s -> if i = 0 || sorted.(i - 1) <> s then distinct := s :: !distinct)
-    sorted;
-  let sources = Array.of_list (List.rev !distinct) in
-  let index_of s =
-    (* why: binary search for the first index with sources.(i) >= s —
-       the window halves every pass, so the loop is log-bounded. *)
-    let lo = ref 0 and hi = ref (Array.length sources - 1) in
-    (while !lo < !hi do
-       let mid = (!lo + !hi) / 2 in
-       if sources.(mid) < s then lo := mid + 1 else hi := mid
-     done)
-    [@lint.allow "cancel-coverage"];
-    !lo
-  in
-  let tree_of = Array.map index_of srcs in
+  let sources = distinct srcs in
+  let tree_of = Array.map (search sources) srcs in
   let sinks = Array.make (Array.length sources) [] in
   let served = Array.make (Array.length sources) 0 in
   let slot_of = Array.make (Array.length ks) 0 in
@@ -86,36 +92,44 @@ let plan (net : Network.t) =
     served.(t) <- served.(t) + 1;
     sinks.(t) <- ks.(i).Network.dst :: sinks.(t)
   done;
+  let sinks = Array.map (fun l -> Array.of_list (List.rev l)) sinks in
   let free_flow = free_flow_weights net in
-  (* One potential per distinct sink of a single-sink tree. A tree with
-     several sinks runs plain: the nearest-sink bound is weak. *)
-  let ws = G.Dijkstra.workspace () in
-  let goals = Hashtbl.create 16 in
-  let goal_toward sink =
-    match Hashtbl.find_opt goals sink with
-    | Some goal -> goal
-    | None ->
-        let goal = G.Dijkstra.goal ~workspace:ws g ~lower:free_flow ~sink in
-        Hashtbl.replace goals sink goal;
-        goal
+  (* A tree whose commodities share one sink runs goal-directed; one
+     with several sinks runs plain: the nearest-sink bound is weak. *)
+  let goal_sink =
+    Array.map
+      (fun ts -> if Array.length free_flow > 0 && Array.for_all (( = ) ts.(0)) ts then ts.(0) else -1)
+      sinks
+  in
+  (* One potential per distinct goal sink; its reverse run stops once
+     the sources of the trees toward it are settled. *)
+  let goal_sinks = distinct (Array.of_list (List.filter (( <= ) 0) (Array.to_list goal_sink))) in
+  let users = Array.make (Array.length goal_sinks) [] in
+  for t = Array.length sources - 1 downto 0 do
+    if goal_sink.(t) >= 0 then begin
+      let i = search goal_sinks goal_sink.(t) in
+      users.(i) <- sources.(t) :: users.(i)
+    end
+  done;
+  let goals =
+    if Array.length goal_sinks = 0 then [||]
+    else
+      G.Dijkstra.goals g ~lower:free_flow ~sinks:goal_sinks ~sources:(Array.map Array.of_list users)
   in
   let trees =
     Array.mapi
       (fun t source ->
-        (* Per-tree checkpoint: a tree may cost a full reverse run. *)
         Sgr_obs.Cancel.check ();
-        let sinks = Array.of_list (List.rev sinks.(t)) in
-        let k = Array.length sinks in
+        let k = Array.length sinks.(t) in
         let goal =
-          if Array.length free_flow > 0 && Array.for_all (fun s -> s = sinks.(0)) sinks then
-            Some (goal_toward sinks.(0))
-          else None
+          if goal_sink.(t) < 0 then None else Some goals.(search goal_sinks goal_sink.(t))
         in
         {
           source;
-          targets = Some sinks;
+          targets = Some sinks.(t);
           goal;
-          sinks;
+          upper = Option.map (fun _ -> [| Float.infinity |]) goal;
+          sinks = sinks.(t);
           start = Array.make k 0;
           stop = Array.make k (-1);
           chain = Array.make (16 * k) 0;
@@ -134,6 +148,24 @@ let above_free_flow p weights =
     if weights.(e) < p.free_flow.(e) then ok := false
   done;
   !ok
+
+(* Into [upper.(0)]: the cost under [weights] of the chain a
+   goal-directed tree's last run returned, summed from the source in the
+   order the search sums a distance, so by the monotonicity of rounded
+   addition an upper bound on the sink's distance now; infinity when
+   there is none (a fresh plan, or a sink the last run did not reach).
+   Each tree reads its own chain, so the bound, like the chain, does
+   not depend on the job count. A loop on a local: nothing is boxed. *)
+let last_chain_cost tree ~weights upper =
+  let stop = tree.stop.(0) in
+  if stop < 0 then upper.(0) <- Float.infinity
+  else begin
+    let cost = ref 0.0 in
+    for k = stop - 1 downto tree.start.(0) do
+      cost := !cost +. weights.(tree.chain.(k))
+    done;
+    upper.(0) <- !cost
+  end
 
 (* Read each sink's chain out of a tree's predecessor edges, sink to
    source, into the tree's own buffer. A sink the run did not reach
@@ -186,9 +218,12 @@ let assign ?jobs ?record p (net : Network.t) ~weights ~into =
       (* The tree stops once its sinks are settled: their predecessor
          chains are then final. *)
       let r =
-        if directed && Option.is_some tree.goal then
-          G.Dijkstra.run ?workspace ?goal:tree.goal g ~weights ~source:tree.source
-        else G.Dijkstra.run ?workspace ?targets:tree.targets g ~weights ~source:tree.source
+        match tree.upper with
+        | Some upper when directed ->
+            last_chain_cost tree ~weights upper;
+            G.Dijkstra.run ?workspace ?goal:tree.goal ?upper:tree.upper g ~weights
+              ~source:tree.source
+        | _ -> G.Dijkstra.run ?workspace ?targets:tree.targets g ~weights ~source:tree.source
       in
       keep_chains tree ~pred:r.G.Dijkstra.pred ~edge_src)
     p.trees

@@ -18,23 +18,30 @@
 
     A tree with a single sink runs an A* search toward it, on a
     potential the plan builds once per solve: the free-flow distance to
-    that sink under the weights ℓₑ(0). Latencies never decrease with
-    flow, so ℓₑ(0) bounds every later weight from below, under the
-    Wardrop and the marginal-cost objective alike, and the potential
-    stays valid for the whole solve. Dijkstra breaks distance ties by
-    edge id, so goal-directed and plain trees give the same chains bit
-    for bit and the flow does not depend on which ran. On the 10^4-edge
-    synthetic city (32 commodities, 32 sources) a Frank–Wolfe solve
-    relaxes 1.18M edges, where plain targeted trees relax 8.20M and full
-    ones 12.8M. An instance with a [Custom] latency (also under
-    [Shifted]) or a free-flow latency [<= 0] runs every tree plain; so
-    does a call whose weights dip below ℓₑ(0) somewhere.
+    that sink under the weights ℓₑ(0), from a reverse search that stops
+    at the farthest source using the sink (farther nodes get that
+    distance). Latencies never decrease with flow, so ℓₑ(0) bounds
+    every later weight from below, under the Wardrop and the
+    marginal-cost objective alike, and the potential stays valid for
+    the whole solve. From its second call on, such a tree pushes no
+    node whose key exceeds the cost, at the call's weights, of the
+    chain it returned last time: an upper bound on the sink's distance
+    (see {!Sgr_graph.Dijkstra.run}'s [?upper]). Dijkstra breaks
+    distance ties by edge id, so goal-directed and plain trees give the
+    same chains bit for bit and the flow does not depend on which ran.
+    On the 10^4-edge synthetic city (32 commodities, 32 sources) a
+    Frank–Wolfe solve relaxes 1.08M edges and pushes 0.29M heap
+    entries, where plain targeted trees relax 8.20M and full ones 12.8M.
+    An instance with a [Custom] latency (also under [Shifted]) or a
+    free-flow latency [<= 0] runs every tree plain; so does a call whose
+    weights dip below ℓₑ(0) somewhere.
 
     Allocation-free per call on a reused plan, apart from a few hundred
     bytes of fan-out bookkeeping: each tree's chains land in a buffer
-    the plan holds (it grows, rarely, when a longer chain comes along).
-    The buffers make a plan single-use at a time: two concurrent
-    [assign]s must not share one. *)
+    the plan holds (it grows, rarely, when a longer chain comes along),
+    and its pruning bound in a one-element array. The buffers make a
+    plan single-use at a time: two concurrent [assign]s must not share
+    one. *)
 
 type plan
 (** Source-grouping of a network's commodities — the distinct sources
@@ -44,9 +51,10 @@ type plan
     per distinct goal sink, and one int per chain edge. *)
 
 val plan : Sgr_network.Network.t -> plan
-(** Runs one full reverse Dijkstra per distinct sink of a single-sink
-    tree (none when the instance runs plain), with a deadline
-    checkpoint before each tree. *)
+(** Runs one reverse Dijkstra per distinct sink of a single-sink tree
+    (none when the instance runs plain), each stopping at the farthest
+    source that uses the sink, with a deadline checkpoint before each
+    and before each tree. *)
 
 val num_trees : plan -> int
 (** Number of distinct source nodes, i.e. Dijkstra trees per call. *)

@@ -33,9 +33,11 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
   let plan = Aon.plan net in
   let grad = Array.make m 0.0 in
   let y = Array.make m 0.0 in
-  (* The direction's support for the line search: edge ids (ascending)
-     and their components of d = y - f. *)
+  (* The direction's support: edge ids (ascending) and their components
+     of d = y - f, and the same gathered with their base flows and
+     latency coefficients for the line search. *)
   let sup_edge = Array.make m 0 and sup_dir = Array.make m 0.0 in
+  let line = L.Table.line table in
   (* Per-commodity flow tracking (only when the caller wants a
      decomposable answer): every AON routes each commodity down one tree
      path, so the commodity split evolves by the same convex steps as
@@ -86,14 +88,23 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     Obs.incr c_iters;
     fill_grad f;
     Aon.assign ?jobs ?record plan net ~weights:grad ~into:y;
-    (* Relative duality gap of the linearized subproblem: the direction
-       is d = y - f, kept implicit — both dot products stream over the
-       two flow arrays. *)
-    let gap = ref 0.0 and denom = ref 0.0 in
+    (* One scan: the relative duality gap of the linearized subproblem
+       and the support of the direction d = y - f. *)
+    let gap = ref 0.0 and denom = ref 0.0 and n_sup = ref 0 in
     for e = 0 to m - 1 do
-      gap := !gap -. (grad.(e) *. (y.(e) -. f.(e)));
-      denom := !denom +. (grad.(e) *. f.(e))
+      let de = y.(e) -. f.(e) in
+      gap := !gap -. (grad.(e) *. de);
+      denom := !denom +. (grad.(e) *. f.(e));
+      (* Exact test by design: exact zeros mark edges outside the
+         direction's support; a tolerance would silently drop genuinely
+         tiny components. *)
+      if (de <> 0.0) [@lint.allow "float-equality"] then begin
+        sup_edge.(!n_sup) <- e;
+        sup_dir.(!n_sup) <- de;
+        incr n_sup
+      end
     done;
+    let n_sup = !n_sup in
     relgap := !gap /. Float.max 1e-12 (Float.abs !denom);
     let obj_now = if tracing then Objective.objective obj net f else 0.0 in
     let step =
@@ -107,34 +118,25 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
           | Msa -> 1.0 /. float_of_int (!iterations + 1)
           | Frank_wolfe ->
               Obs.incr c_line_search;
-              (* Collect the support of d once; every probe below then
-                 sums over it alone, in the same edge order as a full
-                 scan, so the sum is the same float. *)
-              let n_sup = ref 0 in
-              for e = 0 to m - 1 do
-                let de = y.(e) -. f.(e) in
-                (* Exact test by design: exact zeros mark edges outside
-                   the direction's support; a tolerance would silently
-                   drop genuinely tiny components. *)
-                if (de <> 0.0) [@lint.allow "float-equality"] then begin
-                  sup_edge.(!n_sup) <- e;
-                  sup_dir.(!n_sup) <- de;
-                  incr n_sup
-                end
-              done;
-              let n_sup = !n_sup in
+              (* Every probe sums over the gathered support alone, in
+                 the same edge order as a full scan, so the sum is the
+                 same float. *)
+              L.Table.gather line ~marginal ~base:f ~entries:sup_edge ~dirs:sup_dir ~len:n_sup;
               (* Exact line search: the directional derivative of the
                  convex objective along d is nondecreasing in gamma. *)
               let dphi gamma =
                 Sgr_obs.Cancel.check_handle cancel;
-                L.Table.directional table ~marginal ~base:f ~entries:sup_edge ~dirs:sup_dir
-                  ~len:n_sup gamma
+                L.Table.slope_at line gamma
               in
               let gamma = Sgr_numerics.Minimize.line_search_convex ~df:dphi ~lo:0.0 ~hi:1.0 () in
               if gamma <= 0.0 then 1e-12 else gamma
         in
-        for e = 0 to m - 1 do
-          f.(e) <- f.(e) +. (gamma *. (y.(e) -. f.(e)));
+        (* Off the support d is +0, so f + gamma·d would be f there: f
+           holds no -0 (AON adds demands to +0, a sum that cancels
+           rounds to +0, and the clip writes +0). *)
+        for k = 0 to n_sup - 1 do
+          let e = sup_edge.(k) in
+          f.(e) <- f.(e) +. (gamma *. sup_dir.(k));
           (* Clip negative rounding noise. *)
           if f.(e) < 0.0 then f.(e) <- 0.0
         done;

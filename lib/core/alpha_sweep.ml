@@ -26,8 +26,8 @@ let point_of ~beta ~optimum ~opt_cost ~common_slope ~m ~grid_resolution instance
     let r = Brute_force.optimal_strategy ~resolution:grid_resolution instance ~alpha in
     { alpha; ratio = ratio_of r.Brute_force.induced_cost; method_used = Grid_search }
   else begin
-    let llf = Strategies.llf instance ~optimum ~alpha in
-    let scale = Strategies.scale instance ~optimum ~alpha in
+    let llf = Strategies.llf ~opt_cost instance ~optimum ~alpha in
+    let scale = Strategies.scale ~opt_cost instance ~optimum ~alpha in
     let best = Float.min llf.Strategies.induced_cost scale.Strategies.induced_cost in
     { alpha; ratio = ratio_of best; method_used = Heuristic_upper_bound }
   end

@@ -3,9 +3,9 @@ module L = Sgr_latency.Latency
 
 type outcome = { strategy : float array; induced_cost : float; ratio_to_opt : float }
 
-let evaluate instance ~optimum ~strategy =
+let evaluate ?opt_cost instance ~optimum ~strategy =
   let induced_cost = Links.stackelberg_cost instance ~strategy in
-  let opt_cost = Links.cost instance optimum in
+  let opt_cost = match opt_cost with Some c -> c | None -> Links.cost instance optimum in
   (* Same semantics as [Alpha_sweep.ratio_of]: a vanishing optimum with
      a genuinely positive induced cost is an unbounded ratio, not 1; the
      old exact [opt_cost = 0.0] test also exploded on denormal optima. *)
@@ -19,7 +19,7 @@ let evaluate instance ~optimum ~strategy =
 let check_alpha alpha =
   if not (0.0 <= alpha && alpha <= 1.0) then invalid_arg "Strategies: alpha must be in [0, 1]"
 
-let llf instance ~optimum:opt ~alpha =
+let llf ?opt_cost instance ~optimum:opt ~alpha =
   check_alpha alpha;
   let m = Links.num_links instance in
   let order = Array.init m (fun i -> i) in
@@ -38,11 +38,11 @@ let llf instance ~optimum:opt ~alpha =
       strategy.(i) <- take;
       budget := !budget -. take)
     order;
-  evaluate instance ~optimum:opt ~strategy
+  evaluate ?opt_cost instance ~optimum:opt ~strategy
 
-let scale instance ~optimum ~alpha =
+let scale ?opt_cost instance ~optimum ~alpha =
   check_alpha alpha;
-  evaluate instance ~optimum ~strategy:(Array.map (fun o -> alpha *. o) optimum)
+  evaluate ?opt_cost instance ~optimum ~strategy:(Array.map (fun o -> alpha *. o) optimum)
 
 let aloof instance =
   evaluate instance ~optimum:(Links.opt instance).assignment

@@ -16,13 +16,19 @@ type outcome = {
 
 (** [llf], [scale] and [evaluate] take the instance's optimum
     assignment ([(Links.opt t).assignment]) as [~optimum], so a caller
-    that plays many budgets on one instance solves it once. *)
+    that plays many budgets on one instance solves it once, and its
+    cost [C(O)] as [?opt_cost] when the caller holds it (it must be
+    [Links.cost t optimum]; without it each call sums it again). *)
 
-val llf : Sgr_links.Links.t -> optimum:float array -> alpha:float -> outcome
+val llf :
+  ?opt_cost:float -> Sgr_links.Links.t -> optimum:float array -> alpha:float -> outcome
 (** @raise Invalid_argument unless [0 <= alpha <= 1]. *)
 
-val scale : Sgr_links.Links.t -> optimum:float array -> alpha:float -> outcome
+val scale :
+  ?opt_cost:float -> Sgr_links.Links.t -> optimum:float array -> alpha:float -> outcome
+
 val aloof : Sgr_links.Links.t -> outcome
 
-val evaluate : Sgr_links.Links.t -> optimum:float array -> strategy:float array -> outcome
+val evaluate :
+  ?opt_cost:float -> Sgr_links.Links.t -> optimum:float array -> strategy:float array -> outcome
 (** Wrap an arbitrary feasible Leader assignment. *)

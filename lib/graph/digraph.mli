@@ -3,7 +3,9 @@
     Nodes are [0 .. num_nodes-1]; edges get consecutive ids in insertion
     order, so per-edge data (latencies, flows, weights, capacities) lives in
     plain arrays indexed by edge id. Parallel edges and antiparallel pairs
-    are allowed; self loops are rejected (the paper's model forbids them). *)
+    are allowed; self loops are rejected (the paper's model forbids them).
+    A graph is built edge by edge ({!builder}) or at once from its
+    endpoint arrays ({!of_arrays}, what the instance reader collects). *)
 
 type edge = private { id : int; src : int; dst : int }
 
@@ -24,6 +26,15 @@ val add_edge : builder -> src:int -> dst:int -> int
 val freeze : builder -> t
 (** Finalize into an immutable graph. The builder must not be reused. *)
 
+val of_arrays : num_nodes:int -> srcs:int array -> dsts:int array -> t
+(** [of_arrays ~num_nodes ~srcs ~dsts] has one edge [srcs.(e) ->
+    dsts.(e)] per index [e], with id [e]: {!freeze} on the same
+    [add_edge] calls, without the builder. The graph keeps both arrays
+    as its {!edge_sources} and {!edge_targets}: do not mutate them
+    afterwards.
+    @raise Invalid_argument as {!builder} and {!add_edge} do, or when
+    the arrays differ in length. *)
+
 val of_edges : num_nodes:int -> (int * int) list -> t
 (** [of_edges ~num_nodes [(s1,d1); ...]] builds a graph whose edge ids
     follow the list order. *)
@@ -34,10 +45,12 @@ val num_nodes : t -> int
 val num_edges : t -> int
 
 val edge : t -> int -> edge
-(** Edge by id. @raise Invalid_argument if out of range. *)
+(** Edge by id, a record made from the endpoint arrays on each call.
+    @raise Invalid_argument if out of range. *)
 
 val edges : t -> edge array
-(** All edges by id (do not mutate). *)
+(** All edges by id, in a fresh array. Loops over every edge read
+    {!edge_sources} and {!edge_targets} instead. *)
 
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
 

@@ -5,6 +5,7 @@ module Obs = Sgr_obs.Obs
 let c_runs = Obs.counter "dijkstra.runs"
 let c_relax = Obs.counter "dijkstra.relaxations"
 let c_fallbacks = Obs.counter "dijkstra.goal_fallbacks"
+let c_pushes = Obs.counter "dijkstra.heap_pushes"
 
 type workspace = {
   mutable size : int;  (* node count the arrays are sized for; 0 = empty *)
@@ -61,10 +62,11 @@ let prepare ws n =
   Heap.clear ws.heap
 
 (* A goal-directed search toward one sink. [potential] is the distance
-   to the sink under [lower], scaled by (1 - [goal_margin]), so under any
-   weights w >= lower every edge keeps a reduced cost
-   w - potential(u) + potential(v) of at least goal_margin·lower(e) > 0.
-   [targets] is [Some [| sink |]], built once so a run allocates none. *)
+   to the sink under [lower], capped at [reach] (see [goal_toward]) and scaled
+   by (1 - [goal_margin]), so under any weights w >= lower every edge
+   keeps a reduced cost w - potential(u) + potential(v) of at least
+   goal_margin·lower(e) > 0. [targets] is [Some [| sink |]], built once
+   so a run allocates none. *)
 type goal = {
   lower : float array;
   potential : float array;
@@ -77,6 +79,15 @@ let plain =
   { lower = [||]; potential = [||]; key_bound = Float.infinity; targets = None }
 
 let goal_margin = 1e-9
+
+(* No pruning: a constant, never written. *)
+let no_upper = [| Float.infinity |]
+
+(* How far an upper bound on the sink's distance is inflated before a
+   run prunes on it: a relative 4·epsilon_float per node, more than the
+   rounding of any key or path sum on an [n]-node graph. Pruning less
+   is always safe. *)
+let[@inline] slack n = 1.0 +. (float_of_int (n + 2) *. 4.0 *. epsilon_float)
 
 (* Distinct targets not yet settled, marked in the workspace; a full run
    counts -1, which settling never brings to 0. Out-of-range targets are
@@ -135,10 +146,18 @@ let unmark_targets ws = function
    A node is labeled when its distance first drops below infinity (a
    node that is never labeled keeps pred -1 and is never settled), and
    the run lists it in [touched] right then, so the next [prepare]
-   resets exactly the labeled nodes. *)
-let run_dir ?targets ws ~goal ~off ~ids ~other ~weights ~n ~origin =
+   resets exactly the labeled nodes.
+
+   [upper.(0)] prunes: a labeled node whose key exceeds it (inflated by
+   [slack]) is not pushed. It is read from an array so that a call
+   boxes no float. The key bound is tested first, so a run falls back
+   exactly when it would without it. A goal-directed run may pass an
+   upper bound on its sink's distance, which no key settled before the
+   sink exceeds (see [run]); every other run passes [no_upper]. *)
+let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
   Obs.incr c_runs;
   prepare ws n;
+  let upper = upper.(0) *. slack n in
   let dist = ws.dist and pred = ws.pred and settled = ws.settled and heap = ws.heap in
   let touched = ws.touched in
   let target = ws.target and potential = goal.potential in
@@ -148,12 +167,17 @@ let run_dir ?targets ws ~goal ~off ~ids ~other ~weights ~n ~origin =
   let bound = goal.key_bound in
   let pending = ref (mark_targets ws targets n) in
   let within = ref true in
-  let relaxations = ref 0 in
+  let relaxations = ref 0 and pushes = ref 0 in
   dist.(origin) <- 0.0;
   touched.(0) <- origin;
   ws.n_touched <- 1;
   if directed then key.(origin) <- potential.(origin);
-  if key.(origin) <= bound then Heap.insert heap key origin
+  if key.(origin) <= bound then begin
+    if key.(origin) <= upper then begin
+      Heap.insert heap key origin;
+      incr pushes
+    end
+  end
   else if key.(origin) < Float.infinity then within := false;
   let u = ref (Heap.pop heap) in
   while !u >= 0 do
@@ -179,7 +203,12 @@ let run_dir ?targets ws ~goal ~off ~ids ~other ~weights ~n ~origin =
             dist.(v) <- nd;
             pred.(v) <- e;
             if directed then key.(v) <- nd +. potential.(v);
-            if key.(v) <= bound then Heap.insert heap key v
+            if key.(v) <= bound then begin
+              if key.(v) <= upper then begin
+                Heap.insert heap key v;
+                incr pushes
+              end
+            end
             else if key.(v) < Float.infinity then within := false
           end
           else if nd = dv && e < pred.(v) && not settled.(v) then pred.(v) <- e
@@ -193,6 +222,7 @@ let run_dir ?targets ws ~goal ~off ~ids ~other ~weights ~n ~origin =
   (* One batched counter update per run keeps the inner loop free of
      atomic traffic while the count stays exact. *)
   Obs.add c_relax !relaxations;
+  Obs.add c_pushes !pushes;
   !within
 
 let validate_weights ?goal weights =
@@ -210,63 +240,98 @@ let validate_weights ?goal weights =
         weights)
     goal
 
-let forward ?targets ws g ~goal ~weights ~source =
-  run_dir ?targets ws ~goal
+let forward ?targets ws g ~goal ~upper ~weights ~source =
+  run_dir ?targets ws ~goal ~upper
     ~off:(Digraph.out_offsets g) ~ids:(Digraph.out_edge_ids g)
     ~other:(Digraph.edge_targets g) ~weights ~n:(Digraph.num_nodes g) ~origin:source
 
-let run ?(validate = false) ?workspace:ws ?targets ?goal g ~weights ~source =
+let reverse ?targets ws g ~weights ~sink =
+  run_dir ?targets ws ~goal:plain ~upper:no_upper
+    ~off:(Digraph.in_offsets g) ~ids:(Digraph.in_edge_ids g)
+    ~other:(Digraph.edge_sources g) ~weights ~n:(Digraph.num_nodes g) ~origin:sink
+
+let run ?(validate = false) ?workspace:ws ?targets ?goal ?upper g ~weights ~source =
   if validate then validate_weights ?goal weights;
   let ws = match ws with Some ws -> ws | None -> workspace () in
   (match goal with
-  | None -> ignore (forward ws g ~goal:plain ?targets ~weights ~source)
+  | None ->
+      if Option.is_some upper then invalid_arg "Dijkstra.run: ~upper needs a ~goal";
+      ignore (forward ws g ~goal:plain ~upper:no_upper ?targets ~weights ~source)
   | Some goal ->
       if Option.is_some targets then invalid_arg "Dijkstra.run: ~goal already names the target";
       if Array.length goal.potential <> Digraph.num_nodes g then
         invalid_arg "Dijkstra.run: the goal was built for another graph";
-      if not (forward ws g ~goal ?targets:goal.targets ~weights ~source) then begin
+      let upper = Option.value upper ~default:no_upper in
+      if not (forward ws g ~goal ~upper ?targets:goal.targets ~weights ~source) then begin
         Obs.incr c_fallbacks;
-        ignore (forward ws g ~goal:plain ?targets:goal.targets ~weights ~source)
+        ignore (forward ws g ~goal:plain ~upper:no_upper ?targets:goal.targets ~weights ~source)
       end);
   ws.result
 
 let run_reverse ?(validate = false) ?workspace:ws g ~weights ~sink =
   if validate then validate_weights weights;
   let ws = match ws with Some ws -> ws | None -> workspace () in
-  ignore
-    (run_dir ws ~goal:plain
-       ~off:(Digraph.in_offsets g) ~ids:(Digraph.in_edge_ids g)
-       ~other:(Digraph.edge_sources g) ~weights ~n:(Digraph.num_nodes g) ~origin:sink);
+  ignore (reverse ws g ~weights ~sink);
   ws.result
 
-(* The key bound. Along an edge u -> v the two keys differ by the
+(* The key bound of goals built on [lower]: one scan, however many
+   sinks share it. Along an edge u -> v the two keys differ by the
    reduced cost, at least goal_margin·lower(e), plus the rounding of
    the two keys, of dist(u) + w(e) and of both potentials, each at most
    half an ulp of a key (about epsilon_float/2 of it) — under
    3·epsilon_float·key in all. Below the bound that is at most 3/4 of
    the smallest margin, so the keys rise strictly along every edge, and
    dist(u) + w(e) never rounds back to dist(u). *)
-let goal ?workspace g ~lower ~sink =
-  let m = Digraph.num_edges g and n = Digraph.num_nodes g in
+let key_bound g lower =
+  let m = Digraph.num_edges g in
   if Array.length lower <> m then invalid_arg "Dijkstra.goal: one lower bound per edge";
-  (* Loops, not folds and maps: a float returned by a closure is boxed. *)
+  (* A loop, not a fold: a float returned by a closure is boxed. *)
   let min_lower = ref Float.infinity in
   for e = 0 to m - 1 do
     if not (lower.(e) > 0.0) then invalid_arg "Dijkstra.goal: lower bounds must be positive";
     if lower.(e) < !min_lower then min_lower := lower.(e)
   done;
-  let dist = (run_reverse ?workspace g ~weights:lower ~sink).dist in
+  goal_margin *. !min_lower /. (4.0 *. epsilon_float)
+
+(* The reverse run toward [sink] stops once every node of [sources] is
+   settled, at distance [reach] (the largest of theirs). A node it did
+   not settle is at least [reach] away, so min(d, reach) is the
+   potential: still consistent, since min(·, reach) never widens a gap
+   between two nodes, and exact on every node nearer than [reach]. A run
+   that never settles some source (one that cannot reach the sink) is a
+   full run, and a node it did not settle keeps infinity. *)
+let goal_toward ws g ~lower ~key_bound ~sink ~sources =
+  let n = Digraph.num_nodes g in
+  ignore (reverse ?targets:sources ws g ~weights:lower ~sink);
+  let dist = ws.dist and settled = ws.settled in
+  let reach =
+    match sources with
+    | Some srcs when Array.for_all (fun s -> settled.(s)) srcs ->
+        Array.fold_left (fun r s -> Float.max r dist.(s)) 0.0 srcs
+    | _ -> Float.infinity
+  in
   let scale = 1.0 -. goal_margin in
   let potential = Array.make n 0.0 in
   for v = 0 to n - 1 do
-    potential.(v) <- scale *. dist.(v)
+    potential.(v) <- scale *. if settled.(v) then dist.(v) else reach
   done;
-  {
-    lower;
-    potential;
-    key_bound = goal_margin *. !min_lower /. (4.0 *. epsilon_float);
-    targets = Some [| sink |];
-  }
+  { lower; potential; key_bound; targets = Some [| sink |] }
+
+let goal ?workspace:ws ?sources g ~lower ~sink =
+  let ws = match ws with Some ws -> ws | None -> workspace () in
+  goal_toward ws g ~lower ~key_bound:(key_bound g lower) ~sink ~sources
+
+let goals ?workspace:ws g ~lower ~sinks ~sources =
+  if Array.length sources <> Array.length sinks then
+    invalid_arg "Dijkstra.goals: one source set per sink";
+  let ws = match ws with Some ws -> ws | None -> workspace () in
+  let key_bound = key_bound g lower in
+  Array.mapi
+    (fun i sink ->
+      (* Per-sink checkpoint: a reverse run may be a full one. *)
+      Sgr_obs.Cancel.check ();
+      goal_toward ws g ~lower ~key_bound ~sink ~sources:(Some sources.(i)))
+    sinks
 
 let shortest_path ?validate ?workspace g ~weights ~src ~dst =
   let ({ dist; pred } : result) =

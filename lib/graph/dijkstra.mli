@@ -16,9 +16,14 @@
 
     A forward run may stop early, once a given set of target nodes is
     settled ({!run}'s [?targets]), and may be goal-directed toward one
-    sink ({!run}'s [?goal]: A* on a potential built by {!goal}).
+    sink ({!run}'s [?goal]: A* on a potential built by {!goal}), in
+    which case a known upper bound on the sink's distance keeps every
+    node past it out of the heap ({!run}'s [?upper]). The reverse run
+    behind a potential stops once the sources it serves are settled.
     {!shortest_edge_subgraph} reads every label, so its two runs are
-    always full.
+    always full. Every run adds its edge relaxations and heap pushes to
+    the [dijkstra.relaxations] and [dijkstra.heap_pushes] counters, once
+    per run.
 
     Ties are canonical. When a relaxation reaches [dist(v)] bit for bit
     while [v] is not yet settled, [pred(v)] moves to the smaller edge
@@ -72,8 +77,8 @@ type goal
     workspace that already fits the graph allocates nothing. *)
 
 val run :
-  ?validate:bool -> ?workspace:workspace -> ?targets:int array -> ?goal:goal -> Digraph.t ->
-  weights:float array -> source:int -> result
+  ?validate:bool -> ?workspace:workspace -> ?targets:int array -> ?goal:goal ->
+  ?upper:float array -> Digraph.t -> weights:float array -> source:int -> result
 (** Dijkstra from [source]. [weights] is indexed by edge id.
 
     Without [targets] the run settles every node reachable from
@@ -91,26 +96,34 @@ val run :
     - any other entry may be tentative (a finite overestimate) or
       still [infinity]/[-1].
 
-    The searches behind {!shortest_path}, column-generation pricing,
-    all-or-nothing assignment and [Network.make]'s reachability check
-    pass their sinks here. On the 10^4-edge synthetic city (2,501
-    nodes, 32 commodities with 32 distinct sources) a Frank–Wolfe
-    solve to gap 1e-4 relaxes 8.20M edges with plain targeted trees
-    instead of 12.8M with full ones, and parsing the instance 133k
-    instead of 320k.
+    The searches behind {!shortest_path}, column-generation pricing and
+    all-or-nothing assignment pass their sinks here. On the 10^4-edge
+    synthetic city (2,501 nodes, 32 commodities with 32 distinct
+    sources) a Frank–Wolfe solve to gap 1e-4 relaxes 8.20M edges with
+    plain targeted trees instead of 12.8M with full ones.
 
     With [goal] (and no [targets]) the run is an A* search toward the
     goal's sink, keyed on [dist + π]. It stops once the sink is settled,
     and the sink's chain reads bit for bit as in [run ~targets:[| sink |]]:
     the same [dist] and [pred] on every node of it. It settles far fewer
-    nodes: on the city above a solve relaxes 1.19M edges. Nodes off that
-    chain may hold other labels. [weights] must be at or above the
-    goal's lower bounds ([~validate:true] checks it); if a key passes
-    the goal's bound the run is redone plain, and counted in the
-    [dijkstra.goal_fallbacks] counter.
+    nodes. Nodes off that chain may hold other labels. [weights] must be
+    at or above the goal's lower bounds ([~validate:true] checks it); if
+    a key passes the goal's bound the run is redone plain, and counted
+    in the [dijkstra.goal_fallbacks] counter.
+
+    [upper] (with [goal] only) holds in [upper.(0)] an upper bound on
+    the sink's distance under [weights], say the cost of any path to it
+    summed from the source. A labeled node whose key exceeds it,
+    inflated by a relative [(n + 2)·4·epsilon_float], is never pushed:
+    the sink pops with key [dist(sink)], keys pop in nondecreasing
+    order, so such a node would not be settled before the sink, and the
+    sink's chain is unchanged. The bound is read from an array, so a
+    call boxes no float; [infinity] prunes nothing. The plain rerun of a
+    fallback does not prune.
     @raise Invalid_argument when a target is out of range, when both
-    [targets] and [goal] are given, or when [goal] was built for a graph
-    with another node count. *)
+    [targets] and [goal] are given, when [upper] is given without
+    [goal], or when [goal] was built for a graph with another node
+    count. *)
 
 val run_reverse :
   ?validate:bool -> ?workspace:workspace -> Digraph.t -> weights:float array -> sink:int ->
@@ -136,17 +149,37 @@ val shortest_edge_subgraph :
 
 (** {1 Goal-directed search} *)
 
-val goal : ?workspace:workspace -> Digraph.t -> lower:float array -> sink:int -> goal
-(** [goal g ~lower ~sink] runs one full reverse search from [sink] under
-    [lower] and keeps the distances, scaled by (1 − 1e-9), as the
-    potential π. Under weights [w ≥ lower] (edgewise) every edge then
-    keeps a reduced cost [w − π(u) + π(v)] of at least
-    [1e-9·lower(e)] — a consistent potential with a margin. The margin
-    outweighs the rounding of the heap keys [dist + π] while they stay
-    below [K = 1e-9·min lower / (4·epsilon_float)]; a run whose keys
-    pass [K] reruns plain (see {!run}). Latencies that never decrease
-    with flow make the free-flow latencies ℓₑ(0) such a bound for a
-    whole Frank–Wolfe solve, under the Wardrop and the marginal-cost
-    weights alike. Holds [num_nodes g] floats.
+val goal :
+  ?workspace:workspace -> ?sources:int array -> Digraph.t -> lower:float array -> sink:int ->
+  goal
+(** [goal g ~lower ~sink] runs one reverse search from [sink] under
+    [lower] and keeps the distances d, scaled by (1 − 1e-9), as the
+    potential π. With [sources] the search stops once every node of
+    [sources] is settled, at distance R (the largest of theirs), and
+    every node it did not settle gets R: π = (1 − 1e-9)·min(d, R), still
+    consistent, and exact on every node nearer than R. The goal stays
+    valid for any source; only the work of a run from a source past R
+    grows. Without [sources], or when one of them cannot reach the sink,
+    the search is a full one.
+
+    Under weights [w ≥ lower] (edgewise) every edge then keeps a reduced
+    cost [w − π(u) + π(v)] of at least [1e-9·lower(e)] — a consistent
+    potential with a margin. The margin outweighs the rounding of the
+    heap keys [dist + π] while they stay below
+    [K = 1e-9·min lower / (4·epsilon_float)]; a run whose keys pass [K]
+    reruns plain (see {!run}). Latencies that never decrease with flow
+    make the free-flow latencies ℓₑ(0) such a bound for a whole
+    Frank–Wolfe solve, under the Wardrop and the marginal-cost weights
+    alike. Holds [num_nodes g] floats.
     @raise Invalid_argument unless [lower] has one positive entry per
     edge. *)
+
+val goals :
+  ?workspace:workspace -> Digraph.t -> lower:float array -> sinks:int array ->
+  sources:int array array -> goal array
+(** [goals g ~lower ~sinks ~sources] is
+    [goal g ~lower ~sink:sinks.(i) ~sources:sources.(i)] for every [i],
+    with a single scan of [lower] for all of them, and a deadline
+    checkpoint before each reverse search.
+    @raise Invalid_argument as {!goal} does, or when [sources] and
+    [sinks] differ in length. *)

@@ -6,8 +6,9 @@ type t = Links of Links.t | Network of Net.t
 
 (* The one pass over the text. Lines are read in place: a line is the
    offsets [lo, hi) of its trimmed bytes, its keyword the bytes up to
-   the first space, and the words after it are cut out as substrings
-   only when a number or a latency spec needs them. *)
+   the first space, and the words after it are offsets too: endpoints
+   and counts are read where they stand, and a latency spec is handed
+   to [Latency_spec.parse_sub] as a slice. *)
 
 exception Bad of string
 
@@ -27,20 +28,46 @@ let keyword_is text lo hi w =
   done;
   !i = String.length w
 
-(* The words of [text.[lo .. hi)] split on ' ', empty ones dropped. *)
-let words text lo hi =
-  let acc = ref [] and j = ref hi in
-  for i = hi - 1 downto lo - 1 do
-    if i < lo || text.[i] = ' ' then begin
-      if !j > i + 1 then acc := String.sub text (i + 1) (!j - i - 1) :: !acc;
-      j := i
-    end
+(* The end of the word starting at [i] (the next space, or [hi]), and
+   the start of the word after the spaces at [i] (or [hi]). *)
+let word_end text i hi =
+  let j = ref i in
+  while !j < hi && text.[!j] <> ' ' do
+    incr j
   done;
-  !acc
+  !j
 
-(* A growable array. Its first allocation takes [hint] slots: the line
-   count, which bounds every column, so on a real instance no column
-   grows (and leaves its outgrown copies to the collector) after that. *)
+let skip_spaces text i hi =
+  let j = ref i in
+  while !j < hi && text.[!j] = ' ' do
+    incr j
+  done;
+  !j
+
+let double_space text lo hi =
+  let i = ref lo in
+  while !i + 1 < hi && not (text.[!i] = ' ' && text.[!i + 1] = ' ') do
+    incr i
+  done;
+  !i + 1 < hi
+
+(* [int_of_string] on [text.[lo .. hi)], raising [Exit] where
+   [int_of_string_opt] gives [None]. A plain run of at most 18 decimal
+   digits, the form every printer writes, is read in place. *)
+let int_at text lo hi =
+  let n = ref 0 and i = ref lo in
+  while !i < hi && text.[!i] >= '0' && text.[!i] <= '9' do
+    n := (10 * !n) + (Char.code text.[!i] - 48);
+    incr i
+  done;
+  if !i = hi && hi > lo && hi - lo <= 18 then !n
+  else
+    match int_of_string_opt (String.sub text lo (hi - lo)) with
+    | Some n -> n
+    | None -> raise_notrace Exit
+
+(* A growable array. Its first allocation takes [hint] slots, then it
+   doubles. *)
 type 'a column = { mutable data : 'a array; mutable len : int; hint : int }
 
 let push col x =
@@ -55,12 +82,11 @@ let push col x =
 let column hint = { data = [||]; len = 0; hint }
 let contents col = Array.sub col.data 0 col.len
 
-let line_count text =
-  let n = ref 1 in
-  for i = 0 to String.length text - 1 do
-    if text.[i] = '\n' then incr n
-  done;
-  !n
+(* The first size of a column of link or edge lines: the text's length
+   over 40 bytes, a little below the length of a canonical edge line,
+   so a canonical instance's columns never grow, without a pass over
+   the text to count its lines. Commodity columns start at 16. *)
+let line_hint text = (String.length text / 40) + 16
 
 (* Calls [line lineno lo kw_end arg_lo hi] on every line that is not
    blank or a comment, in order: [lo, kw_end) is its first word (up to
@@ -113,11 +139,11 @@ type network_acc = {
 let links_line acc text lineno lo kw_end arg_lo hi =
   let arg () = String.sub text arg_lo (hi - arg_lo) in
   if keyword_is text lo kw_end "demand" then
-    match Latency_spec.number (arg ()) with
+    match Latency_spec.number_sub text arg_lo hi with
     | Some d when d >= 0.0 -> acc.demand <- Some d
     | _ -> fail lineno "demand expects a nonnegative number, got %S" (arg ())
   else if keyword_is text lo kw_end "link" then
-    match Latency_spec.parse (arg ()) with
+    match Latency_spec.parse_sub text arg_lo hi with
     | Ok lat -> push acc.links lat
     | Error m -> fail lineno "%s" m
   else fail lineno "unexpected keyword %S in a links instance" (lowercase text lo kw_end)
@@ -138,29 +164,54 @@ let network_line acc text lineno lo kw_end arg_lo hi =
     | Some n when n > 0 -> acc.nodes <- Some n
     | _ -> fail lineno "nodes expects a positive integer, got %S" arg
   end
-  else if keyword_is text lo kw_end "edge" then
-    match words text arg_lo hi with
-    | a :: b :: (_ :: _ as spec_words) -> (
-        match (int_of_string_opt a, int_of_string_opt b) with
-        | Some src, Some dst -> (
-            match Latency_spec.parse_words spec_words with
-            | Ok lat ->
-                push acc.srcs src;
-                push acc.dsts dst;
-                push acc.lines lineno;
-                push acc.latencies lat
-            | Error m -> fail lineno "%s" m)
-        | _ -> fail lineno "edge endpoints must be integers")
-    | _ -> fail lineno "edge expects 'edge SRC DST LATENCY-SPEC'"
-  else if keyword_is text lo kw_end "commodity" then
-    match words text arg_lo hi with
-    | [ a; b; d ] -> (
-        match (int_of_string_opt a, int_of_string_opt b, Latency_spec.number d) with
-        | Some src, Some dst, Some demand when demand >= 0.0 ->
-            push acc.commodities { Net.src; dst; demand };
-            push acc.commodity_lines lineno
-        | _ -> fail lineno "commodity expects 'commodity SRC DST DEMAND'")
-    | _ -> fail lineno "commodity expects 'commodity SRC DST DEMAND'"
+  else if keyword_is text lo kw_end "edge" then begin
+    (* Words are split on spaces: [a] and [b], then the spec from the
+       third word to the end of the line. *)
+    let a_end = word_end text arg_lo hi in
+    let b_lo = skip_spaces text a_end hi in
+    let b_end = word_end text b_lo hi in
+    let spec_lo = skip_spaces text b_end hi in
+    if b_lo = hi || spec_lo = hi then fail lineno "edge expects 'edge SRC DST LATENCY-SPEC'";
+    match (int_at text arg_lo a_end, int_at text b_lo b_end) with
+    | src, dst -> (
+        let spec =
+          (* The spec is its words joined by single spaces. That is the
+             slice itself unless two spaces meet in it, and even then
+             only an error message, which may quote the text, can
+             differ. *)
+          match Latency_spec.parse_sub text spec_lo hi with
+          | Error _ when double_space text spec_lo hi ->
+              Latency_spec.parse
+                (String.concat " "
+                   (List.filter (( <> ) "")
+                      (String.split_on_char ' ' (String.sub text spec_lo (hi - spec_lo)))))
+          | result -> result
+        in
+        match spec with
+        | Ok lat ->
+            push acc.srcs src;
+            push acc.dsts dst;
+            push acc.lines lineno;
+            push acc.latencies lat
+        | Error m -> fail lineno "%s" m)
+    | exception Exit -> fail lineno "edge endpoints must be integers"
+  end
+  else if keyword_is text lo kw_end "commodity" then begin
+    let usage () = fail lineno "commodity expects 'commodity SRC DST DEMAND'" in
+    let a_end = word_end text arg_lo hi in
+    let b_lo = skip_spaces text a_end hi in
+    let b_end = word_end text b_lo hi in
+    let d_lo = skip_spaces text b_end hi in
+    let d_end = word_end text d_lo hi in
+    if b_lo = hi || d_lo = hi || skip_spaces text d_end hi < hi then usage ();
+    match
+      (int_at text arg_lo a_end, int_at text b_lo b_end, Latency_spec.number_sub text d_lo d_end)
+    with
+    | src, dst, Some demand when demand >= 0.0 ->
+        push acc.commodities { Net.src; dst; demand };
+        push acc.commodity_lines lineno
+    | _ | (exception Exit) -> usage ()
+  end
   else fail lineno "unexpected keyword %S in a network instance" (lowercase text lo kw_end)
 
 let network_end acc =
@@ -184,13 +235,12 @@ let network_end acc =
         if src = dst then fail acc.commodity_lines.data.(k) "commodity source equals destination"
       done;
       try
-        let b = G.Digraph.builder ~num_nodes:n in
-        for e = 0 to acc.srcs.len - 1 do
-          ignore (G.Digraph.add_edge b ~src:acc.srcs.data.(e) ~dst:acc.dsts.data.(e))
-        done;
+        let graph =
+          G.Digraph.of_arrays ~num_nodes:n ~srcs:(contents acc.srcs) ~dsts:(contents acc.dsts)
+        in
         Ok
           (Network
-             (Net.make (G.Digraph.freeze b) ~latencies:(contents acc.latencies)
+             (Net.make graph ~latencies:(contents acc.latencies)
                 ~commodities:(contents acc.commodities)))
       with Invalid_argument m -> Error m)
 
@@ -203,7 +253,7 @@ let parse text =
     | Links_body acc -> links_line acc text lineno lo kw_end arg_lo hi
     | Network_body acc -> network_line acc text lineno lo kw_end arg_lo hi
     | Header ->
-        let hint = line_count text in
+        let hint = line_hint text in
         if keyword_is text lo hi "links" then
           section := Links_body { demand = None; links = column hint }
         else if keyword_is text lo hi "network" then
@@ -215,8 +265,8 @@ let parse text =
                 dsts = column hint;
                 lines = column hint;
                 latencies = column hint;
-                commodities = column hint;
-                commodity_lines = column hint;
+                commodities = column 16;
+                commodity_lines = column 16;
               }
         else
           fail lineno "unknown instance header %S (expected 'links' or 'network')"

@@ -33,91 +33,220 @@ let parse_affine s =
       | Some _, Some _ -> Error "negative coefficient in affine latency"
       | _ -> Error (Printf.sprintf "cannot parse %S as an affine expression" s))
 
-let parse_floats ws =
-  let rec go acc = function
-    | [] -> Some (List.rev acc)
-    | w :: rest -> ( match number w with Some f -> go (f :: acc) rest | None -> None)
-  in
-  go [] ws
+(* [String.trim]'s blanks. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
-(* A word as the grammar reads it: trimmed, lowercased, or [""]. The
-   copy is skipped when there is nothing to lowercase. *)
-let normalize w =
-  let w = String.trim w in
-  if String.exists (fun c -> c >= 'A' && c <= 'Z') w then String.lowercase_ascii w else w
+(* The words of [s.[lo .. hi)] as the grammar reads them: the pieces
+   between spaces, each trimmed of blanks, empty ones dropped, as
+   offsets in one pass: [w.(0)] is their count [nw] and word [j] is
+   [s.[w.(2j+1) .. w.(2j+2))]. Room for four words, enough for every
+   spec but a [poly] or a [shifted] chain, grows by doubling. *)
+let words s lo hi =
+  let w = ref (Array.make 9 0) and count = ref 0 and i = ref lo in
+  while !i < hi do
+    if s.[!i] = ' ' then incr i
+    else begin
+      let j = ref !i in
+      while !j < hi && s.[!j] <> ' ' do
+        incr j
+      done;
+      let a = ref !i and b = ref !j in
+      while !a < !b && is_blank s.[!a] do
+        incr a
+      done;
+      while !b > !a && is_blank s.[!b - 1] do
+        decr b
+      done;
+      if !a < !b then begin
+        if (2 * !count) + 3 > Array.length !w then begin
+          let grown = Array.make ((2 * Array.length !w) + 1) 0 in
+          Array.blit !w 0 grown 0 (Array.length !w);
+          w := grown
+        end;
+        !w.((2 * !count) + 1) <- !a;
+        !w.((2 * !count) + 2) <- !b;
+        incr count
+      end;
+      i := !j
+    end
+  done;
+  !w.(0) <- !count;
+  !w
+
+(* Word [j] equals the lowercase keyword [kw], ignoring ASCII case (the
+   grammar lowercases words before it compares them). *)
+let word_is s w j kw =
+  let a = w.((2 * j) + 1) in
+  w.((2 * j) + 2) - a = String.length kw
+  &&
+  let i = ref 0 in
+  while !i < String.length kw && Char.lowercase_ascii s.[a + !i] = kw.[!i] do
+    incr i
+  done;
+  !i = String.length kw
+
+let hex_digit c =
+  match c with '0' .. '9' -> Char.code c - 48 | 'a' .. 'f' -> Char.code c - 87 | _ -> -1
+
+(* A [%h] literal of a normal float, read in place into [xs.(k)]:
+   [-]0x1[.h…h]p±e with at most 13 lowercase hex digits and e in
+   [-1022, 1023]. Its significand fits in 53 bits and its value is
+   normal, so the value is exact — the float [float_of_string] reads.
+   [false], writing nothing, on anything else. *)
+let canonical_hex s lo hi xs k =
+  let i = ref lo and neg = lo < hi && s.[lo] = '-' in
+  if neg then incr i;
+  if !i + 4 > hi || s.[!i] <> '0' || s.[!i + 1] <> 'x' || s.[!i + 2] <> '1' then false
+  else begin
+    i := !i + 3;
+    let mant = ref 1 and digits = ref 0 and ok = ref true in
+    if !i < hi && s.[!i] = '.' then begin
+      incr i;
+      while !ok && !i < hi && s.[!i] <> 'p' do
+        let d = hex_digit s.[!i] in
+        if d < 0 || !digits = 13 then ok := false
+        else begin
+          mant := (!mant lsl 4) lor d;
+          incr digits;
+          incr i
+        end
+      done;
+      if !digits = 0 then ok := false
+    end;
+    if not (!ok && !i + 2 < hi && s.[!i] = 'p' && (s.[!i + 1] = '+' || s.[!i + 1] = '-')) then
+      false
+    else begin
+      let negexp = s.[!i + 1] = '-' in
+      i := !i + 2;
+      let e = ref 0 in
+      while !ok && !i < hi do
+        let c = s.[!i] in
+        if c < '0' || c > '9' || !e > 1_023 then ok := false
+        else begin
+          e := (10 * !e) + (Char.code c - 48);
+          incr i
+        end
+      done;
+      let e = if negexp then - !e else !e in
+      !ok && e >= -1_022 && e <= 1_023
+      &&
+      let v = Float.ldexp (float_of_int !mant) (e - (4 * !digits)) in
+      xs.(k) <- (if neg then -.v else v);
+      true
+    end
+  end
+
+(* [number] on [s.[lo .. hi)] into [xs.(k)]; [false] when it is none.
+   Only a literal that is not canonical hex is cut out of the text. *)
+let read_number s lo hi xs k =
+  canonical_hex s lo hi xs k
+  ||
+  match number (String.sub s lo (hi - lo)) with
+  | Some v ->
+      xs.(k) <- v;
+      true
+  | None -> false
+
+let number_sub s lo hi =
+  let x = [| 0.0 |] in
+  if read_number s lo hi x 0 then Some x.(0) else None
+
+(* The numbers of words [j + 1 .. nw), or [[||]] when one is not a
+   finite number: every keyword form refuses no numbers at all with the
+   message it gives a malformed one. *)
+let floats s w j nw =
+  let xs = Array.make (nw - j - 1) 0.0 in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length xs do
+    let i = j + 1 + !k in
+    ok := read_number s w.((2 * i) + 1) w.((2 * i) + 2) xs !k;
+    incr k
+  done;
+  if !ok then xs else [||]
 
 let shifted_usage = "shifted expects 'shifted OFFSET SPEC' with a nonnegative offset"
 
-(* A specification that is not [shifted], from its normalized words. *)
-let base ~text = function
-  | "const" :: rest -> (
-      match parse_floats rest with
-      | Some [ c ] when c >= 0.0 -> Ok (L.constant c)
-      | _ -> Error "const expects one nonnegative number")
-  | "mm1" :: rest -> (
-      match parse_floats rest with
-      | Some [ cap ] when cap > 0.0 -> Ok (L.mm1 ~capacity:cap)
-      | _ -> Error "mm1 expects one positive capacity")
-  | "bpr" :: rest -> (
-      match parse_floats rest with
-      | Some [ t0; cap ] -> (
-          try Ok (L.bpr ~free_flow:t0 ~capacity:cap ()) with Invalid_argument m -> Error m)
-      | Some [ t0; cap; alpha; beta ] -> (
-          try Ok (L.bpr ~free_flow:t0 ~capacity:cap ~alpha ~beta ())
-          with Invalid_argument m -> Error m)
-      | _ -> Error "bpr expects 'bpr T0 CAP [ALPHA BETA]'")
-  | "poly" :: rest -> (
-      match parse_floats rest with
-      | Some (_ :: _ as coeffs) -> (
-          try Ok (L.polynomial (Array.of_list coeffs)) with Invalid_argument m -> Error m)
-      | _ -> Error "poly expects at least one coefficient")
-  | "affine" :: rest -> (
-      (* Keyword form of the [Ax + B] expression. Unlike the expression
-         form it tokenizes on whitespace, so hex float literals
-         (["0x1.8p+0"], whose 'x' would be read as the variable) are
-         accepted — this is what {!print_canonical} emits. *)
-      match parse_floats rest with
-      | Some [ a; b ] when a >= 0.0 && b >= 0.0 -> Ok (L.affine ~slope:a ~intercept:b)
-      | _ -> Error "affine expects 'affine SLOPE INTERCEPT' with nonnegative numbers")
-  | _ -> parse_affine (text ())
+(* The text the affine-expression form parses and quotes, from word [j]
+   on: the spec itself, [s.[lo .. hi)] trimmed, original case, at depth
+   0; under a [shifted] its words lowercased and joined by single
+   spaces, as if re-parsed on its own. *)
+let text s w j ~lo ~hi ~depth =
+  if depth = 0 then String.trim (String.sub s lo (hi - lo))
+  else
+    String.concat " "
+      (List.init (w.(0) - j) (fun k ->
+           let a = w.((2 * (j + k)) + 1) in
+           String.lowercase_ascii (String.sub s a (w.((2 * (j + k)) + 2) - a))))
 
-(* One specification from its normalized words [lw], none of them
-   empty. [text ()] is the specification as one string, original case,
-   which the affine-expression form parses and quotes; the base of a
-   [shifted] is read from its words joined by single spaces, lowercase,
-   as if re-parsed on its own. A chain of [shifted] heads is walked in
-   one pass, collecting the offsets (innermost first), so a spec nested
-   d deep costs O(d), and an error inside it carries one "shifted: "
-   per level it sits under. *)
-let of_normalized ~text lw =
-  let fail depth m = Error (String.concat "" (List.init depth (fun _ -> "shifted: ")) ^ m) in
-  let rec go depth offsets lw =
-    match lw with
-    | "shifted" :: off :: (_ :: _ as rest) -> (
-        (* [shifted S SPEC] is x ↦ SPEC(S + x): the a-posteriori latency
-           of a link pre-loaded with S units of flow. The base is a full
-           specification, so nesting parses — and [shift] canonicalizes
-           it by summing the offsets, so the round trip through
-           {!print_canonical} is still a fixed point. *)
-        match number off with
-        | Some s when s >= 0.0 -> go (depth + 1) (s :: offsets) rest
-        | _ -> fail depth shifted_usage)
-    | [ "shifted" ] | [ "shifted"; _ ] -> fail depth shifted_usage
-    | _ -> (
-        let text () = if depth = 0 then text () else String.concat " " lw in
-        match base ~text lw with
-        | Ok l -> Ok (List.fold_left (fun l s -> L.shift s l) l offsets)
-        | Error m -> fail depth m)
-  in
-  go 0 [] lw
+(* A specification that is not [shifted]: words [j ..], the first its
+   keyword. *)
+let base s w j ~lo ~hi ~depth =
+  let nw = w.(0) in
+  if word_is s w j "const" then
+    match floats s w j nw with
+    | [| c |] when c >= 0.0 -> Ok (L.constant c)
+    | _ -> Error "const expects one nonnegative number"
+  else if word_is s w j "mm1" then
+    match floats s w j nw with
+    | [| cap |] when cap > 0.0 -> Ok (L.mm1 ~capacity:cap)
+    | _ -> Error "mm1 expects one positive capacity"
+  else if word_is s w j "bpr" then
+    match floats s w j nw with
+    | [| t0; cap |] -> (
+        try Ok (L.bpr ~free_flow:t0 ~capacity:cap ()) with Invalid_argument m -> Error m)
+    | [| t0; cap; alpha; beta |] -> (
+        try Ok (L.bpr ~free_flow:t0 ~capacity:cap ~alpha ~beta ())
+        with Invalid_argument m -> Error m)
+    | _ -> Error "bpr expects 'bpr T0 CAP [ALPHA BETA]'"
+  else if word_is s w j "poly" then
+    match floats s w j nw with
+    | [||] -> Error "poly expects at least one coefficient"
+    | coeffs -> ( try Ok (L.polynomial coeffs) with Invalid_argument m -> Error m)
+  else if word_is s w j "affine" then
+    (* Keyword form of the [Ax + B] expression. Unlike the expression
+       form it tokenizes on whitespace, so hex float literals
+       (["0x1.8p+0"], whose 'x' would be read as the variable) are
+       accepted — this is what {!print_canonical} emits. *)
+    match floats s w j nw with
+    | [| a; b |] when a >= 0.0 && b >= 0.0 -> Ok (L.affine ~slope:a ~intercept:b)
+    | _ -> Error "affine expects 'affine SLOPE INTERCEPT' with nonnegative numbers"
+  else parse_affine (text s w j ~lo ~hi ~depth)
 
-let of_words ~text words =
-  match List.filter (fun w -> w <> "") (List.map normalize words) with
-  | [] -> Error "empty latency specification"
-  | lw -> of_normalized ~text lw
+let fail depth m = Error (String.concat "" (List.init depth (fun _ -> "shifted: ")) ^ m)
 
-let parse s = of_words ~text:(fun () -> String.trim s) (String.split_on_char ' ' s)
-let parse_words words = of_words ~text:(fun () -> String.trim (String.concat " " words)) words
+(* [shifted S SPEC] is x ↦ SPEC(S + x): the a-posteriori latency of a
+   link pre-loaded with S units of flow. Level d of a chain of [shifted]
+   heads is words 2d and 2d + 1, so the chain is walked in one pass,
+   reading each offset into [off], then the offsets are applied
+   innermost first: a spec nested d deep costs O(d), and an error
+   inside it carries one "shifted: " per level it sits under. [shift]
+   canonicalizes the nesting by summing the offsets, so the round trip
+   through {!print_canonical} is still a fixed point. *)
+let offset s w d off = read_number s w.((4 * d) + 3) w.((4 * d) + 4) off 0
+
+let rec chain s w ~lo ~hi depth off =
+  let j = 2 * depth in
+  if not (word_is s w j "shifted") then
+    match base s w j ~lo ~hi ~depth with
+    | Ok l ->
+        let l = ref l in
+        for d = depth - 1 downto 0 do
+          ignore (offset s w d off);
+          l := L.shift off.(0) !l
+        done;
+        Ok !l
+    | Error m -> fail depth m
+  else if w.(0) - j >= 3 && offset s w depth off && off.(0) >= 0.0 then
+    chain s w ~lo ~hi (depth + 1) off
+  else fail depth shifted_usage
+
+let parse_sub s lo hi =
+  let w = words s lo hi in
+  if w.(0) = 0 then Error "empty latency specification"
+  else if word_is s w 0 "shifted" then chain s w ~lo ~hi 0 [| 0.0 |]
+  else base s w 0 ~lo ~hi ~depth:0
+
+let parse s = parse_sub s 0 (String.length s)
 
 let parse_exn s =
   match parse s with Ok l -> l | Error m -> invalid_arg ("Latency_spec.parse: " ^ m)

@@ -16,7 +16,10 @@
       Nested shifts are canonicalized on construction (offsets sum), so
       the parsed kind is never doubly shifted.
 
-    A specification is split into words and lowercased once. A chain of
+    A specification is read in place: its words are offsets into the
+    text, compared to the keywords ignoring ASCII case and read as
+    numbers where they stand (a canonical [%h] literal without a
+    substring), so no word list or lowercased copy is built. A chain of
     [shifted] heads is read in one pass over its words, so a spec nested
     d levels deep parses in time and space linear in its length.
 *)
@@ -26,13 +29,16 @@ val number : string -> float option
     float literal (surrounding blanks allowed) that is finite, else
     [None] — ["inf"] and ["nan"] are rejected like malformed text. *)
 
+val number_sub : string -> int -> int -> float option
+(** [number_sub s lo hi] is [number (String.sub s lo (hi - lo))],
+    without the copy when the text is a canonical [%h] literal. *)
+
 val parse : string -> (Sgr_latency.Latency.t, string) result
 (** Parse a specification; [Error msg] describes the first problem. *)
 
-val parse_words : string list -> (Sgr_latency.Latency.t, string) result
-(** [parse_words ws] is [parse (String.concat " " ws)] for words [ws]
-    split on [' '] (so none contains a space), without the join: the
-    instance reader hands over the words it already split. *)
+val parse_sub : string -> int -> int -> (Sgr_latency.Latency.t, string) result
+(** [parse_sub s lo hi] is [parse (String.sub s lo (hi - lo))] read in
+    place: the instance reader hands over a slice of its text. *)
 
 val parse_exn : string -> Sgr_latency.Latency.t
 (** @raise Invalid_argument on a malformed specification. *)

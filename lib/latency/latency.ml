@@ -549,6 +549,85 @@ module Table = struct
     done;
     !acc
 
+  (* A gathered line: per support entry its base, direction and, for an
+     affine entry, its slope and intercept, contiguous, so a probe of an
+     all-affine line reads no table entry and dispatches on no kind.
+     [affine] is false when some entry is not: that line's probes run
+     every entry through the [value] kernel, by [index]. *)
+  type line = {
+    table : t;
+    mutable marginal : bool;
+    mutable len : int;
+    mutable affine : bool;
+    mutable index : int array;
+    mutable base : float array;
+    mutable dir : float array;
+    mutable slope : float array;
+    mutable intercept : float array;
+  }
+
+  (* The buffers grow with the longest support gathered, not the table:
+     a Frank–Wolfe direction is a few hundred of 10^4 entries. *)
+  let line t =
+    {
+      table = t;
+      marginal = false;
+      len = 0;
+      affine = true;
+      index = [||];
+      base = [||];
+      dir = [||];
+      slope = [||];
+      intercept = [||];
+    }
+
+  let gather l ~marginal ~base ~entries ~dirs ~len =
+    let t = l.table in
+    if len > Array.length t.entries then invalid_arg "Latency.Table.gather: longer than the table";
+    if len > Array.length l.index then begin
+      let size = Int.min (Array.length t.entries) (Int.max len (2 * Array.length l.index)) in
+      l.index <- Array.make size 0;
+      l.base <- Array.make size 0.0;
+      l.dir <- Array.make size 0.0;
+      l.slope <- Array.make size 0.0;
+      l.intercept <- Array.make size 0.0
+    end;
+    l.marginal <- marginal;
+    l.len <- len;
+    l.affine <- true;
+    for k = 0 to len - 1 do
+      let i = entries.(k) in
+      l.index.(k) <- i;
+      l.base.(k) <- base.(i);
+      l.dir.(k) <- dirs.(k);
+      match t.entries.(i) with
+      | Affine_entry ->
+          l.slope.(k) <- t.a.(i);
+          l.intercept.(k) <- t.b.(i)
+      | _ -> l.affine <- false
+    done
+
+  (* Each term is [value]'s affine arm on the same operands, in the same
+     order, so the sum is [directional]'s float. *)
+  let slope_at l gamma =
+    let len = l.len and marginal = l.marginal in
+    Sgr_obs.Obs.add c_evals len;
+    let base = l.base and dir = l.dir and slope = l.slope and intercept = l.intercept in
+    let acc = ref 0.0 in
+    if l.affine then
+      for k = 0 to len - 1 do
+        let d = dir.(k) and a = slope.(k) in
+        let x = base.(k) +. (gamma *. d) in
+        let v = affine_value a intercept.(k) x in
+        acc := !acc +. (d *. if marginal then v +. (x *. a) else v)
+      done
+    else
+      for k = 0 to len - 1 do
+        let d = dir.(k) in
+        acc := !acc +. (d *. value l.table ~marginal l.index.(k) (base.(k) +. (gamma *. d)))
+      done;
+    !acc
+
   (* Level tables: the two kernels of a water-fill pass. *)
 
   (* An entry at a level does nothing (a constant, the water-fill's

@@ -199,6 +199,35 @@ module Table : sig
       along a direction [d] with support [entries] of the Beckmann
       potential (or of the total cost) at [base + γ·d]. *)
 
+  type line
+  (** A direction's support gathered for a line search: per entry its
+      base point, its direction component and, for an affine entry, its
+      slope and intercept, laid out contiguously. *)
+
+  val line : t -> line
+  (** An empty line with room for every entry of the table. *)
+
+  val gather :
+    line ->
+    marginal:bool ->
+    base:float array ->
+    entries:int array ->
+    dirs:float array ->
+    len:int ->
+    unit
+  (** [gather l ~marginal ~base ~entries ~dirs ~len] loads the support
+      {!directional} would read: [base.(e)], [dirs.(k)] and entry [e]'s
+      coefficients for [e = entries.(k)], [k < len]. It evaluates
+      nothing. Later writes to [base] do not reach the line.
+      @raise Invalid_argument when [len] exceeds the table's size. *)
+
+  val slope_at : line -> float -> float
+  (** [slope_at l γ] is [directional t ~marginal ~base ~entries ~dirs
+      ~len γ] on what [l] gathered, bit for bit: the same terms summed in
+      the same order. An all-affine line reads only its own arrays;
+      other kinds keep the table's kernel. Adds [len] to
+      [latency.evaluations]. *)
+
   (** {2 Level tables}
 
       The two kernels of a water-fill pass on the common level l: every

@@ -10,25 +10,88 @@ type t = {
   commodities : commodity array;
 }
 
+(* The index of the first commodity (below [limit]) whose sink its
+   source cannot reach, or [limit]: one breadth-first search per
+   distinct source, which stops once the sinks of that source's
+   commodities are all reached. [seen.(v)] and [wanted.(v)] hold the
+   first commodity (in source order) of the search that reached v,
+   or that waits for v, so no array is reset between searches. *)
+let first_unreachable graph commodities ~limit =
+  let n = G.Digraph.num_nodes graph in
+  let off = G.Digraph.out_offsets graph and ids = G.Digraph.out_edge_ids graph in
+  let dst = G.Digraph.edge_targets graph in
+  let order = Array.init limit Fun.id in
+  Array.stable_sort (fun i j -> Int.compare commodities.(i).src commodities.(j).src) order;
+  let seen = Array.make n (-1) and wanted = Array.make n (-1) and queue = Array.make n 0 in
+  let cancel = Sgr_obs.Cancel.handle () in
+  let first = ref limit and g = ref 0 in
+  while !g < limit do
+    (* Between searches, so validating a large instance respects the
+       deadline. *)
+    Sgr_obs.Cancel.check ();
+    let src = commodities.(order.(!g)).src and stamp = !g in
+    let h = ref !g and pending = ref 0 in
+    while !h < limit && commodities.(order.(!h)).src = src do
+      Sgr_obs.Cancel.check_handle cancel;
+      let t = commodities.(order.(!h)).dst in
+      if wanted.(t) <> stamp then begin
+        wanted.(t) <- stamp;
+        incr pending
+      end;
+      incr h
+    done;
+    let reach v =
+      seen.(v) <- stamp;
+      if wanted.(v) = stamp then decr pending
+    in
+    reach src;
+    queue.(0) <- src;
+    let head = ref 0 and tail = ref 1 in
+    while !pending > 0 && !head < !tail do
+      Sgr_obs.Cancel.check_handle cancel;
+      let u = queue.(!head) in
+      incr head;
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = dst.(ids.(k)) in
+        if seen.(v) <> stamp then begin
+          reach v;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
+    done;
+    for k = !g to !h - 1 do
+      let i = order.(k) in
+      if seen.(commodities.(i).dst) <> stamp then first := Int.min !first i
+    done;
+    g := !h
+  done;
+  !first
+
 let make graph ~latencies ~commodities =
   if Array.length latencies <> G.Digraph.num_edges graph then
     invalid_arg "Network.make: one latency per edge required";
   if Array.length commodities = 0 then invalid_arg "Network.make: no commodities";
-  let weights = Array.make (G.Digraph.num_edges graph) 0.0 in
-  let workspace = G.Dijkstra.workspace () in
-  Array.iter
-    (fun c ->
-      (* Check between the searches so validating a large instance
-         respects the deadline. *)
-      Sgr_obs.Cancel.check ();
-      if not (Float.is_finite c.demand && c.demand >= 0.0) then
-        invalid_arg "Network.make: demand must be finite and nonnegative";
-      if c.src = c.dst then invalid_arg "Network.make: source equals destination";
-      let r = G.Dijkstra.run ~workspace ~targets:[| c.dst |] graph ~weights ~source:c.src in
-      if not (r.dist.(c.dst) < Float.infinity) then
-        invalid_arg "Network.make: destination unreachable from source")
-    commodities;
-  { graph; latencies; commodities }
+  (* The commodities are checked in order, each demand, then endpoints,
+     then reachability: the first commodity that fails names the error. *)
+  let n = G.Digraph.num_nodes graph in
+  let local c =
+    if not (Float.is_finite c.demand && c.demand >= 0.0) then
+      Some "Network.make: demand must be finite and nonnegative"
+    else if c.src = c.dst then Some "Network.make: source equals destination"
+    else if c.src < 0 || c.src >= n || c.dst < 0 || c.dst >= n then
+      Some "Network.make: commodity endpoint out of range"
+    else None
+  in
+  let k = Array.length commodities in
+  let bad =
+    Option.value (Array.find_index (fun c -> Option.is_some (local c)) commodities) ~default:k
+  in
+  if first_unreachable graph commodities ~limit:bad < bad then
+    invalid_arg "Network.make: destination unreachable from source";
+  match if bad < k then local commodities.(bad) else None with
+  | Some m -> invalid_arg m
+  | None -> { graph; latencies; commodities }
 
 let single graph ~latencies ~src ~dst ~demand =
   make graph ~latencies ~commodities:[| { src; dst; demand } |]
@@ -57,7 +120,7 @@ let with_commodities t commodities = make t.graph ~latencies:t.latencies ~commod
 
 (* Demand replacement cannot break the [make] invariants (the topology,
    endpoints, and reachability are untouched), so no revalidation — in
-   particular no per-commodity reachability Dijkstra. This sits in the
+   particular no reachability search. This sits in the
    innermost loop of [Induced.equilibrium]. *)
 let with_demands t demands =
   if Array.length demands <> Array.length t.commodities then

@@ -16,8 +16,12 @@ type t = private {
 
 val make :
   Sgr_graph.Digraph.t -> latencies:Sgr_latency.Latency.t array -> commodities:commodity array -> t
-(** @raise Invalid_argument on size mismatch, no commodities, a negative
-    or non-finite demand, or an unreachable commodity pair. *)
+(** Checks reachability with one breadth-first search per distinct
+    commodity source, stopping once that source's sinks are reached.
+    @raise Invalid_argument on size mismatch, no commodities, a negative
+    or non-finite demand, a commodity whose source is its destination or
+    whose endpoint is not a node, or an unreachable commodity pair; with
+    several bad commodities, the first in order names the error. *)
 
 val single : Sgr_graph.Digraph.t -> latencies:Sgr_latency.Latency.t array ->
   src:int -> dst:int -> demand:float -> t
@@ -46,8 +50,8 @@ val shift : t -> float array -> t
     unchanged; adjust them separately. *)
 
 val with_commodities : t -> commodity array -> t
-(** Revalidates through {!make} (including a reachability Dijkstra per
-    commodity); use {!with_demands} when only the demands change. *)
+(** Revalidates through {!make} (including its reachability searches);
+    use {!with_demands} when only the demands change. *)
 
 val with_demands : t -> float array -> t
 (** [with_demands t d] replaces commodity [i]'s demand by [d.(i)].

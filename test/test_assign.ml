@@ -511,17 +511,22 @@ let test_aon_cut_off_sink_raises () =
 (* ---------------- deterministic performance gates ---------------- *)
 
 (* One Wardrop solve of the 10^4-edge city at jobs 1: 39 iterations, 31
-   free-flow reverse runs (one per distinct sink, 10^4 relaxations each)
-   and goal-directed trees. Plain targeted trees relax 8,203,717 edges
-   here; a change that loses the potential, or breaks a tie differently,
-   moves this count. *)
+   free-flow reverse runs (one per distinct sink, each stopping at the
+   farthest source that uses it) and goal-directed trees that push no
+   node past their last chain's cost. Plain targeted trees relax
+   8,203,717 edges here; with full reverse runs and no pruning the solve
+   relaxed 1,183,566 edges and pushed 509,402 heap entries. A change that
+   loses the potential, the pruning bound, or breaks a tie differently,
+   moves these counts. *)
 let test_city_solve_counts () =
   let net = city_1e4 () in
   let _, moved =
-    counting [ "assign.iterations"; "dijkstra.relaxations"; "dijkstra.goal_fallbacks" ] (fun () ->
-        Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
+    counting
+      [ "assign.iterations"; "dijkstra.relaxations"; "dijkstra.heap_pushes"; "dijkstra.goal_fallbacks" ]
+      (fun () -> Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
   in
-  Alcotest.(check (list int)) "iterations, relaxations, fallbacks" [ 39; 1_183_566; 0 ] moved
+  Alcotest.(check (list int)) "iterations, relaxations, heap pushes, fallbacks"
+    [ 39; 1_075_632; 291_588; 0 ] moved
 
 let test_aon_allocation () =
   let net = city_1e4 () in
@@ -558,6 +563,91 @@ let test_city_solve_evaluations () =
   in
   Alcotest.(check (list int)) "latency evaluations" [ 1_222_736 ] moved
 
+(* ---------------- pruned goal trees across calls ---------------- *)
+
+(* A two-way ring of integer affine latencies (distances tie often),
+   and a long chain from a ring node to an extra sink whose last edge
+   is M/M/1: its free-flow weight 1/c is tiny next to the chain's cost,
+   and at load c it is infinite, cutting the sink off. Commodities from
+   several ring sources share that sink (several trees, one potential),
+   and a few more go to ring nodes, sharing a source or a whole pair. *)
+let chain_network rng =
+  let n = 4 + Prng.int rng 12 and len = 5 + Prng.int rng 40 in
+  let sink = n + len in
+  let b = G.Digraph.builder ~num_nodes:(sink + 1) in
+  let lats = ref [] in
+  let add u v l =
+    ignore (G.Digraph.add_edge b ~src:u ~dst:v);
+    lats := l :: !lats
+  in
+  let integer () =
+    L.affine ~slope:(float_of_int (Prng.int rng 3)) ~intercept:(float_of_int (1 + Prng.int rng 3))
+  in
+  for v = 0 to n - 1 do
+    add v ((v + 1) mod n) (integer ());
+    add ((v + 1) mod n) v (integer ())
+  done;
+  (* The chain n, n + 1, ..., sink - 1, entered from ring node 0. *)
+  add 0 n (integer ());
+  for v = n to sink - 2 do
+    add v (v + 1) (integer ())
+  done;
+  let capacity = [| 2.0; 100.0; 1000.0 |].(Prng.int rng 3) in
+  add (sink - 1) sink (L.mm1 ~capacity);
+  let commodity src dst = { Net.src; dst; demand = float_of_int (1 + Prng.int rng 3) } in
+  let to_sink = List.init (1 + Prng.int rng 3) (fun _ -> commodity (Prng.int rng n) sink) in
+  let on_ring =
+    List.init (Prng.int rng 3) (fun _ ->
+        let src = Prng.int rng n in
+        commodity src ((src + 1 + Prng.int rng (n - 1)) mod n))
+  in
+  let commodities = Array.of_list (to_sink @ on_ring) in
+  Prng.shuffle rng commodities;
+  (Net.make (G.Digraph.freeze b) ~latencies:(Array.of_list (List.rev !lats)) ~commodities, capacity)
+
+let prop_pruned_trees_match_plain =
+  qcheck ~count:300 "AON reused across weights equals plain Dijkstra, bitwise, or raises alike"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 2_800) in
+      let net, capacity = chain_network rng in
+      let m = G.Digraph.num_edges net.Net.graph in
+      let plan = Aon.plan net in
+      let into = Array.make m 0.0 in
+      let weights () =
+        (* At or above free flow: latencies or marginals at integer
+           loads below the M/M/1 capacity (the last edge), now and then
+           at it. *)
+        let load = Array.init m (fun _ -> float_of_int (Prng.int rng 2)) in
+        if Prng.int rng 4 = 0 then load.(m - 1) <- capacity;
+        match Prng.int rng 3 with
+        | 0 -> Net.edge_latencies net (Array.make m 0.0)
+        | 1 -> Net.edge_latencies net load
+        | _ -> Net.edge_marginals net load
+      in
+      List.for_all
+        (fun _ ->
+          let weights = weights () in
+          let jobs = 1 + Prng.int rng 2 in
+          let cut =
+            List.find_opt
+              (fun (_, (c : Net.commodity)) ->
+                G.Dijkstra.shortest_path net.Net.graph ~weights ~src:c.src ~dst:c.dst = None)
+              (List.mapi (fun i c -> (i, c)) (Array.to_list net.Net.commodities))
+          in
+          match (cut, Aon.assign ~jobs plan net ~weights ~into) with
+          | None, () -> bitwise_equal into (aon_oracle net ~weights)
+          | Some (i, c), () ->
+              QCheck.Test.fail_reportf "commodity %d (%d -> %d) was routed past a cut" i c.src
+                c.dst
+          | exception Invalid_argument m -> (
+              match cut with
+              | Some (i, c) ->
+                  String.equal m
+                    (Printf.sprintf "Aon.assign: commodity %d cannot reach node %d from node %d" i
+                       c.dst c.src)
+              | None -> QCheck.Test.fail_reportf "raised %s" m))
+        (List.init (2 + Prng.int rng 3) Fun.id))
+
 let suite =
   [
     prop_fw_matches_column_gen;
@@ -589,4 +679,5 @@ let suite =
     case "AON raises for a sink its weights cut off" test_aon_cut_off_sink_raises;
     case "perf gate: 10^4-city solve allocates under 4 MB" test_city_solve_allocation;
     case "perf gate: 10^4-city solve latency evaluations" test_city_solve_evaluations;
+    prop_pruned_trees_match_plain;
   ]

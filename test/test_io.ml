@@ -486,6 +486,190 @@ let prop_reader_fuzz =
           || QCheck.Test.fail_reportf "%d-byte input (size %d) allocated %.0f bytes"
                (String.length text) size bytes)
 
+
+(* ---------------- the reader's output, pinned ---------------- *)
+
+(* A latency's kind with every parameter as its bits, so a reader that
+   rounds a literal differently changes the digest. *)
+let rec kind_bits buf k =
+  let bits f = Printf.bprintf buf "%Lx," (Int64.bits_of_float f) in
+  match k with
+  | L.Constant c ->
+      Buffer.add_char buf 'C';
+      bits c
+  | L.Affine { slope; intercept } ->
+      Buffer.add_char buf 'A';
+      bits slope;
+      bits intercept
+  | L.Polynomial cs ->
+      Buffer.add_char buf 'P';
+      Array.iter bits cs
+  | L.Mm1 { capacity } ->
+      Buffer.add_char buf 'M';
+      bits capacity
+  | L.Bpr { free_flow; capacity; alpha; beta } ->
+      Buffer.add_char buf 'B';
+      List.iter bits [ free_flow; capacity; alpha; beta ]
+  | L.Shifted { offset; base } ->
+      Buffer.add_char buf 'S';
+      bits offset;
+      kind_bits buf base
+  | L.Custom s -> Buffer.add_string buf s
+
+(* What the reader made of [text]: its canonical form and every
+   latency's kind bits, or its error message. *)
+let add_parse buf text =
+  (match IF.parse text with
+  | Error m -> Printf.bprintf buf "error %s" m
+  | Ok inst ->
+      Buffer.add_string buf (IF.to_string inst);
+      let lats =
+        match inst with IF.Links t -> t.Links.latencies | IF.Network n -> n.Net.latencies
+      in
+      Array.iter (fun l -> kind_bits buf (L.kind l)) lats);
+  Buffer.add_char buf '\n'
+
+let add_spec buf spec =
+  (match LS.parse spec with
+  | Error m -> Printf.bprintf buf "error %s" m
+  | Ok l ->
+      Buffer.add_string buf (LS.print_canonical l);
+      kind_bits buf (L.kind l));
+  Buffer.add_char buf '\n'
+
+(* Random specifications over the whole grammar: every keyword in three
+   cases, decimal, hex and malformed numbers, affine expressions in
+   several spacings, nested [shifted] chains, blanks and junk. *)
+let sample_spec rng =
+  let module P = Sgr_numerics.Prng in
+  let pick a = a.(P.int rng (Array.length a)) in
+  let number () =
+    match P.int rng 4 with
+    | 0 -> Printf.sprintf "%h" (P.float rng *. 8.0)
+    | 1 -> Printf.sprintf "%h" (Float.ldexp (P.float rng) (P.int rng 2_200 - 1_100))
+    | 2 -> Printf.sprintf "%.6g" (P.float rng *. 10.0)
+    | _ ->
+        pick
+          [| "1"; "0.5"; "2.5"; "0"; "-0"; "-1"; "1e-3"; "1E2"; "0x1.8p+1"; "0X1.8P+1"; "0x1p-3";
+             "inf"; "nan"; "-inf"; "1e400"; "+2"; "1_0"; ".5"; "5."; "abc"; "0x"; "0x1p";
+             "0x1.8p+1x"; "4.9e-324"; "0x0.0000000000001p-1022"; "0x1.fffffffffffffp+1023";
+             "0x1p+1024"; "-0x1p+0"; "0x1.00000000000001p+0"; "0x10"; "1.5 " |]
+  in
+  let blank () = pick [| " "; " "; " "; "  "; "\t"; " \t " |] in
+  let keyword k = pick [| k; String.uppercase_ascii k; String.capitalize_ascii k |] in
+  let join ws = String.concat "" (List.concat_map (fun w -> [ blank (); w ]) ws) in
+  let numbers k = List.init k (fun _ -> number ()) in
+  let rec spec depth =
+    match P.int rng 12 with
+    | 0 -> join (keyword "const" :: numbers (P.int rng 3))
+    | 1 -> join (keyword "mm1" :: numbers (P.int rng 3))
+    | 2 -> join (keyword "bpr" :: numbers (pick [| 1; 2; 2; 4; 4; 3; 5 |]))
+    | 3 -> join (keyword "poly" :: numbers (P.int rng 5))
+    | 4 -> join (keyword "affine" :: numbers (pick [| 1; 2; 2; 3 |]))
+    | 5 | 6 ->
+        let coeff = pick [| ""; "2"; "2.5"; "0.5 "; "-"; "-2"; "1e-3"; "0" |] in
+        let x = pick [| "x"; "X"; "x"; "xx" |] in
+        let tail =
+          pick [| ""; " + 1"; "+0.25"; " +1"; " + -1"; " - 1"; " + 1 + 1"; " + "; "+x"; " + 1e-3" |]
+        in
+        coeff ^ x ^ tail
+    | 7 -> number ()
+    | 8 | 9 when depth < 3 ->
+        let off = if P.int rng 6 = 0 then "" else number () in
+        join [ keyword "shifted"; off ] ^ if P.int rng 8 = 0 then "" else spec (depth + 1)
+    | 10 -> pick [| ""; "   "; "frogs"; "#"; "const"; "x y"; "shifted"; "SHIFTED 1"; "2 3" |]
+    | _ -> join [ keyword "shifted"; number (); keyword "shifted"; number () ] ^ spec (depth + 1)
+  in
+  let s = spec 0 in
+  pick [| s; s; s; " " ^ s; s ^ " "; s ^ "\t" |]
+
+(* Instances around the sampled specs. Most lines are well formed, so
+   most instances parse; about one line in twelve is odd: an endpoint or
+   a count in another integer form, a malformed number or spec, a stray
+   keyword. Keywords come in three cases, between comments, blank lines
+   and CRLF endings. *)
+let sample_instance rng =
+  let module P = Sgr_numerics.Prng in
+  let pick a = a.(P.int rng (Array.length a)) in
+  let odd () = P.int rng 12 = 0 in
+  let rec valid_spec tries =
+    let s = sample_spec rng in
+    if tries = 0 || Result.is_ok (LS.parse s) then s else valid_spec (tries - 1)
+  in
+  let spec () = if odd () then sample_spec rng else valid_spec 8 in
+  let node v = if odd () then pick [| "-1"; "0x1"; "+1"; "1_0"; "a"; "01"; "4"; "0o2"; "0b1"; "" |] else string_of_int v in
+  let number () =
+    if odd () then pick [| "-1"; "inf"; "nan"; "1e400"; "2 3"; "x"; "0x1p" |]
+    else pick [| "1"; "0.5"; "0x1p-1"; "2.5e-1"; "0"; Printf.sprintf "%h" (P.float rng) |]
+  in
+  let keyword k = if odd () then pick [| String.uppercase_ascii k; String.capitalize_ascii k; k ^ "s" |] else k in
+  let eol () = pick [| "\n"; "\n"; "\n"; "\n"; "\r\n"; "\n\n"; "\n# note\n"; " \n"; "\t\n" |] in
+  let edge () =
+    let src = P.int rng 4 in
+    let dst = (src + 1 + P.int rng 3) mod 4 in
+    if odd () then pick [| "edge 0 1"; "edge 0"; "edge\t0 1 x"; "edge  0 1 x"; "edge 0 1  x"; "edge 2 2 x" |]
+    else Printf.sprintf "%s %s %s %s" (keyword "edge") (node src) (node dst) (spec ())
+  in
+  let commodity () =
+    Printf.sprintf "%s %s %s %s" (keyword "commodity") (node 0) (node (1 + P.int rng 3)) (number ())
+  in
+  let lines =
+    if P.int rng 4 = 0 then
+      Printf.sprintf "%s %s" (keyword "demand") (number ())
+      :: List.init (1 + P.int rng 4) (fun _ -> Printf.sprintf "%s %s" (keyword "link") (spec ()))
+    else
+      let chain = if P.int rng 3 = 0 then [] else [ "edge 0 1 x"; "edge 1 2 x"; "edge 2 3 x" ] in
+      let body = List.init (1 + P.int rng 5) (fun _ -> edge ()) @ [ commodity () ] in
+      let nodes = Printf.sprintf "%s %s" (keyword "nodes") (if odd () then pick [| "04"; "0x4"; "+4"; "4 5"; "0"; "x" |] else "4") in
+      if P.bool rng then nodes :: chain @ body else chain @ body @ [ nodes ]
+  in
+  let is_links = match lines with l :: _ -> String.starts_with ~prefix:"demand" (String.lowercase_ascii l) | [] -> false in
+  let header = if odd () then pick [| "NETWORK"; "Links"; "frogs" |] else if is_links then "links" else "network" in
+  String.concat "" (List.map (fun l -> l ^ eol ()) (header :: lines))
+
+let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded with the list-based reader this replaced: the same parsed
+   instances, latency bits and error messages, byte for byte. *)
+let test_reader_golden () =
+  let catalog = Buffer.create 4096 in
+  let links = [ W.pigou; W.fig456; W.pigou_degree 3; W.mm1_links ~capacities:[| 1.5; 2.0; 4.0 |] ~demand:1.0 ] in
+  let nets = [ W.fig7 (); W.braess_classic (); W.two_commodity (); W.braess_unbounded () ] in
+  List.iter
+    (fun t ->
+      add_parse catalog (IF.print_links t);
+      add_parse catalog (IF.to_string (IF.Links t)))
+    links;
+  List.iter
+    (fun n ->
+      add_parse catalog (IF.print_network n);
+      add_parse catalog (IF.to_string (IF.Network n)))
+    nets;
+  let city = Buffer.create (1 lsl 20) in
+  let net = W.synthetic_city (Sgr_numerics.Prng.create 13_025) ~rings:25 ~radials:100 ~commodities:32 () in
+  add_parse city (IF.to_string (IF.Network net));
+  add_parse city (IF.print_network net);
+  let specs = Buffer.create (1 lsl 16) in
+  let rng = Sgr_numerics.Prng.create 2_028 in
+  for _ = 1 to 3_000 do
+    let spec = sample_spec rng in
+    add_spec specs spec;
+    add_parse specs ("links\ndemand 1\nlink " ^ spec ^ "\n");
+    add_parse specs ("network\nnodes 3\nedge 0 1 " ^ spec ^ "\nedge 1 2 x\ncommodity 0 2 1\n")
+  done;
+  let instances = Buffer.create (1 lsl 16) in
+  for _ = 1 to 1_500 do
+    add_parse instances (sample_instance rng)
+  done;
+  Alcotest.(check (list string)) "catalog, city, specs, instances"
+    [
+      "61dd30122c69a999a6293faffe7eb5f3";
+      "0092607e2f24fe256b0af5f89afa900b";
+      "7b1b9ea6dc605ebfc33203ef93b23e4c";
+      "46102c28f9378e93bb02d34f52a8df8f";
+    ]
+    [ digest catalog; digest city; digest specs; digest instances ]
+
 let suite =
   [
     case "latency specs: affine forms" test_affine_specs;
@@ -517,4 +701,5 @@ let suite =
     case "tntp: node cap and self loops name their line" test_tntp_bounds_name_their_line;
     case "latency specs: a 20,000-deep shift parses in linear space" test_deep_shift_is_linear;
     prop_reader_fuzz;
+    case "instance reader: output and messages match the recorded MD5s" test_reader_golden;
   ]

@@ -455,6 +455,41 @@ let test_table_kernels_allocate_nothing () =
   let words = Gc.minor_words () -. w0 in
   if words > 40.0 then Alcotest.failf "closed-form kernels allocated %.0f words" words
 
+(* The gathered line a Frank–Wolfe line search probes: its slope at γ is
+   [directional]'s float, on all-affine supports (the contiguous loop)
+   and on mixed ones (every kind), with one line reused across supports
+   of changing length, and counts [len] evaluations per probe. *)
+let prop_gathered_line_bitwise =
+  qcheck ~count:300 "gathered line slopes equal directional bit for bit, counted once each"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 4_300) in
+      let lats =
+        if Prng.bool rng then Array.of_list (every_kind rng)
+        else
+          Array.init (1 + Prng.int rng 12) (fun _ ->
+              L.affine ~slope:(Prng.uniform rng ~lo:0.1 ~hi:3.0) ~intercept:(Prng.float rng))
+      in
+      let n = Array.length lats in
+      let t = L.Table.make lats in
+      let line = L.Table.line t in
+      let base = Array.init n (fun _ -> Prng.uniform rng ~lo:0.0 ~hi:4.5) in
+      List.for_all
+        (fun _ ->
+          let len = Prng.int rng (n + 1) in
+          let entries = Array.init len (fun _ -> Prng.int rng n) in
+          let dirs = Array.init len (fun _ -> Prng.uniform rng ~lo:(-1.0) ~hi:1.0) in
+          let marginal = Prng.bool rng in
+          L.Table.gather line ~marginal ~base ~entries ~dirs ~len;
+          List.for_all
+            (fun gamma ->
+              let e0 = evaluations () in
+              let slope = L.Table.slope_at line gamma in
+              let e1 = evaluations () in
+              e1 - e0 = len
+              && same_bits slope (L.Table.directional t ~marginal ~base ~entries ~dirs ~len gamma))
+            [ 0.0; Prng.float rng; 1.0 ])
+        (List.init 4 Fun.id))
+
 let suite =
   [
     case "constant" test_constant;
@@ -484,4 +519,5 @@ let suite =
       prop_table_kernels_bitwise;
       case "table: closed-form kernels box no float" test_table_kernels_allocate_nothing;
       prop_level_kernels_bitwise;
+      prop_gathered_line_bitwise;
     ]

@@ -248,6 +248,43 @@ let prop_nash_minimizes_beckmann =
       (* Any other flow we can produce has no smaller potential. *)
       Net.beckmann net n.edge_flow <= Net.beckmann net o.edge_flow +. 1e-6)
 
+(* Reachability is one breadth-first search per distinct source; the
+   first commodity, in order, that fails a check names the error, and a
+   search that stops at its sinks must not hide a later one. *)
+let test_make_rejects_unreachable () =
+  (* 0 -> 1 -> 2 and 3 -> 2: node 3 is reached from nowhere, and 2
+     reaches nothing. *)
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (3, 2) ] in
+  let latencies = Array.make 3 (L.linear 1.0) in
+  let make ks =
+    match
+      Net.make g ~latencies
+        ~commodities:(Array.of_list (List.map (fun (src, dst, demand) -> { Net.src; dst; demand }) ks))
+    with
+    | _ -> "ok"
+    | exception Invalid_argument m -> m
+  in
+  let unreachable = "Network.make: destination unreachable from source" in
+  List.iter
+    (fun (ks, expected) -> Alcotest.(check string) "message" expected (make ks))
+    [
+      ([ (0, 2, 1.0); (3, 2, 1.0); (0, 1, 0.5) ], "ok");
+      ([ (0, 3, 1.0) ], unreachable);
+      ([ (2, 0, 1.0) ], unreachable);
+      (* Source 0's search stops at node 1 and must still find 3 unreached. *)
+      ([ (0, 1, 1.0); (0, 3, 1.0) ], unreachable);
+      ([ (0, 1, 1.0); (1, 1, 1.0); (0, 3, 1.0) ], "Network.make: source equals destination");
+      ([ (0, 3, 1.0); (1, 1, 1.0) ], unreachable);
+      ([ (0, 2, Float.nan); (0, 3, 1.0) ], "Network.make: demand must be finite and nonnegative");
+      ([ (0, 3, 1.0); (0, 2, -1.0) ], unreachable);
+      ([ (0, 4, 1.0) ], "Network.make: commodity endpoint out of range");
+    ];
+  (* [with_commodities] revalidates through [make]. *)
+  check_true "with_commodities checks too"
+    (match Net.with_commodities (pigou_net ()) [| { Net.src = 1; dst = 0; demand = 1.0 } |] with
+    | exception Invalid_argument m -> String.equal m unreachable
+    | _ -> false)
+
 let suite =
   [
     case "make: validation" test_make_validation;
@@ -276,4 +313,5 @@ let suite =
     prop_equilibrate_wardrop;
     prop_opt_cost_below_nash;
     prop_nash_minimizes_beckmann;
+    case "make: unreachable commodities, first failure first" test_make_rejects_unreachable;
   ]
