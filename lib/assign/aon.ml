@@ -98,7 +98,8 @@ let plan (net : Network.t) =
      with several sinks runs plain: the nearest-sink bound is weak. *)
   let goal_sink =
     Array.map
-      (fun ts -> if Array.length free_flow > 0 && Array.for_all (( = ) ts.(0)) ts then ts.(0) else -1)
+      (fun ts ->
+        if Array.length free_flow > 0 && Array.for_all (( = ) ts.(0)) ts then ts.(0) else -1)
       sinks
   in
   (* One potential per distinct goal sink; its reverse run stops once

@@ -123,5 +123,7 @@ let iter_in t v f =
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>digraph: %d nodes, %d edges" t.num_nodes (num_edges t);
-  Array.iteri (fun id src -> Format.fprintf ppf "@,  e%d: %d -> %d" id src t.edge_dst.(id)) t.edge_src;
+  Array.iteri
+    (fun id src -> Format.fprintf ppf "@,  e%d: %d -> %d" id src t.edge_dst.(id))
+    t.edge_src;
   Format.fprintf ppf "@]"

@@ -317,9 +317,9 @@ let goal_toward ws g ~lower ~key_bound ~sink ~sources =
   done;
   { lower; potential; key_bound; targets = Some [| sink |] }
 
-let goal ?workspace:ws ?sources g ~lower ~sink =
+let goal ?workspace:ws g ~lower ~sink =
   let ws = match ws with Some ws -> ws | None -> workspace () in
-  goal_toward ws g ~lower ~key_bound:(key_bound g lower) ~sink ~sources
+  goal_toward ws g ~lower ~key_bound:(key_bound g lower) ~sink ~sources:None
 
 let goals ?workspace:ws g ~lower ~sinks ~sources =
   if Array.length sources <> Array.length sinks then

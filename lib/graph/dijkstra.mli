@@ -149,23 +149,13 @@ val shortest_edge_subgraph :
 
 (** {1 Goal-directed search} *)
 
-val goal :
-  ?workspace:workspace -> ?sources:int array -> Digraph.t -> lower:float array -> sink:int ->
-  goal
-(** [goal g ~lower ~sink] runs one reverse search from [sink] under
-    [lower] and keeps the distances d, scaled by (1 − 1e-9), as the
-    potential π. With [sources] the search stops once every node of
-    [sources] is settled, at distance R (the largest of theirs), and
-    every node it did not settle gets R: π = (1 − 1e-9)·min(d, R), still
-    consistent, and exact on every node nearer than R. The goal stays
-    valid for any source; only the work of a run from a source past R
-    grows. Without [sources], or when one of them cannot reach the sink,
-    the search is a full one.
-
-    Under weights [w ≥ lower] (edgewise) every edge then keeps a reduced
-    cost [w − π(u) + π(v)] of at least [1e-9·lower(e)] — a consistent
-    potential with a margin. The margin outweighs the rounding of the
-    heap keys [dist + π] while they stay below
+val goal : ?workspace:workspace -> Digraph.t -> lower:float array -> sink:int -> goal
+(** [goal g ~lower ~sink] runs one full reverse search from [sink] under
+    [lower] and keeps the distances, scaled by (1 − 1e-9), as the
+    potential π. Under weights [w ≥ lower] (edgewise) every edge then
+    keeps a reduced cost [w − π(u) + π(v)] of at least [1e-9·lower(e)]
+    — a consistent potential with a margin. The margin outweighs the
+    rounding of the heap keys [dist + π] while they stay below
     [K = 1e-9·min lower / (4·epsilon_float)]; a run whose keys pass [K]
     reruns plain (see {!run}). Latencies that never decrease with flow
     make the free-flow latencies ℓₑ(0) such a bound for a whole
@@ -177,9 +167,14 @@ val goal :
 val goals :
   ?workspace:workspace -> Digraph.t -> lower:float array -> sinks:int array ->
   sources:int array array -> goal array
-(** [goals g ~lower ~sinks ~sources] is
-    [goal g ~lower ~sink:sinks.(i) ~sources:sources.(i)] for every [i],
-    with a single scan of [lower] for all of them, and a deadline
-    checkpoint before each reverse search.
+(** [goals g ~lower ~sinks ~sources] builds one goal per sink, as {!goal}
+    does, with a single scan of [lower] for all of them and a deadline
+    checkpoint before each reverse search, which stops once every node
+    of [sources.(i)] is settled, at distance R (the largest of theirs).
+    Every node it did not settle gets R: π = (1 − 1e-9)·min(d, R), still
+    consistent with the same margin, and exact on every node nearer than
+    R. A goal stays valid for any source; only the work of a run from a
+    source past R grows. When some source cannot reach its sink the
+    search is a full one, as in {!goal}.
     @raise Invalid_argument as {!goal} does, or when [sources] and
     [sinks] differ in length. *)

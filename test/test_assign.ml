@@ -522,7 +522,10 @@ let test_city_solve_counts () =
   let net = city_1e4 () in
   let _, moved =
     counting
-      [ "assign.iterations"; "dijkstra.relaxations"; "dijkstra.heap_pushes"; "dijkstra.goal_fallbacks" ]
+      [
+        "assign.iterations"; "dijkstra.relaxations"; "dijkstra.heap_pushes";
+        "dijkstra.goal_fallbacks";
+      ]
       (fun () -> Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
   in
   Alcotest.(check (list int)) "iterations, relaxations, heap pushes, fallbacks"

@@ -597,17 +597,23 @@ let sample_instance rng =
     if tries = 0 || Result.is_ok (LS.parse s) then s else valid_spec (tries - 1)
   in
   let spec () = if odd () then sample_spec rng else valid_spec 8 in
-  let node v = if odd () then pick [| "-1"; "0x1"; "+1"; "1_0"; "a"; "01"; "4"; "0o2"; "0b1"; "" |] else string_of_int v in
+  let node v =
+    if odd () then pick [| "-1"; "0x1"; "+1"; "1_0"; "a"; "01"; "4"; "0o2"; "0b1"; "" |]
+    else string_of_int v
+  in
   let number () =
     if odd () then pick [| "-1"; "inf"; "nan"; "1e400"; "2 3"; "x"; "0x1p" |]
     else pick [| "1"; "0.5"; "0x1p-1"; "2.5e-1"; "0"; Printf.sprintf "%h" (P.float rng) |]
   in
-  let keyword k = if odd () then pick [| String.uppercase_ascii k; String.capitalize_ascii k; k ^ "s" |] else k in
+  let keyword k =
+    if odd () then pick [| String.uppercase_ascii k; String.capitalize_ascii k; k ^ "s" |] else k
+  in
   let eol () = pick [| "\n"; "\n"; "\n"; "\n"; "\r\n"; "\n\n"; "\n# note\n"; " \n"; "\t\n" |] in
   let edge () =
     let src = P.int rng 4 in
     let dst = (src + 1 + P.int rng 3) mod 4 in
-    if odd () then pick [| "edge 0 1"; "edge 0"; "edge\t0 1 x"; "edge  0 1 x"; "edge 0 1  x"; "edge 2 2 x" |]
+    if odd () then
+      pick [| "edge 0 1"; "edge 0"; "edge\t0 1 x"; "edge  0 1 x"; "edge 0 1  x"; "edge 2 2 x" |]
     else Printf.sprintf "%s %s %s %s" (keyword "edge") (node src) (node dst) (spec ())
   in
   let commodity () =
@@ -620,11 +626,20 @@ let sample_instance rng =
     else
       let chain = if P.int rng 3 = 0 then [] else [ "edge 0 1 x"; "edge 1 2 x"; "edge 2 3 x" ] in
       let body = List.init (1 + P.int rng 5) (fun _ -> edge ()) @ [ commodity () ] in
-      let nodes = Printf.sprintf "%s %s" (keyword "nodes") (if odd () then pick [| "04"; "0x4"; "+4"; "4 5"; "0"; "x" |] else "4") in
+      let count = if odd () then pick [| "04"; "0x4"; "+4"; "4 5"; "0"; "x" |] else "4" in
+      let nodes = Printf.sprintf "%s %s" (keyword "nodes") count in
       if P.bool rng then nodes :: chain @ body else chain @ body @ [ nodes ]
   in
-  let is_links = match lines with l :: _ -> String.starts_with ~prefix:"demand" (String.lowercase_ascii l) | [] -> false in
-  let header = if odd () then pick [| "NETWORK"; "Links"; "frogs" |] else if is_links then "links" else "network" in
+  let is_links =
+    match lines with
+    | l :: _ -> String.starts_with ~prefix:"demand" (String.lowercase_ascii l)
+    | [] -> false
+  in
+  let header =
+    if odd () then pick [| "NETWORK"; "Links"; "frogs" |]
+    else if is_links then "links"
+    else "network"
+  in
   String.concat "" (List.map (fun l -> l ^ eol ()) (header :: lines))
 
 let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf))
@@ -633,7 +648,9 @@ let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf))
    instances, latency bits and error messages, byte for byte. *)
 let test_reader_golden () =
   let catalog = Buffer.create 4096 in
-  let links = [ W.pigou; W.fig456; W.pigou_degree 3; W.mm1_links ~capacities:[| 1.5; 2.0; 4.0 |] ~demand:1.0 ] in
+  let links =
+    [ W.pigou; W.fig456; W.pigou_degree 3; W.mm1_links ~capacities:[| 1.5; 2.0; 4.0 |] ~demand:1.0 ]
+  in
   let nets = [ W.fig7 (); W.braess_classic (); W.two_commodity (); W.braess_unbounded () ] in
   List.iter
     (fun t ->
@@ -646,7 +663,9 @@ let test_reader_golden () =
       add_parse catalog (IF.to_string (IF.Network n)))
     nets;
   let city = Buffer.create (1 lsl 20) in
-  let net = W.synthetic_city (Sgr_numerics.Prng.create 13_025) ~rings:25 ~radials:100 ~commodities:32 () in
+  let net =
+    W.synthetic_city (Sgr_numerics.Prng.create 13_025) ~rings:25 ~radials:100 ~commodities:32 ()
+  in
   add_parse city (IF.to_string (IF.Network net));
   add_parse city (IF.print_network net);
   let specs = Buffer.create (1 lsl 16) in

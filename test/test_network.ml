@@ -257,10 +257,8 @@ let test_make_rejects_unreachable () =
   let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (3, 2) ] in
   let latencies = Array.make 3 (L.linear 1.0) in
   let make ks =
-    match
-      Net.make g ~latencies
-        ~commodities:(Array.of_list (List.map (fun (src, dst, demand) -> { Net.src; dst; demand }) ks))
-    with
+    let commodity (src, dst, demand) = { Net.src; dst; demand } in
+    match Net.make g ~latencies ~commodities:(Array.of_list (List.map commodity ks)) with
     | _ -> "ok"
     | exception Invalid_argument m -> m
   in
