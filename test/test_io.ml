@@ -486,7 +486,6 @@ let prop_reader_fuzz =
           || QCheck.Test.fail_reportf "%d-byte input (size %d) allocated %.0f bytes"
                (String.length text) size bytes)
 
-
 (* ---------------- the reader's output, pinned ---------------- *)
 
 (* A latency's kind with every parameter as its bits, so a reader that
