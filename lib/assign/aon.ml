@@ -53,7 +53,8 @@ let free_flow_weights (net : Network.t) =
   let lats = net.Network.latencies in
   if not (Array.for_all nondecreasing lats) then [||]
   else
-    let w = Array.map (fun l -> L.eval l 0.0) lats in
+    let w = Array.make (Array.length lats) 0.0 in
+    L.Kernels.fill lats ~marginal:false ~at:w ~into:w;
     if Array.for_all (fun x -> x > 0.0) w then w else [||]
 
 (* The index of the first entry of the ascending array [sorted] at or

@@ -25,9 +25,9 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     =
   Obs.span "assign.solve" @@ fun () ->
   let m = G.Digraph.num_edges net.Network.graph in
-  (* The latencies as a flat table: the gradient and every line-search
-     probe evaluate through its kernels, which box no float. *)
-  let table = L.Table.make net.Network.latencies in
+  (* The gradient and every line-search probe evaluate through the
+     latency kernels, which box no float. *)
+  let lats = net.Network.latencies in
   let marginal = match obj with Objective.Wardrop -> false | Objective.System_optimum -> true in
   let ks = net.Network.commodities in
   let plan = Aon.plan net in
@@ -37,7 +37,7 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
      of d = y - f, and the same gathered with their base flows and
      latency coefficients for the line search. *)
   let sup_edge = Array.make m 0 and sup_dir = Array.make m 0.0 in
-  let line = L.Table.line table in
+  let line = L.Kernels.line lats in
   (* Per-commodity flow tracking (only when the caller wants a
      decomposable answer): every AON routes each commodity down one tree
      path, so the commodity split evolves by the same convex steps as
@@ -67,7 +67,7 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
   (* Dijkstra rejects negative weights; marginals of odd user latencies
      can dip microscopically below zero, so clamp. *)
   let fill_grad f =
-    L.Table.fill table ~marginal ~at:f ~into:grad;
+    L.Kernels.fill lats ~marginal ~at:f ~into:grad;
     for e = 0 to m - 1 do
       grad.(e) <- Float.max 0.0 grad.(e)
     done
@@ -121,12 +121,12 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
               (* Every probe sums over the gathered support alone, in
                  the same edge order as a full scan, so the sum is the
                  same float. *)
-              L.Table.gather line ~marginal ~base:f ~entries:sup_edge ~dirs:sup_dir ~len:n_sup;
+              L.Kernels.gather line ~marginal ~base:f ~entries:sup_edge ~dirs:sup_dir ~len:n_sup;
               (* Exact line search: the directional derivative of the
                  convex objective along d is nondecreasing in gamma. *)
               let dphi gamma =
                 Sgr_obs.Cancel.check_handle cancel;
-                L.Table.slope_at line gamma
+                L.Kernels.slope_at line gamma
               in
               let gamma = Sgr_numerics.Minimize.line_search_convex ~df:dphi ~lo:0.0 ~hi:1.0 () in
               if gamma <= 0.0 then 1e-12 else gamma

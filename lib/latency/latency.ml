@@ -7,38 +7,30 @@ type kind =
   | Shifted of { offset : float; base : kind }
   | Custom of string
 
+(* A latency is data: its kind, two facts read off the kind once, when
+   the latency is built, and what the kind cannot carry. [Kind]: the
+   kind is the whole function, a closed form or one shift of one.
+   [Shift]: x ↦ base(by + x), for a shift of a shifted latency or of a
+   [Custom] one. [Functions]: a [Custom]'s own. *)
 type t = {
   kind : kind;
-  eval : float -> float;
-  deriv : float -> float;
-  primitive : float -> float;
+  degree : int;  (* d when the kind is b + c·xᵈ or a shift of it, else 0 *)
+  constant : bool;  (* [constant_value] is [Some] *)
+  via : via;
 }
+
+and via =
+  | Kind
+  | Shift of { by : float; base : t }
+  | Functions of { eval : float -> float; deriv : float -> float; primitive : float -> float }
 
 let c_evals = Sgr_obs.Obs.counter "latency.evaluations"
 
 let kind t = t.kind
 
-let eval t x =
-  Sgr_obs.Obs.incr c_evals;
-  t.eval x
-
-let deriv t x = t.deriv x
-let primitive t x = t.primitive x
-
-let marginal t x =
-  Sgr_obs.Obs.incr c_evals;
-  t.eval x +. (x *. t.deriv x)
-
-let cost t x = x *. t.eval x
-
-let constant c =
-  if c < 0.0 then invalid_arg "Latency.constant: negative delay";
-  { kind = Constant c; eval = (fun _ -> c); deriv = (fun _ -> 0.0); primitive = (fun x -> c *. x) }
-
-(* The formulas of the closed-form kinds. Each has this one definition:
-   the constructors' closures and the flat tables at the end of this
-   file both call it, so the two evaluate bit for bit alike. Inlined, so
-   a table kernel boxes no float. *)
+(* The formulas of the closed-form kinds. Each has this one definition,
+   called by the scalar functions and the array kernels alike. Inlined,
+   so a kernel boxes no float. *)
 let[@inline] affine_value slope intercept x = (slope *. x) +. intercept
 
 let[@inline] mm1_value capacity x = if x >= capacity then Float.infinity else 1.0 /. (capacity -. x)
@@ -46,28 +38,24 @@ let[@inline] mm1_value capacity x = if x >= capacity then Float.infinity else 1.
 let[@inline] mm1_slope capacity x =
   if x >= capacity then Float.infinity else 1.0 /. ((capacity -. x) *. (capacity -. x))
 
+let[@inline] mm1_deriv2 capacity x =
+  if x >= capacity then Float.infinity
+  else 2.0 /. ((capacity -. x) *. (capacity -. x) *. (capacity -. x))
+
 let[@inline] bpr_value free_flow capacity alpha beta x =
   free_flow *. (1.0 +. (alpha *. ((x /. capacity) ** beta)))
 
 let[@inline] bpr_slope free_flow capacity alpha beta x =
   free_flow *. alpha *. beta /. capacity *. ((x /. capacity) ** (beta -. 1.0))
 
-let affine ~slope ~intercept =
-  if slope < 0.0 || intercept < 0.0 then invalid_arg "Latency.affine: negative coefficient";
-  (* Exact test by design: only a literal zero slope normalizes to the
-     [Constant] constructor; a denormal slope is still affine. *)
-  if (slope = 0.0) [@lint.allow "float-equality"] then constant intercept
+(* β = 1 is linear; β < 2 is infinitely curved at 0. *)
+let[@inline] bpr_deriv2 free_flow capacity alpha beta x =
+  if beta <= 1.0 then 0.0
   else
-    {
-      kind = Affine { slope; intercept };
-      eval = (fun x -> affine_value slope intercept x);
-      deriv = (fun _ -> slope);
-      primitive = (fun x -> (0.5 *. slope *. x *. x) +. (intercept *. x));
-    }
+    free_flow *. alpha *. beta *. (beta -. 1.0) /. (capacity *. capacity)
+    *. ((x /. capacity) ** (beta -. 2.0))
 
-let linear a = affine ~slope:a ~intercept:0.0
-
-(* Horner evaluation. *)
+(* Σ cᵢ xⁱ, Σ i·cᵢ·x^(i-1) and Σ i(i-1)·cᵢ·x^(i-2), by Horner. *)
 let[@inline] horner coeffs x =
   let acc = ref 0.0 in
   for i = Array.length coeffs - 1 downto 0 do
@@ -75,22 +63,175 @@ let[@inline] horner coeffs x =
   done;
   !acc
 
-(* The coefficient i·cᵢ of x^(i-1) in the derivative of Σ cᵢ xⁱ. *)
-let[@inline] deriv_coeff coeffs i = float_of_int i *. coeffs.(i)
-
-(* The coefficients of Σ cᵢ xⁱ's derivative, by ascending degree. *)
-let derivative_coeffs coeffs =
-  Array.init (max 0 (Array.length coeffs - 1)) (fun i -> deriv_coeff coeffs (i + 1))
-
-(* [horner (derivative_coeffs coeffs) x], forming each coefficient as
-   the loop reaches it: the same products and sums, so the same bits,
-   with no array built. *)
 let[@inline] poly_deriv coeffs x =
   let acc = ref 0.0 in
   for i = Array.length coeffs - 1 downto 1 do
-    acc := (!acc *. x) +. deriv_coeff coeffs i
+    acc := (!acc *. x) +. (float_of_int i *. coeffs.(i))
   done;
   !acc
+
+let[@inline] poly_deriv2 coeffs x =
+  let acc = ref 0.0 in
+  for i = Array.length coeffs - 1 downto 2 do
+    acc := (!acc *. x) +. (float_of_int (i * (i - 1)) *. coeffs.(i))
+  done;
+  !acc
+
+(* Σ cᵢ x^(i+1)/(i+1) by Horner, down to its zero constant term, which
+   turns a -0 into +0. *)
+let poly_primitive coeffs x =
+  let acc = ref 0.0 in
+  for i = Array.length coeffs downto 1 do
+    acc := (!acc *. x) +. (coeffs.(i - 1) /. float_of_int i)
+  done;
+  (!acc *. x) +. 0.0
+
+(* [shift s] reads its base at s + x, and is the identity at s = 0
+   (exact test by design). *)
+let[@inline] unshifted s = (s = 0.0) [@lint.allow "float-equality"]
+
+let[@inline] add_offset s x = if unshifted s then x else s +. x
+
+(* [Tol.clamp_nonneg], which is [Float.max 0.], inlined. *)
+let[@inline] clamp_nonneg v = if v > 0.0 || Float.is_nan v then v else 0.0
+
+(* ℓ(x) and ℓ'(x) from a kind that is the whole function: a closed form
+   at x, or one at offset + x under [Shifted]. A [Custom] kind carries
+   no function (its latency's [via] does), so it reads nan. *)
+let[@inline] kind_value kind x =
+  let z = match kind with Shifted { offset; _ } -> offset +. x | _ -> x in
+  match kind with
+  | Constant c | Shifted { base = Constant c; _ } -> c
+  | Affine { slope; intercept } | Shifted { base = Affine { slope; intercept }; _ } ->
+      affine_value slope intercept z
+  | Polynomial coeffs | Shifted { base = Polynomial coeffs; _ } -> horner coeffs z
+  | Mm1 { capacity } | Shifted { base = Mm1 { capacity }; _ } -> mm1_value capacity z
+  | Bpr { free_flow; capacity; alpha; beta }
+  | Shifted { base = Bpr { free_flow; capacity; alpha; beta }; _ } ->
+      bpr_value free_flow capacity alpha beta z
+  | Custom _ | Shifted { base = Custom _ | Shifted _; _ } -> Float.nan
+
+let[@inline] kind_deriv kind x =
+  let z = match kind with Shifted { offset; _ } -> offset +. x | _ -> x in
+  match kind with
+  | Constant _ | Shifted { base = Constant _; _ } -> 0.0
+  | Affine { slope; _ } | Shifted { base = Affine { slope; _ }; _ } -> slope
+  | Polynomial coeffs | Shifted { base = Polynomial coeffs; _ } -> poly_deriv coeffs z
+  | Mm1 { capacity } | Shifted { base = Mm1 { capacity }; _ } -> mm1_slope capacity z
+  | Bpr { free_flow; capacity; alpha; beta }
+  | Shifted { base = Bpr { free_flow; capacity; alpha; beta }; _ } ->
+      bpr_slope free_flow capacity alpha beta z
+  | Custom _ | Shifted { base = Custom _ | Shifted _; _ } -> Float.nan
+
+let kind_primitive kind x =
+  let primitive kind x =
+    match kind with
+    | Constant c -> c *. x
+    | Affine { slope; intercept } -> (0.5 *. slope *. x *. x) +. (intercept *. x)
+    | Polynomial coeffs -> poly_primitive coeffs x
+    | Mm1 { capacity } ->
+        if x >= capacity then Float.infinity else Float.log (capacity /. (capacity -. x))
+    | Bpr { free_flow; capacity; alpha; beta } ->
+        free_flow
+        *. (x +. (alpha *. capacity /. (beta +. 1.0) *. ((x /. capacity) ** (beta +. 1.0))))
+    | Shifted _ | Custom _ -> Float.nan
+  in
+  match kind with
+  | Shifted { offset; base } -> primitive base (offset +. x) -. primitive base offset
+  | kind -> primitive kind x
+
+(* The same through [via]: a link adds its offset and follows it, so a
+   nested shift adds its offsets one at a time, ℓ(b + (a + x)) for
+   [shift a (shift b ℓ)]. A chain is as deep as the instance makes it,
+   so each link is a cancellation checkpoint. *)
+let rec linked_value t x =
+  match t.via with
+  | Kind -> kind_value t.kind x
+  | Shift { by; base } ->
+      Sgr_obs.Cancel.check ();
+      linked_value base (by +. x)
+  | Functions f -> f.eval x
+
+let rec linked_deriv t x =
+  match t.via with
+  | Kind -> kind_deriv t.kind x
+  | Shift { by; base } ->
+      Sgr_obs.Cancel.check ();
+      linked_deriv base (by +. x)
+  | Functions f -> f.deriv x
+
+let rec primitive t x =
+  match t.via with
+  | Kind -> kind_primitive t.kind x
+  | Shift { by; base } ->
+      Sgr_obs.Cancel.check ();
+      primitive base (by +. x) -. primitive base by
+  | Functions f -> f.primitive x
+
+(* ℓ(x) and ℓ'(x): a kind that is the function runs inline; a link is
+   followed out of line. *)
+let[@inline] value t x =
+  match t.via with Kind -> kind_value t.kind x | Shift _ | Functions _ -> linked_value t x
+
+let[@inline] deriv t x =
+  match t.via with Kind -> kind_deriv t.kind x | Shift _ | Functions _ -> linked_deriv t x
+
+(* ℓ(z), or with [marginal] ℓ(z) + x·ℓ'(z): at z = x the latency or the
+   marginal cost at x, and at z = s + x those of [shift s ℓ]. *)
+let[@inline] criterion ~marginal t z x =
+  let v = value t z in
+  if marginal then v +. (x *. deriv t z) else v
+
+let eval t x =
+  Sgr_obs.Obs.incr c_evals;
+  value t x
+
+let marginal t x =
+  Sgr_obs.Obs.incr c_evals;
+  criterion ~marginal:true t x x
+
+let cost t x = x *. value t x
+
+(* The constructors turn every other constant latency into [Constant]:
+   an affine one with slope 0, a polynomial with no positive term past
+   the constant. t₀·(1 + α(x/k)^β) is the constant t₀ when α or t₀ is 0
+   (both are nonnegative, so [<= 0.] is the exact zero test). *)
+let kind_constant_value = function
+  | Constant c | Shifted { base = Constant c; _ } -> Some c
+  | (Bpr { free_flow; alpha; _ } | Shifted { base = Bpr { free_flow; alpha; _ }; _ })
+    when alpha <= 0.0 || free_flow <= 0.0 ->
+      Some free_flow
+  | _ -> None
+
+(* The degree d of a polynomial b + c·x^d with a single nonconstant
+   term, or 0 when it has several (or none). *)
+let single_term coeffs =
+  let d = ref 0 and terms = ref 0 in
+  for i = 1 to Array.length coeffs - 1 do
+    if coeffs.(i) > 0.0 then begin
+      d := i;
+      incr terms
+    end
+  done;
+  if !terms = 1 then !d else 0
+
+(* The latency whose kind, unshifted and closed-form, is its function. *)
+let closed kind =
+  let degree = match kind with Polynomial coeffs -> single_term coeffs | _ -> 0 in
+  { kind; degree; constant = Option.is_some (kind_constant_value kind); via = Kind }
+
+let constant c =
+  if c < 0.0 then invalid_arg "Latency.constant: negative delay";
+  closed (Constant c)
+
+let affine ~slope ~intercept =
+  if slope < 0.0 || intercept < 0.0 then invalid_arg "Latency.affine: negative coefficient";
+  (* Exact test by design: only a literal zero slope normalizes to the
+     [Constant] constructor; a denormal slope is still affine. *)
+  if (slope = 0.0) [@lint.allow "float-equality"] then constant intercept
+  else closed (Affine { slope; intercept })
+
+let linear a = affine ~slope:a ~intercept:0.0
 
 let polynomial coeffs =
   if Array.exists (fun c -> c < 0.0) coeffs then
@@ -103,15 +244,7 @@ let polynomial coeffs =
   done;
   if n = 0 then constant 0.0
   else if not !nonconst then constant coeffs.(0)
-  else
-    let dcoeffs = derivative_coeffs coeffs in
-    let pcoeffs = Array.init (n + 1) (fun i -> if i = 0 then 0.0 else coeffs.(i - 1) /. float_of_int i) in
-    {
-      kind = Polynomial coeffs;
-      eval = horner coeffs;
-      deriv = horner dcoeffs;
-      primitive = horner pcoeffs;
-    }
+  else closed (Polynomial coeffs)
 
 let monomial ~coeff ~degree =
   if degree < 0 then invalid_arg "Latency.monomial: negative degree";
@@ -121,22 +254,12 @@ let monomial ~coeff ~degree =
 
 let mm1 ~capacity =
   if capacity <= 0.0 then invalid_arg "Latency.mm1: capacity must be positive";
-  let eval x = mm1_value capacity x in
-  let deriv x = mm1_slope capacity x in
-  let primitive x =
-    if x >= capacity then Float.infinity else Float.log (capacity /. (capacity -. x))
-  in
-  { kind = Mm1 { capacity }; eval; deriv; primitive }
+  closed (Mm1 { capacity })
 
 let bpr ~free_flow ~capacity ?(alpha = 0.15) ?(beta = 4.0) () =
   if free_flow < 0.0 || capacity <= 0.0 || alpha < 0.0 || beta < 1.0 then
     invalid_arg "Latency.bpr: bad parameter";
-  let eval x = bpr_value free_flow capacity alpha beta x in
-  let deriv x = bpr_slope free_flow capacity alpha beta x in
-  let primitive x =
-    free_flow *. (x +. (alpha *. capacity /. (beta +. 1.0) *. ((x /. capacity) ** (beta +. 1.0))))
-  in
-  { kind = Bpr { free_flow; capacity; alpha; beta }; eval; deriv; primitive }
+  closed (Bpr { free_flow; capacity; alpha; beta })
 
 let custom ?(label = "custom") ~eval ?deriv ?primitive () =
   let deriv =
@@ -153,30 +276,26 @@ let custom ?(label = "custom") ~eval ?deriv ?primitive () =
     | Some p -> p
     | None -> fun x -> Sgr_numerics.Integrate.adaptive_simpson ~f:eval ~lo:0.0 ~hi:x ()
   in
-  { kind = Custom label; eval; deriv; primitive }
+  { kind = Custom label; degree = 0; constant = false; via = Functions { eval; deriv; primitive } }
 
 let shift s base =
   if s < 0.0 then invalid_arg "Latency.shift: negative offset";
-  (* Exact test by design: zero offset is the identity, anything else
-     must build a [Shifted] node. *)
-  if (s = 0.0) [@lint.allow "float-equality"] then base
+  if unshifted s then base
   else
     (* Canonical form: shifting a shifted latency sums the offsets instead
        of nesting [Shifted] nodes, so structurally equal latencies built by
        different shift sequences have equal kinds (and hence equal
-       canonical serializations and fingerprints). The evaluation closures
-       chain through [base] either way — ℓ((s₁+s₂)+x) = (ℓ∘(+s₂))(s₁+x). *)
-    let kind =
-      match base.kind with
-      | Shifted { offset; base = inner } -> Shifted { offset = s +. offset; base = inner }
-      | k -> Shifted { offset = s; base = k }
-    in
-    {
-      kind;
-      eval = (fun x -> base.eval (s +. x));
-      deriv = (fun x -> base.deriv (s +. x));
-      primitive = (fun x -> base.primitive (s +. x) -. base.primitive s);
-    }
+       canonical serializations and fingerprints). The evaluation links
+       to [base] instead, ℓ((s₁+s₂)+x) = (ℓ∘(+s₂))(s₁+x), as it does for
+       a [Custom] base, whose functions the kind cannot carry. *)
+    match base.kind with
+    | Shifted { offset; base = inner } ->
+        let kind = Shifted { offset = s +. offset; base = inner } in
+        { base with kind; via = Shift { by = s; base } }
+    | Custom _ ->
+        let kind = Shifted { offset = s; base = base.kind } in
+        { base with kind; via = Shift { by = s; base } }
+    | kind -> { base with kind = Shifted { offset = s; base = kind } }
 
 let rec pp_kind ppf = function
   | Constant c -> Format.fprintf ppf "%.4g" c
@@ -205,19 +324,6 @@ let rec pp_kind ppf = function
   | Shifted { offset; base } -> Format.fprintf ppf "(%a)∘(+%.4g)" pp_kind base offset
   | Custom label -> Format.pp_print_string ppf label
 
-(* Rebuild a closed-form latency value from its kind; [None] for the
-   kinds that carry behaviour outside the kind ([Custom]'s closures,
-   [Shifted]'s base value). Used by [shift_intercept] to stay in closed
-   form under a [Shifted] node. *)
-let of_kind_opt = function
-  | Constant c -> Some (constant c)
-  | Affine { slope; intercept } -> Some (affine ~slope ~intercept)
-  | Polynomial coeffs -> Some (polynomial coeffs)
-  | Mm1 { capacity } -> Some (mm1 ~capacity)
-  | Bpr { free_flow; capacity; alpha; beta } ->
-      Some (bpr ~free_flow ~capacity ~alpha ~beta ())
-  | Shifted _ | Custom _ -> None
-
 (* Tolls enter latencies as constant intercept shifts: ℓ(x) + τ. The sum
    keeps the derivative and shifts the primitive linearly, so it is again
    a valid latency; the closed-form kinds absorb τ into their
@@ -233,100 +339,58 @@ let rec shift_intercept tau t =
     | Affine { slope; intercept } -> affine ~slope ~intercept:(intercept +. tau)
     | Polynomial coeffs ->
         let coeffs = Array.copy coeffs in
-        if Array.length coeffs = 0 then constant tau
-        else begin
-          coeffs.(0) <- coeffs.(0) +. tau;
-          polynomial coeffs
-        end
-    | Shifted { offset; base } -> (
+        coeffs.(0) <- coeffs.(0) +. tau;
+        polynomial coeffs
+    | Shifted { offset; base = (Constant _ | Affine _ | Polynomial _ | Mm1 _ | Bpr _) as base } ->
         (* base(offset + x) + τ = (base + τ)(offset + x): push the shift
-           into the base when the base is reconstructible. *)
-        match of_kind_opt base with
-        | Some b -> shift offset (shift_intercept tau b)
-        | None ->
-            {
-              kind = Custom (Format.asprintf "%a + %.4g" pp_kind t.kind tau);
-              eval = (fun x -> t.eval x +. tau);
-              deriv = t.deriv;
-              primitive = (fun x -> t.primitive x +. (tau *. x));
-            })
-    | Mm1 _ | Bpr _ | Custom _ ->
-        {
-          kind = Custom (Format.asprintf "%a + %.4g" pp_kind t.kind tau);
-          eval = (fun x -> t.eval x +. tau);
-          deriv = t.deriv;
-          primitive = (fun x -> t.primitive x +. (tau *. x));
-        }
+           into the closed-form base, which has the shift's facts. *)
+        shift offset (shift_intercept tau { t with kind = base; via = Kind })
+    | Mm1 _ | Bpr _ | Custom _ | Shifted _ ->
+        custom
+          ~label:(Format.asprintf "%a + %.4g" pp_kind t.kind tau)
+          ~eval:(fun x -> value t x +. tau)
+          ~deriv:(fun x -> deriv t x)
+          ~primitive:(fun x -> primitive t x +. (tau *. x))
+          ()
 
-let rec kind_constant_value = function
-  | Constant c -> Some c
-  | Affine { slope = 0.0; intercept } -> Some intercept
-  (* t₀·(1 + α(x/k)^β) is the constant t₀ when α or t₀ is 0 (both are
-     nonnegative, so [<= 0.] is the exact zero test). *)
-  | Bpr { free_flow; alpha; _ } when alpha <= 0.0 || free_flow <= 0.0 -> Some free_flow
-  | Affine _ | Mm1 _ | Bpr _ | Custom _ -> None
-  | Polynomial coeffs ->
-      let nonconst = ref false in
-      for i = 1 to Array.length coeffs - 1 do
-        (* Structural constancy: any nonzero stored coefficient, however
-           small, makes the polynomial non-constant. *)
-        if (coeffs.(i) <> 0.0) [@lint.allow "float-equality"] then nonconst := true
-      done;
-      if !nonconst then None
-      else Some (if Array.length coeffs = 0 then 0.0 else coeffs.(0))
-  | Shifted { base; _ } -> kind_constant_value base
-
-let constant_value t = kind_constant_value t.kind
-let is_constant t = Option.is_some (constant_value t)
+let constant_value t = if t.constant then kind_constant_value t.kind else None
+let is_constant t = t.constant
 
 (* The bracketed bisection every inverse reduces to when its kind has no
    closed form; [reference_inverse] exposes it as the oracle the closed
    forms are tested against. *)
 let inverse_of f t y =
-  match constant_value t with
-  (* [Failure] is the documented contract here; the links water-filling
-     callers and the tests both match on it. *)
-  | Some _ -> (failwith "Latency.inverse: constant latency has no inverse") [@lint.allow "no-untyped-failure"]
-  | None ->
-      if f t 0.0 >= y then 0.0
-      else begin
-        let g x = f t x in
-        (* M/M/1 never exceeds capacity: cap the expansion below it. *)
-        let hi =
-          match t.kind with
-          | Mm1 { capacity } | Shifted { base = Mm1 { capacity }; _ } ->
-              (* Find hi < capacity with g hi >= y by halving the gap. *)
-              let offset = match t.kind with Shifted { offset; _ } -> offset | _ -> 0.0 in
-              let cap = capacity -. offset in
-              if cap <= 0.0 then
-                (failwith "Latency.inverse: shifted M/M/1 beyond capacity")
-                [@lint.allow "no-untyped-failure"]
-              else begin
-                let gap = ref (0.5 *. cap) in
-                while g (cap -. !gap) < y && !gap > 1e-300 do
-                  gap := 0.5 *. !gap
-                done;
-                cap -. !gap
-              end
-          | _ -> Sgr_numerics.Bisection.expand_upper ~f:g ~target:y ()
-        in
-        Sgr_numerics.Bisection.solve_increasing ~f:g ~y ~lo:0.0 ~hi ()
-      end
+  if t.constant then
+    (* [Failure] is the documented contract here; the links water-filling
+       callers and the tests both match on it. *)
+    (failwith "Latency.inverse: constant latency has no inverse") [@lint.allow "no-untyped-failure"]
+  else if f t 0.0 >= y then 0.0
+  else begin
+    let g x = f t x in
+    (* M/M/1 never exceeds capacity: cap the expansion below it. *)
+    let hi =
+      match t.kind with
+      | Mm1 { capacity } | Shifted { base = Mm1 { capacity }; _ } ->
+          (* Find hi < capacity with g hi >= y by halving the gap. *)
+          let offset = match t.kind with Shifted { offset; _ } -> offset | _ -> 0.0 in
+          let cap = capacity -. offset in
+          if cap <= 0.0 then
+            (failwith "Latency.inverse: shifted M/M/1 beyond capacity")
+            [@lint.allow "no-untyped-failure"]
+          else begin
+            let gap = ref (0.5 *. cap) in
+            while g (cap -. !gap) < y && !gap > 1e-300 do
+              gap := 0.5 *. !gap
+            done;
+            cap -. !gap
+          end
+      | _ -> Sgr_numerics.Bisection.expand_upper ~f:g ~target:y ()
+    in
+    Sgr_numerics.Bisection.solve_increasing ~f:g ~y ~lo:0.0 ~hi ()
+  end
 
 let reference_inverse criterion t y =
   match criterion with `Nash -> inverse_of eval t y | `Opt -> inverse_of marginal t y
-
-(* The degree d of a polynomial b + c·x^d with a single nonconstant
-   term, or 0 when it has several (or none). *)
-let single_term coeffs =
-  let d = ref 0 and terms = ref 0 in
-  for i = 1 to Array.length coeffs - 1 do
-    if coeffs.(i) > 0.0 then begin
-      d := i;
-      incr terms
-    end
-  done;
-  if !terms = 1 then !d else 0
 
 (* x >= 0 with b + k·x^p = y, floored at 0: the inverse of every
    monomial-plus-constant curve (BPR is t₀ + t₀α·(x/cap)^β). *)
@@ -345,8 +409,7 @@ let[@inline] bpr_root ~mult ~free_flow ~capacity ~alpha ~beta y =
 
 (* The inverses of x ↦ ℓ(s + x) for a line ℓ = a·x + b (latency, and
    marginal cost 2a·x + (a·s + b), given a·s) and for M/M/1, before
-   the floor at 0. At s = 0 each is the unshifted inverse bit for bit:
-   v -. 0.0 is v for every float v. *)
+   the floor at 0. *)
 let[@inline] affine_root slope intercept s y = ((y -. intercept) /. slope) -. s
 
 let[@inline] affine_marginal_root slope intercept slope_s y =
@@ -355,207 +418,104 @@ let[@inline] affine_marginal_root slope intercept slope_s y =
 let[@inline] mm1_root capacity s y =
   if y <= 1.0 /. (capacity -. s) then 0.0 else capacity -. (1.0 /. y) -. s
 
-let inverse t y =
-  match t.kind with
-  | Affine { slope; intercept } when slope > 0.0 ->
-      Float.max 0.0 (affine_root slope intercept 0.0 y)
-  | Shifted { offset; base = Affine { slope; intercept } } when slope > 0.0 ->
-      Float.max 0.0 (affine_root slope intercept offset y)
-  | Polynomial coeffs when single_term coeffs > 0 ->
-      poly_root ~mult:false coeffs (single_term coeffs) y
-  | Shifted { offset; base = Polynomial coeffs } when single_term coeffs > 0 ->
-      Float.max 0.0 (poly_root ~mult:false coeffs (single_term coeffs) y -. offset)
-  | Bpr { free_flow; capacity; alpha; beta } when alpha > 0.0 && free_flow > 0.0 ->
-      bpr_root ~mult:false ~free_flow ~capacity ~alpha ~beta y
-  | Shifted { offset; base = Bpr { free_flow; capacity; alpha; beta } }
-    when alpha > 0.0 && free_flow > 0.0 ->
-      Float.max 0.0 (bpr_root ~mult:false ~free_flow ~capacity ~alpha ~beta y -. offset)
-  | Mm1 { capacity } -> mm1_root capacity 0.0 y
-  | Shifted { offset; base = Mm1 { capacity } } -> Float.max 0.0 (mm1_root capacity offset y)
-  | _ -> inverse_of eval t y
-
 (* The marginal cost of 1/(c - x) is c/(c - x)², so its inverse is
    c - √(c/y); a shift by s is the same curve with capacity c - s. *)
 let[@inline] mm1_marginal_root cap y =
-  if y <= 1.0 /. cap then 0.0 else Float.max 0.0 (cap -. Float.sqrt (cap /. y))
+  if y <= 1.0 /. cap then 0.0 else clamp_nonneg (cap -. Float.sqrt (cap /. y))
 
-let inverse_marginal t y =
+(* The inverse at y of the latency of [shift s t], or with [marginal] of
+   its marginal cost: the closed form of that latency's kind where it
+   has one, else the bisection. The kind is [t]'s own at s = 0 and
+   otherwise [Shifted] with the offsets summed; [shifted] says whether
+   it is [Shifted]. A kind's offset is never ±0, so s +. offset is that
+   offset at s = 0. At offset 0 each shifted arm is its unshifted form
+   bit for bit: v -. 0. is v, and a root there is never below +0.
+   Affine, b + c·xᵈ, BPR and M/M/1 have closed forms, and their
+   marginal costs unshifted; a shifted marginal cost has one for affine
+   and for M/M/1 below its capacity. *)
+let[@inline] invert ~marginal t s y =
+  let shifted = match t.kind with Shifted _ -> true | _ -> not (unshifted s) in
+  let offset = match t.kind with Shifted { offset; _ } -> s +. offset | _ -> s in
   match t.kind with
-  (* marginal of a·x + b is 2a·x + b *)
-  | Affine { slope; intercept } when slope > 0.0 ->
-      Float.max 0.0 (affine_marginal_root slope intercept 0.0 y)
-  | Shifted { offset; base = Affine { slope; intercept } } when slope > 0.0 ->
-      (* marginal of x ↦ a(s+x)+b is a(s+x)+b + x·a = 2a·x + (a·s + b) *)
-      Float.max 0.0 (affine_marginal_root slope intercept (slope *. offset) y)
-  | Polynomial coeffs when single_term coeffs > 0 ->
-      poly_root ~mult:true coeffs (single_term coeffs) y
-  | Bpr { free_flow; capacity; alpha; beta } when alpha > 0.0 && free_flow > 0.0 ->
-      bpr_root ~mult:true ~free_flow ~capacity ~alpha ~beta y
-  | Mm1 { capacity } -> mm1_marginal_root capacity y
-  | Shifted { offset; base = Mm1 { capacity } } when capacity > offset ->
-      mm1_marginal_root (capacity -. offset) y
-  | _ -> inverse_of marginal t y
+  | Affine { slope; intercept } | Shifted { base = Affine { slope; intercept }; _ }
+    when slope > 0.0 ->
+      clamp_nonneg
+        (if marginal then
+           affine_marginal_root slope intercept (if shifted then slope *. offset else 0.0) y
+         else affine_root slope intercept offset y)
+  | Polynomial coeffs | Shifted { base = Polynomial coeffs; _ }
+    when t.degree > 0 && not (marginal && shifted) ->
+      clamp_nonneg (poly_root ~mult:marginal coeffs t.degree y -. offset)
+  | Bpr { free_flow; capacity; alpha; beta }
+  | Shifted { base = Bpr { free_flow; capacity; alpha; beta }; _ }
+    when alpha > 0.0 && free_flow > 0.0 && not (marginal && shifted) ->
+      clamp_nonneg (bpr_root ~mult:marginal ~free_flow ~capacity ~alpha ~beta y -. offset)
+  | Mm1 { capacity } | Shifted { base = Mm1 { capacity }; _ }
+    when (not (marginal && shifted)) || capacity > offset ->
+      if marginal then mm1_marginal_root (capacity -. offset) y
+      else
+        let x = mm1_root capacity offset y in
+        if shifted then clamp_nonneg x else x
+  | _ ->
+      let t = if unshifted s then t else shift s t in
+      reference_inverse (if marginal then `Opt else `Nash) t y
 
-(* ℓ'' from the kind, for the kinds whose kind carries the whole
-   function (a [Custom] base does not). *)
-let rec closed_deriv2 = function Custom _ -> false | Shifted { base; _ } -> closed_deriv2 base | _ -> true
+let inverse t y = invert ~marginal:false t 0.0 y
+let inverse_marginal t y = invert ~marginal:true t 0.0 y
 
-(* Σ i(i-1)·cᵢ·x^(i-2), by Horner *)
-let[@inline] poly_deriv2 coeffs x =
-  let acc = ref 0.0 in
-  for i = Array.length coeffs - 1 downto 2 do
-    acc := (!acc *. x) +. (float_of_int (i * (i - 1)) *. coeffs.(i))
-  done;
-  !acc
+(* ℓ'' of [shift s t] at x: from the kind, at its summed offset (as in
+   [invert]), unless the kind holds a [Custom], whose ℓ' is differenced. *)
+let[@inline] deriv2_at t s x =
+  let z = match t.kind with Shifted { offset; _ } -> s +. offset +. x | _ -> add_offset s x in
+  match t.kind with
+  | Constant _ | Affine _ | Shifted { base = Constant _ | Affine _; _ } -> 0.0
+  | Polynomial coeffs | Shifted { base = Polynomial coeffs; _ } -> poly_deriv2 coeffs z
+  | Mm1 { capacity } | Shifted { base = Mm1 { capacity }; _ } -> mm1_deriv2 capacity z
+  | Bpr { free_flow; capacity; alpha; beta }
+  | Shifted { base = Bpr { free_flow; capacity; alpha; beta }; _ } ->
+      bpr_deriv2 free_flow capacity alpha beta z
+  | Custom _ | Shifted { base = Custom _ | Shifted _; _ } ->
+      let h = 1e-6 *. Float.max 1.0 (Float.abs x) in
+      let lo = Float.max 0.0 (x -. h) in
+      (deriv t (add_offset s (x +. h)) -. deriv t (add_offset s lo)) /. (x +. h -. lo)
 
-let[@inline] mm1_deriv2 capacity x =
-  if x >= capacity then Float.infinity
-  else 2.0 /. ((capacity -. x) *. (capacity -. x) *. (capacity -. x))
-
-(* β = 1 is linear; β < 2 is infinitely curved at 0. *)
-let[@inline] bpr_deriv2 free_flow capacity alpha beta x =
-  if beta <= 1.0 then 0.0
-  else
-    free_flow *. alpha *. beta *. (beta -. 1.0) /. (capacity *. capacity)
-    *. ((x /. capacity) ** (beta -. 2.0))
-
-let rec kind_deriv2 kind x =
-  match kind with
-  | Constant _ | Affine _ | Custom _ -> 0.0
-  | Polynomial coeffs -> poly_deriv2 coeffs x
-  | Mm1 { capacity } -> mm1_deriv2 capacity x
-  | Bpr { free_flow; capacity; alpha; beta } -> bpr_deriv2 free_flow capacity alpha beta x
-  | Shifted { offset; base } -> kind_deriv2 base (offset +. x)
-
-let deriv2 t x =
-  if closed_deriv2 t.kind then kind_deriv2 t.kind x
-  else
-    let h = 1e-6 *. Float.max 1.0 (Float.abs x) in
-    let lo = Float.max 0.0 (x -. h) in
-    (t.deriv (x +. h) -. t.deriv lo) /. (x +. h -. lo)
+let deriv2 t x = deriv2_at t 0.0 x
 
 let pp ppf t = pp_kind ppf t.kind
 let to_string t = Format.asprintf "%a" pp t
 
-let check_increasing ?(samples = 64) ?(hi = 10.0) t =
-  let ok = ref true in
-  let prev = ref (t.eval 0.0) in
-  for i = 1 to samples do
-    let x = hi *. float_of_int i /. float_of_int samples in
-    let v = t.eval x in
-    if v < !prev -. 1e-12 then ok := false;
-    prev := v
-  done;
-  !ok
-
-module Table = struct
-  (* What an entry evaluates: a closed-form kind from its parameters, or
-     the latency's own closures ([Custom], and [Shifted], whose nested
-     offsets chain their additions in the closures; the summed offset of
-     its kind would not reproduce those bits). In a level table (below)
-     a [Poly_entry] is b + c·xᵈ and a [Constant_entry] takes no flow. *)
-  type entry = Constant_entry | Affine_entry | Poly_entry | Mm1_entry | Bpr_entry | Closure_entry
-
+module Kernels = struct
   type latency = t
 
-  (* Up to four coefficients per entry: c; slope, intercept; capacity;
-     or t₀, capacity, α, β. [c] and [d] are allocated only when a BPR
-     entry needs them, [coeffs] and [dcoeffs] (a polynomial's
-     coefficients and its derivative's) only when a polynomial does. *)
-  type t = {
-    entries : entry array;
-    a : float array;
-    b : float array;
-    c : float array;
-    d : float array;
-    coeffs : float array array;
-    dcoeffs : float array array;
-    lats : latency array;
-  }
+  let too_short name =
+    invalid_arg ("Latency.Kernels." ^ name ^ ": arrays shorter than the latencies")
 
-  let make (lats : latency array) =
+  let fill (lats : latency array) ~marginal ~at ~into =
     let n = Array.length lats in
-    let sized p x = if Array.exists (fun l -> p l.kind) lats then Array.make n x else [||] in
-    let bpr = function Bpr _ -> true | _ -> false in
-    let poly = function Polynomial _ -> true | _ -> false in
-    let entries = Array.make n Closure_entry in
-    let a = Array.make n 0.0 and b = Array.make n 0.0 in
-    let c = sized bpr 0.0 and d = sized bpr 0.0 in
-    let coeffs = sized poly [||] and dcoeffs = sized poly [||] in
-    Array.iteri
-      (fun i l ->
-        match l.kind with
-        | Constant k ->
-            entries.(i) <- Constant_entry;
-            a.(i) <- k
-        | Affine { slope; intercept } ->
-            entries.(i) <- Affine_entry;
-            a.(i) <- slope;
-            b.(i) <- intercept
-        | Polynomial cs ->
-            entries.(i) <- Poly_entry;
-            coeffs.(i) <- cs;
-            dcoeffs.(i) <- derivative_coeffs cs
-        | Mm1 { capacity } ->
-            entries.(i) <- Mm1_entry;
-            a.(i) <- capacity
-        | Bpr { free_flow; capacity; alpha; beta } ->
-            entries.(i) <- Bpr_entry;
-            a.(i) <- free_flow;
-            b.(i) <- capacity;
-            c.(i) <- alpha;
-            d.(i) <- beta
-        | Shifted _ | Custom _ -> ())
-      lats;
-    { entries; a; b; c; d; coeffs; dcoeffs; lats }
-
-  (* Entry [i] at [x]: ℓ(x), or with [marginal] ℓ(x) + x·ℓ'(x), the sum
-     {!marginal} forms. Inlined into both kernels, so no float is boxed
-     on a closed-form entry. *)
-  let[@inline] value t ~marginal i x =
-    match t.entries.(i) with
-    | Constant_entry -> if marginal then t.a.(i) +. (x *. 0.0) else t.a.(i)
-    | Affine_entry ->
-        let v = affine_value t.a.(i) t.b.(i) x in
-        if marginal then v +. (x *. t.a.(i)) else v
-    | Poly_entry ->
-        let v = horner t.coeffs.(i) x in
-        if marginal then v +. (x *. horner t.dcoeffs.(i) x) else v
-    | Mm1_entry ->
-        let v = mm1_value t.a.(i) x in
-        if marginal then v +. (x *. mm1_slope t.a.(i) x) else v
-    | Bpr_entry ->
-        let v = bpr_value t.a.(i) t.b.(i) t.c.(i) t.d.(i) x in
-        if marginal then v +. (x *. bpr_slope t.a.(i) t.b.(i) t.c.(i) t.d.(i) x) else v
-    | Closure_entry ->
-        let l = t.lats.(i) in
-        if marginal then l.eval x +. (x *. l.deriv x) else l.eval x
-
-  let fill t ~marginal ~at ~into =
-    let n = Array.length t.entries in
-    if Array.length at < n || Array.length into < n then
-      invalid_arg "Latency.Table.fill: arrays shorter than the table";
+    if Array.length at < n || Array.length into < n then too_short "fill";
     Sgr_obs.Obs.add c_evals n;
     for i = 0 to n - 1 do
-      into.(i) <- value t ~marginal i at.(i)
+      let x = at.(i) in
+      into.(i) <- criterion ~marginal lats.(i) x x
     done
 
-  let directional t ~marginal ~base ~entries ~dirs ~len gamma =
+  let directional (lats : latency array) ~marginal ~base ~entries ~dirs ~len gamma =
     Sgr_obs.Obs.add c_evals len;
     let acc = ref 0.0 in
     for k = 0 to len - 1 do
       let i = entries.(k) and d = dirs.(k) in
-      acc := !acc +. (d *. value t ~marginal i (base.(i) +. (gamma *. d)))
+      let x = base.(i) +. (gamma *. d) in
+      acc := !acc +. (d *. criterion ~marginal lats.(i) x x)
     done;
     !acc
 
   (* A gathered line: per support entry its base, direction and, for an
      affine entry, its slope and intercept, contiguous, so a probe of an
-     all-affine line reads no table entry and dispatches on no kind.
-     [affine] is false when some entry is not: that line's probes run
-     every entry through the [value] kernel, by [index]. *)
+     all-affine line reads no latency and dispatches on no kind.
+     [affine] is false when some entry is not: that line's probes
+     evaluate every entry's latency, by [index]. *)
   type line = {
-    table : t;
+    lats : latency array;
     mutable marginal : bool;
     mutable len : int;
     mutable affine : bool;
@@ -566,11 +526,11 @@ module Table = struct
     mutable intercept : float array;
   }
 
-  (* The buffers grow with the longest support gathered, not the table:
-     a Frank–Wolfe direction is a few hundred of 10^4 entries. *)
-  let line t =
+  (* The buffers grow with the longest support gathered, not the
+     latencies: a Frank–Wolfe direction is a few hundred of 10^4. *)
+  let line lats =
     {
-      table = t;
+      lats;
       marginal = false;
       len = 0;
       affine = true;
@@ -582,10 +542,10 @@ module Table = struct
     }
 
   let gather l ~marginal ~base ~entries ~dirs ~len =
-    let t = l.table in
-    if len > Array.length t.entries then invalid_arg "Latency.Table.gather: longer than the table";
+    let n = Array.length l.lats in
+    if len > n then invalid_arg "Latency.Kernels.gather: longer than the latencies";
     if len > Array.length l.index then begin
-      let size = Int.min (Array.length t.entries) (Int.max len (2 * Array.length l.index)) in
+      let size = Int.min n (Int.max len (2 * Array.length l.index)) in
       l.index <- Array.make size 0;
       l.base <- Array.make size 0.0;
       l.dir <- Array.make size 0.0;
@@ -600,15 +560,15 @@ module Table = struct
       l.index.(k) <- i;
       l.base.(k) <- base.(i);
       l.dir.(k) <- dirs.(k);
-      match t.entries.(i) with
-      | Affine_entry ->
-          l.slope.(k) <- t.a.(i);
-          l.intercept.(k) <- t.b.(i)
+      match l.lats.(i).kind with
+      | Affine { slope; intercept } ->
+          l.slope.(k) <- slope;
+          l.intercept.(k) <- intercept
       | _ -> l.affine <- false
     done
 
-  (* Each term is [value]'s affine arm on the same operands, in the same
-     order, so the sum is [directional]'s float. *)
+  (* Each term is [criterion]'s on the same operands, in the same order,
+     so the sum is [directional]'s float. *)
   let slope_at l gamma =
     let len = l.len and marginal = l.marginal in
     Sgr_obs.Obs.add c_evals len;
@@ -624,199 +584,67 @@ module Table = struct
     else
       for k = 0 to len - 1 do
         let d = dir.(k) in
-        acc := !acc +. (d *. value l.table ~marginal l.index.(k) (base.(k) +. (gamma *. d)))
+        let x = base.(k) +. (gamma *. d) in
+        acc := !acc +. (d *. criterion ~marginal l.lats.(l.index.(k)) x x)
       done;
     !acc
 
-  (* Level tables: the two kernels of a water-fill pass. *)
+  (* The level kernels: entry i is [shift offsets.(i) lats.(i)], read
+     through [add_offset] with no latency built. *)
 
-  (* An entry at a level does nothing (a constant, the water-fill's
-     reservoir), runs a closed form from its parameters at the entry's
-     offset s, or calls the closures of [shift s] of its latency. The
-     closure arm takes the kinds with no closed-form inverse (at s, for
-     the criterion), [Custom], and every [Shifted] latency. Per entry:
-     the constant c; a line's slope, intercept and the shift a·s of its
-     marginal cost; BPR's t₀, capacity, α and β; M/M/1's capacity; a
-     polynomial's coefficients and its degree d. [shifted.(i)] is
-     [shift s ℓ] on the closure arm. *)
-  type curves = {
-    marginal : bool;
-    curves : entry array;
-    offsets : float array;
-    p : float array;
-    q : float array;
-    u : float array;
-    v : float array;
-    poly : float array array;
-    degree : int array;
-    shifted : latency array;
-  }
+  (* Entry i's offset, refused when negative, as [shift] refuses it. *)
+  let[@inline] offset name offsets i =
+    let s = offsets.(i) in
+    if s < 0.0 then invalid_arg ("Latency.Kernels." ^ name ^ ": negative offset");
+    s
 
-  let curves ~marginal (lats : latency array) ~offsets =
+  let activations lats ~offsets ~marginal ~lines ~into =
     let n = Array.length lats in
-    if Array.length offsets <> n then invalid_arg "Latency.Table.curves: offsets of another length";
-    let tags = Array.make n Constant_entry in
-    let p = Array.make n 0.0 and q = Array.make n 0.0 in
-    let u = Array.make n 0.0 and v = Array.make n 0.0 in
-    let poly = Array.make n [||] and degree = Array.make n 0 in
-    (* The closure arm's latencies: [lats] itself until [shift] moves one. *)
-    let shifted = ref lats in
-    for i = 0 to n - 1 do
-      let s = offsets.(i) and l = lats.(i) in
-      if s < 0.0 then invalid_arg "Latency.Table.curves: negative offset";
-      (* The dispatch of [inverse] (or [inverse_marginal]) on the kind of
-         [shift s ℓ]. Exact test by design: [shift 0.] is the identity. *)
-      let unshifted = (s = 0.0) [@lint.allow "float-equality"] in
-      let d = match l.kind with Polynomial cs -> single_term cs | _ -> 0 in
-      tags.(i) <-
-        (match (kind_constant_value l.kind, l.kind) with
-        | Some c, _ ->
-            p.(i) <- c;
-            Constant_entry
-        | None, Affine { slope; intercept } when slope > 0.0 ->
-            p.(i) <- slope;
-            q.(i) <- intercept;
-            if not unshifted then u.(i) <- slope *. s;
-            Affine_entry
-        | None, Polynomial cs when d > 0 && (unshifted || not marginal) ->
-            poly.(i) <- cs;
-            degree.(i) <- d;
-            Poly_entry
-        | None, Bpr { free_flow; capacity; alpha; beta }
-          when alpha > 0.0 && free_flow > 0.0 && (unshifted || not marginal) ->
-            p.(i) <- free_flow;
-            q.(i) <- capacity;
-            u.(i) <- alpha;
-            v.(i) <- beta;
-            Bpr_entry
-        | None, Mm1 { capacity } when unshifted || (not marginal) || capacity > s ->
-            p.(i) <- capacity;
-            Mm1_entry
-        | None, _ ->
-            if not unshifted then begin
-              if !shifted == lats then shifted := Array.copy lats;
-              !shifted.(i) <- shift s l
-            end;
-            Closure_entry)
-    done;
-    { marginal; curves = tags; offsets; p; q; u; v; poly; degree; shifted = !shifted }
-
-  let rigid c i = match c.curves.(i) with Constant_entry -> false | _ -> true
-
-  (* [Tol.clamp_nonneg] (Float.max 0.), inlined. *)
-  let[@inline] clamp_nonneg v = if v > 0.0 || Float.is_nan v then v else 0.0
-
-  (* ℓ(z), ℓ'(z) and ℓ''(z) of a closed-form entry's latency, by the
-     formulas of its constructor's closures and of [deriv2]. *)
-  let[@inline] value_of c i z =
-    match c.curves.(i) with
-    | Affine_entry -> affine_value c.p.(i) c.q.(i) z
-    | Poly_entry -> horner c.poly.(i) z
-    | Bpr_entry -> bpr_value c.p.(i) c.q.(i) c.u.(i) c.v.(i) z
-    | Mm1_entry -> mm1_value c.p.(i) z
-    | Constant_entry | Closure_entry -> 0.0
-
-  let[@inline] deriv_of c i z =
-    match c.curves.(i) with
-    | Affine_entry -> c.p.(i)
-    | Poly_entry -> poly_deriv c.poly.(i) z
-    | Bpr_entry -> bpr_slope c.p.(i) c.q.(i) c.u.(i) c.v.(i) z
-    | Mm1_entry -> mm1_slope c.p.(i) z
-    | Constant_entry | Closure_entry -> 0.0
-
-  let[@inline] deriv2_of c i z =
-    match c.curves.(i) with
-    | Poly_entry -> poly_deriv2 c.poly.(i) z
-    | Bpr_entry -> bpr_deriv2 c.p.(i) c.q.(i) c.u.(i) c.v.(i) z
-    | Mm1_entry -> mm1_deriv2 c.p.(i) z
-    | Constant_entry | Affine_entry | Closure_entry -> 0.0
-
-  let activations c ~lines ~into =
-    let n = Array.length c.curves in
-    if Array.length lines < n || Array.length into < n then
-      invalid_arg "Latency.Table.activations: arrays shorter than the table";
+    if Array.length offsets < n || Array.length lines < n || Array.length into < n then
+      too_short "activations";
     let evals = ref 0 in
     for i = 0 to n - 1 do
+      let l = lats.(i) in
       into.(i) <-
-        (match c.curves.(i) with
-        | Constant_entry -> c.p.(i)
-        | _ when not (Float.is_nan lines.(i)) -> lines.(i)
-        | Closure_entry ->
-            let l = c.shifted.(i) in
-            if c.marginal then marginal l 0.0 else eval l 0.0
-        | _ ->
-            (* [shift s ℓ] at 0 is ℓ at s +. 0., and its marginal cost
-               adds 0 times the slope there. *)
+        (match constant_value l with
+        | Some c -> c
+        | None when not (Float.is_nan lines.(i)) -> lines.(i)
+        | None ->
             incr evals;
-            let z = c.offsets.(i) +. 0.0 in
-            let v = value_of c i z in
-            if c.marginal then v +. (0.0 *. deriv_of c i z) else v)
+            criterion ~marginal l (add_offset (offset "activations" offsets i) 0.0) 0.0)
     done;
     if !evals > 0 then Sgr_obs.Obs.add c_evals !evals
 
-  (* A closed-form entry's flow at level [y] before the floor: [inverse]
-     (or [inverse_marginal]) of [shift s ℓ], whose arms float-reduce to
-     these at s (at s = 0, v -. 0. is v). Every arm is float arithmetic,
-     so the result stays unboxed. *)
-  let[@inline] flow_of c i y =
-    let s = c.offsets.(i) in
-    match c.curves.(i) with
-    | Affine_entry ->
-        if c.marginal then affine_marginal_root c.p.(i) c.q.(i) c.u.(i) y
-        else affine_root c.p.(i) c.q.(i) s y
-    | Poly_entry -> poly_root ~mult:c.marginal c.poly.(i) c.degree.(i) y -. s
-    | Bpr_entry ->
-        bpr_root ~mult:c.marginal ~free_flow:c.p.(i) ~capacity:c.q.(i) ~alpha:c.u.(i)
-          ~beta:c.v.(i) y
-        -. s
-    | Mm1_entry -> if c.marginal then mm1_marginal_root (c.p.(i) -. s) y else mm1_root c.p.(i) s y
-    | Constant_entry | Closure_entry -> 0.0
-
-  let flows c y ~into =
-    let n = Array.length c.curves in
-    if Array.length into < n then invalid_arg "Latency.Table.flows: array shorter than the table";
+  let flows lats ~offsets ~marginal y ~into =
+    let n = Array.length lats in
+    if Array.length offsets < n || Array.length into < n then too_short "flows";
     let sum = ref 0.0 in
     for i = 0 to n - 1 do
-      match c.curves.(i) with
-      | Constant_entry -> ()
-      | Closure_entry ->
-          let l = c.shifted.(i) in
-          let x = clamp_nonneg (if c.marginal then inverse_marginal l y else inverse l y) in
-          into.(i) <- x;
-          sum := !sum +. x
-      | _ ->
-          let x = clamp_nonneg (flow_of c i y) in
-          into.(i) <- x;
-          sum := !sum +. x
+      let l = lats.(i) in
+      if not l.constant then begin
+        let x = invert ~marginal l (offset "flows" offsets i) y in
+        let x = clamp_nonneg x in
+        into.(i) <- x;
+        sum := !sum +. x
+      end
     done;
     !sum
 
-  (* 1/gᵢ'(x) with gᵢ' = ℓ' (Nash) or 2ℓ' + x·ℓ'' (optimum) of
-     [shift s ℓ], whose deriv closure reads ℓ' at s +. x. *)
-  let[@inline] rate_of c i x =
-    let slope =
-      match c.curves.(i) with
-      | Closure_entry ->
-          let l = c.shifted.(i) in
-          if c.marginal then (2.0 *. l.deriv x) +. if x > 0.0 then x *. deriv2 l x else 0.0
-          else l.deriv x
-      | _ ->
-          let z = c.offsets.(i) +. x in
-          if c.marginal then
-            (2.0 *. deriv_of c i z) +. if x > 0.0 then x *. deriv2_of c i z else 0.0
-          else deriv_of c i z
-    in
-    1.0 /. slope
+  (* 1/g'(x) with g' = ℓ' (Nash) or 2ℓ' + x·ℓ'' (optimum) of
+     [shift s ℓ]. *)
+  let[@inline] rate_of ~marginal l s x =
+    let d = deriv l (add_offset s x) in
+    1.0 /. if marginal then (2.0 *. d) +. if x > 0.0 then x *. deriv2_at l s x else 0.0 else d
 
-  let rates c x ~into =
-    let n = Array.length c.curves in
-    if Array.length x < n || Array.length into < n then
-      invalid_arg "Latency.Table.rates: arrays shorter than the table";
+  let rates lats ~offsets ~marginal x ~into =
+    let n = Array.length lats in
+    if Array.length offsets < n || Array.length x < n || Array.length into < n then
+      too_short "rates";
     let sum = ref 0.0 in
     for i = 0 to n - 1 do
       let xi = x.(i) in
       if xi > 0.0 then begin
-        let w = rate_of c i xi in
+        let w = rate_of ~marginal lats.(i) (offset "rates" offsets i) xi in
         into.(i) <- w;
         sum := !sum +. w
       end
@@ -824,5 +652,5 @@ module Table = struct
     done;
     !sum
 
-  let rate = rate_of
+  let rate lats ~offsets ~marginal i x = rate_of ~marginal lats.(i) (offset "rate" offsets i) x
 end

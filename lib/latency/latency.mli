@@ -6,17 +6,19 @@
     Following Remark 2.5's cited extension, constant latencies are also
     admitted; the solvers treat them specially.
 
-    Values of type {!t} carry closed-form evaluation, derivative, primitive
-    [∫₀ˣ ℓ] (the Beckmann term), a second derivative computed from the
-    {!kind}, and closed-form inverses of the latency and of the marginal
-    cost for every kind that has one (affine, [b + c·xᵈ], BPR, M/M/1 and
-    their [Shifted] forms, see {!inverse}); everything else falls back to
-    guarded numerical routines.
+    A value of type {!t} is data: its {!kind}, plus what a kind cannot
+    carry, a [Custom]'s functions and, for a shift of a shifted or custom
+    latency, the latency it shifts. Each operation dispatches on the
+    kind, once, in this module: evaluation, derivative, primitive
+    [∫₀ˣ ℓ] (the Beckmann term), second derivative, and closed-form
+    inverses of the latency and of the marginal cost for every kind that
+    has one (affine, [b + c·xᵈ], BPR, M/M/1 and their [Shifted] forms,
+    see {!inverse}); everything else falls back to guarded numerical
+    routines.
 
-    Loops that evaluate or invert many latencies at once use a {!Table}:
-    the closed-form kinds laid out flat, evaluated and inverted by the
-    same formulas inside the loop, without boxing a float or calling a
-    closure per entry. *)
+    Loops that evaluate or invert many latencies at once call the
+    {!Kernels}, which run the same formulas over a latency array inside
+    the loop, without boxing a float or calling a closure per entry. *)
 
 type kind =
   | Constant of float  (** [ℓ(x) = c]. *)
@@ -80,7 +82,12 @@ val shift : float -> t -> t
     latency sums the offsets — the resulting {!kind} never nests
     [Shifted] inside [Shifted], so structurally equal latencies have
     equal kinds regardless of how the total shift was accumulated (the
-    canonical-serialization/fingerprint invariant rests on this). *)
+    canonical-serialization/fingerprint invariant rests on this). A
+    shift of a shifted latency keeps the latency it shifts, so {!eval},
+    {!deriv} and {!primitive} of [shift s₁ (shift s₂ ℓ)] add the offsets
+    one at a time, [ℓ(s₂ + (s₁ + x))], while {!inverse},
+    {!inverse_marginal} and {!deriv2} read the kind's summed offset; the
+    two can differ in the last bit. *)
 
 val shift_intercept : float -> t -> t
 (** [shift_intercept τ ℓ] is [x ↦ ℓ(x) + τ]: a constant additive delay —
@@ -153,38 +160,32 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val check_increasing : ?samples:int -> ?hi:float -> t -> bool
-(** Sampled sanity check that [eval] is nondecreasing on [[0, hi]]
-    (default [hi = 10.], 64 samples). Used by validation code and tests;
-    not a proof. *)
+(** {1 Array kernels}
 
-(** {1 Flat tables}
-
-    A latency array laid out flat for loops that run over every entry:
-    Frank–Wolfe's gradient and line search ({!Table.make}), and the
-    parallel-links water-fill's level passes ({!Table.curves}). Each
-    closed-form entry is a kind tag and its coefficients, evaluated by
-    the same formula as {!eval} and {!marginal} (or inverted as by
-    {!inverse}), inside the kernel's loop: no float is boxed and no
-    closure is called. The other entries call the latency's own
-    closures. Every value equals the closure path's bit for bit; each
-    evaluating kernel call adds the number of entries it evaluates to
-    the [latency.evaluations] counter, once. *)
-module Table : sig
+    The loops that run over a latency array: Frank–Wolfe's gradient and
+    line search ({!Kernels.fill}, {!Kernels.directional},
+    {!Kernels.gather}), and the parallel-links water-fill's level passes
+    ({!Kernels.activations}, {!Kernels.flows}, {!Kernels.rates}). Each
+    runs the formula of every entry's kind inside its loop, as {!eval},
+    {!marginal}, {!inverse} and {!deriv2} do, so a latency whose kind is
+    its whole function boxes no float and calls no closure; the others
+    ([Custom], a shift of a shifted latency) follow their functions. No
+    kernel copies the latencies or builds a table, and every value equals
+    the scalar functions' bit for bit. Each evaluating kernel call adds
+    the number of entries it evaluates to the [latency.evaluations]
+    counter, once. *)
+module Kernels : sig
   type latency := t
-  type t
 
-  val make : latency array -> t
-  (** [make lats]: entry [i] is [lats.(i)]. The table keeps [lats]; do
-      not mutate it while the table is in use. *)
-
-  val fill : t -> marginal:bool -> at:float array -> into:float array -> unit
-  (** [fill t ~marginal ~at ~into] sets [into.(i)] to ℓᵢ(at.(i)), or with
-      [marginal] to ℓᵢ(x) + x·ℓᵢ'(x) at [x = at.(i)], for every entry.
-      @raise Invalid_argument when [at] or [into] is shorter than [t]. *)
+  val fill : latency array -> marginal:bool -> at:float array -> into:float array -> unit
+  (** [fill lats ~marginal ~at ~into] sets [into.(i)] to ℓᵢ(at.(i)), or
+      with [marginal] to ℓᵢ(x) + x·ℓᵢ'(x) at [x = at.(i)], for every
+      latency. [at] and [into] may be the same array. Adds the number of
+      latencies to [latency.evaluations].
+      @raise Invalid_argument when [at] or [into] is shorter than [lats]. *)
 
   val directional :
-    t ->
+    latency array ->
     marginal:bool ->
     base:float array ->
     entries:int array ->
@@ -192,20 +193,22 @@ module Table : sig
     len:int ->
     float ->
     float
-  (** [directional t ~marginal ~base ~entries ~dirs ~len γ] is
+  (** [directional lats ~marginal ~base ~entries ~dirs ~len γ] is
       Σₖ dₖ·vₑ(base.(e) + γ·dₖ) over [k < len], with [e = entries.(k)],
       [dₖ = dirs.(k)] and vₑ the latency (or with [marginal] the
-      marginal cost) of entry [e], summed in [k] order: the derivative
+      marginal cost) of [lats.(e)], summed in [k] order: the derivative
       along a direction [d] with support [entries] of the Beckmann
-      potential (or of the total cost) at [base + γ·d]. *)
+      potential (or of the total cost) at [base + γ·d]. Adds [len] to
+      [latency.evaluations]. *)
 
   type line
   (** A direction's support gathered for a line search: per entry its
-      base point, its direction component and, for an affine entry, its
-      slope and intercept, laid out contiguously. *)
+      base point, its direction component and, for an affine latency,
+      its slope and intercept, laid out contiguously. *)
 
-  val line : t -> line
-  (** An empty line with room for every entry of the table. *)
+  val line : latency array -> line
+  (** An empty line over [lats], with room for every latency. The line
+      keeps [lats]; do not mutate it while the line is in use. *)
 
   val gather :
     line ->
@@ -216,65 +219,66 @@ module Table : sig
     len:int ->
     unit
   (** [gather l ~marginal ~base ~entries ~dirs ~len] loads the support
-      {!directional} would read: [base.(e)], [dirs.(k)] and entry [e]'s
-      coefficients for [e = entries.(k)], [k < len]. It evaluates
-      nothing. Later writes to [base] do not reach the line.
-      @raise Invalid_argument when [len] exceeds the table's size. *)
+      {!directional} would read: [base.(e)], [dirs.(k)] and the
+      coefficients of latency [e] for [e = entries.(k)], [k < len]. It
+      evaluates nothing. Later writes to [base] do not reach the line.
+      @raise Invalid_argument when [len] exceeds the number of latencies. *)
 
   val slope_at : line -> float -> float
-  (** [slope_at l γ] is [directional t ~marginal ~base ~entries ~dirs
+  (** [slope_at l γ] is [directional lats ~marginal ~base ~entries ~dirs
       ~len γ] on what [l] gathered, bit for bit: the same terms summed in
       the same order. An all-affine line reads only its own arrays;
-      other kinds keep the table's kernel. Adds [len] to
+      other kinds evaluate their latencies. Adds [len] to
       [latency.evaluations]. *)
 
-  (** {2 Level tables}
+  (** {2 Level kernels}
 
-      The two kernels of a water-fill pass on the common level l: every
-      entry's flow at l, and the Newton rate of their sum. Entry [i] is
-      the criterion curve gᵢ of [shift offsets.(i) lats.(i)]: its latency,
-      or with [marginal] its marginal cost. A constant entry is the
-      water-fill's reservoir and takes no flow; every other entry is
-      rigid. Affine, [b + c·xᵈ], BPR and M/M/1 latencies with the closed
-      forms of {!inverse} (or {!inverse_marginal}) at their offset run
-      inside the kernels' loops, by the formulas that {!inverse},
-      {!inverse_marginal}, {!deriv} and {!deriv2} use: no float is boxed
-      and no closure called. Every other entry (a kind with no closed
-      form, [Custom], and any [Shifted] latency, whose derivative chains
-      its offsets through closures) calls the closures of its shifted
-      latency. Every value equals the closure path's bit for bit. *)
+      The kernels of a water-fill pass on the common level l: every
+      entry's activation point, its flow at l, and the Newton rate of
+      their sum. Entry [i] is the criterion curve gᵢ of
+      [shift offsets.(i) lats.(i)], read with no shifted latency built:
+      its latency, or with [marginal] its marginal cost. A constant
+      entry ({!is_constant}) is the water-fill's reservoir and takes no
+      flow; every other entry is rigid. Each raises [Invalid_argument]
+      when an array is shorter than [lats] or an offset it reads is
+      negative. *)
 
-  type curves
+  val activations :
+    latency array ->
+    offsets:float array ->
+    marginal:bool ->
+    lines:float array ->
+    into:float array ->
+    unit
+  (** [activations lats ~offsets ~marginal ~lines ~into] sets [into.(i)]
+      to gᵢ(0): a constant's value, [lines.(i)] when it is not nan (a
+      line's intercept, known without evaluation), and otherwise the
+      curve evaluated at zero flow, which counts one
+      [latency.evaluations]. *)
 
-  val curves : marginal:bool -> latency array -> offsets:float array -> curves
-  (** [curves ~marginal lats ~offsets]. The table keeps both arrays; do
-      not mutate them while it is in use.
-      @raise Invalid_argument on arrays of different lengths or a
-      negative offset. *)
+  val flows :
+    latency array -> offsets:float array -> marginal:bool -> float -> into:float array -> float
+  (** [flows lats ~offsets ~marginal l ~into] sets [into.(i)] to the flow
+      of every rigid entry at level [l], gᵢ⁻¹(l) by {!inverse} (or
+      {!inverse_marginal}) clamped at 0, and returns their sum in index
+      order. Constant entries are left as they are. Counts the
+      evaluations {!inverse} counts: none on a closed form.
+      @raise Failure where {!inverse} does. *)
 
-  val rigid : curves -> int -> bool
-  (** [false] for a constant entry ({!constant_value}). *)
+  val rates :
+    latency array ->
+    offsets:float array ->
+    marginal:bool ->
+    float array ->
+    into:float array ->
+    float
+  (** [rates lats ~offsets ~marginal x ~into] sets [into.(i)] to
+      1/gᵢ'(xᵢ) (gᵢ' is ℓ' for a latency, 2ℓ' + xℓ'' for a marginal
+      cost) on every entry with [xᵢ > 0] and to 0 elsewhere, and returns
+      their sum in index order: the rate dΣx/dl at which the loaded
+      entries' flows rise with the level. *)
 
-  val activations : curves -> lines:float array -> into:float array -> unit
-  (** [activations c ~lines ~into] sets [into.(i)] to gᵢ(0): a constant's
-      value, [lines.(i)] when it is not nan (a line's intercept, known
-      without evaluation), and otherwise the curve evaluated at zero
-      flow, which counts one [latency.evaluations]. *)
-
-  val flows : curves -> float -> into:float array -> float
-  (** [flows c l ~into] sets [into.(i)] to the flow of every rigid entry
-      at level [l], gᵢ⁻¹(l) by {!inverse} (or {!inverse_marginal})
-      clamped at 0, and returns their sum in index order. Constant
-      entries are left as they are. Counts no evaluation, as {!inverse}
-      counts none. *)
-
-  val rates : curves -> float array -> into:float array -> float
-  (** [rates c x ~into] sets [into.(i)] to 1/gᵢ'(xᵢ) (gᵢ' is ℓ' for a
-      latency, 2ℓ' + xℓ'' for a marginal cost) on every entry with
-      [xᵢ > 0] and to 0 elsewhere, and returns their sum in index order:
-      the rate dΣx/dl at which the loaded entries' flows rise with the
-      level. *)
-
-  val rate : curves -> int -> float -> float
-  (** [rate c i x] is 1/gᵢ'(x) for one entry, at any [x >= 0]. *)
+  val rate : latency array -> offsets:float array -> marginal:bool -> int -> float -> float
+  (** [rate lats ~offsets ~marginal i x] is 1/gᵢ'(x) for one entry, at
+      any [x >= 0]. *)
 end

@@ -289,25 +289,25 @@ let c_expansions = Sgr_obs.Obs.counter "bisection.expansions"
 (* [Bisection.expand_upper] on the rigid entries' flows: double the top
    from [start] until they absorb [r], up to 1e18. Returns the top and
    the flows' sum there, with the flows in [x]. *)
-let expand_top tbl x ~r ~start =
+let expand_top flows x ~r ~start =
   let hi = ref (Float.max start 1e-12) in
   match
-    let absorbed = ref (L.Table.flows tbl !hi ~into:x) in
+    let absorbed = ref (flows !hi ~into:x) in
     while !absorbed < r && !hi < 1e18 do
       Sgr_obs.Cancel.check ();
       Sgr_obs.Obs.incr c_expansions;
       hi := !hi *. 2.0;
-      absorbed := L.Table.flows tbl !hi ~into:x
+      absorbed := flows !hi ~into:x
     done;
     !absorbed
   with
   | absorbed -> if absorbed < r then cannot_carry r else (!hi, absorbed)
-  (* A closure entry's inverse failed. *)
+  (* A bisection inverse failed. *)
   | exception Failure _ -> cannot_carry r
 
-(* Newton on curves, on a level table of the latencies at [offsets]:
-   a pass is [Latency.Table.flows] at the level, the rate
-   [Latency.Table.rates]. [b] holds the line links' intercepts (nan for
+(* Newton on curves, on the latencies at [offsets]: a pass is
+   [Latency.Kernels.flows] at the level, the rate
+   [Latency.Kernels.rates]. [b] holds the line links' intercepts (nan for
    the curves), their activation points with no evaluation; the line
    links keep their [Latency.inverse] entries, whose last bit differs
    from (l - b)·(1/a). [w] is scratch. The constant links act as a
@@ -316,12 +316,12 @@ let expand_top tbl x ~r ~start =
 let newton_curves criterion lats ~offsets ~w ~b r =
   let n = Array.length lats in
   let marginal = match criterion with `Nash -> false | `Opt -> true in
-  let tbl = L.Table.curves ~marginal lats ~offsets in
+  let flows = L.Kernels.flows lats ~offsets ~marginal in
   let g0 = Array.make n 0.0 in
-  L.Table.activations tbl ~lines:b ~into:g0;
+  L.Kernels.activations lats ~offsets ~marginal ~lines:b ~into:g0;
   let c_min = ref Float.infinity and base_level = ref Float.infinity in
   for i = 0 to n - 1 do
-    if not (L.Table.rigid tbl i) then c_min := Float.min !c_min g0.(i);
+    if L.is_constant lats.(i) then c_min := Float.min !c_min g0.(i);
     base_level := Float.min !base_level g0.(i)
   done;
   let c_min = !c_min and base_level = !base_level in
@@ -330,10 +330,10 @@ let newton_curves criterion lats ~offsets ~w ~b r =
   else
     (* The rigid links' flows at the reservoir's level; nan, which is no
        reservoir, when there is no constant link. *)
-    let absorbed = if c_min < Float.infinity then L.Table.flows tbl c_min ~into:x else Float.nan in
+    let absorbed = if c_min < Float.infinity then flows c_min ~into:x else Float.nan in
     if absorbed < r then begin
       share_reservoir x
-        ~is_constant:(fun i -> not (L.Table.rigid tbl i))
+        ~is_constant:(fun i -> L.is_constant lats.(i))
         ~value:(fun i -> g0.(i))
         ~c_min (r -. absorbed);
       { assignment = x; level = c_min }
@@ -342,20 +342,20 @@ let newton_curves criterion lats ~offsets ~w ~b r =
       (* The top of the bracket, with the flows there in [x]. *)
       let hi, absorbed =
         if c_min < Float.infinity then (c_min, absorbed)
-        else expand_top tbl x ~r ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
+        else expand_top flows x ~r ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
       in
-      let pass ~top:_ l = L.Table.flows tbl l ~into:x -. r in
-      let rate () = L.Table.rates tbl x ~into:w in
+      let pass ~top:_ l = flows l ~into:x -. r in
+      let rate () = L.Kernels.rates lats ~offsets ~marginal x ~into:w in
       let level, f =
         newton_level ~r ~pass ~rate ~secant:true ~max_steps:max_level_steps ~lo:base_level ~hi
           ~f_hi:(absorbed -. r)
       in
       let e = -.f in
-      ignore (L.Table.rates tbl x ~into:w);
+      ignore (rate ());
       if e > 0.0 then
         for i = 0 to n - 1 do
-          if (not (x.(i) > 0.0)) && L.Table.rigid tbl i && near_level g0.(i) level then
-            w.(i) <- L.Table.rate tbl i 0.0
+          if (not (x.(i) > 0.0)) && (not (L.is_constant lats.(i))) && near_level g0.(i) level then
+            w.(i) <- L.Kernels.rate lats ~offsets ~marginal i 0.0
         done;
       place_residual x w e (Array.init n Fun.id) n;
       { assignment = x; level }
@@ -445,8 +445,8 @@ let fill_lines ~k ~w ~b r =
 let solve_lines ~slopes ~intercepts ~demand = fill_lines ~k:1.0 ~w:slopes ~b:intercepts demand
 
 (* The instance picks the passes: lines when every link is one, so the
-   engine is a function of the instance alone, and the level table of
-   the curves otherwise. Link i is [Latency.shift offsets.(i)] of
+   engine is a function of the instance alone, and the level kernels
+   over the curves otherwise. Link i is [Latency.shift offsets.(i)] of
    [lats.(i)] (the latency itself with no [offsets]), with no shifted
    latency built. *)
 let solve criterion lats ?offsets r =

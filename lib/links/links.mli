@@ -10,11 +10,11 @@
     float-precision residual by each link's sensitivity so the answer
     passes {!verify_nash}/{!verify_opt}. When every link is a line
     ({!line}) the solve starts at the all-active line root and each step
-    is one pass over the lines; otherwise the solve builds one level
-    table ({!Sgr_latency.Latency.Table.curves}) and each step is one pass
-    of its kernels, which invert every link (mostly in closed form) and
-    sum the Newton rate. {!induced} hands the table the base latencies
-    with the leader's flows as offsets. {!water_fill} is the bisection
+    is one pass over the lines; otherwise each step is one pass of the
+    level kernels ({!Sgr_latency.Latency.Kernels.flows} and
+    {!Sgr_latency.Latency.Kernels.rates}), which invert every link
+    (mostly in closed form) and sum the Newton rate. {!induced} hands the
+    kernels the base latencies with the leader's flows as offsets. {!water_fill} is the bisection
     reference, on {!Sgr_latency.Latency.inverse}. *)
 
 type t = private {

@@ -544,8 +544,8 @@ let test_aon_allocation () =
   if bytes >= 1024.0 then Alcotest.failf "Aon.assign allocated %.0f bytes" bytes
 
 (* One Wardrop solve of the 10^4-edge city at jobs 1, after a warm-up
-   solve, allocates 2.4 MB: the plan's potentials, the latency table and
-   the solver's arrays. A float boxed around each latency evaluation of
+   solve, allocates 2.0 MB: the plan's potentials and the solver's
+   arrays. A float boxed around each latency evaluation of
    the gradient and the line search would add about 38 MB. The count is
    exact ([allocated_bytes]), so it repeats. *)
 let test_city_solve_allocation () =

@@ -688,6 +688,24 @@ let test_reader_golden () =
     ]
     [ digest catalog; digest city; digest specs; digest instances ]
 
+(* Parsing the benchmark city's canonical text allocates 3,157,840
+   bytes: what the instance keeps, a latency being its kind and a
+   40-byte record, and the reader's scratch. Three closures per latency
+   would make it 4,277,840. *)
+let test_city_parse_allocation () =
+  let net =
+    W.synthetic_city (Sgr_numerics.Prng.create 13_025) ~rings:25 ~radials:100 ~commodities:32 ()
+  in
+  let text = IF.to_string (IF.Network net) in
+  let parse () =
+    match IF.parse text with
+    | Ok (IF.Network _) -> ()
+    | Ok (IF.Links _) | Error _ -> Alcotest.fail "the city must parse as a network"
+  in
+  parse ();
+  let (), bytes = allocated_bytes parse in
+  if bytes >= 3_600_000.0 then Alcotest.failf "parsing the city allocated %.0f bytes" bytes
+
 let suite =
   [
     case "latency specs: affine forms" test_affine_specs;
@@ -720,4 +738,5 @@ let suite =
     case "latency specs: a 20,000-deep shift parses in linear space" test_deep_shift_is_linear;
     prop_reader_fuzz;
     case "instance reader: output and messages match the recorded MD5s" test_reader_golden;
+    case "instance reader: the benchmark city parses under 3.6 MB" test_city_parse_allocation;
   ]

@@ -155,10 +155,6 @@ let test_inverse_constant_fails () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "inverse of constant must fail"
 
-let test_check_increasing () =
-  check_true "affine increasing" (L.check_increasing (L.linear 1.0));
-  check_true "constant weakly increasing" (L.check_increasing (L.constant 1.0))
-
 let test_pp () =
   check_true "affine rendering"
     (String.length (L.to_string (L.affine ~slope:2.5 ~intercept:0.1667)) > 0);
@@ -246,12 +242,12 @@ let inverse_properties =
         L.mm1 ~capacity:(Prng.uniform rng ~lo:2.0 ~hi:4.0));
   ]
 
-(* ---------------- flat tables ---------------- *)
+(* ---------------- array kernels ---------------- *)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 let evaluations () = Sgr_obs.Obs.value (Sgr_obs.Obs.counter "latency.evaluations")
 
-(* One latency of every kind a table entry can hold, with the corners
+(* One latency of every kind a kernel entry can be, with the corners
    the kernels must reproduce: BPR with α = 0 and with t₀ = 0, M/M/1 loaded at or past
    capacity (x up to 4.5 > 4, and x = ∞, where 0·x is NaN), single and
    nested shifts, tolled kinds (constant-shifted polynomials, Custom
@@ -293,7 +289,6 @@ let prop_table_kernels_bitwise =
             | 2 -> Float.infinity
             | _ -> Prng.uniform rng ~lo:0.0 ~hi:4.5)
       in
-      let t = L.Table.make lats in
       let into = Array.make n Float.nan in
       let len = Prng.int rng (n + 1) in
       let entries = Array.init len (fun _ -> Prng.int rng n) in
@@ -302,9 +297,9 @@ let prop_table_kernels_bitwise =
       List.for_all
            (fun (marginal, value) ->
              let e0 = evaluations () in
-             L.Table.fill t ~marginal ~at ~into;
+             L.Kernels.fill lats ~marginal ~at ~into;
              let e1 = evaluations () in
-             let d = L.Table.directional t ~marginal ~base:at ~entries ~dirs ~len gamma in
+             let d = L.Kernels.directional lats ~marginal ~base:at ~entries ~dirs ~len gamma in
              let e2 = evaluations () in
              let reference = ref 0.0 in
              for k = 0 to len - 1 do
@@ -318,10 +313,10 @@ let prop_table_kernels_bitwise =
              && same_bits d !reference)
            [ (false, L.eval); (true, L.marginal) ])
 
-(* The level kernels against the closure path they replace: entry i of
-   [Table.curves ~offsets] is [shift offsets.(i) lats.(i)], so its flow
-   at a level is [inverse] (or [inverse_marginal]) of that latency
-   floored at 0, its rate 1/ℓ' (or 1/(2ℓ' + xℓ'')) from its [deriv] and
+(* The level kernels against the scalar functions: entry i of the
+   kernels at [offsets] is [shift offsets.(i) lats.(i)], so its flow at
+   a level is [inverse] (or [inverse_marginal]) of that latency floored
+   at 0, its rate 1/ℓ' (or 1/(2ℓ' + xℓ'')) from its [deriv] and
    [deriv2], and its activation point its value at zero flow. Offsets
    are 0, random, and for M/M/1 below, at and past the capacity; the
    bases include b + c·xᵈ, multi-term polynomials, constants, BPR with
@@ -329,7 +324,7 @@ let prop_table_kernels_bitwise =
    kinds and [Custom]. A level where some entry's inverse fails must
    fail the kernel too. *)
 let prop_level_kernels_bitwise =
-  qcheck ~count:300 "level tables: flows, rates and activations equal the closure path bit for bit"
+  qcheck ~count:300 "level tables: flows, rates and activations equal the scalar path bit for bit"
     QCheck.(int_bound 1_000_000) (fun seed ->
       let rng = Prng.create (seed + 4_300) in
       let u lo hi = Prng.uniform rng ~lo ~hi in
@@ -368,7 +363,6 @@ let prop_level_kernels_bitwise =
       in
       List.for_all
         (fun marginal ->
-          let c = L.Table.curves ~marginal lats ~offsets in
           let value, inverse =
             if marginal then (L.marginal, L.inverse_marginal) else (L.eval, L.inverse)
           in
@@ -378,9 +372,10 @@ let prop_level_kernels_bitwise =
           in
           let g0 = Array.make n Float.nan and want_g0 = Array.make n Float.nan in
           let (_ : (unit, unit) result), kernel_evals =
-            counted (fun () -> L.Table.activations c ~lines:(Array.make n Float.nan) ~into:g0)
+            let lines = Array.make n Float.nan in
+            counted (fun () -> L.Kernels.activations lats ~offsets ~marginal ~lines ~into:g0)
           in
-          let (_ : (unit, unit) result), closure_evals =
+          let (_ : (unit, unit) result), scalar_evals =
             counted (fun () ->
                 Array.iteri
                   (fun i l ->
@@ -388,12 +383,14 @@ let prop_level_kernels_bitwise =
                   shifted)
           in
           let activations_ok =
-            kernel_evals = closure_evals && Array.for_all2 same_bits g0 want_g0
+            kernel_evals = scalar_evals && Array.for_all2 same_bits g0 want_g0
           in
           let flows_ok y =
             let into = Array.make n Float.nan and want = Array.make n Float.nan in
-            let got, kernel_evals = counted (fun () -> L.Table.flows c y ~into) in
-            let sum, closure_evals =
+            let got, kernel_evals =
+              counted (fun () -> L.Kernels.flows lats ~offsets ~marginal y ~into)
+            in
+            let sum, scalar_evals =
               counted (fun () ->
                   let sum = ref 0.0 in
                   for i = 0 to n - 1 do
@@ -404,7 +401,7 @@ let prop_level_kernels_bitwise =
                   done;
                   !sum)
             in
-            kernel_evals = closure_evals
+            kernel_evals = scalar_evals
             &&
             match (got, sum) with
             | Ok a, Ok b -> same_bits a b && Array.for_all2 same_bits into want
@@ -412,7 +409,7 @@ let prop_level_kernels_bitwise =
             | _ -> false
           in
           let w = Array.make n Float.nan in
-          let rate = L.Table.rates c x ~into:w in
+          let rate = L.Kernels.rates lats ~offsets ~marginal x ~into:w in
           let want_w = Array.mapi (fun i l -> if x.(i) > 0.0 then 1.0 /. slope l x.(i) else 0.0) shifted in
           let want_rate = ref 0.0 in
           Array.iteri (fun i wi -> if x.(i) > 0.0 then want_rate := !want_rate +. wi) want_w;
@@ -421,10 +418,11 @@ let prop_level_kernels_bitwise =
             && Array.for_all2 same_bits w want_w
             && Array.for_all Fun.id
                  (Array.mapi
-                    (fun i l -> same_bits (L.Table.rate c i 0.0) (1.0 /. slope l 0.0))
+                    (fun i l ->
+                      same_bits (L.Kernels.rate lats ~offsets ~marginal i 0.0) (1.0 /. slope l 0.0))
                     shifted)
           in
-          Array.for_all Fun.id (Array.init n (fun i -> L.Table.rigid c i = rigid i))
+          Array.for_all Fun.id (Array.init n (fun i -> (not (L.is_constant lats.(i))) = rigid i))
           && activations_ok && List.for_all flows_ok levels && rates_ok)
         [ false; true ])
 
@@ -442,14 +440,13 @@ let test_table_kernels_allocate_nothing () =
   let at = Array.init 64 (fun _ -> Prng.uniform rng ~lo:0.0 ~hi:4.0) in
   let into = Array.make 64 0.0 in
   let entries = Array.init 64 Fun.id in
-  let t = L.Table.make lats in
   let w0 = Gc.minor_words () in
   for _ = 1 to 10 do
-    L.Table.fill t ~marginal:false ~at ~into;
-    L.Table.fill t ~marginal:true ~at ~into;
+    L.Kernels.fill lats ~marginal:false ~at ~into;
+    L.Kernels.fill lats ~marginal:true ~at ~into;
     ignore
       (Sys.opaque_identity
-         (L.Table.directional t ~marginal:true ~base:at ~entries ~dirs:at ~len:64 0.5))
+         (L.Kernels.directional lats ~marginal:true ~base:at ~entries ~dirs:at ~len:64 0.5))
   done;
   (* The one boxed result of [directional] per call: 2 words each. *)
   let words = Gc.minor_words () -. w0 in
@@ -470,8 +467,7 @@ let prop_gathered_line_bitwise =
               L.affine ~slope:(Prng.uniform rng ~lo:0.1 ~hi:3.0) ~intercept:(Prng.float rng))
       in
       let n = Array.length lats in
-      let t = L.Table.make lats in
-      let line = L.Table.line t in
+      let line = L.Kernels.line lats in
       let base = Array.init n (fun _ -> Prng.uniform rng ~lo:0.0 ~hi:4.5) in
       List.for_all
         (fun _ ->
@@ -479,14 +475,15 @@ let prop_gathered_line_bitwise =
           let entries = Array.init len (fun _ -> Prng.int rng n) in
           let dirs = Array.init len (fun _ -> Prng.uniform rng ~lo:(-1.0) ~hi:1.0) in
           let marginal = Prng.bool rng in
-          L.Table.gather line ~marginal ~base ~entries ~dirs ~len;
+          L.Kernels.gather line ~marginal ~base ~entries ~dirs ~len;
           List.for_all
             (fun gamma ->
               let e0 = evaluations () in
-              let slope = L.Table.slope_at line gamma in
+              let slope = L.Kernels.slope_at line gamma in
               let e1 = evaluations () in
               e1 - e0 = len
-              && same_bits slope (L.Table.directional t ~marginal ~base ~entries ~dirs ~len gamma))
+              && same_bits slope
+                   (L.Kernels.directional lats ~marginal ~base ~entries ~dirs ~len gamma))
             [ 0.0; Prng.float rng; 1.0 ])
         (List.init 4 Fun.id))
 
@@ -508,7 +505,6 @@ let suite =
     case "inverse: mm1" test_inverse_mm1;
     case "inverse: closed forms" test_inverse_closed_forms;
     case "inverse: constant fails" test_inverse_constant_fails;
-    case "check_increasing" test_check_increasing;
     case "pretty printing" test_pp;
     prop_inverse_roundtrip;
     prop_marginal_ge_latency;
