@@ -109,7 +109,11 @@ let t5 () =
    workspace across runs, as the solvers do. The two [city1e4] rows are
    one all-or-nothing tree of the 10^4-edge city at free flow: a plain
    point-to-point search, and the goal-directed one on the free-flow
-   potential. *)
+   potential, which is exact there, so the search walks only its
+   chain. The [loaded] rows run at the gradient of a converged
+   Frank–Wolfe solve of that city, the weights a solve's trees see:
+   the same goal-directed tree, and one all-or-nothing assignment of
+   all 32 trees on one domain. *)
 let t6 () =
   let g = (W.grid_network (Prng.create 6001) ~rows:6 ~cols:6 ()).Sgr_network.Network.graph in
   let m = Sgr_graph.Digraph.num_edges g in
@@ -124,6 +128,12 @@ let t6 () =
   let { Sgr_network.Network.src; dst; _ } = city.Sgr_network.Network.commodities.(0) in
   let goal = Sgr_graph.Dijkstra.goal city_g ~lower:free_flow ~sink:dst in
   let city_ws = Sgr_graph.Dijkstra.workspace () in
+  let loaded =
+    Sgr_network.Network.edge_latencies city
+      (Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop city).Solver.edge_flow
+  in
+  let plan = Sgr_assign.Aon.plan city in
+  let into = Array.make (Array.length loaded) 0.0 in
   Test.make_grouped ~name:"T6 substrates"
     [
       Test.make ~name:"dijkstra/grid6x6"
@@ -141,6 +151,13 @@ let t6 () =
              ignore
                (Sgr_graph.Dijkstra.run ~workspace:city_ws ~goal city_g ~weights:free_flow
                   ~source:src)));
+      Test.make ~name:"dijkstra-goal/city1e4-loaded"
+        (Staged.stage (fun () ->
+             ignore
+               (Sgr_graph.Dijkstra.run ~workspace:city_ws ~goal city_g ~weights:loaded
+                  ~source:src)));
+      Test.make ~name:"aon/city1e4-loaded"
+        (Staged.stage (fun () -> Sgr_assign.Aon.assign ~jobs:1 plan city ~weights:loaded ~into));
       Test.make ~name:"maxflow/grid6x6"
         (Staged.stage (fun () -> ignore (Sgr_graph.Maxflow.solve g ~capacities:caps ~src:0 ~dst:35)));
       Test.make ~name:"paths/grid6x6"

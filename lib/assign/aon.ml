@@ -200,6 +200,7 @@ let assign ?jobs ?record p (net : Network.t) ~weights ~into =
   Obs.incr c_calls;
   let g = net.Network.graph in
   let m = G.Digraph.num_edges g in
+  if Array.length weights <> m then invalid_arg "Aon.assign: weight array has the wrong length";
   if Array.length into <> m then invalid_arg "Aon.assign: flow array has the wrong length";
   Array.fill into 0 m 0.0;
   let edge_src = G.Digraph.edge_sources g in

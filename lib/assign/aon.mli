@@ -76,4 +76,6 @@ val assign :
     ids, source to sink) — the only way paths ever materialize here,
     and only for callers that ask. Checkpoints the per-domain deadline
     between trees and commodities.
-    @raise Invalid_argument when a commodity's sink is unreachable. *)
+    @raise Invalid_argument when [weights] or [into] does not hold one
+    entry per edge (before anything is written), or when a commodity's
+    sink is unreachable. *)

@@ -76,6 +76,9 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
   fill_grad f;
   Aon.assign ?jobs ?record plan net ~weights:grad ~into:f;
   update_flows 1.0;
+  (* How many leading entries of [sup_edge] the last step moved f on,
+     or -1 before the first step, when f has changed everywhere. *)
+  let moved = ref (-1) in
   let iterations = ref 0 in
   let relgap = ref Float.infinity in
   let continue = ref true in
@@ -86,7 +89,17 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     Sgr_obs.Cancel.check_handle cancel;
     incr iterations;
     Obs.incr c_iters;
-    fill_grad f;
+    (* A step changes f on its support alone, so only there can the
+       gradient, or its clamp, change: refresh those edges, before the
+       scan below overwrites [sup_edge]. *)
+    if !moved < 0 then fill_grad f
+    else begin
+      L.Kernels.fill_entries lats ~marginal ~at:f ~entries:sup_edge ~len:!moved ~into:grad;
+      for k = 0 to !moved - 1 do
+        let e = sup_edge.(k) in
+        grad.(e) <- Float.max 0.0 grad.(e)
+      done
+    end;
     Aon.assign ?jobs ?record plan net ~weights:grad ~into:y;
     (* One scan: the relative duality gap of the linearized subproblem
        and the support of the direction d = y - f. *)
@@ -140,6 +153,7 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
           (* Clip negative rounding noise. *)
           if f.(e) < 0.0 then f.(e) <- 0.0
         done;
+        moved := n_sup;
         update_flows gamma;
         gamma
       end

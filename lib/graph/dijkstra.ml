@@ -240,6 +240,13 @@ let validate_weights ?goal weights =
         weights)
     goal
 
+(* Checked by every entry point before it touches a workspace: the
+   kernel indexes [weights] by edge id, and a run that failed half-way
+   would leave its target marks set for the workspace's next run. *)
+let check_weights name g weights =
+  if Array.length weights <> Digraph.num_edges g then
+    invalid_arg (name ^ ": weights must hold one entry per edge")
+
 let forward ?targets ws g ~goal ~upper ~weights ~source =
   run_dir ?targets ws ~goal ~upper
     ~off:(Digraph.out_offsets g) ~ids:(Digraph.out_edge_ids g)
@@ -251,6 +258,7 @@ let reverse ?targets ws g ~weights ~sink =
     ~other:(Digraph.edge_sources g) ~weights ~n:(Digraph.num_nodes g) ~origin:sink
 
 let run ?(validate = false) ?workspace:ws ?targets ?goal ?upper g ~weights ~source =
+  check_weights "Dijkstra.run" g weights;
   if validate then validate_weights ?goal weights;
   let ws = match ws with Some ws -> ws | None -> workspace () in
   (match goal with
@@ -269,6 +277,7 @@ let run ?(validate = false) ?workspace:ws ?targets ?goal ?upper g ~weights ~sour
   ws.result
 
 let run_reverse ?(validate = false) ?workspace:ws g ~weights ~sink =
+  check_weights "Dijkstra.run_reverse" g weights;
   if validate then validate_weights weights;
   let ws = match ws with Some ws -> ws | None -> workspace () in
   ignore (reverse ws g ~weights ~sink);
@@ -334,6 +343,7 @@ let goals ?workspace:ws g ~lower ~sinks ~sources =
     sinks
 
 let shortest_path ?validate ?workspace g ~weights ~src ~dst =
+  check_weights "Dijkstra.shortest_path" g weights;
   let ({ dist; pred } : result) =
     run ?validate ?workspace ~targets:[| dst |] g ~weights ~source:src
   in
@@ -352,6 +362,7 @@ let shortest_path ?validate ?workspace g ~weights ~src ~dst =
 
 let shortest_edge_subgraph ?(eps = Sgr_numerics.Tolerance.check_eps) ?validate ?workspaces g
     ~weights ~src ~dst =
+  check_weights "Dijkstra.shortest_edge_subgraph" g weights;
   let fwd_ws, bwd_ws =
     match workspaces with Some pair -> pair | None -> (workspace (), workspace ())
   in

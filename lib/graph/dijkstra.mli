@@ -120,10 +120,13 @@ val run :
     sink's chain is unchanged. The bound is read from an array, so a
     call boxes no float; [infinity] prunes nothing. The plain rerun of a
     fallback does not prune.
-    @raise Invalid_argument when a target is out of range, when both
-    [targets] and [goal] are given, when [upper] is given without
-    [goal], or when [goal] was built for a graph with another node
-    count. *)
+    @raise Invalid_argument when [weights] does not hold one entry per
+    edge, when a target is out of range, when both [targets] and [goal]
+    are given, when [upper] is given without [goal], or when [goal] was
+    built for a graph with another node count. None of these leaves a
+    mark in the workspace that a later run would see. {!run_reverse},
+    {!shortest_path} and {!shortest_edge_subgraph} check the length of
+    [weights] the same way, first. *)
 
 val run_reverse :
   ?validate:bool -> ?workspace:workspace -> Digraph.t -> weights:float array -> sink:int ->

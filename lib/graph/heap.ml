@@ -31,8 +31,8 @@ let grow h =
 
 (* Both sifts move a hole rather than swapping: the displaced entries
    shift one level each and the moving entry is written once, at its
-   final slot. The comparisons are exactly those of a swap-based sift,
-   so the heap ends in the same layout and pops ties in the same order.
+   final slot. Each makes the decisions of a swap-based sift, so the
+   heap ends in the same layout and pops ties in the same order.
 
    The priority is read from the caller's array rather than passed as a
    float: a float argument to another module's function is boxed unless
@@ -67,28 +67,33 @@ let pop h =
     let len = h.len - 1 in
     h.len <- len;
     if len > 0 then begin
-      (* Sift the last entry down from the root. *)
+      (* Sift the last entry down from the root. Where both children
+         exist, the smaller one is picked without a branch (a float
+         comparison read as an int compiles to a compare-and-mask); the
+         right child wins only when strictly smaller, then it moves up
+         only when strictly smaller than the entry. That is the swap
+         sift's choice, ties included: it keeps the left child over an
+         equal right one and the entry over an equal child. *)
       let prio = prios.(len) and payload = payloads.(len) in
       let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i and sp = ref prio in
-        if l < len && prios.(l) < !sp then begin
-          smallest := l;
-          sp := prios.(l)
-        end;
-        if r < len && prios.(r) < !sp then begin
-          smallest := r;
-          sp := prios.(r)
-        end;
-        if !smallest <> !i then begin
-          prios.(!i) <- !sp;
-          payloads.(!i) <- payloads.(!smallest);
-          i := !smallest
+      let l = ref 1 in
+      while !l + 1 < len do
+        let c = !l + Bool.to_int (prios.(!l + 1) < prios.(!l)) in
+        let pc = prios.(c) in
+        if pc < prio then begin
+          prios.(!i) <- pc;
+          payloads.(!i) <- payloads.(c);
+          i := c;
+          l := (2 * c) + 1
         end
-        else continue := false
+        else l := len (* the entry stays at [i] *)
       done;
+      (* A last parent with a single child, the heap's last entry. *)
+      if !l + 1 = len && prios.(!l) < prio then begin
+        prios.(!i) <- prios.(!l);
+        payloads.(!i) <- payloads.(!l);
+        i := !l
+      end;
       prios.(!i) <- prio;
       payloads.(!i) <- payload
     end;

@@ -29,12 +29,14 @@ val pop : t -> int
     of {!pop_min}. Payloads inserted by well-behaved callers are ids,
     hence nonnegative, so [-1] is unambiguous.
 
-    Equal priorities pop in an order fixed by the insert/pop history
-    alone: that of a textbook swap-based binary heap. No flow depends on
-    it: Dijkstra breaks distance ties by edge id (see
-    {!Dijkstra.run}), so with positive weights the shortest-path trees,
-    and every all-or-nothing flow read from them, are functions of the
-    graph and the weights alone. *)
+    The sift picks the smaller child without a branch and then compares
+    it once with the entry it moves down, deciding as a textbook
+    swap-based binary heap does, ties included. So equal priorities pop
+    in an order fixed by the insert/pop history alone: that of the
+    swap-based heap. No flow depends on it: Dijkstra breaks distance
+    ties by edge id (see {!Dijkstra.run}), so with positive weights the
+    shortest-path trees, and every all-or-nothing flow read from them,
+    are functions of the graph and the weights alone. *)
 
 val pop_min : t -> (float * int) option
 (** Like {!pop}, also reporting the priority. Allocates the returned

@@ -499,6 +499,14 @@ module Kernels = struct
       into.(i) <- criterion ~marginal lats.(i) x x
     done
 
+  let fill_entries (lats : latency array) ~marginal ~at ~entries ~len ~into =
+    Sgr_obs.Obs.add c_evals len;
+    for k = 0 to len - 1 do
+      let i = entries.(k) in
+      let x = at.(i) in
+      into.(i) <- criterion ~marginal lats.(i) x x
+    done
+
   let directional (lats : latency array) ~marginal ~base ~entries ~dirs ~len gamma =
     Sgr_obs.Obs.add c_evals len;
     let acc = ref 0.0 in

@@ -163,12 +163,13 @@ val to_string : t -> string
 (** {1 Array kernels}
 
     The loops that run over a latency array: Frank–Wolfe's gradient and
-    line search ({!Kernels.fill}, {!Kernels.directional},
-    {!Kernels.gather}), and the parallel-links water-fill's level passes
-    ({!Kernels.activations}, {!Kernels.flows}, {!Kernels.rates}). Each
-    runs the formula of every entry's kind inside its loop, as {!eval},
-    {!marginal}, {!inverse} and {!deriv2} do, so a latency whose kind is
-    its whole function boxes no float and calls no closure; the others
+    line search ({!Kernels.fill}, {!Kernels.fill_entries},
+    {!Kernels.directional}, {!Kernels.gather}), and the parallel-links
+    water-fill's level passes ({!Kernels.activations}, {!Kernels.flows},
+    {!Kernels.rates}). Each runs the formula of every entry's kind
+    inside its loop, as {!eval}, {!marginal}, {!inverse} and {!deriv2}
+    do, so a latency whose kind is its whole function boxes no float and
+    calls no closure; the others
     ([Custom], a shift of a shifted latency) follow their functions. No
     kernel copies the latencies or builds a table, and every value equals
     the scalar functions' bit for bit. Each evaluating kernel call adds
@@ -183,6 +184,20 @@ module Kernels : sig
       latency. [at] and [into] may be the same array. Adds the number of
       latencies to [latency.evaluations].
       @raise Invalid_argument when [at] or [into] is shorter than [lats]. *)
+
+  val fill_entries :
+    latency array ->
+    marginal:bool ->
+    at:float array ->
+    entries:int array ->
+    len:int ->
+    into:float array ->
+    unit
+  (** [fill_entries lats ~marginal ~at ~entries ~len ~into] is {!fill}
+      on the entries [i = entries.(k)], [k < len], alone: it sets each
+      such [into.(i)] to the value {!fill} gives it, bit for bit, and
+      leaves every other entry of [into] as it is. Adds [len] to
+      [latency.evaluations]. *)
 
   val directional :
     latency array ->

@@ -110,11 +110,16 @@ let city_1e3 () = W.synthetic_city (Prng.create 1_024) ~rings:8 ~radials:32 ~com
    assigns. *)
 let city_1e4 () = W.synthetic_city (Prng.create 13_025) ~rings:25 ~radials:100 ~commodities:32 ()
 
+(* 112 BPR edges, one commodity: the cities are all-affine, so these
+   rows are the ones that pin the gradient and line search on a kind
+   the kernels evaluate as a curve. *)
+let bpr_grid () = W.grid_network (Prng.create 8_008) ~rows:8 ~cols:8 ()
+
 (* Pinned iteration counts and edge-flow digests, each reproduced at
    every listed job count. Work on the solver kernels (Dijkstra, heap,
-   AON, line search) must reproduce them: a change that alters a single
-   bit of a solve — tie-breaking, summation order, early exit, a merge
-   order that depends on the pool width — shows up here. *)
+   AON, gradient, line search) must reproduce them: a change that alters
+   a single bit of a solve — tie-breaking, summation order, early exit,
+   a merge order that depends on the pool width — shows up here. *)
 let golden_solves =
   [
     ("FW Wardrop", city_1e3, Obj.Wardrop, Solver.Frank_wolfe, 1e-6, [ 1 ], 107,
@@ -125,6 +130,12 @@ let golden_solves =
      "9939e443190a3f17d7960b813a0d8ed3");
     ("10^4-edge city FW Wardrop", city_1e4, Obj.Wardrop, Solver.Frank_wolfe, 1e-4, [ 1; 4 ], 39,
      "37583ab731b6ecb2e7046801bdb847c0");
+    ("BPR grid FW Wardrop", bpr_grid, Obj.Wardrop, Solver.Frank_wolfe, 1e-5, [ 1 ], 37,
+     "35146f9d3ceebc96dbfc5bff78571b5a");
+    ("BPR grid FW system optimum", bpr_grid, Obj.System_optimum, Solver.Frank_wolfe, 1e-5, [ 1 ],
+     109, "e808408d259bacd184be60fec5fdf205");
+    ("BPR grid MSA Wardrop", bpr_grid, Obj.Wardrop, Solver.Msa, 1e-4, [ 1 ], 41,
+     "de9b6f5310bb430695e32be3f80b1eba");
   ]
 
 let test_bit_identity_golden () =
@@ -508,6 +519,34 @@ let test_aon_cut_off_sink_raises () =
         [| commodity 0 3; commodity 1 3 |] );
     ]
 
+(* Weights of the wrong length are refused by name before [into] or a
+   tree's workspace is touched, and the plan routes the next call as a
+   fresh one would. *)
+let test_aon_wrong_weight_length_refused () =
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (0, 2); (2, 3) ] in
+  let lats = Array.init 4 (fun e -> L.affine ~slope:1.0 ~intercept:(float_of_int (1 + e))) in
+  List.iter
+    (fun commodities ->
+      let net = Net.make g ~latencies:lats ~commodities in
+      let plan = Aon.plan net in
+      let weights = Net.edge_latencies net (Array.make 4 0.0) in
+      List.iter
+        (fun bad ->
+          let into = Array.make 4 7.0 in
+          (match Aon.assign ~jobs:1 plan net ~weights:bad ~into with
+          | exception Invalid_argument m ->
+              Alcotest.(check string) "message" "Aon.assign: weight array has the wrong length" m
+          | () -> Alcotest.failf "assigned on %d weights" (Array.length bad));
+          check_true "into untouched" (Array.for_all (fun x -> x = 7.0) into);
+          Aon.assign ~jobs:1 plan net ~weights ~into;
+          check_true "the next call matches the oracle"
+            (bitwise_equal into (aon_oracle net ~weights)))
+        [ [| 1.0 |]; Array.make 5 1.0 ])
+    [
+      [| { Net.src = 0; dst = 3; demand = 1.0 } |];
+      [| { Net.src = 0; dst = 3; demand = 1.0 }; { Net.src = 0; dst = 2; demand = 2.0 } |];
+    ]
+
 (* ---------------- deterministic performance gates ---------------- *)
 
 (* One Wardrop solve of the 10^4-edge city at jobs 1: 39 iterations, 31
@@ -555,16 +594,18 @@ let test_city_solve_allocation () =
   let (), bytes = allocated_bytes solve in
   if bytes >= 4e6 then Alcotest.failf "a 10^4-city solve allocated %.0f bytes" bytes
 
-(* The same solve evaluates 1,222,736 latencies: 40 gradients of 10^4
-   edges, 10^4 free-flow values in the plan, and the line-search
-   probes over each direction's support. The array kernels count every
-   entry they evaluate, once per call. *)
+(* The same solve evaluates 865,312 latencies: two whole gradients of
+   10^4 edges (at zero flow and after the first AON), then 38 refreshes
+   on the support of the step before (22,576 entries), 10^4 free-flow
+   values in the plan, and 812,736 line-search probes over the
+   directions' supports. The array kernels count every entry they
+   evaluate, once per call. *)
 let test_city_solve_evaluations () =
   let net = city_1e4 () in
   let _, moved =
     counting [ "latency.evaluations" ] (fun () -> Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
   in
-  Alcotest.(check (list int)) "latency evaluations" [ 1_222_736 ] moved
+  Alcotest.(check (list int)) "latency evaluations" [ 865_312 ] moved
 
 (* ---------------- pruned goal trees across calls ---------------- *)
 
@@ -683,4 +724,5 @@ let suite =
     case "perf gate: 10^4-city solve allocates under 4 MB" test_city_solve_allocation;
     case "perf gate: 10^4-city solve latency evaluations" test_city_solve_evaluations;
     prop_pruned_trees_match_plain;
+    case "AON refuses a weight array of the wrong length" test_aon_wrong_weight_length_refused;
   ]

@@ -728,6 +728,43 @@ let test_goal_rejects_misuse () =
          G.Dijkstra.run ~goal (G.Digraph.of_edges ~num_nodes:2 [ (0, 1) ]) ~weights:[| 1.0 |]
            ~source:0))
 
+(* Every entry point refuses weights that do not hold one entry per
+   edge, by name, before it touches the workspace: a run that failed
+   half-way through would leave its target marks set, and the next run
+   in that workspace would stop at once. *)
+let test_wrong_weight_length_refused () =
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (2, 3) ] in
+  let weights = [| 1.0; 1.0; 1.0 |] in
+  let ws = G.Dijkstra.workspace () in
+  let refused name f =
+    let expected = name ^ ": weights must hold one entry per edge" in
+    List.iter
+      (fun bad ->
+        match f bad with
+        | exception Invalid_argument m -> Alcotest.(check string) name expected m
+        | _ -> Alcotest.failf "%s ran on %d weights" name (Array.length bad))
+      [ [| 1.0 |]; [| 1.0; 1.0; 1.0; 1.0 |] ]
+  in
+  refused "Dijkstra.run" (fun weights ->
+      G.Dijkstra.run ~validate:true ~workspace:ws ~targets:[| 3 |] g ~weights ~source:0);
+  refused "Dijkstra.run" (fun weights ->
+      G.Dijkstra.run ~workspace:ws ~targets:[| 3 |] g ~weights ~source:0);
+  let goal = G.Dijkstra.goal g ~lower:weights ~sink:3 in
+  refused "Dijkstra.run" (fun weights ->
+      G.Dijkstra.run ~validate:true ~workspace:ws ~goal g ~weights ~source:0);
+  refused "Dijkstra.run_reverse" (fun weights ->
+      G.Dijkstra.run_reverse ~validate:true ~workspace:ws g ~weights ~sink:3);
+  refused "Dijkstra.shortest_path" (fun weights ->
+      G.Dijkstra.shortest_path ~validate:true ~workspace:ws g ~weights ~src:0 ~dst:3);
+  refused "Dijkstra.shortest_edge_subgraph" (fun weights ->
+      G.Dijkstra.shortest_edge_subgraph ~validate:true ~workspaces:(ws, ws) g ~weights ~src:0
+        ~dst:3);
+  Alcotest.(check (option (list int))) "the workspace still finds the path" (Some [ 0; 1; 2 ])
+    (G.Dijkstra.shortest_path ~workspace:ws g ~weights ~src:0 ~dst:3);
+  let fresh = G.Dijkstra.run g ~weights ~source:0 in
+  let reused = G.Dijkstra.run ~workspace:ws g ~weights ~source:0 in
+  Alcotest.(check (array (float 0.0))) "distances as in a fresh workspace" fresh.dist reused.dist
+
 (* One workspace reused across a random sequence of runs — full,
    targeted (early exits, duplicate and unreachable targets), goal-directed
    and reverse, on graphs whose node count changes now and then — must
@@ -803,4 +840,5 @@ let suite =
     case "dijkstra: a key past the goal's bound reruns plain" test_goal_key_bound_falls_back;
     case "dijkstra: goal misuse is rejected" test_goal_rejects_misuse;
     prop_reused_workspace_reads_fresh;
+    case "dijkstra: a weight array of the wrong length is refused" test_wrong_weight_length_refused;
   ]

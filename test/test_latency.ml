@@ -313,6 +313,45 @@ let prop_table_kernels_bitwise =
              && same_bits d !reference)
            [ (false, L.eval); (true, L.marginal) ])
 
+(* The index-list fill against the whole one: the first [len] listed
+   entries (some listed twice, as a random draw lists them) get
+   [fill]'s bits, every other entry keeps its own, and the call counts
+   [len] evaluations. The list is longer than [len], as the solver's
+   support buffer is. *)
+let prop_fill_entries_bitwise =
+  qcheck ~count:300 "index-list fill equals fill bit for bit on its entries, counted once each"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 4_300) in
+      let lats = Array.of_list (every_kind rng) in
+      Prng.shuffle rng lats;
+      let n = Array.length lats in
+      let at =
+        Array.init n (fun _ ->
+            match Prng.int rng 10 with
+            | 0 | 1 -> 0.0
+            | 2 -> Float.infinity
+            | _ -> Prng.uniform rng ~lo:0.0 ~hi:4.5)
+      in
+      let len = Prng.int rng (n + 1) in
+      let entries = Array.init n (fun _ -> Prng.int rng n) in
+      let listed = Array.make n false in
+      for k = 0 to len - 1 do
+        listed.(entries.(k)) <- true
+      done;
+      let before = Array.init n (fun i -> -.float_of_int (i + 1)) in
+      List.for_all
+        (fun marginal ->
+          let whole = Array.make n Float.nan in
+          L.Kernels.fill lats ~marginal ~at ~into:whole;
+          let into = Array.copy before in
+          let e0 = evaluations () in
+          L.Kernels.fill_entries lats ~marginal ~at ~entries ~len ~into;
+          evaluations () - e0 = len
+          && Array.for_all Fun.id
+               (Array.init n (fun i ->
+                    same_bits into.(i) (if listed.(i) then whole.(i) else before.(i)))))
+        [ false; true ])
+
 (* The level kernels against the scalar functions: entry i of the
    kernels at [offsets] is [shift offsets.(i) lats.(i)], so its flow at
    a level is [inverse] (or [inverse_marginal]) of that latency floored
@@ -516,4 +555,5 @@ let suite =
       case "table: closed-form kernels box no float" test_table_kernels_allocate_nothing;
       prop_level_kernels_bitwise;
       prop_gathered_line_bitwise;
+      prop_fill_entries_bitwise;
     ]
