@@ -35,8 +35,9 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
   let y = Array.make m 0.0 in
   (* The direction's support: edge ids (ascending) and their components
      of d = y - f, and the same gathered with their base flows and
-     latency coefficients for the line search. *)
-  let sup_edge = Array.make m 0 and sup_dir = Array.make m 0.0 in
+     latency coefficients for the line search. Before the first scan
+     [sup_edge] lists every edge. *)
+  let sup_edge = Array.init m Fun.id and sup_dir = Array.make m 0.0 in
   let line = L.Kernels.line lats in
   (* Per-commodity flow tracking (only when the caller wants a
      decomposable answer): every AON routes each commodity down one tree
@@ -64,21 +65,23 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
             List.iter (fun e -> x.(e) <- x.(e) +. d) paths.(i))
           xs
   in
-  (* Dijkstra rejects negative weights; marginals of odd user latencies
-     can dip microscopically below zero, so clamp. *)
-  let fill_grad f =
-    L.Kernels.fill lats ~marginal ~at:f ~into:grad;
-    for e = 0 to m - 1 do
+  let f = Array.make m 0.0 in
+  (* The gradient at f on the first [len] edges of [sup_edge]. Dijkstra
+     rejects negative weights; marginals of odd user latencies can dip
+     microscopically below zero, so clamp. *)
+  let refresh len =
+    L.Kernels.fill_entries lats ~marginal ~at:f ~entries:sup_edge ~len ~into:grad;
+    for k = 0 to len - 1 do
+      let e = sup_edge.(k) in
       grad.(e) <- Float.max 0.0 grad.(e)
     done
   in
-  let f = Array.make m 0.0 in
-  fill_grad f;
+  refresh m;
   Aon.assign ?jobs ?record plan net ~weights:grad ~into:f;
   update_flows 1.0;
-  (* How many leading entries of [sup_edge] the last step moved f on,
-     or -1 before the first step, when f has changed everywhere. *)
-  let moved = ref (-1) in
+  (* How many leading entries of [sup_edge] the last step moved f on:
+     all m after the first AON. *)
+  let moved = ref m in
   let iterations = ref 0 in
   let relgap = ref Float.infinity in
   let continue = ref true in
@@ -92,14 +95,7 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     (* A step changes f on its support alone, so only there can the
        gradient, or its clamp, change: refresh those edges, before the
        scan below overwrites [sup_edge]. *)
-    if !moved < 0 then fill_grad f
-    else begin
-      L.Kernels.fill_entries lats ~marginal ~at:f ~entries:sup_edge ~len:!moved ~into:grad;
-      for k = 0 to !moved - 1 do
-        let e = sup_edge.(k) in
-        grad.(e) <- Float.max 0.0 grad.(e)
-      done
-    end;
+    refresh !moved;
     Aon.assign ?jobs ?record plan net ~weights:grad ~into:y;
     (* One scan: the relative duality gap of the linearized subproblem
        and the support of the direction d = y - f. *)

@@ -67,17 +67,21 @@ let pop h =
     let len = h.len - 1 in
     h.len <- len;
     if len > 0 then begin
-      (* Sift the last entry down from the root. Where both children
-         exist, the smaller one is picked without a branch (a float
-         comparison read as an int compiles to a compare-and-mask); the
-         right child wins only when strictly smaller, then it moves up
-         only when strictly smaller than the entry. That is the swap
-         sift's choice, ties included: it keeps the left child over an
-         equal right one and the entry over an equal child. *)
+      (* Sift the last entry down from the root. The smaller child is
+         picked without a branch (a float comparison read as an int
+         compiles to a compare-and-mask); the right child wins only when
+         strictly smaller, then it moves up only when strictly smaller
+         than the entry. That is the swap sift's choice, ties included:
+         it keeps the left child over an equal right one and the entry
+         over an equal child. While the entry moves, its old slot [len],
+         just past the heap, still holds its key: read as a last
+         parent's missing right child, it wins only over a left child
+         larger than the entry, and then does not move up, so the entry
+         stays, as it should. *)
       let prio = prios.(len) and payload = payloads.(len) in
       let i = ref 0 in
       let l = ref 1 in
-      while !l + 1 < len do
+      while !l < len do
         let c = !l + Bool.to_int (prios.(!l + 1) < prios.(!l)) in
         let pc = prios.(c) in
         if pc < prio then begin
@@ -88,12 +92,6 @@ let pop h =
         end
         else l := len (* the entry stays at [i] *)
       done;
-      (* A last parent with a single child, the heap's last entry. *)
-      if !l + 1 = len && prios.(!l) < prio then begin
-        prios.(!i) <- prios.(!l);
-        payloads.(!i) <- payloads.(!l);
-        i := !l
-      end;
       prios.(!i) <- prio;
       payloads.(!i) <- payload
     end;

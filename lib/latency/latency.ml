@@ -500,6 +500,10 @@ module Kernels = struct
     done
 
   let fill_entries (lats : latency array) ~marginal ~at ~entries ~len ~into =
+    let n = Array.length lats in
+    if Array.length at < n || Array.length into < n then too_short "fill_entries";
+    if len < 0 || len > Array.length entries then
+      invalid_arg "Latency.Kernels.fill_entries: len outside the index list";
     Sgr_obs.Obs.add c_evals len;
     for k = 0 to len - 1 do
       let i = entries.(k) in

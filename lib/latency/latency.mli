@@ -162,8 +162,9 @@ val to_string : t -> string
 
 (** {1 Array kernels}
 
-    The loops that run over a latency array: Frank–Wolfe's gradient and
-    line search ({!Kernels.fill}, {!Kernels.fill_entries},
+    The loops that run over a latency array: whole-array fills
+    ({!Kernels.fill}, as for all-or-nothing's free-flow weights),
+    Frank–Wolfe's gradient and line search ({!Kernels.fill_entries},
     {!Kernels.directional}, {!Kernels.gather}), and the parallel-links
     water-fill's level passes ({!Kernels.activations}, {!Kernels.flows},
     {!Kernels.rates}). Each runs the formula of every entry's kind
@@ -197,7 +198,10 @@ module Kernels : sig
       on the entries [i = entries.(k)], [k < len], alone: it sets each
       such [into.(i)] to the value {!fill} gives it, bit for bit, and
       leaves every other entry of [into] as it is. Adds [len] to
-      [latency.evaluations]. *)
+      [latency.evaluations]. Each listed [i] must index [lats].
+      @raise Invalid_argument, before writing anything, when [at] or
+      [into] is shorter than [lats], or [len] is negative or longer than
+      [entries]. *)
 
   val directional :
     latency array ->

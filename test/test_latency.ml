@@ -317,7 +317,8 @@ let prop_table_kernels_bitwise =
    entries (some listed twice, as a random draw lists them) get
    [fill]'s bits, every other entry keeps its own, and the call counts
    [len] evaluations. The list is longer than [len], as the solver's
-   support buffer is. *)
+   support buffer is. A call with [at] or [into] too short, or [len]
+   outside the list, is refused before it writes or counts anything. *)
 let prop_fill_entries_bitwise =
   qcheck ~count:300 "index-list fill equals fill bit for bit on its entries, counted once each"
     QCheck.small_nat (fun seed ->
@@ -339,6 +340,14 @@ let prop_fill_entries_bitwise =
         listed.(entries.(k)) <- true
       done;
       let before = Array.init n (fun i -> -.float_of_int (i + 1)) in
+      let refused ~at ~entries ~len ~into =
+        let kept = Array.copy into and e0 = evaluations () in
+        match L.Kernels.fill_entries lats ~marginal:false ~at ~entries ~len ~into with
+        | exception Invalid_argument _ ->
+            evaluations () = e0 && Array.for_all2 same_bits into kept
+        | () -> false
+      in
+      let short a = Array.sub a 0 (n - 1) in
       List.for_all
         (fun marginal ->
           let whole = Array.make n Float.nan in
@@ -350,7 +359,11 @@ let prop_fill_entries_bitwise =
           && Array.for_all Fun.id
                (Array.init n (fun i ->
                     same_bits into.(i) (if listed.(i) then whole.(i) else before.(i)))))
-        [ false; true ])
+        [ false; true ]
+      && refused ~at:(short at) ~entries ~len ~into:(Array.copy before)
+      && refused ~at ~entries ~len ~into:(short before)
+      && refused ~at ~entries:(Array.sub entries 0 len) ~len:(len + 1) ~into:(Array.copy before)
+      && refused ~at ~entries ~len:(-1) ~into:(Array.copy before))
 
 (* The level kernels against the scalar functions: entry i of the
    kernels at [offsets] is [shift offsets.(i) lats.(i)], so its flow at
