@@ -112,8 +112,9 @@ let t5 () =
    potential, which is exact there, so the search walks only its
    chain. The [loaded] rows run at the gradient of a converged
    Frank–Wolfe solve of that city, the weights a solve's trees see:
-   the same goal-directed tree, and one all-or-nothing assignment of
-   all 32 trees on one domain. *)
+   the same goal-directed tree, one all-or-nothing assignment of all 32
+   trees on one domain, and one line search along the direction that
+   assignment gives, gathered and bisected as the solver does. *)
 let t6 () =
   let g = (W.grid_network (Prng.create 6001) ~rows:6 ~cols:6 ()).Sgr_network.Network.graph in
   let m = Sgr_graph.Digraph.num_edges g in
@@ -128,12 +129,24 @@ let t6 () =
   let { Sgr_network.Network.src; dst; _ } = city.Sgr_network.Network.commodities.(0) in
   let goal = Sgr_graph.Dijkstra.goal city_g ~lower:free_flow ~sink:dst in
   let city_ws = Sgr_graph.Dijkstra.workspace () in
-  let loaded =
-    Sgr_network.Network.edge_latencies city
-      (Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop city).Solver.edge_flow
-  in
+  let solved = (Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop city).Solver.edge_flow in
+  let loaded = Sgr_network.Network.edge_latencies city solved in
   let plan = Sgr_assign.Aon.plan city in
   let into = Array.make (Array.length loaded) 0.0 in
+  Sgr_assign.Aon.assign ~jobs:1 plan city ~weights:loaded ~into;
+  let entries =
+    Array.of_list
+      (List.filter
+         (fun e -> Float.abs (into.(e) -. solved.(e)) > 0.0)
+         (List.init (Array.length solved) Fun.id))
+  in
+  let dirs = Array.map (fun e -> into.(e) -. solved.(e)) entries in
+  let module K = Sgr_latency.Latency.Kernels in
+  let line = K.line city.Sgr_network.Network.latencies in
+  let line_search () =
+    K.gather line ~marginal:false ~base:solved ~entries ~dirs ~len:(Array.length entries);
+    Sgr_numerics.Minimize.line_search_convex ~df:(K.slope_sign line) ~lo:0.0 ~hi:1.0 ()
+  in
   Test.make_grouped ~name:"T6 substrates"
     [
       Test.make ~name:"dijkstra/grid6x6"
@@ -158,6 +171,8 @@ let t6 () =
                   ~source:src)));
       Test.make ~name:"aon/city1e4-loaded"
         (Staged.stage (fun () -> Sgr_assign.Aon.assign ~jobs:1 plan city ~weights:loaded ~into));
+      Test.make ~name:"line-search/city1e4-loaded"
+        (Staged.stage (fun () -> ignore (line_search ())));
       Test.make ~name:"maxflow/grid6x6"
         (Staged.stage (fun () -> ignore (Sgr_graph.Maxflow.solve g ~capacities:caps ~src:0 ~dst:35)));
       Test.make ~name:"paths/grid6x6"

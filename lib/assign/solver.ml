@@ -77,6 +77,15 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     done
   in
   refresh m;
+  (* An edge whose criterion is infinite (or nan) at zero flow can never
+     be priced: the gap scan would multiply it by a zero direction. *)
+  for e = 0 to m - 1 do
+    if not (Float.is_finite grad.(e)) then
+      invalid_arg
+        (Printf.sprintf "Solver.solve: the %s of edge %d is not finite at zero flow"
+           (if marginal then "marginal cost" else "latency")
+           e)
+  done;
   Aon.assign ?jobs ?record plan net ~weights:grad ~into:f;
   update_flows 1.0;
   (* How many leading entries of [sup_edge] the last step moved f on:
@@ -127,15 +136,18 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
           | Msa -> 1.0 /. float_of_int (!iterations + 1)
           | Frank_wolfe ->
               Obs.incr c_line_search;
-              (* Every probe sums over the gathered support alone, in
+              (* A probe's sign is all the bisection reads: the line's
+                 affine model decides it where its rounding bound allows,
+                 and elsewhere the probe sums the gathered support, in
                  the same edge order as a full scan, so the sum is the
-                 same float. *)
+                 same float. Either way the bisection takes the same
+                 branches. *)
               L.Kernels.gather line ~marginal ~base:f ~entries:sup_edge ~dirs:sup_dir ~len:n_sup;
               (* Exact line search: the directional derivative of the
                  convex objective along d is nondecreasing in gamma. *)
               let dphi gamma =
                 Sgr_obs.Cancel.check_handle cancel;
-                L.Kernels.slope_at line gamma
+                L.Kernels.slope_sign line gamma
               in
               let gamma = Sgr_numerics.Minimize.line_search_convex ~df:dphi ~lo:0.0 ~hi:1.0 () in
               if gamma <= 0.0 then 1e-12 else gamma

@@ -85,28 +85,32 @@ let word_is s w j kw =
   done;
   !i = String.length kw
 
-let hex_digit c =
-  match c with '0' .. '9' -> Char.code c - 48 | 'a' .. 'f' -> Char.code c - 87 | _ -> -1
+(* The value of each lowercase hex digit by character code, and 16 for
+   every other character. *)
+let hex_values =
+  Array.init 256 (fun i ->
+      match Char.chr i with '0' .. '9' -> i - 48 | 'a' .. 'f' -> i - 87 | _ -> 16)
 
 (* A [%h] literal of a normal float, read in place into [xs.(k)]:
    [-]0x1[.h…h]p±e with at most 13 lowercase hex digits and e in
-   [-1022, 1023]. Its significand fits in 53 bits and its value is
-   normal, so the value is exact — the float [float_of_string] reads.
-   [false], writing nothing, on anything else. *)
+   [-1022, 1023]. The digits are the top of the 52-bit fraction and
+   e + 1023 the biased exponent, so the float is built from its sign,
+   exponent and fraction bits: exactly the float [float_of_string]
+   reads. [false], writing nothing, on anything else. *)
 let canonical_hex s lo hi xs k =
   let i = ref lo and neg = lo < hi && s.[lo] = '-' in
   if neg then incr i;
   if !i + 4 > hi || s.[!i] <> '0' || s.[!i + 1] <> 'x' || s.[!i + 2] <> '1' then false
   else begin
     i := !i + 3;
-    let mant = ref 1 and digits = ref 0 and ok = ref true in
+    let frac = ref 0 and digits = ref 0 and ok = ref true in
     if !i < hi && s.[!i] = '.' then begin
       incr i;
       while !ok && !i < hi && s.[!i] <> 'p' do
-        let d = hex_digit s.[!i] in
-        if d < 0 || !digits = 13 then ok := false
+        let d = hex_values.(Char.code s.[!i]) in
+        if d > 15 || !digits = 13 then ok := false
         else begin
-          mant := (!mant lsl 4) lor d;
+          frac := (!frac lsl 4) lor d;
           incr digits;
           incr i
         end
@@ -130,7 +134,12 @@ let canonical_hex s lo hi xs k =
       let e = if negexp then - !e else !e in
       !ok && e >= -1_022 && e <= 1_023
       &&
-      let v = Float.ldexp (float_of_int !mant) (e - (4 * !digits)) in
+      let bits =
+        Int64.logor
+          (Int64.shift_left (Int64.of_int (e + 1_023)) 52)
+          (Int64.of_int (!frac lsl (52 - (4 * !digits))))
+      in
+      let v = Int64.float_of_bits bits in
       xs.(k) <- (if neg then -.v else v);
       true
     end

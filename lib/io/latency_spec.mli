@@ -33,6 +33,16 @@ val number_sub : string -> int -> int -> float option
 (** [number_sub s lo hi] is [number (String.sub s lo (hi - lo))],
     without the copy when the text is a canonical [%h] literal. *)
 
+val canonical_hex : string -> int -> int -> float array -> int -> bool
+(** [canonical_hex s lo hi xs k] reads [s.[lo .. hi)] as the [%h]
+    literal of a normal float, [\[-\]0x1\[.h…h\]p±e] with at most 13
+    lowercase hex digits and [e] in [\[-1022, 1023\]], into [xs.(k)],
+    and returns [true]. It reads the digits through a table and builds
+    the float from its sign, exponent and fraction bits, so the value is
+    the float [float_of_string] reads, bit for bit. On any other text it
+    returns [false] and writes nothing ({!number_sub} then reads the
+    text with [float_of_string]). *)
+
 val parse : string -> (Sgr_latency.Latency.t, string) result
 (** Parse a specification; [Error msg] describes the first problem. *)
 

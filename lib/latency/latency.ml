@@ -525,7 +525,13 @@ module Kernels = struct
      affine entry, its slope and intercept, contiguous, so a probe of an
      all-affine line reads no latency and dispatches on no kind.
      [affine] is false when some entry is not: that line's probes
-     evaluate every entry's latency, by [index]. *)
+     evaluate every entry's latency, by [index].
+
+     An all-affine line is also its slope's exact model: with m = 2 for
+     the marginal cost (2a·x + c) and 1 for the latency (a·x + c), entry
+     k contributes d·(m·a·(p + γd) + c), so the sum is A + γB with
+     A = Σ d·(m·a·p + c) and B = Σ m·a·d², summed by [gather] with
+     T = Σ |d|·(m·a·|p| + c), which bounds the terms' size. *)
   type line = {
     lats : latency array;
     mutable marginal : bool;
@@ -536,6 +542,8 @@ module Kernels = struct
     mutable dir : float array;
     mutable slope : float array;
     mutable intercept : float array;
+    model : float array;  (* A, B and T, unboxed *)
+    mutable tame : bool;  (* |base| + |direction| + slope + intercept sum to at most 2^256 *)
   }
 
   (* The buffers grow with the longest support gathered, not the
@@ -551,7 +559,15 @@ module Kernels = struct
       dir = [||];
       slope = [||];
       intercept = [||];
+      model = [| 0.0; 0.0; 0.0 |];
+      tame = true;
     }
+
+  let c_full_sums = Sgr_obs.Obs.counter "latency.full_sum_probes"
+
+  (* Where [slope_sign]'s bound holds: the gathered values' magnitudes
+     sum to at most this, so each of them is at most this. *)
+  let tame_limit = Float.ldexp 1.0 256
 
   let gather l ~marginal ~base ~entries ~dirs ~len =
     let n = Array.length l.lats in
@@ -567,23 +583,38 @@ module Kernels = struct
     l.marginal <- marginal;
     l.len <- len;
     l.affine <- true;
+    let a_sum = ref 0.0 and b_sum = ref 0.0 and t_sum = ref 0.0 and size = ref 0.0 in
     for k = 0 to len - 1 do
       let i = entries.(k) in
+      let p = base.(i) and d = dirs.(k) in
       l.index.(k) <- i;
-      l.base.(k) <- base.(i);
-      l.dir.(k) <- dirs.(k);
+      l.base.(k) <- p;
+      l.dir.(k) <- d;
       match l.lats.(i).kind with
       | Affine { slope; intercept } ->
           l.slope.(k) <- slope;
-          l.intercept.(k) <- intercept
+          l.intercept.(k) <- intercept;
+          let ma = if marginal then slope +. slope else slope in
+          a_sum := !a_sum +. (d *. ((ma *. p) +. intercept));
+          b_sum := !b_sum +. (ma *. d *. d);
+          t_sum := !t_sum +. (Float.abs d *. ((ma *. Float.abs p) +. intercept));
+          size := !size +. (Float.abs p +. Float.abs d +. slope +. intercept)
       | _ -> l.affine <- false
-    done
+    done;
+    l.model.(0) <- !a_sum;
+    l.model.(1) <- !b_sum;
+    l.model.(2) <- !t_sum;
+    (* A sum of nonnegative terms rounds to no less than any of them,
+       and a nan or infinite one fails the test. *)
+    l.tame <- !size <= tame_limit;
+    if l.affine then Sgr_obs.Obs.add c_evals len
 
   (* Each term is [criterion]'s on the same operands, in the same order,
      so the sum is [directional]'s float. *)
   let slope_at l gamma =
     let len = l.len and marginal = l.marginal in
     Sgr_obs.Obs.add c_evals len;
+    Sgr_obs.Obs.incr c_full_sums;
     let base = l.base and dir = l.dir and slope = l.slope and intercept = l.intercept in
     let acc = ref 0.0 in
     if l.affine then
@@ -600,6 +631,33 @@ module Kernels = struct
         acc := !acc +. (d *. criterion ~marginal l.lats.(l.index.(k)) x x)
       done;
     !acc
+
+  (* The model's rounding bound (Higham, Accuracy and Stability of
+     Numerical Algorithms, 2002, §4.2). For 0 <= γ <= 1 on a tame line
+     of n entries, with u = 2^-53 and γⱼ = j·u/(1 - j·u): the full sum
+     rounds each term by at most γ₆ of its share of T + γB and sums the
+     terms with at most γ₍ₙ₋₁₎ of their magnitudes, so it lies within
+     γ₍ₙ₊₅₎·(T + γB) of A + γB; the model's A, B and its probe lie
+     within γ₍ₙ₊₂₎·(T + γB) + u·|model|. The bound
+     2(n + 10)·ε·(T + γB), ε = 2u, covers both with a factor near 2 to
+     spare for the rounding of T, B and the bound itself. Tameness
+     (every value within ±2^256) keeps every intermediate far from
+     overflow, and the absolute (n + 10)·2^-500 covers what gradual
+     underflow can lose, at most about 11n·2^-563. So a model beyond
+     the bound has the exact slope's sign, and the full sum, within its
+     own share of the bound of that slope, has the same sign and is not
+     zero. *)
+  let underflow_floor = Float.ldexp 1.0 (-500)
+
+  let slope_sign l gamma =
+    if l.affine && l.tame && gamma >= 0.0 && gamma <= 1.0 then begin
+      let a = l.model.(0) and b = l.model.(1) and t = l.model.(2) in
+      let model = a +. (gamma *. b) in
+      let n = float_of_int (l.len + 10) in
+      let bound = (2.0 *. n *. epsilon_float *. (t +. (gamma *. b))) +. (n *. underflow_floor) in
+      if Float.abs model > bound then model else slope_at l gamma
+    end
+    else slope_at l gamma
 
   (* The level kernels: entry i is [shift offsets.(i) lats.(i)], read
      through [add_offset] with no latency built. *)

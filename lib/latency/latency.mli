@@ -165,17 +165,18 @@ val to_string : t -> string
     The loops that run over a latency array: whole-array fills
     ({!Kernels.fill}, as for all-or-nothing's free-flow weights),
     Frank–Wolfe's gradient and line search ({!Kernels.fill_entries},
-    {!Kernels.directional}, {!Kernels.gather}), and the parallel-links
-    water-fill's level passes ({!Kernels.activations}, {!Kernels.flows},
-    {!Kernels.rates}). Each runs the formula of every entry's kind
-    inside its loop, as {!eval}, {!marginal}, {!inverse} and {!deriv2}
-    do, so a latency whose kind is its whole function boxes no float and
-    calls no closure; the others
+    {!Kernels.directional}, {!Kernels.gather}, {!Kernels.slope_sign}),
+    and the parallel-links water-fill's level passes
+    ({!Kernels.activations}, {!Kernels.flows}, {!Kernels.rates}). Each
+    runs the formula of every entry's kind inside its loop, as {!eval},
+    {!marginal}, {!inverse} and {!deriv2} do, so a latency whose kind is
+    its whole function boxes no float and calls no closure; the others
     ([Custom], a shift of a shifted latency) follow their functions. No
     kernel copies the latencies or builds a table, and every value equals
-    the scalar functions' bit for bit. Each evaluating kernel call adds
-    the number of entries it evaluates to the [latency.evaluations]
-    counter, once. *)
+    the scalar functions' bit for bit; a line search's probe decided
+    from the line's exact model ({!Kernels.slope_sign}) has the bits'
+    sign. Each evaluating kernel call adds the number of entries it
+    evaluates to the [latency.evaluations] counter, once. *)
 module Kernels : sig
   type latency := t
 
@@ -223,7 +224,9 @@ module Kernels : sig
   type line
   (** A direction's support gathered for a line search: per entry its
       base point, its direction component and, for an affine latency,
-      its slope and intercept, laid out contiguously. *)
+      its slope and intercept, laid out contiguously; and, when every
+      entry is affine, the exact model of the line's slope that
+      {!slope_sign} decides probes from. *)
 
   val line : latency array -> line
   (** An empty line over [lats], with room for every latency. The line
@@ -239,8 +242,14 @@ module Kernels : sig
     unit
   (** [gather l ~marginal ~base ~entries ~dirs ~len] loads the support
       {!directional} would read: [base.(e)], [dirs.(k)] and the
-      coefficients of latency [e] for [e = entries.(k)], [k < len]. It
-      evaluates nothing. Later writes to [base] do not reach the line.
+      coefficients of latency [e] for [e = entries.(k)], [k < len].
+      When every entry is affine, ℓ(x) = a·x + c, it also sums, in the
+      same pass, the slope's model A + γB and a bound T on its terms,
+      with [pₖ = base.(e)], [m = 2] for [marginal] (whose criterion is
+      2a·x + c) and 1 otherwise: A = Σ d·(m·a·p + c), B = Σ m·a·d² and
+      T = Σ |d|·(m·a·|p| + c). That pass adds [len] to
+      [latency.evaluations]; a line with another kind evaluates
+      nothing here. Later writes to [base] do not reach the line.
       @raise Invalid_argument when [len] exceeds the number of latencies. *)
 
   val slope_at : line -> float -> float
@@ -248,7 +257,24 @@ module Kernels : sig
       ~len γ] on what [l] gathered, bit for bit: the same terms summed in
       the same order. An all-affine line reads only its own arrays;
       other kinds evaluate their latencies. Adds [len] to
-      [latency.evaluations]. *)
+      [latency.evaluations] and 1 to [latency.full_sum_probes]. *)
+
+  val slope_sign : line -> float -> float
+  (** [slope_sign l γ] compares with 0 as [slope_at l γ] does: it is
+      positive, negative, zero or nan exactly when [slope_at l γ] is, so
+      a bisection on it takes the same branches and returns the same
+      bits. On an all-affine line at [0 <= γ <= 1] whose bases,
+      directions and coefficients sum in magnitude to at most 2^256, it
+      is the model A + γB when |A + γB| exceeds
+      2(n+10)·ε·(T + γB) + (n+10)·2^-500 (n = [len],
+      ε = [epsilon_float]): a bound on the rounding of both
+      the model and the full sum (Higham, {e Accuracy and Stability of
+      Numerical Algorithms}, 2002, §4.2) and on what underflow can lose,
+      so the exact slope, and [slope_at l γ], have the model's sign and
+      are not zero. Such a probe evaluates nothing. Everywhere else,
+      when the model cannot decide, on a line with another kind, and
+      wherever a nan or infinity appears, it is [slope_at l γ] itself,
+      counted as {!slope_at} counts. *)
 
   (** {2 Level kernels}
 

@@ -68,12 +68,46 @@ let first_unreachable graph commodities ~limit =
   done;
   !first
 
+(* Whether node 0 reaches every node and every node reaches node 0, so
+   every node reaches every other: one breadth-first search along the
+   edges and one against them. On such a graph no commodity is cut
+   off. *)
+let strongly_connected graph =
+  let n = G.Digraph.num_nodes graph in
+  let seen = Array.make n 0 and queue = Array.make n 0 in
+  let cancel = Sgr_obs.Cancel.handle () in
+  let covers stamp off ids ends =
+    seen.(0) <- stamp;
+    queue.(0) <- 0;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      Sgr_obs.Cancel.check_handle cancel;
+      let u = queue.(!head) in
+      incr head;
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = ends.(ids.(k)) in
+        if seen.(v) <> stamp then begin
+          seen.(v) <- stamp;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
+    done;
+    !tail = n
+  in
+  covers 1 (G.Digraph.out_offsets graph) (G.Digraph.out_edge_ids graph)
+    (G.Digraph.edge_targets graph)
+  && covers 2 (G.Digraph.in_offsets graph) (G.Digraph.in_edge_ids graph)
+       (G.Digraph.edge_sources graph)
+
 let make graph ~latencies ~commodities =
   if Array.length latencies <> G.Digraph.num_edges graph then
     invalid_arg "Network.make: one latency per edge required";
   if Array.length commodities = 0 then invalid_arg "Network.make: no commodities";
   (* The commodities are checked in order, each demand, then endpoints,
-     then reachability: the first commodity that fails names the error. *)
+     then reachability: the first commodity that fails names the error.
+     A strongly connected graph cuts none off; on any other, the
+     per-source searches find the first that is. *)
   let n = G.Digraph.num_nodes graph in
   let local c =
     if not (Float.is_finite c.demand && c.demand >= 0.0) then
@@ -87,7 +121,7 @@ let make graph ~latencies ~commodities =
   let bad =
     Option.value (Array.find_index (fun c -> Option.is_some (local c)) commodities) ~default:k
   in
-  if first_unreachable graph commodities ~limit:bad < bad then
+  if (not (strongly_connected graph)) && first_unreachable graph commodities ~limit:bad < bad then
     invalid_arg "Network.make: destination unreachable from source";
   match if bad < k then local commodities.(bad) else None with
   | Some m -> invalid_arg m

@@ -16,8 +16,12 @@ type t = private {
 
 val make :
   Sgr_graph.Digraph.t -> latencies:Sgr_latency.Latency.t array -> commodities:commodity array -> t
-(** Checks reachability with one breadth-first search per distinct
-    commodity source, stopping once that source's sinks are reached.
+(** Checks reachability first for the whole graph: one breadth-first
+    search from node 0 along the edges and one against them tell
+    whether it is strongly connected, and then every commodity's sink
+    is reachable. Only when it is not does [make] run one breadth-first
+    search per distinct commodity source, stopping once that source's
+    sinks are reached, to name the first commodity cut off.
     @raise Invalid_argument on size mismatch, no commodities, a negative
     or non-finite demand, a commodity whose source is its destination or
     whose endpoint is not a node, or an unreachable commodity pair; with

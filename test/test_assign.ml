@@ -153,6 +153,36 @@ let test_bit_identity_golden () =
         jobs)
     golden_solves
 
+(* An edge whose latency is infinite at zero flow (an M/M/1 link
+   pre-loaded past its capacity) is refused before the first AON, by
+   both methods and criteria and with or without the commodity split,
+   naming the edge: the gap scan would otherwise multiply its infinite
+   gradient by a zero direction and run every iteration on nan. *)
+let test_infinite_zero_flow_latency_refused () =
+  let g = G.Digraph.of_edges ~num_nodes:3 [ (0, 1); (1, 2); (0, 2) ] in
+  let line = L.affine ~slope:1.0 ~intercept:1.0 in
+  let net =
+    Net.make g
+      ~latencies:[| line; line; L.shift 3.0 (L.mm1 ~capacity:2.0) |]
+      ~commodities:[| { Net.src = 0; dst = 2; demand = 1.0 } |]
+  in
+  List.iter
+    (fun (obj, what) ->
+      let expected =
+        Printf.sprintf "Solver.solve: the %s of edge 2 is not finite at zero flow" what
+      in
+      List.iter
+        (fun method_ ->
+          let refused f =
+            match f () with
+            | _ -> Alcotest.failf "%s solve of an infinite latency returned" what
+            | exception Invalid_argument m -> Alcotest.(check string) "message" expected m
+          in
+          refused (fun () -> ignore (Solver.solve ~method_ obj net));
+          refused (fun () -> ignore (Solver.solve_flows ~method_ obj net)))
+        [ Solver.Frank_wolfe; Solver.Msa ])
+    [ (Obj.Wardrop, "latency"); (Obj.System_optimum, "marginal cost") ]
+
 let test_unreachable_sink_rejected () =
   (* 0 -> 1 only; commodity asks 1 -> 0. *)
   let b = G.Digraph.builder ~num_nodes:2 in
@@ -594,18 +624,24 @@ let test_city_solve_allocation () =
   let (), bytes = allocated_bytes solve in
   if bytes >= 4e6 then Alcotest.failf "a 10^4-city solve allocated %.0f bytes" bytes
 
-(* The same solve evaluates 865,312 latencies: two whole gradients of
+(* The same solve evaluates 75,152 latencies: two whole gradients of
    10^4 edges (at zero flow and after the first AON), then 38 refreshes
    on the support of the step before (22,576 entries), 10^4 free-flow
-   values in the plan, and 812,736 line-search probes over the
-   directions' supports. The array kernels count every entry they
-   evaluate, once per call. *)
+   values in the plan, and one model pass over each of the 38 line
+   searches' supports (the same 22,576 entries). The line's affine model
+   decides every bisection probe, so no probe sums the support, and the
+   bisections take the 1,292 steps they took when each of the 1,368
+   probes was a full sum and the solve evaluated 865,312 latencies. The
+   array kernels count every entry they evaluate, once per call. *)
 let test_city_solve_evaluations () =
   let net = city_1e4 () in
   let _, moved =
-    counting [ "latency.evaluations" ] (fun () -> Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
+    counting
+      [ "latency.evaluations"; "latency.full_sum_probes"; "bisection.iterations" ]
+      (fun () -> Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
   in
-  Alcotest.(check (list int)) "latency evaluations" [ 865_312 ] moved
+  Alcotest.(check (list int))
+    "latency evaluations, full-sum probes, bisection steps" [ 75_152; 0; 1_292 ] moved
 
 (* ---------------- pruned goal trees across calls ---------------- *)
 
@@ -725,4 +761,5 @@ let suite =
     case "perf gate: 10^4-city solve latency evaluations" test_city_solve_evaluations;
     prop_pruned_trees_match_plain;
     case "AON refuses a weight array of the wrong length" test_aon_wrong_weight_length_refused;
+    case "infinite latency at zero flow refused" test_infinite_zero_flow_latency_refused;
   ]

@@ -688,7 +688,7 @@ let test_reader_golden () =
     ]
     [ digest catalog; digest city; digest specs; digest instances ]
 
-(* Parsing the benchmark city's canonical text allocates 3,157,840
+(* Parsing the benchmark city's canonical text allocates 3,134,432
    bytes: what the instance keeps, a latency being its kind and a
    40-byte record, and the reader's scratch. Three closures per latency
    would make it 4,277,840. *)
@@ -705,6 +705,55 @@ let test_city_parse_allocation () =
   parse ();
   let (), bytes = allocated_bytes parse in
   if bytes >= 3_600_000.0 then Alcotest.failf "parsing the city allocated %.0f bytes" bytes
+
+(* The in-place [%h] reader against [float_of_string] on random normal
+   floats: both signs, every exponent with its two ends drawn often, and
+   0 to 13 fraction digits (the last one nonzero, so [%h] prints them
+   all). Each literal is read from the middle of a longer text, so the
+   reader must keep to its slice. With one fraction digit replaced by a
+   character that is no lowercase hex digit, the reader refuses the
+   literal and writes nothing. *)
+let prop_canonical_hex_bits =
+  qcheck ~count:500 "canonical %h reader equals float_of_string bit for bit" QCheck.small_nat
+    (fun seed ->
+      let module P = Sgr_numerics.Prng in
+      let rng = P.create (seed + 7_300) in
+      List.for_all
+        (fun _ ->
+          let digits = P.int rng 14 in
+          let frac =
+            if digits = 0 then 0
+            else
+              let top = P.int rng (1 lsl ((4 * digits) - 4)) in
+              ((top lsl 4) lor (1 + P.int rng 15)) lsl (52 - (4 * digits))
+          in
+          let e =
+            match P.int rng 4 with 0 -> -1_022 | 1 -> 1_023 | _ -> P.int rng 2_046 - 1_022
+          in
+          let v =
+            Int64.float_of_bits
+              (Int64.logor (Int64.shift_left (Int64.of_int (e + 1_023)) 52) (Int64.of_int frac))
+          in
+          let v = if P.bool rng then -.v else v in
+          let lit = Printf.sprintf "%h" v in
+          let text = "x " ^ lit ^ " y" in
+          let xs = [| Float.nan |] in
+          let read = LS.canonical_hex text 2 (2 + String.length lit) xs 0 in
+          let refuses_a_bad_digit () =
+            digits = 0
+            ||
+            let dot = String.index lit '.' in
+            let bad = Bytes.of_string lit in
+            Bytes.set bad (dot + 1 + P.int rng digits) "ABCDEFgx.+ /:`G".[P.int rng 15];
+            let ys = [| Float.nan |] in
+            (not (LS.canonical_hex (Bytes.to_string bad) 0 (Bytes.length bad) ys 0))
+            && Float.is_nan ys.(0)
+          in
+          read
+          && Int64.equal (Int64.bits_of_float xs.(0)) (Int64.bits_of_float (float_of_string lit))
+          && Int64.equal (Int64.bits_of_float xs.(0)) (Int64.bits_of_float v)
+          && refuses_a_bad_digit ())
+        (List.init 20 Fun.id))
 
 let suite =
   [
@@ -739,4 +788,5 @@ let suite =
     prop_reader_fuzz;
     case "instance reader: output and messages match the recorded MD5s" test_reader_golden;
     case "instance reader: the benchmark city parses under 3.6 MB" test_city_parse_allocation;
+    prop_canonical_hex_bits;
   ]

@@ -539,6 +539,142 @@ let prop_gathered_line_bitwise =
             [ 0.0; Prng.float rng; 1.0 ])
         (List.init 4 Fun.id))
 
+(* ---------------- certified line search ---------------- *)
+
+let full_sums () = Sgr_obs.Obs.value (Sgr_obs.Obs.counter "latency.full_sum_probes")
+
+(* The model [gather] documents, summed in its order: A = Σ d·(m·a·p +
+   c), B = Σ m·a·d² and T = Σ |d|·(m·a·|p| + c). *)
+let line_model ~marginal lats ~base ~entries ~dirs ~len =
+  let a_sum = ref 0.0 and b_sum = ref 0.0 and t_sum = ref 0.0 in
+  for k = 0 to len - 1 do
+    let i = entries.(k) and d = dirs.(k) in
+    match L.kind lats.(i) with
+    | L.Affine { slope; intercept } ->
+        let ma = if marginal then slope +. slope else slope in
+        let p = base.(i) in
+        a_sum := !a_sum +. (d *. ((ma *. p) +. intercept));
+        b_sum := !b_sum +. (ma *. d *. d);
+        t_sum := !t_sum +. (Float.abs d *. ((ma *. Float.abs p) +. intercept))
+    | _ -> invalid_arg "line_model: not an affine line"
+  done;
+  (!a_sum, !b_sum, !t_sum)
+
+(* A random all-affine line of 1 to 10^4 entries, in shuffled edge
+   order, with directions of both signs. Either random floats, or small
+   integers with a last entry whose intercept puts the root at a chosen
+   γ*: 0, 1 or a bisection midpoint k/2^j of [0, 1], where the line is
+   exact in floating point, so that at γ* the model and the full sum
+   are both 0; or a midpoint on a line with pairs of opposite terms
+   near 2^40, where A + γB cancels far below T and the full sum's
+   rounding decides the sign near the root. *)
+let random_line rng ~marginal =
+  let len = 1 + Prng.int rng [| 8; 64; 600; 10_000 |].(Prng.int rng 4) in
+  let m = if marginal then 2.0 else 1.0 in
+  let small lo hi = float_of_int (lo + Prng.int rng (hi - lo + 1)) in
+  let sign () = if Prng.bool rng then 1.0 else -1.0 in
+  let slopes = Array.make len 1.0 and intercepts = Array.make len 0.0 in
+  let base = Array.make len 0.0 and dirs = Array.make len 1.0 in
+  let shape = Prng.int rng 5 in
+  if shape = 0 then
+    for k = 0 to len - 1 do
+      slopes.(k) <- Prng.uniform rng ~lo:0.01 ~hi:3.0;
+      intercepts.(k) <- Prng.uniform rng ~lo:0.0 ~hi:2.0;
+      base.(k) <- Prng.uniform rng ~lo:0.0 ~hi:100.0;
+      dirs.(k) <- Prng.uniform rng ~lo:(-50.0) ~hi:50.0
+    done
+  else begin
+    for k = 0 to len - 2 do
+      slopes.(k) <- small 1 4;
+      intercepts.(k) <- small 0 4;
+      base.(k) <- small 0 8;
+      dirs.(k) <- sign () *. small 1 3
+    done;
+    if shape = 4 then
+      (* Up to three pairs of opposite terms near 2^40, at bases that
+         differ: each term rounds by about 2^-13, far more than the
+         slope near its root. *)
+      for pair = 0 to Int.min 3 ((len - 1) / 2) - 1 do
+        let c = Prng.uniform rng ~lo:0x1p40 ~hi:0x1p41 in
+        intercepts.(2 * pair) <- c;
+        intercepts.((2 * pair) + 1) <- c;
+        slopes.((2 * pair) + 1) <- slopes.(2 * pair);
+        base.(2 * pair) <- Prng.uniform rng ~lo:0.0 ~hi:8.0;
+        base.((2 * pair) + 1) <- Prng.uniform rng ~lo:0.0 ~hi:8.0;
+        dirs.((2 * pair) + 1) <- -.dirs.(2 * pair)
+      done;
+    let root =
+      match shape with
+      | 1 -> 0.0
+      | 2 -> 1.0
+      | _ ->
+          let j = 1 + Prng.int rng 10 in
+          float_of_int (1 + (2 * Prng.int rng (1 lsl (j - 1)))) /. float_of_int (1 lsl j)
+    in
+    (* The last entry (slope 1, base 0, direction ±1) adds s·c + γ·m
+       to A + γB: choose c >= 0 and s to make it vanish at the root. *)
+    let a = ref 0.0 and b = ref m in
+    for k = 0 to len - 2 do
+      a := !a +. (dirs.(k) *. ((m *. slopes.(k) *. base.(k)) +. intercepts.(k)));
+      b := !b +. (m *. slopes.(k) *. dirs.(k) *. dirs.(k))
+    done;
+    let rest = !a +. (root *. !b) in
+    intercepts.(len - 1) <- Float.abs rest;
+    dirs.(len - 1) <- (if rest > 0.0 then -1.0 else 1.0)
+  end;
+  (* Entry k of the line is edge [entries.(k)]. *)
+  let entries = Array.init len Fun.id in
+  Prng.shuffle rng entries;
+  let by_edge a =
+    let out = Array.make len 0.0 in
+    Array.iteri (fun k e -> out.(e) <- a.(k)) entries;
+    out
+  in
+  let slopes = by_edge slopes and intercepts = by_edge intercepts in
+  let lats = Array.init len (fun e -> L.affine ~slope:slopes.(e) ~intercept:intercepts.(e)) in
+  (lats, by_edge base, entries, dirs, len)
+
+(* The certified line search takes the full-sum bisection's branches:
+   the same γ bits on every line. Each probe the model decides returns
+   the model A + γB, beyond the documented bound, with the full sum's
+   sign; every other probe runs the full sum and returns its bits. *)
+let prop_certified_line_search =
+  qcheck ~count:300 "certified line search returns the full-sum bisection's gamma bit for bit"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 4_700) in
+      let marginal = Prng.bool rng in
+      let lats, base, entries, dirs, len = random_line rng ~marginal in
+      let line = L.Kernels.line lats in
+      L.Kernels.gather line ~marginal ~base ~entries ~dirs ~len;
+      let a, b, t = line_model ~marginal lats ~base ~entries ~dirs ~len in
+      let wrong = ref [] in
+      let certified gamma =
+        let c0 = full_sums () in
+        let v = L.Kernels.slope_sign line gamma in
+        let ran = full_sums () > c0 in
+        let s = L.Kernels.slope_at line gamma in
+        let ok =
+          if ran then same_bits v s
+          else
+            let model = a +. (gamma *. b) in
+            let n = float_of_int (len + 10) in
+            let bound =
+              (2.0 *. n *. epsilon_float *. (t +. (gamma *. b))) +. (n *. Float.ldexp 1.0 (-500))
+            in
+            same_bits v model
+            && Float.abs model > bound
+            && ((v > 0.0 && s > 0.0) || (v < 0.0 && s < 0.0))
+        in
+        if not ok then wrong := gamma :: !wrong;
+        v
+      in
+      let search df = Sgr_numerics.Minimize.line_search_convex ~df ~lo:0.0 ~hi:1.0 () in
+      let full = search (L.Kernels.slope_at line) in
+      let cert = search certified in
+      match !wrong with
+      | [] -> same_bits full cert || QCheck.Test.fail_reportf "gamma %h, full sum %h" cert full
+      | g :: _ -> QCheck.Test.fail_reportf "probe at %h disagrees with the full sum" g)
+
 let suite =
   [
     case "constant" test_constant;
@@ -569,4 +705,5 @@ let suite =
       prop_level_kernels_bitwise;
       prop_gathered_line_bitwise;
       prop_fill_entries_bitwise;
+      prop_certified_line_search;
     ]

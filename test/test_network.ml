@@ -283,6 +283,70 @@ let test_make_rejects_unreachable () =
     | exception Invalid_argument m -> String.equal m unreachable
     | _ -> false)
 
+(* [make] against a reachability oracle: the first commodity, in order,
+   whose demand, endpoints or reachability (a search from its source,
+   [Topology.reachable_from]) fails names the message. Graphs come
+   strongly connected (a random cycle through every node plus chords,
+   where [make]'s one forward and one reverse search settle every
+   commodity), as acyclic grids (edges right and down only), or with
+   one node cut off (it has only outgoing edges), where the per-source
+   searches must name the first commodity cut off. *)
+let prop_make_matches_reachability_oracle =
+  qcheck ~count:300 "make: strong-connectivity check names the oracle's first failure"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 7_700) in
+      let edges, n =
+        if Prng.int rng 3 = 0 then
+          let rows = 1 + Prng.int rng 4 and cols = 1 + Prng.int rng 4 in
+          let out v =
+            let r = v / cols and c = v mod cols in
+            (if c + 1 < cols then [ (v, v + 1) ] else [])
+            @ if r + 1 < rows then [ (v, v + cols) ] else []
+          in
+          (List.concat_map out (List.init (rows * cols) Fun.id), rows * cols)
+        else
+          let k = 1 + Prng.int rng 12 in
+          let order = Array.init k Fun.id in
+          Prng.shuffle rng order;
+          let cycle =
+            if k = 1 then [] else List.init k (fun i -> (order.(i), order.((i + 1) mod k)))
+          in
+          let chords =
+            List.filter_map
+              (fun _ ->
+                let u = Prng.int rng k and v = Prng.int rng k in
+                if u = v then None else Some (u, v))
+              (List.init (Prng.int rng (2 * k)) Fun.id)
+          in
+          let cut = if k > 1 && Prng.bool rng then [ (k, Prng.int rng k) ] else [] in
+          (cycle @ chords @ cut, if cut = [] then k else k + 1)
+      in
+      let g = G.Digraph.of_edges ~num_nodes:n edges in
+      let latencies = Array.make (G.Digraph.num_edges g) (L.linear 1.0) in
+      let commodity _ =
+        let node () = if Prng.int rng 20 = 0 then n else Prng.int rng n in
+        let demand = if Prng.int rng 20 = 0 then -1.0 else 1.0 in
+        { Net.src = node (); dst = node (); demand }
+      in
+      let commodities = Array.init (1 + Prng.int rng 6) commodity in
+      let oracle =
+        let failure (c : Net.commodity) =
+          if not (c.demand >= 0.0) then Some "Network.make: demand must be finite and nonnegative"
+          else if c.src = c.dst then Some "Network.make: source equals destination"
+          else if c.src >= n || c.dst >= n then Some "Network.make: commodity endpoint out of range"
+          else if not (G.Topology.reachable_from g c.src).(c.dst) then
+            Some "Network.make: destination unreachable from source"
+          else None
+        in
+        match Array.find_map failure commodities with Some m -> m | None -> "ok"
+      in
+      let got =
+        match Net.make g ~latencies ~commodities with
+        | _ -> "ok"
+        | exception Invalid_argument m -> m
+      in
+      String.equal got oracle)
+
 let suite =
   [
     case "make: validation" test_make_validation;
@@ -312,4 +376,5 @@ let suite =
     prop_opt_cost_below_nash;
     prop_nash_minimizes_beckmann;
     case "make: unreachable commodities, first failure first" test_make_rejects_unreachable;
+    prop_make_matches_reachability_oracle;
   ]
