@@ -114,7 +114,10 @@ let t5 () =
    Frank–Wolfe solve of that city, the weights a solve's trees see:
    the same goal-directed tree, one all-or-nothing assignment of all 32
    trees on one domain, and one line search along the direction that
-   assignment gives, gathered and bisected as the solver does. *)
+   assignment gives, gathered and bisected as the solver does. The
+   [plan] row builds the all-or-nothing plan of that city, as every
+   solve does once: its 31 reverse searches, one per distinct goal
+   sink, each stopping at the farthest source that uses it. *)
 let t6 () =
   let g = (W.grid_network (Prng.create 6001) ~rows:6 ~cols:6 ()).Sgr_network.Network.graph in
   let m = Sgr_graph.Digraph.num_edges g in
@@ -171,6 +174,7 @@ let t6 () =
                   ~source:src)));
       Test.make ~name:"aon/city1e4-loaded"
         (Staged.stage (fun () -> Sgr_assign.Aon.assign ~jobs:1 plan city ~weights:loaded ~into));
+      Test.make ~name:"plan/city1e4" (Staged.stage (fun () -> ignore (Sgr_assign.Aon.plan city)));
       Test.make ~name:"line-search/city1e4-loaded"
         (Staged.stage (fun () -> ignore (line_search ())));
       Test.make ~name:"maxflow/grid6x6"

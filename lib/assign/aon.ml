@@ -143,13 +143,16 @@ let plan (net : Network.t) =
 let num_trees p = Array.length p.trees
 
 (* [true] iff no weight is below its free-flow value: the potentials
-   hold. The solver's weights always pass; a caller's own may not. *)
+   hold. The solver's weights always pass; a caller's own may not.
+   Unchecked: [assign] has checked that [weights] holds as many entries
+   as a nonempty [free_flow]. *)
 let above_free_flow p weights =
   let ok = ref true in
   for e = 0 to Array.length p.free_flow - 1 do
-    if weights.(e) < p.free_flow.(e) then ok := false
+    if Array.unsafe_get weights e < Array.unsafe_get p.free_flow e then ok := false
   done;
   !ok
+[@@lint.allow "unchecked-access"]
 
 (* Into [upper.(0)]: the cost under [weights] of the chain a
    goal-directed tree's last run returned, summed from the source in the
@@ -157,30 +160,43 @@ let above_free_flow p weights =
    addition an upper bound on the sink's distance now; infinity when
    there is none (a fresh plan, or a sink the last run did not reach).
    Each tree reads its own chain, so the bound, like the chain, does
-   not depend on the job count. A loop on a local: nothing is boxed. *)
+   not depend on the job count. A loop on a local: nothing is boxed.
+   Unchecked: the chain lies in [start.(0), stop) of the buffer and
+   holds edge ids of a network with as many edges as [free_flow] has
+   entries (only a goal-directed tree, so only a plan with free-flow
+   weights, reads a chain an earlier call wrote), and [assign] has
+   checked that [weights] holds as many. *)
 let last_chain_cost tree ~weights upper =
   let stop = tree.stop.(0) in
   if stop < 0 then upper.(0) <- Float.infinity
   else begin
+    let chain = tree.chain in
     let cost = ref 0.0 in
     for k = stop - 1 downto tree.start.(0) do
-      cost := !cost +. weights.(tree.chain.(k))
+      cost := !cost +. Array.unsafe_get weights (Array.unsafe_get chain k)
     done;
     upper.(0) <- !cost
   end
+[@@lint.allow "unchecked-access"]
 
 (* Read each sink's chain out of a tree's predecessor edges, sink to
    source, into the tree's own buffer. A sink the run did not reach
-   gets [stop = -1]. *)
+   gets [stop = -1].
+
+   Unchecked: [start], [stop] and [sinks] have one entry per sink; the
+   run that filled [pred] (one entry per node) has accepted every sink
+   as a target, so each is a node; a [pred] entry is -1 or an edge id,
+   and [edge_src] maps an edge id to a node; the buffer grows before
+   [len] reaches its length. *)
 let keep_chains tree ~pred ~edge_src =
   let cancel = Sgr_obs.Cancel.handle () in
   let len = ref 0 in
   for j = 0 to Array.length tree.sinks - 1 do
-    tree.start.(j) <- !len;
-    let v = ref tree.sinks.(j) and reached = ref true in
+    Array.unsafe_set tree.start j !len;
+    let v = ref (Array.unsafe_get tree.sinks j) and reached = ref true in
     while !reached && !v <> tree.source do
       Sgr_obs.Cancel.check_handle cancel;
-      let e = pred.(!v) in
+      let e = Array.unsafe_get pred !v in
       if e < 0 then reached := false
       else begin
         if !len = Array.length tree.chain then begin
@@ -188,13 +204,14 @@ let keep_chains tree ~pred ~edge_src =
           Array.blit tree.chain 0 grown 0 !len;
           tree.chain <- grown
         end;
-        tree.chain.(!len) <- e;
+        Array.unsafe_set tree.chain !len e;
         incr len;
-        v := edge_src.(e)
+        v := Array.unsafe_get edge_src e
       end
     done;
-    tree.stop.(j) <- (if !reached then !len else -1)
+    Array.unsafe_set tree.stop j (if !reached then !len else -1)
   done
+[@@lint.allow "unchecked-access"]
 
 let assign ?jobs ?record p (net : Network.t) ~weights ~into =
   Obs.incr c_calls;
@@ -202,6 +219,10 @@ let assign ?jobs ?record p (net : Network.t) ~weights ~into =
   let m = G.Digraph.num_edges g in
   if Array.length weights <> m then invalid_arg "Aon.assign: weight array has the wrong length";
   if Array.length into <> m then invalid_arg "Aon.assign: flow array has the wrong length";
+  if
+    Array.length p.tree_of <> Array.length net.Network.commodities
+    || (Array.length p.free_flow > 0 && Array.length p.free_flow <> m)
+  then invalid_arg "Aon.assign: the plan was built for another network";
   Array.fill into 0 m 0.0;
   let edge_src = G.Digraph.edge_sources g in
   let directed = Array.length p.free_flow > 0 && above_free_flow p weights in
@@ -245,12 +266,22 @@ let assign ?jobs ?record p (net : Network.t) ~weights ~into =
              c.Network.dst c.Network.src);
       let chain = tree.chain in
       let edges = ref [] in
-      for k = tree.start.(j) to stop - 1 do
-        let e = chain.(k) in
-        into.(e) <- into.(e) +. c.Network.demand;
-        (* The chain runs sink to source, so consing yields the path in
-           source-to-sink edge order. Only collected when asked for. *)
-        if record <> None then edges := e :: !edges
-      done;
+      (* Unchecked: [keep_chains] wrote edge ids of this network (below
+         [m], the length of [into]) at [start.(j) .. stop - 1]. *)
+      (for k = tree.start.(j) to stop - 1 do
+         let e = Array.unsafe_get chain k in
+         Array.unsafe_set into e (Array.unsafe_get into e +. c.Network.demand);
+         (* The chain runs sink to source, so consing yields the path in
+            source-to-sink edge order. Only collected when asked for. *)
+         if record <> None then edges := e :: !edges
+       done)
+      [@lint.allow "unchecked-access"];
       match record with None -> () | Some f -> f ~commodity:i ~path:!edges)
     net.Network.commodities
+
+let unreached p =
+  let first = ref None in
+  for i = Array.length p.tree_of - 1 downto 0 do
+    if p.trees.(p.tree_of.(i)).stop.(p.slot_of.(i)) < 0 then first := Some i
+  done;
+  !first

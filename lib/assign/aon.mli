@@ -77,5 +77,14 @@ val assign :
     and only for callers that ask. Checkpoints the per-domain deadline
     between trees and commodities.
     @raise Invalid_argument when [weights] or [into] does not hold one
-    entry per edge (before anything is written), or when a commodity's
-    sink is unreachable. *)
+    entry per edge, or when the plan was built for a network with
+    another commodity count or, if its trees run goal-directed, another
+    edge count (all checked before anything is written), or when a
+    commodity's sink is unreachable. The trees' chain loops read
+    unchecked, on edge ids that these checks keep in range. *)
+
+val unreached : plan -> int option
+(** After an {!assign} that raised for an unreachable sink, the first
+    commodity (in commodity order, the one the error names) whose sink
+    that call's trees did not reach; [None] when they reached every
+    sink. *)

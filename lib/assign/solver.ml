@@ -21,6 +21,26 @@ type solution = {
 let c_iters = Obs.counter "assign.iterations"
 let c_line_search = Obs.counter "assign.line_searches"
 
+let criterion ~marginal = if marginal then "marginal cost" else "latency"
+
+(* [Aon.assign] at the gradient. The network gives every commodity a
+   path, so a sink the trees do not reach is cut off by edges whose
+   weight is not finite: the flow has loaded them to where their
+   criterion is infinite (an M/M/1 edge at or past its capacity). *)
+let aon ?jobs ?record plan (net : Network.t) ~marginal ~weights ~into =
+  try Aon.assign ?jobs ?record plan net ~weights ~into
+  with Invalid_argument _ as exn -> (
+    let backtrace = Printexc.get_raw_backtrace () in
+    match Aon.unreached plan with
+    | Some i when not (Array.for_all Float.is_finite weights) ->
+        let c = net.Network.commodities.(i) in
+        invalid_arg
+          (Printf.sprintf
+             "Solver.solve: no path of finite %s at the current flow for commodity %d from \
+              node %d to node %d"
+             (criterion ~marginal) i c.Network.src c.Network.dst)
+    | _ -> Printexc.raise_with_backtrace exn backtrace)
+
 let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs ~flows obj net
     =
   Obs.span "assign.solve" @@ fun () ->
@@ -68,13 +88,19 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
   let f = Array.make m 0.0 in
   (* The gradient at f on the first [len] edges of [sup_edge]. Dijkstra
      rejects negative weights; marginals of odd user latencies can dip
-     microscopically below zero, so clamp. *)
+     microscopically below zero, so clamp.
+
+     The clamp, the gap scan and the step below read and write
+     unchecked: [grad], [y], [f], [sup_edge] and [sup_dir] all hold m
+     entries, the scan runs over [0, m), and the first [len] (or
+     [n_sup]) entries of [sup_edge], counts at most m, are edge ids. *)
   let refresh len =
     L.Kernels.fill_entries lats ~marginal ~at:f ~entries:sup_edge ~len ~into:grad;
     for k = 0 to len - 1 do
-      let e = sup_edge.(k) in
-      grad.(e) <- Float.max 0.0 grad.(e)
+      let e = Array.unsafe_get sup_edge k in
+      Array.unsafe_set grad e (Float.max 0.0 (Array.unsafe_get grad e))
     done
+  [@@lint.allow "unchecked-access"]
   in
   refresh m;
   (* An edge whose criterion is infinite (or nan) at zero flow can never
@@ -83,10 +109,9 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
     if not (Float.is_finite grad.(e)) then
       invalid_arg
         (Printf.sprintf "Solver.solve: the %s of edge %d is not finite at zero flow"
-           (if marginal then "marginal cost" else "latency")
-           e)
+           (criterion ~marginal) e)
   done;
-  Aon.assign ?jobs ?record plan net ~weights:grad ~into:f;
+  aon ?jobs ?record plan net ~marginal ~weights:grad ~into:f;
   update_flows 1.0;
   (* How many leading entries of [sup_edge] the last step moved f on:
      all m after the first AON. *)
@@ -105,23 +130,25 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
        gradient, or its clamp, change: refresh those edges, before the
        scan below overwrites [sup_edge]. *)
     refresh !moved;
-    Aon.assign ?jobs ?record plan net ~weights:grad ~into:y;
+    aon ?jobs ?record plan net ~marginal ~weights:grad ~into:y;
     (* One scan: the relative duality gap of the linearized subproblem
        and the support of the direction d = y - f. *)
     let gap = ref 0.0 and denom = ref 0.0 and n_sup = ref 0 in
-    for e = 0 to m - 1 do
-      let de = y.(e) -. f.(e) in
-      gap := !gap -. (grad.(e) *. de);
-      denom := !denom +. (grad.(e) *. f.(e));
-      (* Exact test by design: exact zeros mark edges outside the
-         direction's support; a tolerance would silently drop genuinely
-         tiny components. *)
-      if (de <> 0.0) [@lint.allow "float-equality"] then begin
-        sup_edge.(!n_sup) <- e;
-        sup_dir.(!n_sup) <- de;
-        incr n_sup
-      end
-    done;
+    (for e = 0 to m - 1 do
+       let fe = Array.unsafe_get f e and ge = Array.unsafe_get grad e in
+       let de = Array.unsafe_get y e -. fe in
+       gap := !gap -. (ge *. de);
+       denom := !denom +. (ge *. fe);
+       (* Exact test by design: exact zeros mark edges outside the
+          direction's support; a tolerance would silently drop genuinely
+          tiny components. *)
+       if (de <> 0.0) [@lint.allow "float-equality"] then begin
+         Array.unsafe_set sup_edge !n_sup e;
+         Array.unsafe_set sup_dir !n_sup de;
+         incr n_sup
+       end
+     done)
+    [@lint.allow "unchecked-access"];
     let n_sup = !n_sup in
     relgap := !gap /. Float.max 1e-12 (Float.abs !denom);
     let obj_now = if tracing then Objective.objective obj net f else 0.0 in
@@ -155,12 +182,13 @@ let solve_gen ?(tol = 1e-4) ?(max_iter = 10_000) ?(method_ = Frank_wolfe) ?jobs 
         (* Off the support d is +0, so f + gamma·d would be f there: f
            holds no -0 (AON adds demands to +0, a sum that cancels
            rounds to +0, and the clip writes +0). *)
-        for k = 0 to n_sup - 1 do
-          let e = sup_edge.(k) in
-          f.(e) <- f.(e) +. (gamma *. sup_dir.(k));
-          (* Clip negative rounding noise. *)
-          if f.(e) < 0.0 then f.(e) <- 0.0
-        done;
+        (for k = 0 to n_sup - 1 do
+           let e = Array.unsafe_get sup_edge k in
+           let fe = Array.unsafe_get f e +. (gamma *. Array.unsafe_get sup_dir k) in
+           (* Clip negative rounding noise. *)
+           Array.unsafe_set f e (if fe < 0.0 then 0.0 else fe)
+         done)
+        [@lint.allow "unchecked-access"];
         moved := n_sup;
         update_flows gamma;
         gamma

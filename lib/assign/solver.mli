@@ -43,7 +43,14 @@ val solve :
     [1e-4]) within [max_iter] iterations (default [10_000]).
     [Frank_wolfe] (default) takes an exact convex line-search step; [Msa]
     uses the 1/(k+1) schedule. [jobs] bounds the Dijkstra-tree fan-out
-    (default: ambient pool width). *)
+    (default: ambient pool width).
+    @raise Invalid_argument when an edge's latency (for [System_optimum],
+    its marginal cost) is not finite at zero flow, naming the edge, or
+    when, at some later flow, every path of a commodity crosses an edge
+    where it is infinite ("no path of finite latency at the current
+    flow", naming the first such commodity): an M/M/1 edge loaded to or
+    past its capacity, say, on a network that cannot carry the
+    demand. *)
 
 val solve_flows :
   ?tol:float ->

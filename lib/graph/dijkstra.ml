@@ -38,7 +38,11 @@ let workspace ?(hint = 0) () =
    the nodes the previous run labeled hold anything but infinity / -1 /
    false, and the run listed them in [touched], so on the repeated-run
    path (same node count) the reset costs what that run touched, not n,
-   and allocates nothing. *)
+   and allocates nothing.
+
+   Unchecked: on that path the arrays hold n entries, and the previous
+   run, on an n-node graph too, listed each node it labeled once, so
+   [i < n_touched <= n] and every listed node is below n. *)
 let prepare ws n =
   if ws.size <> n then begin
     ws.dist <- Array.make n Float.infinity;
@@ -52,14 +56,15 @@ let prepare ws n =
   else begin
     let dist = ws.dist and pred = ws.pred and settled = ws.settled and touched = ws.touched in
     for i = 0 to ws.n_touched - 1 do
-      let v = touched.(i) in
-      dist.(v) <- Float.infinity;
-      pred.(v) <- -1;
-      settled.(v) <- false
+      let v = Array.unsafe_get touched i in
+      Array.unsafe_set dist v Float.infinity;
+      Array.unsafe_set pred v (-1);
+      Array.unsafe_set settled v false
     done
   end;
   ws.n_touched <- 0;
   Heap.clear ws.heap
+[@@lint.allow "unchecked-access"]
 
 (* A goal-directed search toward one sink. [potential] is the distance
    to the sink under [lower], capped at [reach] (see [goal_toward]) and scaled
@@ -153,7 +158,19 @@ let unmark_targets ws = function
    boxes no float. The key bound is tested first, so a run falls back
    exactly when it would without it. A goal-directed run may pass an
    upper bound on its sink's distance, which no key settled before the
-   sink exceeds (see [run]); every other run passes [no_upper]. *)
+   sink exceeds (see [run]); every other run passes [no_upper].
+
+   The loop reads and writes unchecked. The entry points have checked
+   [0 <= origin < n], [weights] (m entries) and the length of a
+   potential (n entries); [prepare] sized [dist], [pred], [settled],
+   [touched] and [target] for n nodes, and [key] is sized below. The
+   CSR arrays are the graph's, valid by construction and never
+   mutated: [off] has n + 1 nondecreasing entries from 0 to m, so [k]
+   lies in [0, m); [ids.(k)] is an edge id below m, the length of
+   [other]; [other.(e)] is a node below n. Every node the heap returns
+   was pushed as [origin] or as such a [v]. A node enters [touched]
+   only when its distance leaves infinity, which happens once per run,
+   so [n_touched] stays at most n. *)
 let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
   Obs.incr c_runs;
   prepare ws n;
@@ -183,35 +200,37 @@ let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
   while !u >= 0 do
     let u' = !u in
     (* Lazy deletion: skip stale entries. *)
-    if not settled.(u') then begin
-      settled.(u') <- true;
-      if target.(u') then decr pending;
+    if not (Array.unsafe_get settled u') then begin
+      Array.unsafe_set settled u' true;
+      if Array.unsafe_get target u' then decr pending;
       if !pending = 0 then Heap.clear heap
       else begin
-        let du = dist.(u') in
-        for k = off.(u') to off.(u' + 1) - 1 do
-          let e = ids.(k) in
-          let v = other.(e) in
+        let du = Array.unsafe_get dist u' in
+        for k = Array.unsafe_get off u' to Array.unsafe_get off (u' + 1) - 1 do
+          let e = Array.unsafe_get ids k in
+          let v = Array.unsafe_get other e in
           incr relaxations;
-          let nd = du +. weights.(e) in
-          let dv = dist.(v) in
+          let nd = du +. Array.unsafe_get weights e in
+          let dv = Array.unsafe_get dist v in
           if nd < dv then begin
             if dv = Float.infinity then begin
-              touched.(ws.n_touched) <- v;
+              Array.unsafe_set touched ws.n_touched v;
               ws.n_touched <- ws.n_touched + 1
             end;
-            dist.(v) <- nd;
-            pred.(v) <- e;
-            if directed then key.(v) <- nd +. potential.(v);
-            if key.(v) <= bound then begin
-              if key.(v) <= upper then begin
+            Array.unsafe_set dist v nd;
+            Array.unsafe_set pred v e;
+            if directed then Array.unsafe_set key v (nd +. Array.unsafe_get potential v);
+            let kv = Array.unsafe_get key v in
+            if kv <= bound then begin
+              if kv <= upper then begin
                 Heap.insert heap key v;
                 incr pushes
               end
             end
-            else if key.(v) < Float.infinity then within := false
+            else if kv < Float.infinity then within := false
           end
-          else if nd = dv && e < pred.(v) && not settled.(v) then pred.(v) <- e
+          else if nd = dv && e < Array.unsafe_get pred v && not (Array.unsafe_get settled v) then
+            Array.unsafe_set pred v e
         done;
         if not !within then Heap.clear heap
       end
@@ -224,6 +243,7 @@ let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
   Obs.add c_relax !relaxations;
   Obs.add c_pushes !pushes;
   !within
+[@@lint.allow "unchecked-access"]
 
 let validate_weights ?goal weights =
   Array.iter
@@ -247,6 +267,13 @@ let check_weights name g weights =
   if Array.length weights <> Digraph.num_edges g then
     invalid_arg (name ^ ": weights must hold one entry per edge")
 
+(* Checked by every entry point, with the weights, for each node it is
+   given: the kernel reads its arrays unchecked from its origin on. *)
+let check_node name what g v =
+  let n = Digraph.num_nodes g in
+  if v < 0 || v >= n then
+    invalid_arg (Printf.sprintf "%s: %s %d is not a node (the graph has %d)" name what v n)
+
 let forward ?targets ws g ~goal ~upper ~weights ~source =
   run_dir ?targets ws ~goal ~upper
     ~off:(Digraph.out_offsets g) ~ids:(Digraph.out_edge_ids g)
@@ -259,6 +286,10 @@ let reverse ?targets ws g ~weights ~sink =
 
 let run ?(validate = false) ?workspace:ws ?targets ?goal ?upper g ~weights ~source =
   check_weights "Dijkstra.run" g weights;
+  check_node "Dijkstra.run" "source" g source;
+  (match upper with
+  | Some u when Array.length u = 0 -> invalid_arg "Dijkstra.run: ~upper holds no entry"
+  | _ -> ());
   if validate then validate_weights ?goal weights;
   let ws = match ws with Some ws -> ws | None -> workspace () in
   (match goal with
@@ -278,6 +309,7 @@ let run ?(validate = false) ?workspace:ws ?targets ?goal ?upper g ~weights ~sour
 
 let run_reverse ?(validate = false) ?workspace:ws g ~weights ~sink =
   check_weights "Dijkstra.run_reverse" g weights;
+  check_node "Dijkstra.run_reverse" "sink" g sink;
   if validate then validate_weights weights;
   let ws = match ws with Some ws -> ws | None -> workspace () in
   ignore (reverse ws g ~weights ~sink);
@@ -327,12 +359,20 @@ let goal_toward ws g ~lower ~key_bound ~sink ~sources =
   { lower; potential; key_bound; targets = Some [| sink |] }
 
 let goal ?workspace:ws g ~lower ~sink =
+  check_node "Dijkstra.goal" "sink" g sink;
   let ws = match ws with Some ws -> ws | None -> workspace () in
   goal_toward ws g ~lower ~key_bound:(key_bound g lower) ~sink ~sources:None
 
 let goals ?workspace:ws g ~lower ~sinks ~sources =
   if Array.length sources <> Array.length sinks then
     invalid_arg "Dijkstra.goals: one source set per sink";
+  for i = 0 to Array.length sinks - 1 do
+    check_node "Dijkstra.goals" "sink" g sinks.(i);
+    let srcs = sources.(i) in
+    for k = 0 to Array.length srcs - 1 do
+      check_node "Dijkstra.goals" "source" g srcs.(k)
+    done
+  done;
   let ws = match ws with Some ws -> ws | None -> workspace () in
   let key_bound = key_bound g lower in
   Array.mapi
@@ -344,6 +384,8 @@ let goals ?workspace:ws g ~lower ~sinks ~sources =
 
 let shortest_path ?validate ?workspace g ~weights ~src ~dst =
   check_weights "Dijkstra.shortest_path" g weights;
+  check_node "Dijkstra.shortest_path" "src" g src;
+  check_node "Dijkstra.shortest_path" "dst" g dst;
   let ({ dist; pred } : result) =
     run ?validate ?workspace ~targets:[| dst |] g ~weights ~source:src
   in
@@ -363,6 +405,8 @@ let shortest_path ?validate ?workspace g ~weights ~src ~dst =
 let shortest_edge_subgraph ?(eps = Sgr_numerics.Tolerance.check_eps) ?validate ?workspaces g
     ~weights ~src ~dst =
   check_weights "Dijkstra.shortest_edge_subgraph" g weights;
+  check_node "Dijkstra.shortest_edge_subgraph" "src" g src;
+  check_node "Dijkstra.shortest_edge_subgraph" "dst" g dst;
   let fwd_ws, bwd_ws =
     match workspaces with Some pair -> pair | None -> (workspace (), workspace ())
   in

@@ -54,7 +54,10 @@ type workspace
     first resets the nodes the previous one labeled, and only those, so
     every entry reads as in a fresh workspace ([infinity] / [-1] where
     this run did not reach). Not domain-safe: use one workspace per
-    domain (e.g. via [Domain.DLS]) in parallel code. *)
+    domain (e.g. via [Domain.DLS]) in parallel code. The search reads
+    the workspace's arrays without bounds checks, trusting the node
+    lists its own runs leave, so two domains sharing one can corrupt
+    memory, not only the result. *)
 
 val workspace : ?hint:int -> unit -> workspace
 (** Fresh empty workspace; [hint] presizes the heap. *)
@@ -121,26 +124,36 @@ val run :
     call boxes no float; [infinity] prunes nothing. The plain rerun of a
     fallback does not prune.
     @raise Invalid_argument when [weights] does not hold one entry per
-    edge, when a target is out of range, when both [targets] and [goal]
-    are given, when [upper] is given without [goal], or when [goal] was
-    built for a graph with another node count. None of these leaves a
-    mark in the workspace that a later run would see. {!run_reverse},
-    {!shortest_path} and {!shortest_edge_subgraph} check the length of
-    [weights] the same way, first. *)
+    edge, when [source] is not a node ("Dijkstra.run: source 5 is not a
+    node (the graph has 3)"), when a target is out of range, when
+    [upper] holds no entry, when both [targets] and [goal] are given,
+    when [upper] is given without [goal], or when [goal] was built for
+    a graph with another node count. Each is checked before the run
+    marks a target or labels a node, so none leaves a mark in the
+    workspace that a later run would see. {!run_reverse}, {!shortest_path} and
+    {!shortest_edge_subgraph} check the length of [weights] the same
+    way, first, and then their own nodes by name ([sink], [src],
+    [dst]). The search loop reads its arrays without bounds checks:
+    these checks, the graph's own adjacency and the workspace's sizing
+    are what keep every index it uses in range. *)
 
 val run_reverse :
   ?validate:bool -> ?workspace:workspace -> Digraph.t -> weights:float array -> sink:int ->
   result
 (** Distances *to* [sink] (Dijkstra on the reversed graph);
     [pred.(v)] is the edge leaving [v] on a shortest path to the sink.
-    Always a full run. *)
+    Always a full run.
+    @raise Invalid_argument when [weights] does not hold one entry per
+    edge or [sink] is not a node. *)
 
 val shortest_path :
   ?validate:bool -> ?workspace:workspace -> Digraph.t -> weights:float array -> src:int ->
   dst:int -> int list option
 (** Edge ids of one shortest [src]–[dst] path (in path order), or [None]
     if unreachable. The search stops once [dst] is settled ([run
-    ~targets:[| dst |]]); the path is the one the full tree gives. *)
+    ~targets:[| dst |]]); the path is the one the full tree gives.
+    @raise Invalid_argument when [weights] does not hold one entry per
+    edge or [src] or [dst] is not a node. *)
 
 val shortest_edge_subgraph :
   ?eps:float -> ?validate:bool -> ?workspaces:workspace * workspace -> Digraph.t ->
@@ -148,7 +161,8 @@ val shortest_edge_subgraph :
 (** [b.(e)] is true iff edge [e] lies on some shortest [src]–[dst] path,
     up to additive slack [eps] (default {!Sgr_numerics.Tolerance.check_eps})
     to absorb solver noise in the weights. [workspaces] is the
-    (forward, reverse) scratch pair for the two underlying runs. *)
+    (forward, reverse) scratch pair for the two underlying runs.
+    @raise Invalid_argument as {!shortest_path} does. *)
 
 (** {1 Goal-directed search} *)
 
@@ -164,8 +178,8 @@ val goal : ?workspace:workspace -> Digraph.t -> lower:float array -> sink:int ->
     make the free-flow latencies ℓₑ(0) such a bound for a whole
     Frank–Wolfe solve, under the Wardrop and the marginal-cost weights
     alike. Holds [num_nodes g] floats.
-    @raise Invalid_argument unless [lower] has one positive entry per
-    edge. *)
+    @raise Invalid_argument when [sink] is not a node, or unless [lower]
+    has one positive entry per edge. *)
 
 val goals :
   ?workspace:workspace -> Digraph.t -> lower:float array -> sinks:int array ->
@@ -180,4 +194,5 @@ val goals :
     source past R grows. When some source cannot reach its sink the
     search is a full one, as in {!goal}.
     @raise Invalid_argument as {!goal} does, or when [sources] and
-    [sinks] differ in length. *)
+    [sinks] differ in length, or when some sink or source is not a
+    node. *)

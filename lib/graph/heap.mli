@@ -21,7 +21,12 @@ val insert : t -> float array -> int -> unit
 (** [insert h keys v] pushes payload [v] at priority [keys.(v)], read
     once, at the call: later writes to [keys] do not move the entry.
     Dijkstra passes its distance array (or, goal-directed, its key
-    array), so no priority is ever boxed on the way in. *)
+    array), so no priority is ever boxed on the way in. The sifts read
+    and write the heap's own arrays without bounds checks; the read of
+    [keys.(v)] is the one checked access.
+    @raise Invalid_argument when [v] is not an index of [keys] (a
+    negative [v] included), before the heap changes: every payload in
+    the heap is therefore nonnegative. *)
 
 val pop : t -> int
 (** Removes the payload with the smallest priority and returns it, or

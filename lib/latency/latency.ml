@@ -220,11 +220,20 @@ let closed kind =
   let degree = match kind with Polynomial coeffs -> single_term coeffs | _ -> 0 in
   { kind; degree; constant = Option.is_some (kind_constant_value kind); via = Kind }
 
+(* Every parameter of a closed form must be finite: nan passes the
+   sign guards below, and a latency built on nan or infinity evaluates
+   to nan. *)
+let check_finite name what x =
+  if not (Float.is_finite x) then invalid_arg ("Latency." ^ name ^ ": non-finite " ^ what)
+
 let constant c =
+  check_finite "constant" "delay" c;
   if c < 0.0 then invalid_arg "Latency.constant: negative delay";
   closed (Constant c)
 
 let affine ~slope ~intercept =
+  check_finite "affine" "coefficient" slope;
+  check_finite "affine" "coefficient" intercept;
   if slope < 0.0 || intercept < 0.0 then invalid_arg "Latency.affine: negative coefficient";
   (* Exact test by design: only a literal zero slope normalizes to the
      [Constant] constructor; a denormal slope is still affine. *)
@@ -234,6 +243,7 @@ let affine ~slope ~intercept =
 let linear a = affine ~slope:a ~intercept:0.0
 
 let polynomial coeffs =
+  Array.iter (check_finite "polynomial" "coefficient") coeffs;
   if Array.exists (fun c -> c < 0.0) coeffs then
     invalid_arg "Latency.polynomial: negative coefficient";
   let coeffs = Array.copy coeffs in
@@ -247,16 +257,22 @@ let polynomial coeffs =
   else closed (Polynomial coeffs)
 
 let monomial ~coeff ~degree =
+  check_finite "monomial" "coefficient" coeff;
   if degree < 0 then invalid_arg "Latency.monomial: negative degree";
   let coeffs = Array.make (degree + 1) 0.0 in
   coeffs.(degree) <- coeff;
   polynomial coeffs
 
 let mm1 ~capacity =
+  check_finite "mm1" "capacity" capacity;
   if capacity <= 0.0 then invalid_arg "Latency.mm1: capacity must be positive";
   closed (Mm1 { capacity })
 
 let bpr ~free_flow ~capacity ?(alpha = 0.15) ?(beta = 4.0) () =
+  check_finite "bpr" "free flow" free_flow;
+  check_finite "bpr" "capacity" capacity;
+  check_finite "bpr" "alpha" alpha;
+  check_finite "bpr" "beta" beta;
   if free_flow < 0.0 || capacity <= 0.0 || alpha < 0.0 || beta < 1.0 then
     invalid_arg "Latency.bpr: bad parameter";
   closed (Bpr { free_flow; capacity; alpha; beta })
@@ -279,6 +295,7 @@ let custom ?(label = "custom") ~eval ?deriv ?primitive () =
   { kind = Custom label; degree = 0; constant = false; via = Functions { eval; deriv; primitive } }
 
 let shift s base =
+  check_finite "shift" "offset" s;
   if s < 0.0 then invalid_arg "Latency.shift: negative offset";
   if unshifted s then base
   else
@@ -330,6 +347,7 @@ let rec pp_kind ppf = function
    coefficients so solvers keep their fast inverses (and the affine
    closed-form engine its reduction). *)
 let rec shift_intercept tau t =
+  check_finite "shift_intercept" "shift" tau;
   if tau < 0.0 then invalid_arg "Latency.shift_intercept: negative shift";
   (* Exact test by design: a zero shift is the identity. *)
   if (tau = 0.0) [@lint.allow "float-equality"] then t

@@ -41,6 +41,11 @@ val kind : t -> kind
 
 (** {1 Constructors} *)
 
+(** The closed-form constructors, {!shift} and {!shift_intercept} refuse
+    a parameter that is nan or infinite, as they refuse a negative one,
+    with an [Invalid_argument] that names the constructor: a latency
+    built on one evaluates to nan. *)
+
 val constant : float -> t
 (** [constant c]: [ℓ(x) = c], [c >= 0]. *)
 
@@ -54,7 +59,7 @@ val linear : float -> t
 val polynomial : float array -> t
 (** [polynomial [|c0; c1; ...|]]: coefficients must be [>= 0] (a standard
     sufficient condition for monotone latency and convex [x·ℓ(x)]).
-    @raise Invalid_argument on a negative coefficient. *)
+    @raise Invalid_argument on a negative or non-finite coefficient. *)
 
 val monomial : coeff:float -> degree:int -> t
 (** [monomial ~coeff ~degree]: [ℓ(x) = coeff·x^degree]. *)
@@ -96,7 +101,7 @@ val shift_intercept : float -> t -> t
     [τ] into their coefficients, so the result keeps its closed-form kind
     and fast inverses; other kinds fall back to an opaque [Custom] wrapper
     with exact derivative and primitive.
-    @raise Invalid_argument if [τ < 0]. *)
+    @raise Invalid_argument if [τ < 0] or [τ] is not finite. *)
 
 (** {1 Evaluation} *)
 

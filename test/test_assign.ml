@@ -183,6 +183,40 @@ let test_infinite_zero_flow_latency_refused () =
         [ Solver.Frank_wolfe; Solver.Msa ])
     [ (Obj.Wardrop, "latency"); (Obj.System_optimum, "marginal cost") ]
 
+(* Commodity 1's only path is an M/M/1 edge of capacity 2 and it
+   carries 3: the first all-or-nothing step loads the edge past its
+   capacity, where its latency is infinite, so the next one finds no
+   path of finite latency for it, while commodity 0 still has one. The
+   sink is reachable: the solver names the flow as the cause, and the
+   commodity, not the graph. *)
+let test_no_finite_path_named () =
+  let g = G.Digraph.of_edges ~num_nodes:3 [ (0, 1); (1, 2) ] in
+  let net =
+    Net.make g
+      ~latencies:[| L.affine ~slope:1.0 ~intercept:1.0; L.mm1 ~capacity:2.0 |]
+      ~commodities:
+        [| { Net.src = 0; dst = 1; demand = 1.0 }; { Net.src = 1; dst = 2; demand = 3.0 } |]
+  in
+  List.iter
+    (fun (obj, what) ->
+      let expected =
+        Printf.sprintf
+          "Solver.solve: no path of finite %s at the current flow for commodity 1 from node 1 \
+           to node 2"
+          what
+      in
+      List.iter
+        (fun method_ ->
+          let refused f =
+            match f () with
+            | _ -> Alcotest.failf "%s solve past the capacity returned" what
+            | exception Invalid_argument m -> Alcotest.(check string) "message" expected m
+          in
+          refused (fun () -> ignore (Solver.solve ~method_ obj net));
+          refused (fun () -> ignore (Solver.solve_flows ~method_ obj net)))
+        [ Solver.Frank_wolfe; Solver.Msa ])
+    [ (Obj.Wardrop, "latency"); (Obj.System_optimum, "marginal cost") ]
+
 let test_unreachable_sink_rejected () =
   (* 0 -> 1 only; commodity asks 1 -> 0. *)
   let b = G.Digraph.builder ~num_nodes:2 in
@@ -538,7 +572,9 @@ let test_aon_cut_off_sink_raises () =
               Alcotest.(check string) (name ^ ": message")
                 "Aon.assign: commodity 0 cannot reach node 3 from node 0" m
           | () -> Alcotest.failf "%s: a cut-off sink was routed at jobs %d" name jobs);
+          Alcotest.(check (option int)) (name ^ ": unreached") (Some 0) (Aon.unreached plan);
           Aon.assign ~jobs plan net ~weights:open_road ~into;
+          Alcotest.(check (option int)) (name ^ ": all reached") None (Aon.unreached plan);
           check_true (name ^ ": the next call reaches it again") (bitwise_equal reached into))
         [ 1; 2 ])
     [
@@ -575,6 +611,33 @@ let test_aon_wrong_weight_length_refused () =
     [
       [| { Net.src = 0; dst = 3; demand = 1.0 } |];
       [| { Net.src = 0; dst = 3; demand = 1.0 }; { Net.src = 0; dst = 2; demand = 2.0 } |];
+    ]
+
+(* A goal-directed plan keeps each tree's chain from one call to the
+   next, as edge ids of the network it was built for, and maps that
+   network's commodities to trees: with a network of another edge or
+   commodity count it is refused before [into] is touched. *)
+let test_aon_foreign_plan_refused () =
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (0, 2); (2, 3) ] in
+  let g5 = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (0, 2); (2, 3); (0, 3) ] in
+  let line = L.affine ~slope:1.0 ~intercept:1.0 in
+  let one = [| { Net.src = 0; dst = 3; demand = 1.0 } |] in
+  let net = Net.make g ~latencies:(Array.make 4 line) ~commodities:one in
+  let plan = Aon.plan net in
+  List.iter
+    (fun (other : Net.t) ->
+      let m = G.Digraph.num_edges other.Net.graph in
+      let into = Array.make m 7.0 in
+      (match Aon.assign ~jobs:1 plan other ~weights:(Array.make m 1.0) ~into with
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "message" "Aon.assign: the plan was built for another network"
+            msg
+      | () -> Alcotest.fail "assigned with another network's plan");
+      check_true "into untouched" (Array.for_all (fun x -> x = 7.0) into))
+    [
+      Net.make g5 ~latencies:(Array.make 5 line) ~commodities:one;
+      Net.make g ~latencies:(Array.make 4 line)
+        ~commodities:(Array.append one [| { Net.src = 1; dst = 3; demand = 1.0 } |]);
     ]
 
 (* ---------------- deterministic performance gates ---------------- *)
@@ -762,4 +825,6 @@ let suite =
     prop_pruned_trees_match_plain;
     case "AON refuses a weight array of the wrong length" test_aon_wrong_weight_length_refused;
     case "infinite latency at zero flow refused" test_infinite_zero_flow_latency_refused;
+    case "AON refuses another network's plan" test_aon_foreign_plan_refused;
+    case "no path of finite latency named" test_no_finite_path_named;
   ]

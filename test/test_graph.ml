@@ -765,12 +765,83 @@ let test_wrong_weight_length_refused () =
   let reused = G.Dijkstra.run ~workspace:ws g ~weights ~source:0 in
   Alcotest.(check (array (float 0.0))) "distances as in a fresh workspace" fresh.dist reused.dist
 
+(* The kernel reads its arrays unchecked, so every node an entry point
+   is given is checked first, by name, before the workspace is touched.
+   On the path 0 -> 1 -> 2 a refused source used to escape as a bare
+   "index out of bounds" after the targets were marked, and the next
+   run on that workspace read dist.(2) = infinity. *)
+let test_out_of_range_nodes_refused () =
+  let g = G.Digraph.of_edges ~num_nodes:3 [ (0, 1); (1, 2) ] in
+  let weights = [| 1.0; 1.0 |] in
+  let ws = G.Dijkstra.workspace () in
+  let goal = G.Dijkstra.goal g ~lower:weights ~sink:2 in
+  let refused expected f =
+    match f () with
+    | exception Invalid_argument m -> Alcotest.(check string) expected expected m
+    | _ -> Alcotest.failf "ran instead of raising %S" expected
+  in
+  let not_a_node name what v =
+    Printf.sprintf "%s: %s %d is not a node (the graph has 3)" name what v
+  in
+  refused (not_a_node "Dijkstra.run" "source" 5) (fun () ->
+      G.Dijkstra.run ~workspace:ws ~targets:[| 2 |] g ~weights ~source:5);
+  Alcotest.(check (float 0.0)) "the next run reads dist.(2)" 2.0
+    (G.Dijkstra.run ~workspace:ws ~targets:[| 2 |] g ~weights ~source:0).dist.(2);
+  refused (not_a_node "Dijkstra.run" "source" (-1)) (fun () ->
+      G.Dijkstra.run ~workspace:ws ~goal g ~weights ~source:(-1));
+  refused (not_a_node "Dijkstra.run" "source" 3) (fun () ->
+      G.Dijkstra.run ~workspace:ws g ~weights ~source:3);
+  refused "Dijkstra.run: ~upper holds no entry" (fun () ->
+      G.Dijkstra.run ~workspace:ws ~goal ~upper:[||] g ~weights ~source:0);
+  refused "Dijkstra.run: target out of range" (fun () ->
+      G.Dijkstra.run ~workspace:ws ~targets:[| 1; 3 |] g ~weights ~source:0);
+  refused (not_a_node "Dijkstra.run_reverse" "sink" (-1)) (fun () ->
+      G.Dijkstra.run_reverse ~workspace:ws g ~weights ~sink:(-1));
+  refused (not_a_node "Dijkstra.shortest_path" "src" 7) (fun () ->
+      G.Dijkstra.shortest_path ~workspace:ws g ~weights ~src:7 ~dst:2);
+  refused (not_a_node "Dijkstra.shortest_path" "dst" 3) (fun () ->
+      G.Dijkstra.shortest_path ~workspace:ws g ~weights ~src:0 ~dst:3);
+  refused (not_a_node "Dijkstra.shortest_edge_subgraph" "src" (-4)) (fun () ->
+      G.Dijkstra.shortest_edge_subgraph ~workspaces:(ws, ws) g ~weights ~src:(-4) ~dst:2);
+  refused (not_a_node "Dijkstra.shortest_edge_subgraph" "dst" 9) (fun () ->
+      G.Dijkstra.shortest_edge_subgraph ~workspaces:(ws, ws) g ~weights ~src:0 ~dst:9);
+  refused (not_a_node "Dijkstra.goal" "sink" 3) (fun () ->
+      G.Dijkstra.goal ~workspace:ws g ~lower:weights ~sink:3);
+  refused (not_a_node "Dijkstra.goals" "sink" (-1)) (fun () ->
+      G.Dijkstra.goals ~workspace:ws g ~lower:weights ~sinks:[| 2; -1 |]
+        ~sources:[| [| 0 |]; [| 0 |] |]);
+  refused (not_a_node "Dijkstra.goals" "source" 3) (fun () ->
+      G.Dijkstra.goals ~workspace:ws g ~lower:weights ~sinks:[| 2 |] ~sources:[| [| 0; 3 |] |]);
+  Alcotest.(check (option (list int))) "the workspace still finds the path" (Some [ 0; 1 ])
+    (G.Dijkstra.shortest_path ~workspace:ws g ~weights ~src:0 ~dst:2);
+  let fresh = G.Dijkstra.run g ~weights ~source:0 in
+  let reused = G.Dijkstra.run ~workspace:ws g ~weights ~source:0 in
+  Alcotest.(check (array (float 0.0))) "distances as in a fresh workspace" fresh.dist reused.dist
+
+(* The heap's sifts are unchecked; the one index a caller gives it, the
+   payload it reads its priority at, is checked before the heap changes. *)
+let test_heap_refuses_payload_outside_keys () =
+  let h = G.Heap.create () in
+  let keys = [| 2.0; 1.0; 3.0 |] in
+  G.Heap.insert h keys 0;
+  List.iter
+    (fun v ->
+      match G.Heap.insert h keys v with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "payload %d was pushed with 3 keys" v)
+    [ 3; -1; max_int ];
+  Alcotest.(check int) "the refused pushes left the heap as it was" 1 (G.Heap.size h);
+  G.Heap.insert h keys 1;
+  Alcotest.(check (list int)) "pops in key order" [ 1; 0; -1 ]
+    (List.init 3 (fun _ -> G.Heap.pop h))
+
 (* One workspace reused across a random sequence of runs — full,
    targeted (early exits, duplicate and unreachable targets), goal-directed
-   and reverse, on graphs whose node count changes now and then — must
-   read like a fresh workspace on every node after every run: a run
-   resets only what the previous one labeled, and that is all it may
-   leave behind. *)
+   and reverse, on graphs whose node count changes now and then, with
+   refused calls (a node, a target or an empty [~upper] out of range)
+   in between — must read like a fresh workspace on every node after
+   every run: a run resets only what the previous one labeled, and that
+   is all it may leave behind; a refused call leaves nothing. *)
 let prop_reused_workspace_reads_fresh =
   qcheck ~count:200 "a reused workspace reads bitwise like a fresh one on every node"
     QCheck.small_nat (fun seed ->
@@ -782,9 +853,28 @@ let prop_reused_workspace_reads_fresh =
         && Array.for_all2 same_bits a.dist b.dist
         && Array.for_all2 Int.equal a.pred b.pred
       in
+      (* Nodes are 0 .. n; one past either end is out of range. *)
+      let refused (g, n, lower, weights) =
+        let bad = if Prng.bool rng then -1 - Prng.int rng 3 else n + 1 + Prng.int rng 3 in
+        let targets = [| Prng.int rng (n + 1); bad |] in
+        let goal = G.Dijkstra.goal g ~lower ~sink:(Prng.int rng (n + 1)) in
+        match
+          match Prng.int rng 6 with
+          | 0 -> ignore (G.Dijkstra.run ~workspace:ws ~targets g ~weights ~source:bad)
+          | 1 -> ignore (G.Dijkstra.run ~workspace:ws ~targets g ~weights ~source:0)
+          | 2 -> ignore (G.Dijkstra.run ~workspace:ws ~goal g ~weights ~source:bad)
+          | 3 -> ignore (G.Dijkstra.run ~workspace:ws ~goal ~upper:[||] g ~weights ~source:0)
+          | 4 -> ignore (G.Dijkstra.run_reverse ~workspace:ws g ~weights ~sink:bad)
+          | _ -> ignore (G.Dijkstra.shortest_path ~workspace:ws g ~weights ~src:0 ~dst:bad)
+        with
+        | exception Invalid_argument _ -> true
+        | () -> false
+      in
       List.for_all
         (fun _ ->
           if Prng.int rng 4 = 0 then instance := random_goal_instance rng;
+          (Prng.int rng 3 > 0 || refused !instance)
+          &&
           let g, n, lower, weights = !instance in
           let source = Prng.int rng (n + 1) in
           let mode = Prng.int rng 4 in
@@ -841,4 +931,6 @@ let suite =
     case "dijkstra: goal misuse is rejected" test_goal_rejects_misuse;
     prop_reused_workspace_reads_fresh;
     case "dijkstra: a weight array of the wrong length is refused" test_wrong_weight_length_refused;
+    case "dijkstra: an out-of-range node is refused by name" test_out_of_range_nodes_refused;
+    case "heap: a payload outside the keys is refused" test_heap_refuses_payload_outside_keys;
   ]

@@ -46,6 +46,43 @@ let test_affine_negative_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative slope must be rejected"
 
+(* Every closed-form constructor and both shifts refuse nan and ±inf in
+   any parameter, by name, as they refuse a negative one; with every
+   parameter finite and in range they build. nan passed the old sign
+   guards: [affine ~slope:nan] built a latency whose value is nan. *)
+let prop_non_finite_parameters_refused =
+  let base = L.linear 1.0 in
+  let constructors =
+    [
+      ("constant", 1, fun p -> L.constant p.(0));
+      ("affine", 2, fun p -> L.affine ~slope:p.(0) ~intercept:p.(1));
+      ("polynomial", 3, fun p -> L.polynomial p);
+      ("monomial", 1, fun p -> L.monomial ~coeff:p.(0) ~degree:3);
+      ("mm1", 1, fun p -> L.mm1 ~capacity:p.(0));
+      ( "bpr",
+        4,
+        fun p -> L.bpr ~free_flow:p.(0) ~capacity:p.(1) ~alpha:p.(2) ~beta:(1.0 +. p.(3)) () );
+      ("shift", 1, fun p -> L.shift p.(0) base);
+      ("shift_intercept", 1, fun p -> L.shift_intercept p.(0) base);
+    ]
+  in
+  qcheck ~count:300 "constructors refuse non-finite parameters by name" QCheck.small_nat
+    (fun seed ->
+      let rng = Prng.create (seed + 2_600) in
+      let name, arity, build = List.nth constructors (Prng.int rng (List.length constructors)) in
+      let params = Array.init arity (fun _ -> 0.25 +. Prng.float rng) in
+      let builds = match build params with _ -> true | exception Invalid_argument _ -> false in
+      let bad = [| Float.nan; Float.infinity; Float.neg_infinity |].(Prng.int rng 3) in
+      params.(Prng.int rng arity) <- bad;
+      let prefix = "Latency." ^ name ^ ": non-finite " in
+      builds
+      &&
+      match build params with
+      | exception Invalid_argument m ->
+          String.length m > String.length prefix
+          && String.equal (String.sub m 0 (String.length prefix)) prefix
+      | _ -> false)
+
 let test_polynomial () =
   let p = L.polynomial [| 1.0; 0.0; 3.0 |] in
   (* 1 + 3x^2 *)
@@ -706,4 +743,5 @@ let suite =
       prop_gathered_line_bitwise;
       prop_fill_entries_bitwise;
       prop_certified_line_search;
+      prop_non_finite_parameters_refused;
     ]

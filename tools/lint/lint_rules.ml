@@ -10,7 +10,7 @@ open Parsetree
 
 (* Where a file sits decides which rules apply to it. *)
 type ctx = {
-  in_lib : bool;  (* under lib/: purity, failure and global-state rules *)
+  in_lib : bool;  (* under lib/: purity, failure, global-state and unchecked-access rules *)
   numeric : bool;  (* lib/numerics, lib/links or lib/network: tolerance discipline *)
   hot : bool;  (* lib/graph or lib/network: no quadratic list idioms *)
   session : bool;  (* lib/serve session-layer modules: never block *)
@@ -60,6 +60,9 @@ let rules =
       "typed phase: while loops, recursive cycles and loop-driving closures in solver \
        modules reachable from lib/serve dispatch must contain Sgr_obs.Cancel.check so \
        @MS deadlines can pre-empt them" );
+    ( "unchecked-access",
+      "Array/Bytes/String unsafe_get/unsafe_set in lib/ only inside an allow region \
+       whose comment proves every index in range" );
   ]
 
 let known = List.map fst rules
@@ -310,6 +313,13 @@ let quadratic_list path =
   | _ when ends_with path ("List", "append") -> Some "List.append"
   | _ -> None
 
+(* An element access that skips the bounds check: out of range, it
+   reads or writes arbitrary memory instead of raising. *)
+let unchecked_access path =
+  match last_two path with
+  | Some (("Array" | "Bytes" | "String"), ("unsafe_get" | "unsafe_set")) -> true
+  | _ -> false
+
 let collect ~path (str : structure) : Lint_diag.t list =
   let ctx = ctx_of_path path in
   let out = ref [] in
@@ -380,6 +390,12 @@ let collect ~path (str : structure) : Lint_diag.t list =
                      Server)"
                     what)
            | None -> ());
+        if ctx.in_lib && unchecked_access p then
+          emit ~rule:"unchecked-access" e.pexp_loc
+            (Printf.sprintf
+               "%s skips the bounds check; keep it in an allow region whose comment says \
+                why each index is in range"
+               (String.concat "." p));
         if ctx.in_lib && is_print p then
           emit ~rule:"lib-purity" e.pexp_loc
             (Printf.sprintf
