@@ -117,7 +117,11 @@ let t5 () =
    assignment gives, gathered and bisected as the solver does. The
    [plan] row builds the all-or-nothing plan of that city, as every
    solve does once: its 31 reverse searches, one per distinct goal
-   sink, each stopping at the farthest source that uses it. *)
+   sink, each stopping at the farthest source that uses it. The
+   [heap] row is the kernel's heap alone, in the shape a loaded
+   goal-directed tree gives it: 1,000 push/pop pairs against a steady
+   43 entries whose keys rise slowly, each pushed key a little above
+   the last popped one. *)
 let t6 () =
   let g = (W.grid_network (Prng.create 6001) ~rows:6 ~cols:6 ()).Sgr_network.Network.graph in
   let m = Sgr_graph.Digraph.num_edges g in
@@ -150,6 +154,22 @@ let t6 () =
     K.gather line ~marginal:false ~base:solved ~entries ~dirs ~len:(Array.length entries);
     Sgr_numerics.Minimize.line_search_convex ~df:(K.slope_sign line) ~lo:0.0 ~hi:1.0 ()
   in
+  let module Heap = Sgr_graph.Dijkstra.Heap in
+  let heap = Heap.create () and live = 43 in
+  let keys = Array.make live 0.0 in
+  let jitter =
+    let rng = Prng.create 6043 in
+    Array.init 1024 (fun _ -> Prng.float rng)
+  in
+  let pushed = ref 0 in
+  let push v =
+    keys.(v) <- (0.001 *. float_of_int !pushed) +. (0.05 *. jitter.(!pushed land 1023));
+    incr pushed;
+    Heap.insert heap keys v
+  in
+  for v = 0 to live - 1 do
+    push v
+  done;
   Test.make_grouped ~name:"T6 substrates"
     [
       Test.make ~name:"dijkstra/grid6x6"
@@ -175,6 +195,11 @@ let t6 () =
       Test.make ~name:"aon/city1e4-loaded"
         (Staged.stage (fun () -> Sgr_assign.Aon.assign ~jobs:1 plan city ~weights:loaded ~into));
       Test.make ~name:"plan/city1e4" (Staged.stage (fun () -> ignore (Sgr_assign.Aon.plan city)));
+      Test.make ~name:"heap/astar-like"
+        (Staged.stage (fun () ->
+             for _ = 1 to 1_000 do
+               push (Heap.pop heap)
+             done));
       Test.make ~name:"line-search/city1e4-loaded"
         (Staged.stage (fun () -> ignore (line_search ())));
       Test.make ~name:"maxflow/grid6x6"

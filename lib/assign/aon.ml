@@ -183,6 +183,12 @@ let last_chain_cost tree ~weights upper =
    source, into the tree's own buffer. A sink the run did not reach
    gets [stop = -1].
 
+   A simple path has at most n - 1 edges. A longer chain has closed a
+   cycle, which only negative weights can make (a settled node
+   relabeled): the walk refuses it, after marking every sink of the
+   tree unreached, so that no later call reads a chain this one left
+   half written.
+
    Unchecked: [start], [stop] and [sinks] have one entry per sink; the
    run that filled [pred] (one entry per node) has accepted every sink
    as a target, so each is a node; a [pred] entry is -1 or an edge id,
@@ -190,15 +196,26 @@ let last_chain_cost tree ~weights upper =
    [len] reaches its length. *)
 let keep_chains tree ~pred ~edge_src =
   let cancel = Sgr_obs.Cancel.handle () in
+  let longest = Array.length pred - 1 in
   let len = ref 0 in
   for j = 0 to Array.length tree.sinks - 1 do
     Array.unsafe_set tree.start j !len;
     let v = ref (Array.unsafe_get tree.sinks j) and reached = ref true in
+    let edges = ref 0 in
     while !reached && !v <> tree.source do
       Sgr_obs.Cancel.check_handle cancel;
       let e = Array.unsafe_get pred !v in
       if e < 0 then reached := false
+      else if !edges = longest then begin
+        Array.fill tree.stop 0 (Array.length tree.stop) (-1);
+        invalid_arg
+          (Printf.sprintf
+             "Aon.assign: the predecessor chain of node %d does not reach node %d within %d edges \
+              (negative weights?)"
+             (Array.unsafe_get tree.sinks j) tree.source longest)
+      end
       else begin
+        incr edges;
         if !len = Array.length tree.chain then begin
           let grown = Array.make (2 * !len) 0 in
           Array.blit tree.chain 0 grown 0 !len;

@@ -80,7 +80,10 @@ val assign :
     entry per edge, or when the plan was built for a network with
     another commodity count or, if its trees run goal-directed, another
     edge count (all checked before anything is written), or when a
-    commodity's sink is unreachable. The trees' chain loops read
+    commodity's sink is unreachable, or when a sink's predecessor chain
+    does not reach its source within n - 1 edges, the most a simple
+    path has: a cycle, which only negative weights can close (the
+    tree's sinks then read as unreached). The trees' chain loops read
     unchecked, on edge ids that these checks keep in range. *)
 
 val unreached : plan -> int option

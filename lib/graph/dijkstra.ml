@@ -7,6 +7,156 @@ let c_relax = Obs.counter "dijkstra.relaxations"
 let c_fallbacks = Obs.counter "dijkstra.goal_fallbacks"
 let c_pushes = Obs.counter "dijkstra.heap_pushes"
 
+(* The kernel's priority queue: a 4-ary min-heap of int payloads (node
+   ids) in parallel int arrays. It lives in this module so that the dev
+   build, whose [-opaque] inlines nothing across modules, inlines both
+   sifts into [run_dir].
+
+   Keys are integers: [key_of_float] maps a nonnegative float to its
+   bits minus 2^62, plus 1, after [+. 0.0] folds -0.0 into +0.0. The
+   bits of nonnegative floats, infinity included, order as the floats
+   do, and the image lies in [min_int + 1, 2^62 - 2^52 + 1], so it
+   fits an OCaml int, keeps the float order exactly, and leaves
+   [min_int] below every image and [max_int] above it. A negative (or
+   nan) key maps to [min_int]; only unvalidated negative weights make
+   one.
+
+   Every slot from [len] on holds [max_int], and the arrays hold [pad]
+   slots past the capacity, so a pop reads all four children of every
+   level unchecked and a missing child never wins. Both sifts move a
+   hole rather than swapping: the displaced entries shift one level
+   each and the moving entry is written once, at its final slot. *)
+module Heap = struct
+  type t = {
+    mutable keys : int array;
+    mutable payloads : int array;
+    mutable len : int;
+    hint : int;
+  }
+
+  (* A node's last child is three slots past its first, and a pop reads
+     a node's children only while the first is below the length. *)
+  let pad = 3
+
+  let create ?(hint = 0) () =
+    { keys = Array.make pad max_int; payloads = Array.make pad 0; len = 0; hint = max 0 hint }
+
+  let is_empty h = h.len = 0
+  let size h = h.len
+
+  (* A loop rather than [Array.fill], whose C call an empty heap, the
+     usual case in [prepare], would pay for nothing. *)
+  let clear h =
+    let keys = h.keys in
+    for i = 0 to h.len - 1 do
+      keys.(i) <- max_int
+    done;
+    h.len <- 0
+
+  let[@inline] key_of_float x =
+    if x >= 0.0 then Int64.to_int (Int64.bits_of_float (x +. 0.0)) - max_int else min_int
+
+  (* The inverse on images; [min_int] reads as [neg_infinity]. The sum
+     is exact in 64 bits: an image plus [max_int] is the float's bits. *)
+  let float_of_key k =
+    if k = min_int then Float.neg_infinity
+    else Int64.float_of_bits (Int64.add (Int64.of_int k) (Int64.of_int max_int))
+
+  (* Double the capacity of a full heap (from empty: 16, or the hint).
+     The new slots hold [max_int]. *)
+  let grow h =
+    let cap = Array.length h.keys - pad in
+    let ncap = if cap = 0 then max 16 h.hint else 2 * cap in
+    let nk = Array.make (ncap + pad) max_int and np = Array.make (ncap + pad) 0 in
+    Array.blit h.keys 0 nk 0 h.len;
+    Array.blit h.payloads 0 np 0 h.len;
+    h.keys <- nk;
+    h.payloads <- np
+
+  (* Sift up from slot [len]: a parent moves down while its key is
+     strictly above [key], as a swap-based sift decides. The capacity
+     test is inline, so a push that fits makes no call; the length is
+     then below the capacity, and every slot the sift touches is at most
+     the length. [i] is positive in the loop, so [(i - 1) lsr 2] is the
+     parent [(i - 1) / 4]. *)
+  let[@inline] push h key payload =
+    if h.len = Array.length h.keys - pad then grow h;
+    let keys = h.keys and payloads = h.payloads in
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let parent = (!i - 1) lsr 2 in
+      let kp = Array.unsafe_get keys parent in
+      if kp > key then begin
+        Array.unsafe_set keys !i kp;
+        Array.unsafe_set payloads !i (Array.unsafe_get payloads parent);
+        i := parent
+      end
+      else continue := false
+    done;
+    Array.unsafe_set keys !i key;
+    Array.unsafe_set payloads !i payload
+  [@@lint.allow "unchecked-access"]
+
+  (* The checked read of [keys.(payload)] comes first, so a refused
+     payload leaves the heap as it was, and every payload is
+     nonnegative. *)
+  let insert h keys payload = push h (key_of_float keys.(payload)) payload
+
+  (* Sift the last entry down from the root. At each level the smallest
+     of the four children is picked with integer compares and masks, no
+     branch: each pair keeps its left child unless the right one is
+     strictly smaller, and the left pair wins ties, so the pick is the
+     first smallest child, as a swap-based sift scanning the children
+     in order finds it. It moves up only when strictly below the entry.
+     The entry's old slot, the new length, takes [max_int] first; every
+     slot read is below the new length plus [pad], so below the arrays'
+     length. *)
+  let[@inline] pop h =
+    if h.len = 0 then -1
+    else begin
+      let keys = h.keys and payloads = h.payloads in
+      let top = Array.unsafe_get payloads 0 in
+      let len = h.len - 1 in
+      h.len <- len;
+      let key = Array.unsafe_get keys len and payload = Array.unsafe_get payloads len in
+      Array.unsafe_set keys len max_int;
+      if len > 0 then begin
+        let i = ref 0 and c = ref 1 in
+        while !c < len do
+          let c0 = !c in
+          let k0 = Array.unsafe_get keys c0 and k1 = Array.unsafe_get keys (c0 + 1) in
+          let k2 = Array.unsafe_get keys (c0 + 2) and k3 = Array.unsafe_get keys (c0 + 3) in
+          let b01 = Bool.to_int (k1 < k0) and b23 = Bool.to_int (k3 < k2) in
+          let m01 = k0 lxor ((k0 lxor k1) land (-b01)) and j01 = c0 + b01 in
+          let m23 = k2 lxor ((k2 lxor k3) land (-b23)) and j23 = c0 + 2 + b23 in
+          let mask = -Bool.to_int (m23 < m01) in
+          let m = m01 lxor ((m01 lxor m23) land mask) in
+          let j = j01 lxor ((j01 lxor j23) land mask) in
+          if m < key then begin
+            Array.unsafe_set keys !i m;
+            Array.unsafe_set payloads !i (Array.unsafe_get payloads j);
+            i := j;
+            c := (4 * j) + 1
+          end
+          else c := len (* the entry stays at [i] *)
+        done;
+        Array.unsafe_set keys !i key;
+        Array.unsafe_set payloads !i payload
+      end;
+      top
+    end
+  [@@lint.allow "unchecked-access"]
+
+  let pop_min h =
+    if h.len = 0 then None
+    else begin
+      let key = float_of_key h.keys.(0) in
+      Some (key, pop h)
+    end
+end
+
 type workspace = {
   mutable size : int;  (* node count the arrays are sized for; 0 = empty *)
   mutable dist : float array;
@@ -15,7 +165,6 @@ type workspace = {
   mutable touched : int array;  (* the nodes the last run labeled, each once *)
   mutable n_touched : int;
   mutable target : bool array;  (* all false between runs *)
-  mutable key : float array;  (* dist + potential; goal-directed runs only *)
   mutable result : result;  (* aliases [dist] and [pred], so a run returns without allocating *)
   heap : Heap.t;
 }
@@ -29,7 +178,6 @@ let workspace ?(hint = 0) () =
     touched = [||];
     n_touched = 0;
     target = [||];
-    key = [||];
     result = { dist = [||]; pred = [||] };
     heap = Heap.create ~hint ();
   }
@@ -128,7 +276,7 @@ let unmark_targets ws = function
    fits the graph.
 
    The heap key is [dist], or [dist + potential] for a goal-directed
-   run. Keys then rise strictly along every edge while they stay below
+   run, pushed as its integer image ([Heap.key_of_float]). Keys then rise strictly along every edge while they stay below
    [goal.key_bound] (see [goal]), so the run settles nodes with the
    plain run's labels; a node whose potential is infinite cannot reach
    the sink and is never pushed. A finite key above the bound makes the
@@ -163,8 +311,7 @@ let unmark_targets ws = function
    The loop reads and writes unchecked. The entry points have checked
    [0 <= origin < n], [weights] (m entries) and the length of a
    potential (n entries); [prepare] sized [dist], [pred], [settled],
-   [touched] and [target] for n nodes, and [key] is sized below. The
-   CSR arrays are the graph's, valid by construction and never
+   [touched] and [target] for n nodes. The CSR arrays are the graph's, valid by construction and never
    mutated: [off] has n + 1 nondecreasing entries from 0 to m, so [k]
    lies in [0, m); [ids.(k)] is an edge id below m, the length of
    [other]; [other.(e)] is a node below n. Every node the heap returns
@@ -179,23 +326,25 @@ let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
   let touched = ws.touched in
   let target = ws.target and potential = goal.potential in
   let directed = Array.length potential > 0 in
-  if directed && Array.length ws.key <> n then ws.key <- Array.make n 0.0;
-  let key = if directed then ws.key else dist in
-  let bound = goal.key_bound in
+  (* Mutable, so the compiler keeps them unboxed: an immutable [let]
+     of either would reload it at every use, infinity through the
+     [Float] module block and the bound through the record's boxed
+     field. Neither is ever assigned. *)
+  let inf = ref Float.infinity and bound = ref goal.key_bound in
   let pending = ref (mark_targets ws targets n) in
   let within = ref true in
   let relaxations = ref 0 and pushes = ref 0 in
   dist.(origin) <- 0.0;
   touched.(0) <- origin;
   ws.n_touched <- 1;
-  if directed then key.(origin) <- potential.(origin);
-  if key.(origin) <= bound then begin
-    if key.(origin) <= upper then begin
-      Heap.insert heap key origin;
+  let k0 = if directed then potential.(origin) else 0.0 in
+  if k0 <= !bound then begin
+    if k0 <= upper then begin
+      Heap.push heap (Heap.key_of_float k0) origin;
       incr pushes
     end
   end
-  else if key.(origin) < Float.infinity then within := false;
+  else if k0 < !inf then within := false;
   let u = ref (Heap.pop heap) in
   while !u >= 0 do
     let u' = !u in
@@ -213,21 +362,20 @@ let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
           let nd = du +. Array.unsafe_get weights e in
           let dv = Array.unsafe_get dist v in
           if nd < dv then begin
-            if dv = Float.infinity then begin
+            if dv = !inf then begin
               Array.unsafe_set touched ws.n_touched v;
               ws.n_touched <- ws.n_touched + 1
             end;
             Array.unsafe_set dist v nd;
             Array.unsafe_set pred v e;
-            if directed then Array.unsafe_set key v (nd +. Array.unsafe_get potential v);
-            let kv = Array.unsafe_get key v in
-            if kv <= bound then begin
+            let kv = if directed then nd +. Array.unsafe_get potential v else nd in
+            if kv <= !bound then begin
               if kv <= upper then begin
-                Heap.insert heap key v;
+                Heap.push heap (Heap.key_of_float kv) v;
                 incr pushes
               end
             end
-            else if kv < Float.infinity then within := false
+            else if kv < !inf then within := false
           end
           else if nd = dv && e < Array.unsafe_get pred v && not (Array.unsafe_get settled v) then
             Array.unsafe_set pred v e
@@ -392,14 +540,24 @@ let shortest_path ?validate ?workspace g ~weights ~src ~dst =
   if dist.(dst) = Float.infinity then None
   else begin
     let sources = Digraph.edge_sources g in
-    let rec walk v acc =
+    (* A simple path has at most n - 1 edges. A longer chain has closed
+       a cycle, which only negative weights can make (a settled node
+       relabeled), so it is refused rather than followed. *)
+    let longest = Digraph.num_nodes g - 1 in
+    let rec walk v acc edges =
       if v = src then acc
       else
         let e = pred.(v) in
         if e < 0 then acc (* unreachable; cannot happen when dist is finite *)
-        else walk sources.(e) (e :: acc)
+        else if edges = longest then
+          invalid_arg
+            (Printf.sprintf
+               "Dijkstra.shortest_path: the predecessor chain of node %d does not reach node %d \
+                within %d edges (negative weights?)"
+               dst src longest)
+        else walk sources.(e) (e :: acc) (edges + 1)
     in
-    Some (walk dst [])
+    Some (walk dst [] 0)
   end
 
 let shortest_edge_subgraph ?(eps = Sgr_numerics.Tolerance.check_eps) ?validate ?workspaces g

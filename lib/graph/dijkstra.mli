@@ -45,9 +45,8 @@ type result = {
 (** {1 Workspaces} *)
 
 type workspace
-(** Reusable scratch state: dist/pred/settled/target-mark arrays (and
-    the key array of goal-directed runs), the list of nodes the last run
-    labeled, plus the heap.
+(** Reusable scratch state: dist/pred/settled/target-mark arrays, the
+    list of nodes the last run labeled, plus the heap.
     A workspace adapts to whatever graph it is run on (it reallocates
     when the node count changes); reusing one across runs on the same
     graph allocates nothing, the returned {!result} included. Each run
@@ -153,7 +152,10 @@ val shortest_path :
     if unreachable. The search stops once [dst] is settled ([run
     ~targets:[| dst |]]); the path is the one the full tree gives.
     @raise Invalid_argument when [weights] does not hold one entry per
-    edge or [src] or [dst] is not a node. *)
+    edge or [src] or [dst] is not a node, and when the predecessor
+    chain of [dst] does not reach [src] within n - 1 edges, the most a
+    simple path has: a cycle, which only negative weights (unvalidated)
+    can close. *)
 
 val shortest_edge_subgraph :
   ?eps:float -> ?validate:bool -> ?workspaces:workspace * workspace -> Digraph.t ->
@@ -196,3 +198,74 @@ val goals :
     @raise Invalid_argument as {!goal} does, or when [sources] and
     [sinks] differ in length, or when some sink or source is not a
     node. *)
+
+(** {1 The heap} *)
+
+(** The kernel's priority queue, a 4-ary min-heap of [(priority, int
+    payload)] pairs. It lives in this module so that builds that inline
+    nothing across modules (dev builds compile with [-opaque]) still
+    inline both of its sifts into the search loop.
+
+    Stale entries are the caller's (lazy deletion), so only [insert],
+    [pop]/[pop_min] and [clear] are needed. Keys and payloads are kept
+    in parallel [int array]s: inserting allocates only when the heap
+    grows, a cleared heap refills allocation-free, and no store goes
+    through the GC write barrier.
+
+    Each priority is keyed on its integer image {!key_of_float}, which
+    orders nonnegative floats exactly as the floats compare, so ties
+    are the floats' ties. A pop reads all four children of each level
+    and picks the first smallest with integer compares and masks, no
+    branch; the slots past the last entry hold [max_int], so a missing
+    child never wins. *)
+module Heap : sig
+  type t
+
+  val create : ?hint:int -> unit -> t
+  (** Fresh empty heap. [hint] sizes the first capacity allocation (the
+      heap still grows past it on demand). *)
+
+  val is_empty : t -> bool
+  val size : t -> int
+
+  val key_of_float : float -> int
+  (** The integer image of a priority: for [x >= 0] (after [x +. 0.0]
+      folds [-0.0] into [+0.0]) the bits of [x] minus 2{^62}, plus 1. It
+      is strictly increasing on nonnegative floats, infinity included,
+      and lies strictly between [min_int] and [max_int]. Every negative
+      or nan [x] maps to [min_int]; a search makes one only from
+      negative weights, which break its contract. *)
+
+  val insert : t -> float array -> int -> unit
+  (** [insert h keys v] pushes payload [v] at priority [keys.(v)], read
+      once, at the call: later writes to [keys] do not move the entry.
+      The sifts read and write the heap's own arrays without bounds
+      checks; the read of [keys.(v)] is the one checked access.
+      @raise Invalid_argument when [v] is not an index of [keys] (a
+      negative [v] included), before the heap changes: every payload in
+      the heap is therefore nonnegative. *)
+
+  val pop : t -> int
+  (** Removes the payload with the smallest priority and returns it, or
+      [-1] when the heap is empty. Allocation-free — the hot-path
+      variant of {!pop_min}.
+
+      The decisions are those of a swap-based 4-ary heap, ties
+      included: a child moves up only when strictly smaller than the
+      entry sinking past it, and of equal children the first wins. So
+      equal priorities pop in an order fixed by the insert/pop history
+      alone. No search result depends on it: {!run} breaks distance ties
+      by edge id, so with positive weights the shortest-path trees, and
+      every all-or-nothing flow read from them, are functions of the
+      graph and the weights alone. *)
+
+  val pop_min : t -> (float * int) option
+  (** Like {!pop}, also reporting the priority, bit for bit as pushed
+      when it was nonnegative and not [-0.0] (which pops as [0.0]); a
+      negative priority pops as [neg_infinity]. Allocates the returned
+      option. *)
+
+  val clear : t -> unit
+  (** Empty the heap, keeping its capacity, so the next fill does not
+      reallocate. Costs one store per entry it drops. *)
+end

@@ -640,16 +640,49 @@ let test_aon_foreign_plan_refused () =
         ~commodities:(Array.append one [| { Net.src = 1; dst = 3; demand = 1.0 } |]);
     ]
 
+(* Unvalidated negative weights break the kernel's contract. With
+   weights 1, -5, 1, 1 on 0->1, 1->2, 2->1, 1->3 the tree relabels the
+   settled node 1 through 2->1, and its predecessor edges close the
+   cycle 1->2->1. Reading the chain of sink 3 then stops after n - 1 = 3
+   edges, the most a simple path has, and names the fault; it used to
+   follow the cycle, doubling the chain buffer until memory ran out.
+   The plan routes the next call as a fresh one would. *)
+let test_aon_predecessor_cycle_refused () =
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (2, 1); (1, 3) ] in
+  let net =
+    Net.make g
+      ~latencies:(Array.make 4 (L.affine ~slope:1.0 ~intercept:1.0))
+      ~commodities:[| { Net.src = 0; dst = 3; demand = 1.0 } |]
+  in
+  let plan = Aon.plan net in
+  let into = Array.make 4 0.0 in
+  List.iter
+    (fun jobs ->
+      (match Aon.assign ~jobs plan net ~weights:[| 1.0; -5.0; 1.0; 1.0 |] ~into with
+      | exception Invalid_argument m ->
+          Alcotest.(check string) "message"
+            "Aon.assign: the predecessor chain of node 3 does not reach node 0 within 3 edges \
+             (negative weights?)"
+            m
+      | () -> Alcotest.failf "a cyclic chain was routed at jobs %d" jobs);
+      Alcotest.(check (option int)) "unreached after the refusal" (Some 0) (Aon.unreached plan);
+      Aon.assign ~jobs plan net ~weights:(Array.make 4 1.0) ~into;
+      Alcotest.(check (array (float 0.0))) "the next call routes 0 -> 1 -> 3"
+        [| 1.0; 0.0; 0.0; 1.0 |] into)
+    [ 1; 2 ]
+
 (* ---------------- deterministic performance gates ---------------- *)
 
 (* One Wardrop solve of the 10^4-edge city at jobs 1: 39 iterations, 31
    free-flow reverse runs (one per distinct sink, each stopping at the
    farthest source that uses it) and goal-directed trees that push no
    node past their last chain's cost. Plain targeted trees relax
-   8,203,717 edges here; with full reverse runs and no pruning the solve
+   8,203,228 edges here; with full reverse runs and no pruning the solve
    relaxed 1,183,566 edges and pushed 509,402 heap entries. A change that
    loses the potential, the pruning bound, or breaks a tie differently,
-   moves these counts. *)
+   moves these counts. So does the order in which the heap pops equal
+   keys, though no label, chain or flow depends on it: it decides what a
+   run that stops early relaxes before its last target. *)
 let test_city_solve_counts () =
   let net = city_1e4 () in
   let _, moved =
@@ -661,7 +694,7 @@ let test_city_solve_counts () =
       (fun () -> Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
   in
   Alcotest.(check (list int)) "iterations, relaxations, heap pushes, fallbacks"
-    [ 39; 1_075_632; 291_588; 0 ] moved
+    [ 39; 1_075_482; 291_536; 0 ] moved
 
 let test_aon_allocation () =
   let net = city_1e4 () in
@@ -827,4 +860,5 @@ let suite =
     case "infinite latency at zero flow refused" test_infinite_zero_flow_latency_refused;
     case "AON refuses another network's plan" test_aon_foreign_plan_refused;
     case "no path of finite latency named" test_no_finite_path_named;
+    case "AON refuses a predecessor cycle from negative weights" test_aon_predecessor_cycle_refused;
   ]

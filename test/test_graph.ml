@@ -3,6 +3,7 @@
 
 open Helpers
 module G = Sgr_graph
+module Heap = G.Dijkstra.Heap
 module Prng = Sgr_numerics.Prng
 
 (* The Braess diamond used throughout: s=0, v=1, w=2, t=3. *)
@@ -48,14 +49,14 @@ let test_parallel_edges_allowed () =
   Alcotest.(check int) "two parallel edges" 2 (G.Digraph.num_edges g)
 
 let test_heap_sorts () =
-  let h = G.Heap.create () in
+  let h = Heap.create () in
   let rng = Prng.create 5 in
   let input = Array.init 500 (fun _ -> Prng.float rng) in
-  Array.iteri (fun i _ -> G.Heap.insert h input i) input;
-  Alcotest.(check int) "size" 500 (G.Heap.size h);
+  Array.iteri (fun i _ -> Heap.insert h input i) input;
+  Alcotest.(check int) "size" 500 (Heap.size h);
   let prev = ref Float.neg_infinity in
   let rec drain n =
-    match G.Heap.pop_min h with
+    match Heap.pop_min h with
     | None -> Alcotest.(check int) "drained all" 500 n
     | Some (p, _) ->
         check_true "nondecreasing" (p >= !prev);
@@ -65,17 +66,17 @@ let test_heap_sorts () =
   drain 0
 
 let test_heap_clear_reuse () =
-  let h = G.Heap.create ~hint:8 () in
+  let h = Heap.create ~hint:8 () in
   let rng = Prng.create 7 in
   let fill_and_drain () =
     let input = Array.init 100 (fun _ -> Prng.float rng) in
-    Array.iteri (fun i _ -> G.Heap.insert h input i) input;
-    Alcotest.(check int) "size after fill" 100 (G.Heap.size h);
+    Array.iteri (fun i _ -> Heap.insert h input i) input;
+    Alcotest.(check int) "size after fill" 100 (Heap.size h);
     let prev = ref Float.neg_infinity in
     let n = ref 0 in
     let continue = ref true in
     while !continue do
-      match G.Heap.pop_min h with
+      match Heap.pop_min h with
       | None -> continue := false
       | Some (p, _) ->
           check_true "nondecreasing" (p >= !prev);
@@ -86,18 +87,20 @@ let test_heap_clear_reuse () =
   in
   fill_and_drain ();
   (* Refill after clear must behave like a fresh heap. *)
-  G.Heap.insert h [| 0.0; 1.0; 2.0 |] 1;
-  G.Heap.insert h [| 0.0; 1.0; 2.0 |] 2;
-  G.Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (G.Heap.size h);
-  check_true "empty after clear" (G.Heap.is_empty h);
-  Alcotest.(check bool) "pop on cleared" true (G.Heap.pop_min h = None);
-  Alcotest.(check int) "pop sentinel on cleared" (-1) (G.Heap.pop h);
+  Heap.insert h [| 0.0; 1.0; 2.0 |] 1;
+  Heap.insert h [| 0.0; 1.0; 2.0 |] 2;
+  Heap.clear h;
+  Alcotest.(check int) "cleared" 0 (Heap.size h);
+  check_true "empty after clear" (Heap.is_empty h);
+  Alcotest.(check bool) "pop on cleared" true (Heap.pop_min h = None);
+  Alcotest.(check int) "pop sentinel on cleared" (-1) (Heap.pop h);
   fill_and_drain ()
 
-(* A textbook swap-based binary heap, the pop-order oracle: [Heap]'s
-   hole-moving sifts must make the same comparisons, so they must pop
-   the same (priority, payload) sequence, ties included. *)
+(* A textbook swap-based 4-ary heap, the pop-order oracle: [Heap]'s
+   hole-moving, branch-free sifts must make the same comparisons, so
+   they must pop the same (priority, payload) sequence, ties included.
+   The children of [i] are [4i + 1 .. 4i + 4]; a pop swaps with the
+   first smallest child while it is strictly smaller. *)
 module Swap_heap = struct
   type t = { mutable prios : float array; mutable payloads : int array; mutable len : int }
 
@@ -119,9 +122,9 @@ module Swap_heap = struct
     h.payloads.(h.len) <- payload;
     let i = ref h.len in
     h.len <- h.len + 1;
-    while !i > 0 && h.prios.((!i - 1) / 2) > h.prios.(!i) do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
+    while !i > 0 && h.prios.((!i - 1) / 4) > h.prios.(!i) do
+      swap h ((!i - 1) / 4) !i;
+      i := (!i - 1) / 4
     done
 
   let pop_min h =
@@ -133,11 +136,12 @@ module Swap_heap = struct
       h.payloads.(0) <- h.payloads.(h.len);
       let i = ref 0 and continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < h.len && h.prios.(l) < h.prios.(!s) then s := l;
-        if r < h.len && h.prios.(r) < h.prios.(!s) then s := r;
-        if !s <> !i then (swap h !s !i; i := !s) else continue := false
+        let s = ref (-1) in
+        for c = (4 * !i) + 1 to min ((4 * !i) + 4) (h.len - 1) do
+          if !s < 0 || h.prios.(c) < h.prios.(!s) then s := c
+        done;
+        if !s >= 0 && h.prios.(!s) < h.prios.(!i) then (swap h !s !i; i := !s)
+        else continue := false
       done;
       Some top
     end
@@ -147,7 +151,7 @@ let prop_heap_matches_swap_oracle =
   qcheck ~count:200 "heap pops in the swap-based oracle's order, ties included"
     QCheck.small_nat (fun seed ->
       let rng = Prng.create (seed + 900) in
-      let h = G.Heap.create () and o = Swap_heap.create () in
+      let h = Heap.create () and o = Swap_heap.create () in
       (* Priorities from a five-value set: most inserts tie with others. *)
       let tie_prio () = float_of_int (Prng.int rng 5) *. 0.5 in
       let ops = 50 + Prng.int rng 400 in
@@ -157,16 +161,80 @@ let prop_heap_matches_swap_oracle =
         if Prng.int rng 10 < 6 then begin
           let p = tie_prio () in
           keys.(payload) <- p;
-          G.Heap.insert h keys payload;
+          Heap.insert h keys payload;
           Swap_heap.insert o p payload
         end
-        else if G.Heap.pop_min h <> Swap_heap.pop_min o then ok := false
+        else if Heap.pop_min h <> Swap_heap.pop_min o then ok := false
       done;
       (* Drain both. *)
-      while not (G.Heap.is_empty h) do
-        if G.Heap.pop_min h <> Swap_heap.pop_min o then ok := false
+      while not (Heap.is_empty h) do
+        if Heap.pop_min h <> Swap_heap.pop_min o then ok := false
       done;
       !ok && Swap_heap.pop_min o = None)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Nonnegative floats of every kind: zeros, subnormals, normals across
+   the exponent range, the extremes and infinity. *)
+let nonneg_float rng =
+  match Prng.int rng 8 with
+  | 0 -> 0.0
+  | 1 -> Float.min_float *. Prng.float rng (* subnormal *)
+  | 2 -> Prng.float rng
+  | 3 -> Float.ldexp (Prng.float rng) (Prng.int rng 2_098 - 1_074)
+  | 4 -> Float.max_float
+  | 5 -> Float.infinity
+  | 6 -> float_of_int (Prng.int rng 5) *. 0.5
+  | _ -> Float.ldexp 1.0 (Prng.int rng 2_046 - 1_022)
+
+(* The heap compares integer images, so the image must order every pair
+   of nonnegative floats exactly as the floats compare: strictly
+   increasing, with -0.0 and +0.0 one key, and [min_int]/[max_int] (a
+   negative key, the slots past the end) outside the range. *)
+let prop_heap_key_order =
+  qcheck ~count:500 "heap keys: the integer image is strictly increasing on nonnegative floats"
+    QCheck.small_nat (fun seed ->
+      let rng = Prng.create (seed + 2_300) in
+      let inside x =
+        let k = Heap.key_of_float x in
+        k > min_int && k < max_int
+      in
+      let agree x y =
+        let kx = Heap.key_of_float x and ky = Heap.key_of_float y in
+        Int.compare kx ky = Float.compare x y && inside x && inside y
+      in
+      (* Neighbours: each float against the next one up. *)
+      let fixed =
+        [ 0.0; Float.min_float; Float.pred Float.min_float; Float.succ 0.0; 1.0; Float.max_float ]
+      in
+      let adjacent x = x = Float.infinity || agree x (Float.succ x) in
+      let x = nonneg_float rng and y = nonneg_float rng in
+      agree x y && adjacent x && adjacent y
+      && List.for_all adjacent fixed
+      && Heap.key_of_float (-0.0) = Heap.key_of_float 0.0
+      && Heap.key_of_float (-.Float.min_float) = min_int
+      && Heap.key_of_float (-1.0) = min_int
+      && Heap.key_of_float Float.max_float < Heap.key_of_float Float.infinity)
+
+(* [pop_min] reports each pushed priority bit for bit: the image is
+   inverted exactly. *)
+let prop_heap_pops_pushed_bits =
+  qcheck ~count:200 "heap: pop_min returns each pushed float bit for bit" QCheck.small_nat
+    (fun seed ->
+      let rng = Prng.create (seed + 2_700) in
+      let keys = Array.init (1 + Prng.int rng 200) (fun _ -> nonneg_float rng) in
+      let h = Heap.create () in
+      Array.iteri (fun v _ -> Heap.insert h keys v) keys;
+      let ok = ref true in
+      let rec drain () =
+        match Heap.pop_min h with
+        | None -> ()
+        | Some (p, v) ->
+            if not (same_bits p keys.(v)) then ok := false;
+            drain ()
+      in
+      drain ();
+      !ok)
 
 let test_csr_matches_adjacency_lists () =
   let g = diamond () in
@@ -367,12 +435,12 @@ let list_dijkstra g ~weights ~source =
   let dist = Array.make n Float.infinity in
   let pred = Array.make n (-1) in
   let settled = Array.make n false in
-  let heap = G.Heap.create () in
+  let heap = Heap.create () in
   dist.(source) <- 0.0;
-  G.Heap.insert heap dist source;
+  Heap.insert heap dist source;
   let continue = ref true in
   while !continue do
-    match G.Heap.pop_min heap with
+    match Heap.pop_min heap with
     | None -> continue := false
     | Some (d, u) ->
         if not settled.(u) then begin
@@ -383,7 +451,7 @@ let list_dijkstra g ~weights ~source =
               if nd < dist.(e.dst) then begin
                 dist.(e.dst) <- nd;
                 pred.(e.dst) <- e.id;
-                G.Heap.insert heap dist e.dst
+                Heap.insert heap dist e.dst
               end
               else if nd = dist.(e.dst) && e.id < pred.(e.dst) && not settled.(e.dst) then
                 pred.(e.dst) <- e.id)
@@ -417,8 +485,6 @@ let random_tie_graph rng =
   let g = G.Digraph.freeze b in
   let weights = Array.init (G.Digraph.num_edges g) (fun _ -> float_of_int (Prng.int rng 3)) in
   (g, weights)
-
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let same_result (a : G.Dijkstra.result) (b : G.Dijkstra.result) =
   Array.for_all2 same_bits a.dist b.dist && a.pred = b.pred
@@ -821,19 +887,37 @@ let test_out_of_range_nodes_refused () =
 (* The heap's sifts are unchecked; the one index a caller gives it, the
    payload it reads its priority at, is checked before the heap changes. *)
 let test_heap_refuses_payload_outside_keys () =
-  let h = G.Heap.create () in
+  let h = Heap.create () in
   let keys = [| 2.0; 1.0; 3.0 |] in
-  G.Heap.insert h keys 0;
+  Heap.insert h keys 0;
   List.iter
     (fun v ->
-      match G.Heap.insert h keys v with
+      match Heap.insert h keys v with
       | exception Invalid_argument _ -> ()
       | () -> Alcotest.failf "payload %d was pushed with 3 keys" v)
     [ 3; -1; max_int ];
-  Alcotest.(check int) "the refused pushes left the heap as it was" 1 (G.Heap.size h);
-  G.Heap.insert h keys 1;
+  Alcotest.(check int) "the refused pushes left the heap as it was" 1 (Heap.size h);
+  Heap.insert h keys 1;
   Alcotest.(check (list int)) "pops in key order" [ 1; 0; -1 ]
-    (List.init 3 (fun _ -> G.Heap.pop h))
+    (List.init 3 (fun _ -> Heap.pop h))
+
+(* Unvalidated negative weights break the kernel's contract: on 0->1,
+   1->2, 2->1, 1->3 with weights 1, -5, 1, 1 the search relabels the
+   settled node 1 through 2->1, and [pred] closes the cycle 1->2->1. A
+   simple path has at most n - 1 edges, so the walk from the sink stops
+   there and names the fault instead of following the cycle forever. *)
+let test_predecessor_cycle_refused () =
+  let g = G.Digraph.of_edges ~num_nodes:4 [ (0, 1); (1, 2); (2, 1); (1, 3) ] in
+  let weights = [| 1.0; -5.0; 1.0; 1.0 |] in
+  let r = G.Dijkstra.run g ~weights ~source:0 in
+  Alcotest.(check (array int)) "pred closes 1 -> 2 -> 1" [| -1; 2; 1; 3 |] r.pred;
+  match G.Dijkstra.shortest_path g ~weights ~src:0 ~dst:3 with
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "message"
+        "Dijkstra.shortest_path: the predecessor chain of node 3 does not reach node 0 within 3 \
+         edges (negative weights?)"
+        m
+  | _ -> Alcotest.fail "a cyclic predecessor chain was read as a path"
 
 (* One workspace reused across a random sequence of runs — full,
    targeted (early exits, duplicate and unreachable targets), goal-directed
@@ -933,4 +1017,7 @@ let suite =
     case "dijkstra: a weight array of the wrong length is refused" test_wrong_weight_length_refused;
     case "dijkstra: an out-of-range node is refused by name" test_out_of_range_nodes_refused;
     case "heap: a payload outside the keys is refused" test_heap_refuses_payload_outside_keys;
+    prop_heap_key_order;
+    prop_heap_pops_pushed_bits;
+    case "dijkstra: a predecessor cycle is refused, not walked" test_predecessor_cycle_refused;
   ]
