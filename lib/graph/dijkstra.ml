@@ -62,25 +62,30 @@ module Heap = struct
     if k = min_int then Float.neg_infinity
     else Int64.float_of_bits (Int64.add (Int64.of_int k) (Int64.of_int max_int))
 
-  (* Double the capacity of a full heap (from empty: 16, or the hint).
-     The new slots hold [max_int]. *)
-  let grow h =
+  (* Grow the capacity to at least [need] slots, doubling (from empty:
+     16, or the hint). The new slots hold [max_int]. *)
+  let grow h need =
     let cap = Array.length h.keys - pad in
-    let ncap = if cap = 0 then max 16 h.hint else 2 * cap in
-    let nk = Array.make (ncap + pad) max_int and np = Array.make (ncap + pad) 0 in
+    let ncap = ref (if cap = 0 then max 16 h.hint else 2 * cap) in
+    while !ncap < need do
+      ncap := 2 * !ncap
+    done;
+    let nk = Array.make (!ncap + pad) max_int and np = Array.make (!ncap + pad) 0 in
     Array.blit h.keys 0 nk 0 h.len;
     Array.blit h.payloads 0 np 0 h.len;
     h.keys <- nk;
     h.payloads <- np
 
+  (* Room for [k] more entries. The test is inline, so a heap that has
+     the room makes no call. *)
+  let[@inline] reserve h k = if h.len + k > Array.length h.keys - pad then grow h (h.len + k)
+
   (* Sift up from slot [len]: a parent moves down while its key is
-     strictly above [key], as a swap-based sift decides. The capacity
-     test is inline, so a push that fits makes no call; the length is
-     then below the capacity, and every slot the sift touches is at most
-     the length. [i] is positive in the loop, so [(i - 1) lsr 2] is the
-     parent [(i - 1) / 4]. *)
-  let[@inline] push h key payload =
-    if h.len = Array.length h.keys - pad then grow h;
+     strictly above [key], as a swap-based sift decides. The caller has
+     reserved the slot, so the length is below the capacity and every
+     slot the sift touches is at most the length. [i] is positive in
+     the loop, so [(i - 1) lsr 2] is the parent [(i - 1) / 4]. *)
+  let[@inline] sift_up h key payload =
     let keys = h.keys and payloads = h.payloads in
     let i = ref h.len in
     h.len <- h.len + 1;
@@ -99,20 +104,51 @@ module Heap = struct
     Array.unsafe_set payloads !i payload
   [@@lint.allow "unchecked-access"]
 
+  let[@inline] push h key payload =
+    reserve h 1;
+    sift_up h key payload
+
   (* The checked read of [keys.(payload)] comes first, so a refused
      payload leaves the heap as it was, and every payload is
      nonnegative. *)
   let insert h keys payload = push h (key_of_float keys.(payload)) payload
 
-  (* Sift the last entry down from the root. At each level the smallest
-     of the four children is picked with integer compares and masks, no
+  (* Sift the entry [key, payload] down from the root, an empty slot, of
+     a heap of [len] entries (len >= 1). At each level the smallest of
+     the four children is picked with integer compares and masks, no
      branch: each pair keeps its left child unless the right one is
      strictly smaller, and the left pair wins ties, so the pick is the
      first smallest child, as a swap-based sift scanning the children
      in order finds it. It moves up only when strictly below the entry.
-     The entry's old slot, the new length, takes [max_int] first; every
-     slot read is below the new length plus [pad], so below the arrays'
-     length. *)
+     Every slot from [len] on holds [max_int], and a level is read only
+     while its first child is below [len], so every slot read is below
+     [len] plus [pad], the arrays' length at most. *)
+  let[@inline] sift_down keys (payloads : int array) len key payload =
+    let i = ref 0 and c = ref 1 in
+    while !c < len do
+      let c0 = !c in
+      let k0 = Array.unsafe_get keys c0 and k1 = Array.unsafe_get keys (c0 + 1) in
+      let k2 = Array.unsafe_get keys (c0 + 2) and k3 = Array.unsafe_get keys (c0 + 3) in
+      let b01 = Bool.to_int (k1 < k0) and b23 = Bool.to_int (k3 < k2) in
+      let m01 = k0 lxor ((k0 lxor k1) land (-b01)) and j01 = c0 + b01 in
+      let m23 = k2 lxor ((k2 lxor k3) land (-b23)) and j23 = c0 + 2 + b23 in
+      let mask = -Bool.to_int (m23 < m01) in
+      let m = m01 lxor ((m01 lxor m23) land mask) in
+      let j = j01 lxor ((j01 lxor j23) land mask) in
+      if m < key then begin
+        Array.unsafe_set keys !i m;
+        Array.unsafe_set payloads !i (Array.unsafe_get payloads j);
+        i := j;
+        c := (4 * j) + 1
+      end
+      else c := len (* the entry stays at [i] *)
+    done;
+    Array.unsafe_set keys !i key;
+    Array.unsafe_set payloads !i payload
+  [@@lint.allow "unchecked-access"]
+
+  (* The last entry fills the root. Its old slot, the new length, takes
+     [max_int] first. Slot 0 and slot [len - 1] hold entries. *)
   let[@inline] pop h =
     if h.len = 0 then -1
     else begin
@@ -122,32 +158,27 @@ module Heap = struct
       h.len <- len;
       let key = Array.unsafe_get keys len and payload = Array.unsafe_get payloads len in
       Array.unsafe_set keys len max_int;
-      if len > 0 then begin
-        let i = ref 0 and c = ref 1 in
-        while !c < len do
-          let c0 = !c in
-          let k0 = Array.unsafe_get keys c0 and k1 = Array.unsafe_get keys (c0 + 1) in
-          let k2 = Array.unsafe_get keys (c0 + 2) and k3 = Array.unsafe_get keys (c0 + 3) in
-          let b01 = Bool.to_int (k1 < k0) and b23 = Bool.to_int (k3 < k2) in
-          let m01 = k0 lxor ((k0 lxor k1) land (-b01)) and j01 = c0 + b01 in
-          let m23 = k2 lxor ((k2 lxor k3) land (-b23)) and j23 = c0 + 2 + b23 in
-          let mask = -Bool.to_int (m23 < m01) in
-          let m = m01 lxor ((m01 lxor m23) land mask) in
-          let j = j01 lxor ((j01 lxor j23) land mask) in
-          if m < key then begin
-            Array.unsafe_set keys !i m;
-            Array.unsafe_set payloads !i (Array.unsafe_get payloads j);
-            i := j;
-            c := (4 * j) + 1
-          end
-          else c := len (* the entry stays at [i] *)
-        done;
-        Array.unsafe_set keys !i key;
-        Array.unsafe_set payloads !i payload
-      end;
+      if len > 0 then sift_down keys payloads len key payload;
       top
     end
   [@@lint.allow "unchecked-access"]
+
+  (* Pop the root of a nonempty heap and push [key, payload], in one
+     sift down: the new entry takes the root's slot, and the length
+     does not change. *)
+  let[@inline] replace_root h key payload = sift_down h.keys h.payloads h.len key payload
+
+  let replace h keys payload =
+    let key = key_of_float keys.(payload) in
+    if h.len = 0 then begin
+      push h key payload;
+      -1
+    end
+    else begin
+      let top = h.payloads.(0) in
+      replace_root h key payload;
+      top
+    end
 
   let pop_min h =
     if h.len = 0 then None
@@ -314,8 +345,12 @@ let unmark_targets ws = function
    [touched] and [target] for n nodes. The CSR arrays are the graph's, valid by construction and never
    mutated: [off] has n + 1 nondecreasing entries from 0 to m, so [k]
    lies in [0, m); [ids.(k)] is an edge id below m, the length of
-   [other]; [other.(e)] is a node below n. Every node the heap returns
-   was pushed as [origin] or as such a [v]. A node enters [touched]
+   [other]; [other.(e)] is a node below n. Every node the heap holds
+   was pushed as [origin] or as such a [v], and the loop reads the
+   root's payload, slot 0, only while the heap is not empty. The heap
+   has room for a node's out-degree before its edges are relaxed
+   ([Heap.reserve]); the first push replaces the root and each later
+   one adds one entry, so no push outgrows it. A node enters [touched]
    only when its distance leaves infinity, which happens once per run,
    so [n_touched] stays at most n. *)
 let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
@@ -345,20 +380,30 @@ let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
     end
   end
   else if k0 < !inf then within := false;
-  let u = ref (Heap.pop heap) in
-  while !u >= 0 do
-    let u' = !u in
+  (* A node stays at the root while its edges are relaxed: its first
+     push takes the root's slot ([Heap.replace_root]), so popping it and
+     pushing cost one sift down, and a node that pushes nothing, or a
+     stale entry, is popped. Each settled node reserves room for its
+     out-degree first, so no push in the relaxation loop grows the heap,
+     and its relaxations are counted at once. A run that stops leaves
+     its entries to one [Heap.clear] after the loop. *)
+  let stop = ref false in
+  while (not !stop) && heap.len > 0 do
+    let u' = Array.unsafe_get heap.payloads 0 in
+    let at_root = ref true in
     (* Lazy deletion: skip stale entries. *)
     if not (Array.unsafe_get settled u') then begin
       Array.unsafe_set settled u' true;
       if Array.unsafe_get target u' then decr pending;
-      if !pending = 0 then Heap.clear heap
+      if !pending = 0 then stop := true
       else begin
         let du = Array.unsafe_get dist u' in
-        for k = Array.unsafe_get off u' to Array.unsafe_get off (u' + 1) - 1 do
+        let lo = Array.unsafe_get off u' and hi = Array.unsafe_get off (u' + 1) in
+        relaxations := !relaxations + (hi - lo);
+        Heap.reserve heap (hi - lo);
+        for k = lo to hi - 1 do
           let e = Array.unsafe_get ids k in
           let v = Array.unsafe_get other e in
-          incr relaxations;
           let nd = du +. Array.unsafe_get weights e in
           let dv = Array.unsafe_get dist v in
           if nd < dv then begin
@@ -371,7 +416,12 @@ let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
             let kv = if directed then nd +. Array.unsafe_get potential v else nd in
             if kv <= !bound then begin
               if kv <= upper then begin
-                Heap.push heap (Heap.key_of_float kv) v;
+                let key = Heap.key_of_float kv in
+                if !at_root then begin
+                  Heap.replace_root heap key v;
+                  at_root := false
+                end
+                else Heap.sift_up heap key v;
                 incr pushes
               end
             end
@@ -380,11 +430,12 @@ let run_dir ?targets ws ~goal ~upper ~off ~ids ~other ~weights ~n ~origin =
           else if nd = dv && e < Array.unsafe_get pred v && not (Array.unsafe_get settled v) then
             Array.unsafe_set pred v e
         done;
-        if not !within then Heap.clear heap
+        if not !within then stop := true
       end
     end;
-    u := Heap.pop heap
+    if !at_root && not !stop then ignore (Heap.pop heap)
   done;
+  if !stop then Heap.clear heap;
   unmark_targets ws targets;
   (* One batched counter update per run keeps the inner loop free of
      atomic traffic while the count stays exact. *)

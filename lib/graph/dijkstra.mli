@@ -23,7 +23,15 @@
     {!shortest_edge_subgraph} reads every label, so its two runs are
     always full. Every run adds its edge relaxations and heap pushes to
     the [dijkstra.relaxations] and [dijkstra.heap_pushes] counters, once
-    per run.
+    per run; a settled node that relaxes its edges counts them all.
+
+    A run keeps the node it is settling at the heap's root while it
+    relaxes the node's edges, and its first push replaces it there
+    ({!Heap.replace}), so a node that pushes costs one sift down, not a
+    pop's and then a push's. Equal keys may pop in another order than
+    with a pop before each node's pushes; no label depends on that
+    order (see the tie rule below), only the work of a run that stops
+    early.
 
     Ties are canonical. When a relaxation reaches [dist(v)] bit for bit
     while [v] is not yet settled, [pred(v)] moves to the smaller edge
@@ -207,10 +215,10 @@ val goals :
     inline both of its sifts into the search loop.
 
     Stale entries are the caller's (lazy deletion), so only [insert],
-    [pop]/[pop_min] and [clear] are needed. Keys and payloads are kept
-    in parallel [int array]s: inserting allocates only when the heap
-    grows, a cleared heap refills allocation-free, and no store goes
-    through the GC write barrier.
+    [pop]/[pop_min], [replace] and [clear] are needed. Keys and
+    payloads are kept in parallel [int array]s: inserting allocates
+    only when the heap grows, a cleared heap refills allocation-free,
+    and no store goes through the GC write barrier.
 
     Each priority is keyed on its integer image {!key_of_float}, which
     orders nonnegative floats exactly as the floats compare, so ties
@@ -258,6 +266,18 @@ module Heap : sig
       by edge id, so with positive weights the shortest-path trees, and
       every all-or-nothing flow read from them, are functions of the
       graph and the weights alone. *)
+
+  val replace : t -> float array -> int -> int
+  (** [replace h keys v] is [pop h] followed by [insert h keys v], done
+      in one sift: [v] takes the root's slot and sifts down, making the
+      decisions of a swap-based 4-ary heap's replace-top, ties included
+      (so equal priorities can pop in another order than after a pop
+      and an insert). Returns the popped payload; on an empty heap it
+      pushes [v] and returns [-1]. The search keeps a node at the root
+      while it relaxes the node's edges and settles it with such a
+      replace at its first push.
+      @raise Invalid_argument when [v] is not an index of [keys], read
+      first, as in {!insert}: the heap is left as it was. *)
 
   val pop_min : t -> (float * int) option
   (** Like {!pop}, also reporting the priority, bit for bit as pushed

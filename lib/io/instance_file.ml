@@ -28,36 +28,55 @@ let keyword_is text lo hi w =
   done;
   !i = String.length w
 
+(* The scanners below read [text] unchecked. Every offset they are
+   given comes from [iter_lines], whose lines lie within the text, or
+   from another scanner, which returns an offset in [lo, hi] of the
+   slice it was given; each reads an offset only while it is below
+   [hi], at most [String.length text]. *)
+
 (* The end of the word starting at [i] (the next space, or [hi]), and
-   the start of the word after the spaces at [i] (or [hi]). *)
+   the start of the word after the spaces at [i] (or [hi]). Each reads
+   [j] only while it is below [hi]. *)
 let word_end text i hi =
   let j = ref i in
-  while !j < hi && text.[!j] <> ' ' do
+  while !j < hi && String.unsafe_get text !j <> ' ' do
     incr j
   done;
   !j
+[@@lint.allow "unchecked-access"]
 
 let skip_spaces text i hi =
   let j = ref i in
-  while !j < hi && text.[!j] = ' ' do
+  while !j < hi && String.unsafe_get text !j = ' ' do
     incr j
   done;
   !j
+[@@lint.allow "unchecked-access"]
 
+(* Reads [i] and [i + 1] only while [i + 1 < hi]. *)
 let double_space text lo hi =
   let i = ref lo in
-  while !i + 1 < hi && not (text.[!i] = ' ' && text.[!i + 1] = ' ') do
+  while
+    !i + 1 < hi && not (String.unsafe_get text !i = ' ' && String.unsafe_get text (!i + 1) = ' ')
+  do
     incr i
   done;
   !i + 1 < hi
+[@@lint.allow "unchecked-access"]
 
 (* [int_of_string] on [text.[lo .. hi)], raising [Exit] where
    [int_of_string_opt] gives [None]. A plain run of at most 18 decimal
-   digits, the form every printer writes, is read in place. *)
+   digits, the form every printer writes, is read in place, [i] only
+   while it is below [hi]. *)
 let int_at text lo hi =
   let n = ref 0 and i = ref lo in
-  while !i < hi && text.[!i] >= '0' && text.[!i] <= '9' do
-    n := (10 * !n) + (Char.code text.[!i] - 48);
+  while
+    !i < hi
+    &&
+    let c = String.unsafe_get text !i in
+    c >= '0' && c <= '9'
+  do
+    n := (10 * !n) + (Char.code (String.unsafe_get text !i) - 48);
     incr i
   done;
   if !i = hi && hi > lo && hi - lo <= 18 then !n
@@ -65,6 +84,7 @@ let int_at text lo hi =
     match int_of_string_opt (String.sub text lo (hi - lo)) with
     | Some n -> n
     | None -> raise_notrace Exit
+[@@lint.allow "unchecked-access"]
 
 (* A growable array. Its first allocation takes [hint] slots, then it
    doubles. *)
@@ -73,6 +93,18 @@ type 'a column = { mutable data : 'a array; mutable len : int; hint : int }
 let push col x =
   if col.len = Array.length col.data then begin
     let grown = Array.make (max col.hint (2 * col.len)) x in
+    Array.blit col.data 0 grown 0 col.len;
+    col.data <- grown
+  end;
+  col.data.(col.len) <- x;
+  col.len <- col.len + 1
+
+(* [push] on an [int column]: the type fixes the array's kind, so the
+   store is a plain one, where [push]'s polymorphic store tests for a
+   float array and goes through the write barrier. *)
+let push_int (col : int column) x =
+  if col.len = Array.length col.data then begin
+    let grown = Array.make (max col.hint (2 * col.len)) 0 in
     Array.blit col.data 0 grown 0 col.len;
     col.data <- grown
   end;
@@ -90,36 +122,42 @@ let line_hint text = (String.length text / 40) + 16
 
 (* Calls [line lineno lo kw_end arg_lo hi] on every line that is not
    blank or a comment, in order: [lo, kw_end) is its first word (up to
-   the first space), [arg_lo, hi) the trimmed rest. *)
+   the first space), [arg_lo, hi) the trimmed rest.
+
+   Unchecked: [stop] is read only while below the text's length, and
+   every other offset read lies in [pos, stop): [lo] only while below
+   [hi <= stop], [hi - 1] only while above [lo >= pos], [kw_end] and
+   [arg_lo] only while below [hi]. *)
 let iter_lines text line =
   let len = String.length text in
   let pos = ref 0 and lineno = ref 0 in
   while !pos <= len do
     let stop = ref !pos in
-    while !stop < len && text.[!stop] <> '\n' do
+    while !stop < len && String.unsafe_get text !stop <> '\n' do
       incr stop
     done;
     incr lineno;
     let lo = ref !pos and hi = ref !stop in
-    while !lo < !hi && is_blank text.[!lo] do
+    while !lo < !hi && is_blank (String.unsafe_get text !lo) do
       incr lo
     done;
-    while !hi > !lo && is_blank text.[!hi - 1] do
+    while !hi > !lo && is_blank (String.unsafe_get text (!hi - 1)) do
       decr hi
     done;
     pos := !stop + 1;
-    if !lo < !hi && text.[!lo] <> '#' then begin
+    if !lo < !hi && String.unsafe_get text !lo <> '#' then begin
       let kw_end = ref !lo in
-      while !kw_end < !hi && text.[!kw_end] <> ' ' do
+      while !kw_end < !hi && String.unsafe_get text !kw_end <> ' ' do
         incr kw_end
       done;
       let arg_lo = ref !kw_end in
-      while !arg_lo < !hi && is_blank text.[!arg_lo] do
+      while !arg_lo < !hi && is_blank (String.unsafe_get text !arg_lo) do
         incr arg_lo
       done;
       line !lineno !lo !kw_end !arg_lo !hi
     end
   done
+[@@lint.allow "unchecked-access"]
 
 let lowercase text lo hi = String.lowercase_ascii (String.sub text lo (hi - lo))
 
@@ -189,9 +227,9 @@ let network_line acc text lineno lo kw_end arg_lo hi =
         in
         match spec with
         | Ok lat ->
-            push acc.srcs src;
-            push acc.dsts dst;
-            push acc.lines lineno;
+            push_int acc.srcs src;
+            push_int acc.dsts dst;
+            push_int acc.lines lineno;
             push acc.latencies lat
         | Error m -> fail lineno "%s" m)
     | exception Exit -> fail lineno "edge endpoints must be integers"
@@ -209,7 +247,7 @@ let network_line acc text lineno lo kw_end arg_lo hi =
     with
     | src, dst, Some demand when demand >= 0.0 ->
         push acc.commodities { Net.src; dst; demand };
-        push acc.commodity_lines lineno
+        push_int acc.commodity_lines lineno
     | _ | (exception Exit) -> usage ()
   end
   else fail lineno "unexpected keyword %S in a network instance" (lowercase text lo kw_end)

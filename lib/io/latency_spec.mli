@@ -17,11 +17,20 @@
       the parsed kind is never doubly shifted.
 
     A specification is read in place: its words are offsets into the
-    text, compared to the keywords ignoring ASCII case and read as
-    numbers where they stand (a canonical [%h] literal without a
-    substring), so no word list or lowercased copy is built. A chain of
-    [shifted] heads is read in one pass over its words, so a spec nested
-    d levels deep parses in time and space linear in its length.
+    text, and read as numbers where they stand (a canonical [%h]
+    literal without a substring), so no word list or lowercased copy
+    is built. A word's length and first letter pick the one keyword it
+    can be, and only that keyword is compared, ignoring ASCII case. A
+    chain of [shifted] heads is read in one pass over its words, so a
+    spec nested d levels deep parses in time and space linear in its
+    length.
+
+    The entries that take a slice [s lo hi] ({!parse_sub}, {!number_sub}
+    and {!canonical_hex}) check [0 <= lo <= hi <= String.length s] once
+    and raise [Invalid_argument] naming themselves otherwise, for
+    instance ["Latency_spec.parse_sub: the slice [0, 9) is not within a
+    string of length 5"]; past that check their scanners read the slice
+    without bounds checks.
 *)
 
 val number : string -> float option
@@ -31,7 +40,8 @@ val number : string -> float option
 
 val number_sub : string -> int -> int -> float option
 (** [number_sub s lo hi] is [number (String.sub s lo (hi - lo))],
-    without the copy when the text is a canonical [%h] literal. *)
+    without the copy when the text is a canonical [%h] literal.
+    @raise Invalid_argument when the slice is not within [s]. *)
 
 val canonical_hex : string -> int -> int -> float array -> int -> bool
 (** [canonical_hex s lo hi xs k] reads [s.[lo .. hi)] as the [%h]
@@ -41,14 +51,17 @@ val canonical_hex : string -> int -> int -> float array -> int -> bool
     the float from its sign, exponent and fraction bits, so the value is
     the float [float_of_string] reads, bit for bit. On any other text it
     returns [false] and writes nothing ({!number_sub} then reads the
-    text with [float_of_string]). *)
+    text with [float_of_string]).
+    @raise Invalid_argument when the slice is not within [s], or when
+    [k] is not an index of [xs] and the text is such a literal. *)
 
 val parse : string -> (Sgr_latency.Latency.t, string) result
 (** Parse a specification; [Error msg] describes the first problem. *)
 
 val parse_sub : string -> int -> int -> (Sgr_latency.Latency.t, string) result
 (** [parse_sub s lo hi] is [parse (String.sub s lo (hi - lo))] read in
-    place: the instance reader hands over a slice of its text. *)
+    place: the instance reader hands over a slice of its text.
+    @raise Invalid_argument when the slice is not within [s]. *)
 
 val parse_exn : string -> Sgr_latency.Latency.t
 (** @raise Invalid_argument on a malformed specification. *)

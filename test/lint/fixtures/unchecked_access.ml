@@ -14,3 +14,10 @@ let sum a =
   done;
   !s
 [@@lint.allow "unchecked-access"]
+
+(* Through an open: a bare name fires as the qualified one does. *)
+let opened a =
+  let open Array in
+  unsafe_get a 0
+
+let local_open a i = Array.(unsafe_set a i 0)

@@ -694,7 +694,7 @@ let test_city_solve_counts () =
       (fun () -> Solver.solve ~tol:1e-4 ~jobs:1 Obj.Wardrop net)
   in
   Alcotest.(check (list int)) "iterations, relaxations, heap pushes, fallbacks"
-    [ 39; 1_075_482; 291_536; 0 ] moved
+    [ 39; 1_075_060; 291_421; 0 ] moved
 
 let test_aon_allocation () =
   let net = city_1e4 () in

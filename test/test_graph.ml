@@ -99,8 +99,10 @@ let test_heap_clear_reuse () =
 (* A textbook swap-based 4-ary heap, the pop-order oracle: [Heap]'s
    hole-moving, branch-free sifts must make the same comparisons, so
    they must pop the same (priority, payload) sequence, ties included.
-   The children of [i] are [4i + 1 .. 4i + 4]; a pop swaps with the
-   first smallest child while it is strictly smaller. *)
+   The children of [i] are [4i + 1 .. 4i + 4]; an entry sinking from
+   the root swaps with the first smallest child while it is strictly
+   smaller. A pop sinks the last entry; a replace sinks the new one in
+   the root's place. *)
 module Swap_heap = struct
   type t = { mutable prios : float array; mutable payloads : int array; mutable len : int }
 
@@ -127,6 +129,17 @@ module Swap_heap = struct
       i := (!i - 1) / 4
     done
 
+  let sink_root h =
+    let i = ref 0 and continue = ref true in
+    while !continue do
+      let s = ref (-1) in
+      for c = (4 * !i) + 1 to min ((4 * !i) + 4) (h.len - 1) do
+        if !s < 0 || h.prios.(c) < h.prios.(!s) then s := c
+      done;
+      if !s >= 0 && h.prios.(!s) < h.prios.(!i) then (swap h !s !i; i := !s)
+      else continue := false
+    done
+
   let pop_min h =
     if h.len = 0 then None
     else begin
@@ -134,19 +147,23 @@ module Swap_heap = struct
       h.len <- h.len - 1;
       h.prios.(0) <- h.prios.(h.len);
       h.payloads.(0) <- h.payloads.(h.len);
-      let i = ref 0 and continue = ref true in
-      while !continue do
-        let s = ref (-1) in
-        for c = (4 * !i) + 1 to min ((4 * !i) + 4) (h.len - 1) do
-          if !s < 0 || h.prios.(c) < h.prios.(!s) then s := c
-        done;
-        if !s >= 0 && h.prios.(!s) < h.prios.(!i) then (swap h !s !i; i := !s)
-        else continue := false
-      done;
+      sink_root h;
+      Some top
+    end
+
+  let replace h prio payload =
+    if h.len = 0 then (insert h prio payload; None)
+    else begin
+      let top = (h.prios.(0), h.payloads.(0)) in
+      h.prios.(0) <- prio;
+      h.payloads.(0) <- payload;
+      sink_root h;
       Some top
     end
 end
 
+(* Inserts, replaces and pops mixed, as a search that keeps each node
+   at the root while it pushes makes them. *)
 let prop_heap_matches_swap_oracle =
   qcheck ~count:200 "heap pops in the swap-based oracle's order, ties included"
     QCheck.small_nat (fun seed ->
@@ -158,13 +175,19 @@ let prop_heap_matches_swap_oracle =
       let keys = Array.make ops 0.0 in
       let ok = ref true in
       for payload = 0 to ops - 1 do
-        if Prng.int rng 10 < 6 then begin
-          let p = tie_prio () in
-          keys.(payload) <- p;
-          Heap.insert h keys payload;
-          Swap_heap.insert o p payload
-        end
-        else if Heap.pop_min h <> Swap_heap.pop_min o then ok := false
+        match Prng.int rng 10 with
+        | 0 | 1 | 2 | 3 ->
+            let p = tie_prio () in
+            keys.(payload) <- p;
+            Heap.insert h keys payload;
+            Swap_heap.insert o p payload
+        | 4 | 5 | 6 ->
+            let p = tie_prio () in
+            keys.(payload) <- p;
+            let popped = Heap.replace h keys payload in
+            let expected = Option.fold ~none:(-1) ~some:snd (Swap_heap.replace o p payload) in
+            if popped <> expected then ok := false
+        | _ -> if Heap.pop_min h <> Swap_heap.pop_min o then ok := false
       done;
       (* Drain both. *)
       while not (Heap.is_empty h) do
@@ -216,25 +239,37 @@ let prop_heap_key_order =
       && Heap.key_of_float (-1.0) = min_int
       && Heap.key_of_float Float.max_float < Heap.key_of_float Float.infinity)
 
-(* [pop_min] reports each pushed priority bit for bit: the image is
-   inverted exactly. *)
+(* [pop_min] reports each pushed priority bit for bit, whether the
+   entry went in by [insert] or by [replace]: the image is inverted
+   exactly. Every entry leaves once, popped or replaced. *)
 let prop_heap_pops_pushed_bits =
   qcheck ~count:200 "heap: pop_min returns each pushed float bit for bit" QCheck.small_nat
     (fun seed ->
       let rng = Prng.create (seed + 2_700) in
       let keys = Array.init (1 + Prng.int rng 200) (fun _ -> nonneg_float rng) in
       let h = Heap.create () in
-      Array.iteri (fun v _ -> Heap.insert h keys v) keys;
+      (* About a third of the entries go in by [replace], each in the
+         place of the smallest entry, which then pops no more. *)
+      let gone = Array.make (Array.length keys) false in
+      Array.iteri
+        (fun v _ ->
+          if Prng.int rng 3 = 0 then begin
+            let u = Heap.replace h keys v in
+            if u >= 0 then gone.(u) <- true
+          end
+          else Heap.insert h keys v)
+        keys;
       let ok = ref true in
       let rec drain () =
         match Heap.pop_min h with
         | None -> ()
         | Some (p, v) ->
-            if not (same_bits p keys.(v)) then ok := false;
+            if gone.(v) || not (same_bits p keys.(v)) then ok := false;
+            gone.(v) <- true;
             drain ()
       in
       drain ();
-      !ok)
+      !ok && Array.for_all Fun.id gone)
 
 let test_csr_matches_adjacency_lists () =
   let g = diamond () in
@@ -892,9 +927,12 @@ let test_heap_refuses_payload_outside_keys () =
   Heap.insert h keys 0;
   List.iter
     (fun v ->
-      match Heap.insert h keys v with
+      (match Heap.insert h keys v with
       | exception Invalid_argument _ -> ()
-      | () -> Alcotest.failf "payload %d was pushed with 3 keys" v)
+      | () -> Alcotest.failf "payload %d was pushed with 3 keys" v);
+      match Heap.replace h keys v with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "payload %d replaced the root with 3 keys" v)
     [ 3; -1; max_int ];
   Alcotest.(check int) "the refused pushes left the heap as it was" 1 (Heap.size h);
   Heap.insert h keys 1;

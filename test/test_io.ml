@@ -395,12 +395,25 @@ let declared_nodes text =
       | _ -> acc)
     0 (String.split_on_char '\n' text)
 
+(* Hex literals cut at every position of [0x1.8p+0], each as the last
+   bytes of a text with no final newline, so a scan can run into the
+   end of the text inside one. *)
+let cut_literals = [ "0x"; "0x1"; "0x1."; "0x1.8p"; "0x1.8p+" ]
+
 (* Catalog instances, a small city, the spec kinds, and two seeds that
    broke the reader before it had bounds: a node count past the cap and
-   a 1,000-deep shift chain. *)
+   a 1,000-deep shift chain. Then the edges of the in-place scanners:
+   texts that end inside a literal, [\r\n] and tab-separated lines,
+   hex literals cut short, with 14 digits (one past the canonical 13)
+   and with exponents at and past both ends of the normal range. *)
 let fuzz_corpus =
   lazy
-    [
+    (List.map
+       (fun cut ->
+         Printf.sprintf "links\ndemand 0x1p+0\nlink affine %s %s\nlink shifted %s const %s" cut
+           cut cut cut)
+       cut_literals
+    @ [
       IF.print_links W.pigou;
       IF.to_string (IF.Links W.fig456);
       IF.print_network (W.fig7 ());
@@ -413,7 +426,13 @@ let fuzz_corpus =
        link 2.5x + 0.5\n";
       "network\nnodes 100000000000\nedge 0 1 x\ncommodity 0 1 1\n";
       "links\ndemand 1\nlink " ^ deep_shift 1_000 ^ "\n";
-    ]
+      "network\nnodes 3\nedge 0 1 affine 0x1.8p+0 0x1p-1";
+      "network\r\nnodes 3\r\nedge\t0\t1\tx\r\nedge 1 2 const\t0x1p+1\r\n\tedge 0 2 bpr 1 2\r\n\
+       commodity\t0 2\t1\r\n";
+      "links\ndemand 1\nlink const 0x1.00000000000008p+0\nlink affine 0x1.fffffffffffff8p+0 0\n";
+      "links\ndemand 1\nlink const 0x1p+1023\nlink const 0x1p-1023\nlink const 0x1p+1024\n";
+      "links\ndemand 1\nlink const 0x1p-1024\nlink affine 0x1p-1022 -0x1p+1023\n";
+    ])
 
 let specials =
   [| "100000000000"; "4611686018427387903"; "99999999999999999999"; "1e300"; "-1"; "-0"; "-1e-300";
@@ -755,6 +774,32 @@ let prop_canonical_hex_bits =
           && refuses_a_bad_digit ())
         (List.init 20 Fun.id))
 
+(* The three slice entries check their slice once, by name, and then
+   read it unchecked: a slice outside the string is refused before a
+   byte is read, and the slices at its ends are still read. *)
+let test_slices_outside_refused () =
+  let s = "const 0x1p+0" in
+  let n = String.length s in
+  List.iter
+    (fun (lo, hi) ->
+      let refused name f =
+        match f () with
+        | exception Invalid_argument m ->
+            Alcotest.(check string) name
+              (Printf.sprintf
+                 "Latency_spec.%s: the slice [%d, %d) is not within a string of length %d" name lo
+                 hi n)
+              m
+        | () -> Alcotest.failf "%s read [%d, %d) of a %d-byte string" name lo hi n
+      in
+      refused "parse_sub" (fun () -> ignore (LS.parse_sub s lo hi));
+      refused "number_sub" (fun () -> ignore (LS.number_sub s lo hi));
+      refused "canonical_hex" (fun () -> ignore (LS.canonical_hex s lo hi [| 0.0 |] 0)))
+    [ (-1, 3); (0, n + 1); (7, 6); (n + 1, n + 1); (min_int, 0); (0, max_int) ];
+  check_true "the whole string" (Result.is_ok (LS.parse_sub s 0 n));
+  Alcotest.(check (option (float 0.0))) "the last word" (Some 1.0) (LS.number_sub s 6 n);
+  check_true "the empty slice at the end" (not (LS.canonical_hex s n n [| 0.0 |] 0))
+
 let suite =
   [
     case "latency specs: affine forms" test_affine_specs;
@@ -789,4 +834,6 @@ let suite =
     case "instance reader: output and messages match the recorded MD5s" test_reader_golden;
     case "instance reader: the benchmark city parses under 3.6 MB" test_city_parse_allocation;
     prop_canonical_hex_bits;
+    case "latency specs: a slice outside its string is refused by name"
+      test_slices_outside_refused;
   ]

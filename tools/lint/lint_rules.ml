@@ -61,8 +61,8 @@ let rules =
        modules reachable from lib/serve dispatch must contain Sgr_obs.Cancel.check so \
        @MS deadlines can pre-empt them" );
     ( "unchecked-access",
-      "Array/Bytes/String unsafe_get/unsafe_set in lib/ only inside an allow region \
-       whose comment proves every index in range" );
+      "Array/Bytes/String unsafe_get/unsafe_set in lib/, qualified or bare (under an \
+       open), only inside an allow region whose comment proves every index in range" );
   ]
 
 let known = List.map fst rules
@@ -314,11 +314,17 @@ let quadratic_list path =
   | _ -> None
 
 (* An element access that skips the bounds check: out of range, it
-   reads or writes arbitrary memory instead of raising. *)
+   reads or writes arbitrary memory instead of raising. A bare
+   [unsafe_get]/[unsafe_set] counts too: no module under lib/ defines
+   one, so it is the stdlib's, reached through [open Array] or a local
+   open ([Array.(unsafe_get a i)]). *)
 let unchecked_access path =
-  match last_two path with
-  | Some (("Array" | "Bytes" | "String"), ("unsafe_get" | "unsafe_set")) -> true
-  | _ -> false
+  match path with
+  | [ ("unsafe_get" | "unsafe_set") ] -> true
+  | _ -> (
+      match last_two path with
+      | Some (("Array" | "Bytes" | "String"), ("unsafe_get" | "unsafe_set")) -> true
+      | _ -> false)
 
 let collect ~path (str : structure) : Lint_diag.t list =
   let ctx = ctx_of_path path in
