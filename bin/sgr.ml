@@ -434,8 +434,19 @@ let thm24_cmd =
 
 (* ---------------- sweep ---------------- *)
 
+(* A sweep or a profile takes 2 to [Alpha_sweep.max_samples] points, as
+   a served [sweep ID LO HI N] does: any other count is refused by its
+   option's name before the instance is read or a point is allocated. *)
+let check_samples samples =
+  let most = Stackelberg.Alpha_sweep.max_samples in
+  if samples < 2 || samples > most then begin
+    Format.eprintf "error: --samples must be in [2, %d], got %d@." most samples;
+    exit 2
+  end
+
 let sweep_cmd =
   let run path samples csv (trace, stats) =
+    check_samples samples;
     with_obs ~machine:csv ~trace ~stats @@ fun () ->
     let t = require_links (load_instance path) in
     let curve = Stackelberg.Alpha_sweep.run ~samples t in
@@ -473,6 +484,7 @@ let sweep_cmd =
 
 let profile_cmd =
   let run path samples r_lo r_hi csv (trace, stats) =
+    check_samples samples;
     with_obs ~machine:csv ~trace ~stats @@ fun () ->
     let t = require_links (load_instance path) in
     let points = Stackelberg.Beta_profile.run ~samples t ~r_lo ~r_hi in

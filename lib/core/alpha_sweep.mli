@@ -34,11 +34,18 @@ val ratio_of : opt_cost:float -> float -> float
     zero, [infinity] when [opt_cost] is zero but [cost] is positive —
     the Leader pays something where paying nothing was possible. *)
 
+val max_samples : int
+(** The most samples {!range}, {!run} and [Beta_profile.run] take
+    (1001, a 0.001 grid on [[0, 1]]); the CLI's [--samples] and the
+    serve protocol's [sweep ID LO HI N] share it. *)
+
 val at : ?grid_resolution:int -> Sgr_links.Links.t -> alpha:float -> point
 (** One point of the curve, computed exactly as {!run} would compute the
     sample at this [alpha] (so a served point query and a sweep sample
-    agree byte for byte). Runs OpTop once per call; use {!range} to
-    amortize it over many points.
+    agree byte for byte): both run the same point code on OpTop's result
+    and, on the heuristic's instances, on LLF's order prepared from its
+    optimum. Runs OpTop and that preparation once per call; use {!range}
+    to amortize them over many points.
     @raise Invalid_argument unless [0 <= alpha <= 1]. *)
 
 val range :
@@ -47,7 +54,7 @@ val range :
 (** [samples] evenly spaced values of [α] in [[lo, hi]] (endpoints
     included). {!run} is [range ~lo:0.0 ~hi:1.0].
     @raise Invalid_argument unless [0 <= lo <= hi <= 1] and
-    [samples >= 2]. *)
+    [2 <= samples <= max_samples]. *)
 
 val run : ?jobs:int -> ?samples:int -> ?grid_resolution:int -> Sgr_links.Links.t -> curve
 (** [run t] samples [samples] (default 21) evenly spaced values of [α] in

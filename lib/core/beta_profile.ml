@@ -4,7 +4,9 @@ type point = { demand : float; beta : float; poa : float }
 
 let run ?(samples = 21) instance ~r_lo ~r_hi =
   if not (0.0 <= r_lo && r_lo <= r_hi) then invalid_arg "Beta_profile.run: bad demand range";
-  if samples < 2 then invalid_arg "Beta_profile.run: need at least two samples";
+  if samples < 2 || samples > Alpha_sweep.max_samples then
+    invalid_arg
+      (Printf.sprintf "Beta_profile.run: need 2 <= samples <= %d" Alpha_sweep.max_samples);
   List.init samples (fun k ->
       let demand =
         r_lo +. ((r_hi -. r_lo) *. float_of_int k /. float_of_int (samples - 1))

@@ -16,7 +16,8 @@ type point = {
 val run :
   ?samples:int -> Sgr_links.Links.t -> r_lo:float -> r_hi:float -> point list
 (** [run t ~r_lo ~r_hi] evaluates [samples] (default 21) evenly spaced
-    demands in [[r_lo, r_hi]]. [r_lo >= 0] and [r_lo <= r_hi] required.
+    demands in [[r_lo, r_hi]]. [r_lo >= 0], [r_lo <= r_hi] and
+    [2 <= samples <= Alpha_sweep.max_samples] required.
     Demands an M/M/1 system cannot carry raise [Failure] (from the
     solver), as they have no equilibrium. *)
 

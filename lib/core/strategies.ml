@@ -19,26 +19,34 @@ let evaluate ?opt_cost instance ~optimum ~strategy =
 let check_alpha alpha =
   if not (0.0 <= alpha && alpha <= 1.0) then invalid_arg "Strategies: alpha must be in [0, 1]"
 
-let llf ?opt_cost instance ~optimum:opt ~alpha =
-  check_alpha alpha;
+type prepared = { instance : Links.t; optimum : float array; order : int array }
+
+let prepare instance ~optimum =
   let m = Links.num_links instance in
   let order = Array.init m (fun i -> i) in
   (* Decreasing latency at the optimum; stable on ties by index. Each
      latency is evaluated once, so the work does not depend on the
      order the links come in. *)
-  let lat = Array.init m (fun i -> L.eval instance.Links.latencies.(i) opt.(i)) in
+  let lat = Array.init m (fun i -> L.eval instance.Links.latencies.(i) optimum.(i)) in
   Array.sort
     (fun i j -> match Float.compare lat.(j) lat.(i) with 0 -> Int.compare i j | c -> c)
     order;
+  { instance; optimum; order }
+
+let llf_prepared ?opt_cost { instance; optimum; order } ~alpha =
+  check_alpha alpha;
   let budget = ref (alpha *. instance.Links.demand) in
-  let strategy = Array.make m 0.0 in
+  let strategy = Array.make (Links.num_links instance) 0.0 in
   Array.iter
     (fun i ->
-      let take = Float.min !budget opt.(i) in
+      let take = Float.min !budget optimum.(i) in
       strategy.(i) <- take;
       budget := !budget -. take)
     order;
-  evaluate ?opt_cost instance ~optimum:opt ~strategy
+  evaluate ?opt_cost instance ~optimum ~strategy
+
+let llf ?opt_cost instance ~optimum ~alpha =
+  llf_prepared ?opt_cost (prepare instance ~optimum) ~alpha
 
 let scale ?opt_cost instance ~optimum ~alpha =
   check_alpha alpha;

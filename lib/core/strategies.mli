@@ -22,7 +22,25 @@ type outcome = {
 
 val llf :
   ?opt_cost:float -> Sgr_links.Links.t -> optimum:float array -> alpha:float -> outcome
-(** @raise Invalid_argument unless [0 <= alpha <= 1]. *)
+(** [llf ?opt_cost t ~optimum ~alpha] is
+    [llf_prepared ?opt_cost (prepare t ~optimum) ~alpha].
+    @raise Invalid_argument unless [0 <= alpha <= 1]. *)
+
+type prepared
+(** LLF's saturation order on one instance at one optimum: the links by
+    decreasing latency at the optimum, ties by index. It depends on no
+    budget, so a caller that plays LLF at many [alpha] on one instance
+    ([Alpha_sweep.range]) builds it once. *)
+
+val prepare : Sgr_links.Links.t -> optimum:float array -> prepared
+(** Evaluates each link's latency at [optimum] once and sorts. The
+    preparation keeps [optimum]; do not mutate it while the preparation
+    is in use. *)
+
+val llf_prepared : ?opt_cost:float -> prepared -> alpha:float -> outcome
+(** LLF at budget [alpha·r] on the prepared instance, bit for bit what
+    {!llf} returns on it.
+    @raise Invalid_argument unless [0 <= alpha <= 1]. *)
 
 val scale :
   ?opt_cost:float -> Sgr_links.Links.t -> optimum:float array -> alpha:float -> outcome

@@ -230,8 +230,9 @@ let newton_level ~r ~pass ~rate ~secant ~max_steps ~lo ~hi ~f_hi =
   (* Σx - r at the bracket's ends; at [lo] every rigid flow is 0. *)
   let f_lo = ref (-.r) and f_hi = ref !f in
   let steps = ref 0 and safeguards = ref 0 in
+  let cancel = Sgr_obs.Cancel.handle () in
   while Float.abs !f > tol && (not (narrow !lo !hi)) && !steps < max_steps do
-    Sgr_obs.Cancel.check ();
+    Sgr_obs.Cancel.check_handle cancel;
     let rate = if secant && !steps = 0 then (!f -. !f_lo) /. (!hi -. !lo) else rate () in
     incr steps;
     let next = !l -. (!f /. rate) in
@@ -264,23 +265,26 @@ let[@inline] clamp v = if v > 0.0 || Float.is_nan v then v else 0.0
 
 (* What is left of the demand, e = r - Σxᵢ, is the part float precision
    cannot resolve the level for. It goes to the links [idx.(0 .. k-1)]
-   by their weights [w] (dxᵢ/dl: the loaded links and, when flow must be
-   added, those whose activation point is within a few ulps of the
-   level), which moves every link's level alike, so no Wardrop (or
-   marginal-cost) equality breaks. A link whose gᵢ' is 0 takes all of
-   it. With nothing loaded the level sits on the cheapest activation
-   point, so some link always counts when e > 0. *)
+   (links 0 .. k-1 when [idx] is empty) by their weights [w] (dxᵢ/dl:
+   the loaded links and, when flow must be added, those whose
+   activation point is within a few ulps of the level), which moves
+   every link's level alike, so no Wardrop (or marginal-cost) equality
+   breaks. A link whose gᵢ' is 0 takes all of it. With nothing loaded
+   the level sits on the cheapest activation point, so some link always
+   counts when e > 0. *)
 let place_residual x (w : float array) e idx k =
+  let all = Array.length idx = 0 in
   let total = ref 0.0 and steep = ref (-1) in
   for j = 0 to k - 1 do
-    let wi = w.(idx.(j)) in
+    let i = if all then j else idx.(j) in
+    let wi = w.(i) in
     total := !total +. wi;
-    if !steep < 0 && wi = Float.infinity then steep := idx.(j)
+    if !steep < 0 && wi = Float.infinity then steep := i
   done;
   if !steep >= 0 then x.(!steep) <- clamp (x.(!steep) +. e)
   else if !total > 0.0 then
     for j = 0 to k - 1 do
-      let i = idx.(j) in
+      let i = if all then j else idx.(j) in
       if w.(i) > 0.0 then x.(i) <- clamp (x.(i) +. (e *. w.(i) /. !total))
     done
 
@@ -289,15 +293,15 @@ let c_expansions = Sgr_obs.Obs.counter "bisection.expansions"
 (* [Bisection.expand_upper] on the rigid entries' flows: double the top
    from [start] until they absorb [r], up to 1e18. Returns the top and
    the flows' sum there, with the flows in [x]. *)
-let expand_top flows x ~r ~start =
+let expand_top lats ~offsets ~marginal x ~r ~start =
   let hi = ref (Float.max start 1e-12) in
   match
-    let absorbed = ref (flows !hi ~into:x) in
+    let absorbed = ref (L.Kernels.flows lats ~offsets ~marginal !hi ~into:x) in
     while !absorbed < r && !hi < 1e18 do
       Sgr_obs.Cancel.check ();
       Sgr_obs.Obs.incr c_expansions;
       hi := !hi *. 2.0;
-      absorbed := flows !hi ~into:x
+      absorbed := L.Kernels.flows lats ~offsets ~marginal !hi ~into:x
     done;
     !absorbed
   with
@@ -316,7 +320,6 @@ let expand_top flows x ~r ~start =
 let newton_curves criterion lats ~offsets ~w ~b r =
   let n = Array.length lats in
   let marginal = match criterion with `Nash -> false | `Opt -> true in
-  let flows = L.Kernels.flows lats ~offsets ~marginal in
   let g0 = Array.make n 0.0 in
   L.Kernels.activations lats ~offsets ~marginal ~lines:b ~into:g0;
   let c_min = ref Float.infinity and base_level = ref Float.infinity in
@@ -330,7 +333,10 @@ let newton_curves criterion lats ~offsets ~w ~b r =
   else
     (* The rigid links' flows at the reservoir's level; nan, which is no
        reservoir, when there is no constant link. *)
-    let absorbed = if c_min < Float.infinity then flows c_min ~into:x else Float.nan in
+    let absorbed =
+      if c_min < Float.infinity then L.Kernels.flows lats ~offsets ~marginal c_min ~into:x
+      else Float.nan
+    in
     if absorbed < r then begin
       share_reservoir x
         ~is_constant:(fun i -> L.is_constant lats.(i))
@@ -342,9 +348,11 @@ let newton_curves criterion lats ~offsets ~w ~b r =
       (* The top of the bracket, with the flows there in [x]. *)
       let hi, absorbed =
         if c_min < Float.infinity then (c_min, absorbed)
-        else expand_top flows x ~r ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
+        else
+          expand_top lats ~offsets ~marginal x ~r
+            ~start:(Float.max 1.0 (2.0 *. Float.abs base_level))
       in
-      let pass ~top:_ l = flows l ~into:x -. r in
+      let pass ~top:_ l = L.Kernels.flows lats ~offsets ~marginal l ~into:x -. r in
       let rate () = L.Kernels.rates lats ~offsets ~marginal x ~into:w in
       let level, f =
         newton_level ~r ~pass ~rate ~secant:true ~max_steps:max_level_steps ~lo:base_level ~hi
@@ -357,7 +365,7 @@ let newton_curves criterion lats ~offsets ~w ~b r =
           if (not (x.(i) > 0.0)) && (not (L.is_constant lats.(i))) && near_level g0.(i) level then
             w.(i) <- L.Kernels.rate lats ~offsets ~marginal i 0.0
         done;
-      place_residual x w e (Array.init n Fun.id) n;
+      place_residual x w e [||] n;
       { assignment = x; level }
     end
 

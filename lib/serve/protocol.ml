@@ -22,10 +22,11 @@ let words s =
    a key. *)
 let float_arg w = Option.map (fun x -> x +. 0.0) (float_of_string_opt w)
 
-(* The largest [N] in [sweep ID LO HI N]: a 0.001 alpha grid. The
-   single-threaded server answers a request in one reply line, so [N]
-   bounds both its latency and its reply size. *)
-let max_sweep_samples = 1001
+(* The largest [N] in [sweep ID LO HI N]: a 0.001 alpha grid, the
+   bound the library and the CLI hold a sweep to. The single-threaded
+   server answers a request in one reply line, so [N] bounds both its
+   latency and its reply size. *)
+let max_sweep_samples = Stackelberg.Alpha_sweep.max_samples
 
 let parse_request = function
   | [ "load"; id; path ] -> Ok (Load { id; path })

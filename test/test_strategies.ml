@@ -193,6 +193,72 @@ let test_llf_work_order_free () =
       perm
   done
 
+(* Random [b + c·xᵈ] games on 7-12 links, the sweep's heuristic class
+   (link 0 has degree at least 2, so the game is not common-slope). The
+   links draw from fewer latencies than there are links, so identical
+   links carry identical optimal flows and tie in latency at the
+   optimum, loaded or not: LLF breaks those ties by index. *)
+let tied_game seed =
+  let rng = Prng.create (seed + 7000) in
+  let m = 7 + Prng.int rng 6 in
+  let pool =
+    Array.init (2 + Prng.int rng (m - 3)) (fun k ->
+        let d = if k = 0 then 2 + Prng.int rng 3 else 1 + Prng.int rng 4 in
+        let coeffs = Array.make (d + 1) 0.0 in
+        coeffs.(0) <- Prng.uniform rng ~lo:0.0 ~hi:1.5;
+        coeffs.(d) <- Prng.uniform rng ~lo:0.5 ~hi:2.0;
+        L.polynomial coeffs)
+  in
+  let lats =
+    Array.init m (fun i -> if i = 0 then pool.(0) else pool.(Prng.int rng (Array.length pool)))
+  in
+  Prng.shuffle rng lats;
+  Links.make lats ~demand:(Prng.uniform rng ~lo:0.5 ~hi:3.0)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_outcome (a : S.outcome) (b : S.outcome) =
+  Array.length a.strategy = Array.length b.strategy
+  && Array.for_all2 same_bits a.strategy b.strategy
+  && same_bits a.induced_cost b.induced_cost
+  && same_bits a.ratio_to_opt b.ratio_to_opt
+
+let alphas = [ 0.0; 0.05; 0.2; 0.35; 0.5; 0.65; 0.8; 0.95; 1.0 ]
+
+let prop_prepared_llf_is_llf =
+  qcheck ~count:60 "llf: one prepared order replays a fresh llf bit for bit" QCheck.small_nat
+    (fun seed ->
+      let t = tied_game seed in
+      let optimum = optimum t in
+      let opt_cost = Links.cost t optimum in
+      let prepared = S.prepare t ~optimum in
+      List.for_all
+        (fun alpha ->
+          same_outcome
+            (S.llf_prepared ~opt_cost prepared ~alpha)
+            (S.llf ~opt_cost t ~optimum ~alpha)
+          && same_outcome (S.llf_prepared prepared ~alpha) (S.llf t ~optimum ~alpha))
+        alphas)
+
+let prop_served_point_is_sample =
+  qcheck ~count:30 "alpha-sweep: a served point equals the sweep's sample at jobs 1 and 2"
+    QCheck.small_nat (fun seed ->
+      let module Sweep = Stackelberg.Alpha_sweep in
+      let t = tied_game seed in
+      let same (p : Sweep.point) (q : Sweep.point) =
+        same_bits p.alpha q.alpha && same_bits p.ratio q.ratio && p.method_used = q.method_used
+      in
+      let matches (c : Sweep.curve) =
+        List.for_all
+          (fun (p : Sweep.point) ->
+            same (Sweep.at t ~alpha:p.alpha) p
+            && (p.method_used = Sweep.Heuristic_upper_bound || p.alpha >= c.beta -. 1e-12))
+          c.points
+      in
+      List.for_all
+        (fun jobs -> matches (Sweep.range ~jobs t ~lo:0.0 ~hi:1.0 ~samples:11))
+        [ 1; 2 ])
+
 let suite =
   [
     case "aloof = plain Nash" test_aloof_is_nash;
@@ -211,4 +277,6 @@ let suite =
     prop_llf_at_least_beta_reaches_optimum;
     prop_aloof_matches_nash_cost;
     case "llf: work independent of link order" test_llf_work_order_free;
+    prop_prepared_llf_is_llf;
+    prop_served_point_is_sample;
   ]
